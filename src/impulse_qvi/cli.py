@@ -22,12 +22,12 @@ import numpy as np
 
 from .diagnostics import (check_obstacle, check_smooth_fit,
                           check_theta_structure, convergence_study,
-                          standard_checks)
+                          reference_values, standard_checks)
 from .dynamics import (FeedbackPolicy, ImpulseSchedule,
                        filtration_reduction_check, simulate)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
-from .solver import (Grid, PolicyMap, RegionMap, ValueSurface, solve,
+from .solver import (Grid, SolveResult, read_surface_csv, solve,
                      write_boundary_csv, write_policy_csv, write_surface_csv)
 
 EXIT_OK = 0
@@ -52,6 +52,7 @@ class RunConfig:
     spec: ModelSpec
     out_dir: str
     grid: Grid
+    explicit_flags: tuple  # (header key, value) of each grid flag or --eps-region given
     n_paths: int
     dt: float
     seed: int
@@ -169,11 +170,7 @@ def _build_config(args) -> RunConfig:
                                    for t, s in zip(sched.times, sched.sizes))
         elif args.schedule is not None:
             raise UsageError("--schedule is only meaningful with --policy schedule")
-        if args.policy == "feedback" and args.surface is not None:
-            surface_path = os.path.join(args.surface, "surface.csv")
-            if not os.path.exists(surface_path):
-                raise UsageError(f"surface file not found: {surface_path}")
-    elif args.command == "check" and args.surface is not None:
+    if args.surface is not None and (args.command == "check" or args.policy == "feedback"):
         surface_path = os.path.join(args.surface, "surface.csv")
         if not os.path.exists(surface_path):
             raise UsageError(f"surface file not found: {surface_path}")
@@ -184,6 +181,9 @@ def _build_config(args) -> RunConfig:
         spec=spec,
         out_dir=args.out,
         grid=grid,
+        explicit_flags=tuple((key, value) for key, value in (
+            ("n_x", args.nx), ("n_t", args.nt), ("n_k", args.nk), ("x_min", args.xmin),
+            ("x_max", args.xmax), ("eps_region", args.eps_region)) if value is not None),
         n_paths=args.paths,
         dt=args.dt,
         seed=seed,
@@ -223,36 +223,22 @@ def _txt_header(fh, cfg: RunConfig, chash: str) -> None:
     fh.write(f"# config_hash={chash}\n# seed={cfg.seed}\n# {_DOMAIN_NOTE}\n")
 
 
-def _load_solution(surface_path: str, n_k: int, costs, eps_region: float):
-    """Rebuild (surface, regions, policy) from a solve artifact
-    (columns t,x,V,IV,label,xi0)."""
-    ts, xs, vs, ivs, lab, xi = [], [], [], [], [], []
-    with open(surface_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t,"):
-                continue
-            parts = line.split(",")
-            ts.append(float(parts[0]))
-            xs.append(float(parts[1]))
-            vs.append(float(parts[2]))
-            ivs.append(float(parts[3]))
-            lab.append(parts[4] == "action")
-            xi.append(float(parts[5]) if parts[5] else math.nan)
-    tn = np.unique(np.asarray(ts))
-    xn = np.unique(np.asarray(xs))
-    shape = (tn.size, xn.size)
-    if tn.size * xn.size != len(lab):
-        raise UsageError(f"surface file is not a full grid: {surface_path}")
-    grid = Grid(float(xn[0]), float(xn[-1]), xn.size, tn.size - 1, n_k)
-    surface = ValueSurface(grid, float(tn[-1]),
-                           np.asarray(vs).reshape(shape),
-                           np.asarray(ivs).reshape(shape),
-                           {"eps_region": eps_region})
-    regions = RegionMap(np.asarray(lab, dtype=bool).reshape(shape), eps_region)
-    policy = PolicyMap(np.asarray(xi, dtype=float).reshape(shape),
-                       grid.k_nodes(costs))
-    return surface, regions, policy
+def _load_solution(cfg: RunConfig) -> SolveResult:
+    """Read the --surface artifact, which must have been solved for --spec
+    and agree with each grid flag and --eps-region given explicitly."""
+    try:
+        res = read_surface_csv(cfg.surface_path, cfg.spec.costs)
+    except ValueError as exc:
+        raise UsageError(f"cannot load {cfg.surface_path}: {exc}") from None
+    md = res.surface.metadata
+    if md["spec_sha256"] != cfg.spec.sha256():
+        raise UsageError(f"{cfg.surface_path} was solved for a different spec than {cfg.spec_source}")
+    stored = {**res.surface.grid.to_dict(), "eps_region": md["eps_region"]}
+    clashes = [f"{key}={value!r} given, {stored[key]!r} in the surface header"
+               for key, value in cfg.explicit_flags if value != stored[key]]
+    if clashes:
+        raise UsageError(f"{cfg.surface_path} disagrees with the flags: {'; '.join(clashes)}")
+    return res
 
 
 # --------------------------------------------------------------- subcommands
@@ -288,9 +274,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     ref = (fixture_reference(cfg.spec_source[len("fixture:"):])
            if cfg.spec_source.startswith("fixture:") else None)
     if ref is not None:
-        tn = res.surface.t_nodes()
-        xn = cfg.grid.x_nodes()
-        exact = np.array([[ref(t, x) for x in xn] for t in tn])
+        exact = reference_values(ref, res.surface)
         err = np.abs(res.surface.values - exact)
         scale = np.maximum(np.abs(exact), 1e-12)
         summary["max_error_vs_formula"] = float(np.max(err))
@@ -309,9 +293,7 @@ def _resolve_control(cfg: RunConfig):
                                   np.array([p[1] for p in pairs]))
         return control, {"kind": "schedule", "pairs": pairs}
     if cfg.surface_path is not None:
-        loaded = _load_solution(cfg.surface_path, cfg.grid.n_k, cfg.spec.costs,
-                                cfg.eps_region or 10.0 * cfg.tol_inner)
-        return FeedbackPolicy.from_solution(*loaded), {
+        return FeedbackPolicy.from_solution(*_load_solution(cfg)), {
             "kind": "feedback", "source": "loaded-surface"}
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
     return FeedbackPolicy.from_solution(res.surface, res.regions, res.policy), {
@@ -387,16 +369,16 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     chash = cfg.config_hash()
+    grid = cfg.grid
     if cfg.surface_path is not None:
         # diagnose an existing artifact: only the checks that read the
         # surface alone (no re-solve for bounds/regularity comparisons)
-        surface, regions, policy = _load_solution(
-            cfg.surface_path, cfg.grid.n_k, cfg.spec.costs,
-            cfg.eps_region or 10.0 * cfg.tol_inner)
+        res = _load_solution(cfg)
+        grid = res.surface.grid
         reports = [
-            check_obstacle(surface, cfg.spec),
-            check_smooth_fit(surface, regions, policy, cfg.spec),
-            check_theta_structure(surface, regions, policy, cfg.spec),
+            check_obstacle(res.surface, cfg.spec),
+            check_smooth_fit(*res, cfg.spec),
+            check_theta_structure(*res, cfg.spec),
         ]
     else:
         reports = standard_checks(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner,
@@ -412,7 +394,7 @@ def cmd_check(cfg: RunConfig) -> int:
         "config_hash": chash,
         "seed": cfg.seed,
         "spec_source": cfg.spec_source,
-        "grid": cfg.grid.to_dict(),
+        "grid": grid.to_dict(),
         "domain_restriction": _DOMAIN_NOTE,
         "passed": all_passed,
         "checks": entries,

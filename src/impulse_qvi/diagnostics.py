@@ -200,7 +200,7 @@ def check_smooth_fit(surface: ValueSurface, regions: RegionMap, policy: PolicyMa
     grid = surface.grid
     h = grid.h
     if tol is None:
-        tol_inner = float(surface.metadata.get("tol_inner", 1e-9))
+        tol_inner = float(surface.metadata["tol_inner"])
         tol = 5.0 * h + 10.0 * tol_inner / h
         note = f"tol = 5 h + 10 tol_inner / h with h={h:.4g}"
     else:
@@ -333,13 +333,20 @@ class ConvergenceStudy:
                 "reference_errors": self.reference_errors}
 
 
+def reference_values(reference, surface: ValueSurface) -> np.ndarray:
+    """The exact reference on the surface's nodes: one call
+    reference(t, x_nodes) per time node, broadcast over x."""
+    xn = surface.grid.x_nodes()
+    return np.array([np.broadcast_to(reference(t, xn), xn.shape) for t in surface.t_nodes()])
+
+
 def convergence_study(spec: ModelSpec, grids: list, reference=None,
                       tol_inner: float = 1e-9) -> ConvergenceStudy:
     """Solve on each grid of a refinement ladder.
 
     Successive solutions are compared on the coarser grid's nodes
-    (sup difference); when a reference callable (t, x) -> V is given,
-    each level also records its sup error against it.
+    (sup difference); when a reference callable (t, x_nodes) -> V is
+    given, each level also records its sup error against it.
     """
     surfaces = []
     rows = []
@@ -347,13 +354,8 @@ def convergence_study(spec: ModelSpec, grids: list, reference=None,
         s, _, _ = solve(spec, g, tol_inner=tol_inner)
         surfaces.append(s)
         rows.append({"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t})
-    ref_errors = []
-    if reference is not None:
-        for s in surfaces:
-            tn = s.t_nodes()
-            xn = s.grid.x_nodes()
-            exact = np.array([[reference(t, x) for x in xn] for t in tn])
-            ref_errors.append(float(np.max(np.abs(s.values - exact))))
+    ref_errors = [] if reference is None else [
+        float(np.max(np.abs(s.values - reference_values(reference, s)))) for s in surfaces]
     diffs = []
     for a, b in zip(surfaces, surfaces[1:]):
         tn = a.t_nodes()

@@ -29,7 +29,7 @@ def closed_form_params() -> dict:
 
 
 def closed_form_value(f0: float, g10: float, g20: float, beta0: float, T: float):
-    """Exact no-intervention value for constant data; returns V(t, x)."""
+    """Exact no-intervention value for constant data; returns V(t, x), constant in x."""
 
     def value(t: float, x: float = 0.0) -> float:
         s = T - t
@@ -141,7 +141,7 @@ def get_fixture(name: str) -> ModelSpec:
 
 
 def fixture_reference(name: str):
-    """Exact value callable for fixtures that have one, else None."""
+    """Exact value callable (t, x_nodes) -> V for fixtures that have one, else None."""
     if name == "closed-form":
         p = closed_form_params()
         return closed_form_value(p["f0"], p["g10"], p["g20"], p["beta0"], p["T"])

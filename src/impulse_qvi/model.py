@@ -18,6 +18,7 @@ that hazard integrals and their inversion are exact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,6 +234,11 @@ class ModelSpec:
             "utilities": self.utilities.to_dict(),
             "costs": self.costs.to_dict(),
         }
+
+    def sha256(self) -> str:
+        """SHA-256 of the canonical JSON that the CLI config hash embeds."""
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

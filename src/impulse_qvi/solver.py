@@ -289,6 +289,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     metadata = {
         "tol_inner": tol_inner,
         "eps_region": eps_region,
+        "spec_sha256": spec.sha256(),
         "inner_iterations": inner_counts,
         "max_inner_residual": worst_residual,
         "c1_bound": c1_bound,
@@ -304,8 +305,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
 def extract_regions(surface: ValueSurface, spec: ModelSpec,
                     eps_region: float | None = None) -> tuple[RegionMap, PolicyMap]:
     """Recompute labels and maximizers from a (possibly loaded) surface."""
-    if eps_region is None:
-        eps_region = float(surface.metadata.get("eps_region", 1e-8))
+    eps_region = surface.metadata["eps_region"] if eps_region is None else eps_region
     LAB = np.zeros(surface.values.shape, dtype=bool)
     XI = np.full(surface.values.shape, np.nan)
     for j in range(surface.values.shape[0]):
@@ -322,8 +322,7 @@ def extract_injection(t: float, x: float, surface: ValueSurface, costs,
     post-injection point fails to land in the continuation region
     (within one grid cell).
     """
-    if eps_region is None:
-        eps_region = float(surface.metadata.get("eps_region", 1e-8))
+    eps_region = surface.metadata["eps_region"] if eps_region is None else eps_region
     tn = surface.t_nodes()
     xn = surface.grid.x_nodes()
     j = int(np.argmin(np.abs(tn - t)))
@@ -381,55 +380,65 @@ def _write_meta(fh, meta: dict | None) -> None:
             fh.write(f"# {key}={meta[key]}\n")
 
 
+# surface.csv header fields with their parsers: what read_surface_csv needs
+# to rebuild the SolveResult, and the spec it was solved for
+_SURFACE_HEADER = {"T": float, "x_min": float, "x_max": float, "n_x": int, "n_t": int,
+                   "n_k": int, "eps_region": float, "tol_inner": float, "spec_sha256": str}
+
+
 def write_surface_csv(path, surface: ValueSurface, regions: RegionMap,
                       policy: PolicyMap, meta: dict | None = None) -> None:
-    """Long format: t, x, V, IV, label, xi0 (xi0 empty on continuation)."""
-    tn = surface.t_nodes()
-    xn = surface.grid.x_nodes()
+    """Long format: t, x, V, IV, label, xi0 (xi0 empty on continuation),
+    after `# key=value` lines for `meta` and for T, the grid, eps_region,
+    tol_inner and spec_sha256.  Rows are written one time slice at a time."""
+    known = {**surface.metadata, **surface.grid.to_dict(), "T": surface.T}
+    x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_meta(fh, meta)
+        _write_meta(fh, {**(meta or {}), **{k: known[k] for k in _SURFACE_HEADER}})
         fh.write("t,x,V,IV,label,xi0\n")
-        for j, t in enumerate(tn):
-            for i, xv in enumerate(xn):
-                if regions.labels[j, i]:
-                    fh.write(f"{_fmt(t)},{_fmt(xv)},{_fmt(surface.values[j, i])},"
-                             f"{_fmt(surface.iv_values[j, i])},action,{_fmt(policy.xi0[j, i])}\n")
-                else:
-                    fh.write(f"{_fmt(t)},{_fmt(xv)},{_fmt(surface.values[j, i])},"
-                             f"{_fmt(surface.iv_values[j, i])},continuation,\n")
+        for j, t in enumerate(surface.t_nodes().tolist()):
+            tails = [f"action,{xi!r}\n" if act else "continuation,\n"
+                     for act, xi in zip(regions.labels[j].tolist(), policy.xi0[j].tolist())]
+            fh.write("".join([f"{t!r},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
+                x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)]))
 
 
-def read_surface_csv(path, grid_hint: dict | None = None) -> ValueSurface:
-    """Rebuild a ValueSurface from the long-format CSV written above."""
-    ts, xs, vs, ivs = [], [], [], []
+def read_surface_csv(path, costs) -> SolveResult:
+    """Rebuild the SolveResult written by write_surface_csv on the grid its
+    header records; the policy's injection grid comes from `costs`.
+
+    Raises ValueError when a header field is missing (as in files written
+    before the header existed), when a value does not parse, or when the
+    rows do not fill the header's grid.
+    """
+    header = {}
     with open(path, "r", encoding="utf-8") as fh:
-        meta = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                k, _, v = line[1:].strip().partition("=")
-                meta[k.strip()] = v.strip()
-                continue
-            if line.startswith("t,"):
-                continue
-            parts = line.split(",")
-            ts.append(float(parts[0]))
-            xs.append(float(parts[1]))
-            vs.append(float(parts[2]))
-            ivs.append(float(parts[3]))
-    tn = np.unique(np.asarray(ts))
-    xn = np.unique(np.asarray(xs))
-    n_t, n_x = tn.size - 1, xn.size
-    V = np.asarray(vs).reshape(n_t + 1, n_x)
-    IV = np.asarray(ivs).reshape(n_t + 1, n_x)
-    n_k = int(grid_hint["n_k"]) if grid_hint and "n_k" in grid_hint else 33
-    grid = Grid(float(xn[0]), float(xn[-1]), n_x, n_t, n_k)
-    metadata = {}
-    if "eps_region" in meta:
-        metadata["eps_region"] = float(meta["eps_region"])
-    return ValueSurface(grid, float(tn[-1]), V, IV, metadata)
+        for line in fh:  # ends on the column line
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].strip().partition("=")
+            header[key] = value
+        rows = [r for r in fh if not r.isspace()]
+    missing = [k for k in _SURFACE_HEADER if k not in header]
+    if missing:
+        raise ValueError(f"surface header lacks {', '.join(missing)}; "
+                         "re-run solve to write a complete surface")
+    h = {k: parse(header[k]) for k, parse in _SURFACE_HEADER.items()}
+    grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"], h["n_k"])
+    shape = (grid.n_t + 1, grid.n_x)
+    num = np.loadtxt(rows, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2)
+    if not (num.shape[0] == shape[0] * shape[1]
+            and np.array_equal(num[:, 0], np.repeat(grid.t_nodes(h["T"]), grid.n_x))
+            and np.array_equal(num[:, 1], np.tile(grid.x_nodes(), shape[0]))):
+        raise ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
+    # label and xi0 are the last two fields; xi0 is parsed on action rows only
+    action = np.array([r.rsplit(",", 2)[1] == "action" for r in rows])
+    xi0 = np.full(action.shape, np.nan)
+    xi0[action] = [float(rows[i].rsplit(",", 1)[1]) for i in np.flatnonzero(action)]
+    metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
+    surface = ValueSurface(grid, h["T"], num[:, 2].reshape(shape), num[:, 3].reshape(shape), metadata)
+    return SolveResult(surface, RegionMap(action.reshape(shape), h["eps_region"]),
+                       PolicyMap(xi0.reshape(shape), grid.k_nodes(costs)))
 
 
 def write_policy_csv(path, surface: ValueSurface, regions: RegionMap,

@@ -169,6 +169,59 @@ def test_check_corrupted_surface_exits_1(tmp_path):
     assert set(by_name) == {"obstacle", "smooth_fit", "theta_structure"}
 
 
+@pytest.fixture(scope="module")
+def small_surface(tmp_path_factory):
+    """A solve output on a grid other than the fixture's suggested one."""
+    sol = tmp_path_factory.mktemp("sol")
+    rc = cli.main(["solve", "--spec", "fixture:intervention", "--out", str(sol),
+                   "--nx", "81", "--nt", "40", "--nk", "21"])
+    assert rc == 0
+    return sol
+
+
+def test_check_surface_takes_grid_from_header(tmp_path, small_surface):
+    out = tmp_path / "o"
+    rc = cli.main(["check", "--spec", "fixture:intervention", "--out", str(out),
+                   "--seed", "3", "--surface", str(small_surface)])
+    assert rc == 0
+    payload = read_json(out / "checks.json")
+    assert payload["grid"] == {"x_min": 0.1, "x_max": 4.1, "n_x": 81,
+                               "n_t": 40, "n_k": 21}
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["obstacle"]["passed"] is True
+
+
+def _delete_data_row(text):
+    lines = text.splitlines(keepends=True)
+    del lines[-7]
+    return "".join(lines)
+
+
+def _strip_surface_header(text):
+    # the layout of surfaces written before the header existed
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith("#") or ln.startswith(("# config_hash=", "# seed=")))
+
+
+@pytest.mark.parametrize("command, spec, flags, edit, reason", [
+    ("simulate", "fixture:geometric", ["--policy", "feedback"], None, "different spec"),
+    ("check", "fixture:intervention", ["--nk", "33"], None, "n_k=33 given, 21"),
+    ("check", "fixture:intervention", [], _delete_data_row, "do not fill"),
+    ("check", "fixture:intervention", [], _strip_surface_header, "re-run solve"),
+], ids=["spec-mismatch", "conflicting-nk", "missing-row", "no-header"])
+def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
+                                  command, spec, flags, edit, reason):
+    sol = small_surface
+    if edit is not None:
+        sol = tmp_path / "sol"
+        sol.mkdir()
+        (sol / "surface.csv").write_text(edit((small_surface / "surface.csv").read_text()))
+    rc = cli.main([command, "--spec", spec, "--out", str(tmp_path / "o"), "--seed", "3",
+                   "--surface", str(sol)] + flags)
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- simulate
 
 

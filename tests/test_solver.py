@@ -226,16 +226,48 @@ def test_dpp_residual_midpoint_within_budget():
 
 
 def test_surface_csv_round_trip(tmp_path):
-    spec = geometric_spec()
-    res = solve(spec, Grid(0.1, 3.1, 51, 20, 17))
+    # geometric has no action nodes, intervention has some
+    for spec, grid in ((geometric_spec(), Grid(0.1, 3.1, 51, 20, 17)),
+                       (intervention_spec(), Grid(0.1, 4.1, 81, 40, 21))):
+        res = solve(spec, grid)
+        p = tmp_path / "surface.csv"
+        write_surface_csv(p, res.surface, res.regions, res.policy,
+                          meta={"config_hash": "abc", "seed": 0})
+        back = read_surface_csv(p, spec.costs)
+        assert back.surface.grid == grid
+        assert back.surface.T == spec.T
+        for key in ("eps_region", "tol_inner", "spec_sha256"):
+            assert back.surface.metadata[key] == res.surface.metadata[key]
+        np.testing.assert_array_equal(back.surface.values, res.surface.values)
+        np.testing.assert_array_equal(back.surface.iv_values, res.surface.iv_values)
+        np.testing.assert_array_equal(back.regions.labels, res.regions.labels)
+        assert back.regions.eps_region == res.regions.eps_region
+        np.testing.assert_array_equal(np.isnan(back.policy.xi0), np.isnan(res.policy.xi0))
+        np.testing.assert_array_equal(back.policy.xi0, res.policy.xi0)
+        np.testing.assert_array_equal(back.policy.k_grid, res.policy.k_grid)
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write("\n")  # a trailing blank line is tolerated
+        np.testing.assert_array_equal(read_surface_csv(p, spec.costs).policy.xi0, res.policy.xi0)
+    assert res.regions.labels.any()
+
+
+def test_surface_csv_row_bytes(tmp_path):
+    spec = intervention_spec()
+    res = solve(spec, Grid(0.1, 4.1, 41, 10, 15))
+    assert res.regions.labels.any()
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res.surface, res.regions, res.policy,
-                      meta={"config_hash": "abc", "seed": 0})
-    back = read_surface_csv(p, grid_hint={"n_k": 17})
-    np.testing.assert_array_equal(back.values, res.surface.values)
-    np.testing.assert_array_equal(back.iv_values, res.surface.iv_values)
-    assert back.T == res.surface.T
-    assert back.grid.n_x == 51 and back.grid.n_t == 20
+    write_surface_csv(p, res.surface, res.regions, res.policy)
+    s = res.surface
+    expected = ["t,x,V,IV,label,xi0"]
+    for j, t in enumerate(s.t_nodes()):
+        for i, x in enumerate(s.grid.x_nodes()):
+            tail = (f"action,{repr(float(res.policy.xi0[j, i]))}"
+                    if res.regions.labels[j, i] else "continuation,")
+            expected.append(f"{repr(float(t))},{repr(float(x))},{repr(float(s.values[j, i]))},"
+                            f"{repr(float(s.iv_values[j, i]))},{tail}")
+    lines = p.read_text().splitlines()
+    assert lines[-len(expected):] == expected
+    assert all(ln.startswith("# ") for ln in lines[:-len(expected)])
 
 
 def test_policy_and_boundary_csv(tmp_path):
