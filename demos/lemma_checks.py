@@ -11,7 +11,7 @@ from impulse_qvi.diagnostics import standard_checks
 from impulse_qvi.fixtures import intervention_spec
 from impulse_qvi.solver import Grid
 
-reports = standard_checks(intervention_spec(), Grid(0.1, 4.1, 201, 100, 71), seed=0)
+reports = standard_checks(intervention_spec(), Grid(0.1, 4.1, 201, 100), seed=0)
 for rep in reports:
     print(rep.line())
     for key, val in rep.details.items():

@@ -11,7 +11,7 @@ from impulse_qvi.fixtures import intervention_spec
 from impulse_qvi.solver import Grid, solve
 
 spec = intervention_spec()
-grid = Grid(0.1, 4.1, 201, 100, 71)
+grid = Grid(0.1, 4.1, 201, 100)
 res = solve(spec, grid)
 
 surface, regions, policy = res.surface, res.regions, res.policy

@@ -114,21 +114,19 @@ def _build_grid(args, source: str) -> Grid:
         base = suggested_grid(source[len("fixture:"):])
         nx = base.n_x if args.nx is None else args.nx
         nt = base.n_t if args.nt is None else args.nt
-        nk = base.n_k if args.nk is None else args.nk
         xmin = base.x_min if args.xmin is None else args.xmin
         xmax = base.x_max if args.xmax is None else args.xmax
     else:
         nx = 201 if args.nx is None else args.nx
         nt = 200 if args.nt is None else args.nt
-        nk = 33 if args.nk is None else args.nk
         xmin = 0.1 if args.xmin is None else args.xmin
         xmax = 4.1 if args.xmax is None else args.xmax
-    if min(nx, nt, nk) <= 0:
-        raise UsageError("--nx, --nt, --nk must be positive")
+    if min(nx, nt) <= 0:
+        raise UsageError("--nx, --nt must be positive")
     if xmin <= 0.0:
         raise UsageError("--xmin must be > 0 (ellipticity restriction)")
     try:
-        return Grid(xmin, xmax, nx, nt, nk)
+        return Grid(xmin, xmax, nx, nt)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -182,8 +180,8 @@ def _build_config(args) -> RunConfig:
         out_dir=args.out,
         grid=grid,
         explicit_flags=tuple((key, value) for key, value in (
-            ("n_x", args.nx), ("n_t", args.nt), ("n_k", args.nk), ("x_min", args.xmin),
-            ("x_max", args.xmax), ("eps_region", args.eps_region)) if value is not None),
+            ("n_x", args.nx), ("n_t", args.nt), ("x_min", args.xmin), ("x_max", args.xmax),
+            ("eps_region", args.eps_region)) if value is not None),
         n_paths=args.paths,
         dt=args.dt,
         seed=seed,
@@ -227,7 +225,7 @@ def _load_solution(cfg: RunConfig) -> SolveResult:
     """Read the --surface artifact, which must have been solved for --spec
     and agree with each grid flag and --eps-region given explicitly."""
     try:
-        res = read_surface_csv(cfg.surface_path, cfg.spec.costs)
+        res = read_surface_csv(cfg.surface_path)
     except ValueError as exc:
         raise UsageError(f"cannot load {cfg.surface_path}: {exc}") from None
     md = res.surface.metadata
@@ -342,8 +340,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     chash = cfg.config_hash()
-    report = validate(cfg.spec, cfg.grid.x_nodes(),
-                      k_sample=cfg.grid.k_nodes(cfg.spec.costs))
+    report = validate(cfg.spec, cfg.grid.x_nodes())
     payload = {
         "command": "validate",
         "config_hash": chash,
@@ -413,8 +410,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     chash = cfg.config_hash()
-    grids = [Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_x,
-                  cfg.grid.n_t * 2**i, cfg.grid.n_k)
+    grids = [Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_x, cfg.grid.n_t * 2**i)
              for i in range(cfg.levels)]
     ref = (fixture_reference(cfg.spec_source[len("fixture:"):])
            if cfg.spec_source.startswith("fixture:") else None)
@@ -474,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--nx", type=int, default=None, help="space nodes")
         p.add_argument("--nt", type=int, default=None, help="time steps")
-        p.add_argument("--nk", type=int, default=None, help="injection grid nodes")
         p.add_argument("--xmin", type=float, default=None, help="left edge (> 0)")
         p.add_argument("--xmax", type=float, default=None, help="right edge")
         p.add_argument("--paths", type=int, default=10000, help="MC sample size")

@@ -309,7 +309,7 @@ def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     """Solve once (plus a time-refined solve for regularity) and run every
     surface diagnostic.  Returns the list of CheckReports."""
     surface, regions, policy = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
-    fine_grid = Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t, grid.n_k)
+    fine_grid = Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t)
     fine_surface, _, _ = solve(spec, fine_grid, tol_inner=tol_inner, eps_region=eps_region)
     return [
         check_obstacle(surface, spec),

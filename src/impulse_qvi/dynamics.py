@@ -12,7 +12,10 @@ Two cost representations are computed from the same Brownian numbers:
   default penalty g2 at the default time, plus undiscounted injection
   costs up to default-or-horizon;
 * cost_f: survival-discounted running gain f - beta*g2 over the whole
-  horizon, discounted terminal g1, and discounted injection costs.
+  horizon, discounted terminal g1, and discounted injection costs.  Each
+  step weights f by its survival integral and g2 by its default
+  probability, exact for a hazard constant on the step; a left-rectangle
+  rule would leave an O(dt) gap to cost_g, which clips at the default.
 
 Their expectations agree; the gap divided by the combined standard
 error is the reduction check.
@@ -28,8 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,15 +194,6 @@ class PathBatch:
     events: list | None = None
 
 
-def _worker_count(n_chunks: int) -> int:
-    cap = os.environ.get("IMPULSE_QVI_THREADS", "")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_chunks))
-
-
 def _prepare_control(spec, control, t0, times):
     """Return (schedule index->size map, policy or None)."""
     if control is None:
@@ -226,7 +218,13 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     n_step = times.size - 1
     dts = np.diff(times)
     rho = survival_grid(spec, t0, times)
-    beta_t = np.asarray(spec.beta(times), dtype=float)
+    # per step: default probability p_k = rho_k - rho_{k+1} weights g2, and
+    # the survival integral p_k d / dLambda_k (rho_k d when the step carries
+    # no hazard) weights f; both exact for a hazard constant on the step
+    p_def = rho[:-1] - rho[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_hazard = np.log(rho[:-1]) - np.log(rho[1:])
+        w_run = np.where(d_hazard > 0.0, p_def * dts / d_hazard, rho[:-1] * dts)
 
     e_draws = np.empty(count)
     z = np.empty((count, n_step))
@@ -275,11 +273,11 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
         d = dts[k]
         fx = np.asarray(u.f(x), dtype=float)
         g2x = np.asarray(u.g2(x), dtype=float)
-        # left-rectangle running terms; the default-truncated one clips the
-        # last partial interval at tau exactly
+        # the default-truncated running term clips the last partial
+        # interval at tau exactly
         overlap = np.clip(np.minimum(times[k + 1], tau) - tk, 0.0, d)
         run_g += fx * overlap
-        run_f += rho[k] * (fx - beta_t[k] * g2x) * d
+        run_f += w_run[k] * fx - p_def[k] * g2x
         at_tau = (tau >= tk) & (tau < times[k + 1])
         if np.any(at_tau):
             g2_at_tau[at_tau] = g2x[at_tau]
@@ -294,7 +292,7 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
 
 def _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, t_end=None, record=False,
                     path_offset=0) -> PathBatch:
-    """Run n_paths Euler paths from (t0, x0); chunked, thread-cap aware."""
+    """Run n_paths Euler paths from (t0, x0), in chunks of _CHUNK paths."""
     if not 0.0 <= t0 <= spec.T:
         raise ValueError("t0 must lie in [0, T]")
     if dt <= 0:
@@ -307,18 +305,9 @@ def _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, t_end=None, record
     extra = control.times if isinstance(control, ImpulseSchedule) else ()
     times = _time_grid(t0, t_end, dt, extra)
 
-    spans = [(s, min(_CHUNK, n_paths - s)) for s in range(0, n_paths, _CHUNK)]
-    workers = _worker_count(len(spans))
-
-    def work(span):
-        s, c = span
-        return _run_chunk(spec, t0, x0, control, times, seed, path_offset + s, c, record)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(sp) for sp in spans]
+    parts = [_run_chunk(spec, t0, x0, control, times, seed, path_offset + s,
+                        min(_CHUNK, n_paths - s), record)
+             for s in range(0, n_paths, _CHUNK)]
 
     if len(parts) == 1:
         return parts[0]

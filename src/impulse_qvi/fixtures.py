@@ -115,13 +115,13 @@ def zero_spec() -> ModelSpec:
 
 def suggested_grid(name: str) -> Grid:
     if name == "closed-form":
-        return Grid(0.1, 2.1, 400, 400, 21)
+        return Grid(0.1, 2.1, 400, 400)
     if name == "intervention":
-        return Grid(0.1, 4.1, 401, 200, 141)
+        return Grid(0.1, 4.1, 401, 200)
     if name == "geometric":
-        return Grid(0.1, 3.1, 201, 200, 33)
+        return Grid(0.1, 3.1, 201, 200)
     if name == "zero":
-        return Grid(0.1, 2.1, 101, 100, 17)
+        return Grid(0.1, 2.1, 101, 100)
     raise KeyError(name)
 
 

@@ -23,12 +23,12 @@ injection there is the policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import dynamics
 from .model import (ModelSpec, diffusion, drift, injection_cost, survival,
@@ -37,20 +37,19 @@ from .model import (ModelSpec, diffusion, drift, injection_cost, survival,
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time-injection grid: n_x nodes on [x_min, x_max],
-    n_t time steps on [0, T], n_k injection samples on [k_min, k_max]."""
+    """Uniform space-time grid: n_x nodes on [x_min, x_max], n_t time steps
+    on [0, T]."""
 
     x_min: float
     x_max: float
     n_x: int
     n_t: int
-    n_k: int = 33
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
-        if self.n_x < 3 or self.n_t < 1 or self.n_k < 1:
-            raise ValueError("need n_x >= 3, n_t >= 1, n_k >= 1")
+        if self.n_x < 3 or self.n_t < 1:
+            raise ValueError("need n_x >= 3, n_t >= 1")
 
     @property
     def h(self) -> float:
@@ -62,14 +61,9 @@ class Grid:
     def t_nodes(self, T: float) -> np.ndarray:
         return np.linspace(0.0, T, self.n_t + 1)
 
-    def k_nodes(self, costs) -> np.ndarray:
-        if self.n_k == 1:
-            return np.array([costs.k_min])
-        return np.linspace(costs.k_min, costs.k_max, self.n_k)
-
     def to_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n_x": self.n_x,
-                "n_t": self.n_t, "n_k": self.n_k}
+                "n_t": self.n_t}
 
 
 def interp_extended(x_nodes: np.ndarray, v: np.ndarray, xq) -> np.ndarray:
@@ -84,19 +78,103 @@ def interp_extended(x_nodes: np.ndarray, v: np.ndarray, xq) -> np.ndarray:
     return out
 
 
-def impulse_max(v_slice: np.ndarray, grid: Grid, costs) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse operator on one slice: max over the injection grid of
-    v~(x + K) - (K + kappa), with the interpolation extension above.
+class _ImpulsePlan(NamedTuple):
+    """What impulse_max needs that depends on the grid and the costs only."""
 
-    Returns (values, maximizers); ties resolve to the smallest K because
-    the injection grid is ascending and argmax takes the first maximum.
-    """
+    x: np.ndarray        # grid nodes
+    k_table: np.ndarray  # rows k_min, node K (set per slice), k_max
+    empty: np.ndarray    # no node strictly inside the window x + (k_min, k_max)
+    pad: np.ndarray      # -inf that fills v - x to whole blocks
+    idx: np.ndarray      # flat index of each entry, one block per row
+    starts: np.ndarray   # first entry of each block-wide run covering a window
+
+
+@functools.lru_cache(maxsize=16)
+def _impulse_plan(grid: Grid, costs) -> _ImpulsePlan:
+    """Window bounds, in floating point: node j is inside the window of
+    node i when x_i + k_min < x_j < x_i + k_max.  The block width is the
+    shortest window that ends before the last node; windows that end on it
+    run on into the -inf padding, and longer windows are covered by a few
+    overlapping runs (one or two on a uniform grid)."""
     x = grid.x_nodes()
-    k = grid.k_nodes(costs)
-    gains = interp_extended(x, v_slice, x[:, None] + k[None, :]) - injection_cost(k, costs)[None, :]
-    best = np.argmax(gains, axis=1)
-    rows = np.arange(x.size)
-    return gains[rows, best], k[best]
+    n = x.size
+    lo = np.searchsorted(x, x + costs.k_min, side="right")
+    hi = np.searchsorted(x, x + costs.k_max, side="left") - 1
+    empty = lo > hi
+    lo[empty] = hi[empty] = n - 1  # a stand-in window; its node is never chosen
+    tail = hi == n - 1
+    length = hi - lo + 1
+    width = int(length[~tail].min()) if not tail.all() else int(length.max())
+    hi = np.where(tail, np.maximum(hi, lo + width - 1), hi)
+    n_runs = -(-int(np.max(hi - lo) + 1) // width)
+    starts = np.minimum(lo + width * np.arange(n_runs)[:, None], hi - width + 1)
+    idx = np.arange(-(-(int(hi.max()) + 1) // width) * width).reshape(-1, width)
+    k_table = np.empty((3, n))
+    k_table[0], k_table[2] = costs.k_min, costs.k_max
+    plan = _ImpulsePlan(x, k_table, empty, np.full(idx.size - n, -np.inf), idx, starts)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _window_argmax(w: np.ndarray, plan: _ImpulsePlan) -> np.ndarray:
+    """First index of the largest w[j] in each node's window, in O(len(w)).
+
+    van Herk/Gil-Werman: with blocks as wide as a run, a run spans at most
+    two blocks, so its max is the larger of the first block's suffix max at
+    its start and the second block's prefix max at its end.
+    """
+    idx = plan.idx
+    blk = np.concatenate((w, plan.pad)).reshape(idx.shape)
+    pre = np.maximum.accumulate(blk, axis=1)
+    rise = np.ones(blk.size, dtype=bool)
+    np.greater(pre.ravel()[1:], pre.ravel()[:-1], out=rise[1:])  # strict: a tie keeps the earlier index
+    pre_at = np.maximum.accumulate(np.where(rise.reshape(idx.shape), idx, idx[:, :1]), axis=1)
+    # suffix maxima run on the reversed blocks; an entry that equals the
+    # suffix max from it on is where that max first occurs, so the nearest
+    # such entry at or after j is the first index of the suffix max at j
+    suf = np.maximum.accumulate(blk[:, ::-1], axis=1)
+    suf_at = np.minimum.accumulate(np.where(blk[:, ::-1] == suf, idx[:, ::-1], idx.size - 1), axis=1)
+    pre, pre_at = pre.ravel(), pre_at.ravel()
+    suf, suf_at = suf[:, ::-1].ravel(), suf_at[:, ::-1].ravel()
+    s, e = plan.starts, plan.starts + (idx.shape[1] - 1)
+    a, b = suf[s], pre[e]
+    val, at = np.maximum(a, b), np.where(a >= b, suf_at[s], pre_at[e])
+    best, first = val[0], at[0]
+    for r in range(1, len(s)):  # runs ascend; strict: the earlier run keeps a tie
+        later = val[r] > best
+        best, first = np.where(later, val[r], best), np.where(later, at[r], first)
+    return first
+
+
+def impulse_max(v_slice: np.ndarray, grid: Grid, costs) -> tuple[np.ndarray, np.ndarray]:
+    """Impulse operator on one slice: the exact sup over K in [k_min, k_max]
+    of v~(x + K) - (K + kappa), with the interpolation extension above.
+
+    v~(y) - y is piecewise linear with kinks only at nodes, so the sup over
+    the window x + [k_min, k_max] is taken at one of its two ends or at a
+    node strictly inside it; the best node maximizes v_j - x_j, found for
+    every window at once by a sliding-window max.
+
+    Returns (values, maximizers).  Ties go to the smallest K: k_min, then
+    the nodes ascending, then k_max.  Each value is the gain evaluated at
+    its returned K, so recomputing it from the maximizer is bitwise exact.
+    """
+    plan = _impulse_plan(grid, costs)
+    x = plan.x
+    v = np.asarray(v_slice, dtype=float)
+    j = _window_argmax(v - x, plan)
+    k = plan.k_table.copy()
+    k[1] = np.where(plan.empty, costs.k_min,
+                    np.minimum(np.maximum(x[j] - x, costs.k_min), costs.k_max))
+    # K >= k_min > 0 keeps every query at or above x_min, where
+    # interp_extended is np.interp
+    gains = np.interp(x + k, x, v) - injection_cost(k, costs)
+    best, k_best = gains[0], k[0]
+    for row in (1, 2):  # strict: a tie keeps the smaller K
+        take = gains[row] > best
+        best, k_best = np.where(take, gains[row], best), np.where(take, k[row], k_best)
+    return best, k_best
 
 
 def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec) -> np.ndarray:
@@ -111,7 +189,6 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec) -> np.nd
     dt = spec.T / grid.n_t
     x = grid.x_nodes()
     h = grid.h
-    n = x.size
     u = spec.utilities
 
     mu = np.asarray(drift(t, x, spec), dtype=float)
@@ -145,12 +222,17 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec) -> np.nd
         )
 
     rhs = v_next / dt + np.asarray(u.f(x), dtype=float) - beta_t * np.asarray(u.g2(x), dtype=float)
+    # a finite margin implies finite coefficients
+    if not (np.isfinite(margin).all() and np.isfinite(rhs).all()):
+        raise ValueError("PDE step input contains infs or NaNs")
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    from scipy.linalg.lapack import dgtsv  # here, so importing the package leaves SciPy unloaded
+
+    *_, v, info = dgtsv(lower[1:], diag, upper[:-1], rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return v
 
 
 @dataclass
@@ -195,7 +277,6 @@ class PolicyMap:
     """Maximizing injection xi0 at action nodes, NaN on continuation."""
 
     xi0: np.ndarray
-    k_grid: np.ndarray
 
 
 class SolveResult(NamedTuple):
@@ -227,7 +308,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     u = spec.utilities
 
     if check_spec:
-        rep = validate(spec, x, k_sample=grid.k_nodes(spec.costs))
+        rep = validate(spec, x)
         if not rep.passed:
             names = ", ".join(e.name for e in rep.failures())
             raise ValueError(f"model spec fails validation: {names}")
@@ -298,8 +379,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     }
     surface = ValueSurface(grid, spec.T, V, IV, metadata)
     regions = RegionMap(LAB, eps_region)
-    policy = PolicyMap(XI, grid.k_nodes(spec.costs))
-    return SolveResult(surface, regions, policy)
+    return SolveResult(surface, regions, PolicyMap(XI))
 
 
 def extract_regions(surface: ValueSurface, spec: ModelSpec,
@@ -311,7 +391,7 @@ def extract_regions(surface: ValueSurface, spec: ModelSpec,
     for j in range(surface.values.shape[0]):
         iv, ks = impulse_max(surface.values[j], surface.grid, spec.costs)
         LAB[j], XI[j] = _label_slice(surface.values[j], iv, ks, eps_region)
-    return RegionMap(LAB, eps_region), PolicyMap(XI, surface.grid.k_nodes(spec.costs))
+    return RegionMap(LAB, eps_region), PolicyMap(XI)
 
 
 def extract_injection(t: float, x: float, surface: ValueSurface, costs,
@@ -328,15 +408,12 @@ def extract_injection(t: float, x: float, surface: ValueSurface, costs,
     j = int(np.argmin(np.abs(tn - t)))
     i = int(np.argmin(np.abs(xn - x)))
     row = surface.values[j]
-    k = surface.grid.k_nodes(costs)
-    gains = interp_extended(xn, row, xn[i] + k) - injection_cost(k, costs)
-    b = int(np.argmax(gains))
-    if row[i] - gains[b] > eps_region:
+    iv, ks = impulse_max(row, surface.grid, costs)
+    if row[i] - iv[i] > eps_region:
         raise ValueError(f"({t}, {x}) is a continuation node; no injection prescribed")
-    xi0 = float(k[b])
+    xi0 = float(ks[i])
     i_land = int(np.clip(round((xn[i] + xi0 - xn[0]) / surface.grid.h), 0, xn.size - 1))
-    land_gain = interp_extended(xn, row, xn[i_land] + k) - injection_cost(k, costs)
-    if row[i_land] - float(np.max(land_gain)) <= eps_region:
+    if row[i_land] - iv[i_land] <= eps_region:
         raise RuntimeError("post-injection point is itself an action node")
     return xi0
 
@@ -383,7 +460,7 @@ def _write_meta(fh, meta: dict | None) -> None:
 # surface.csv header fields with their parsers: what read_surface_csv needs
 # to rebuild the SolveResult, and the spec it was solved for
 _SURFACE_HEADER = {"T": float, "x_min": float, "x_max": float, "n_x": int, "n_t": int,
-                   "n_k": int, "eps_region": float, "tol_inner": float, "spec_sha256": str}
+                   "eps_region": float, "tol_inner": float, "spec_sha256": str}
 
 
 def write_surface_csv(path, surface: ValueSurface, regions: RegionMap,
@@ -403,9 +480,9 @@ def write_surface_csv(path, surface: ValueSurface, regions: RegionMap,
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)]))
 
 
-def read_surface_csv(path, costs) -> SolveResult:
+def read_surface_csv(path) -> SolveResult:
     """Rebuild the SolveResult written by write_surface_csv on the grid its
-    header records; the policy's injection grid comes from `costs`.
+    header records.
 
     Raises ValueError when a header field is missing (as in files written
     before the header existed), when a value does not parse, or when the
@@ -424,7 +501,7 @@ def read_surface_csv(path, costs) -> SolveResult:
         raise ValueError(f"surface header lacks {', '.join(missing)}; "
                          "re-run solve to write a complete surface")
     h = {k: parse(header[k]) for k, parse in _SURFACE_HEADER.items()}
-    grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"], h["n_k"])
+    grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"])
     shape = (grid.n_t + 1, grid.n_x)
     num = np.loadtxt(rows, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2)
     if not (num.shape[0] == shape[0] * shape[1]
@@ -438,7 +515,7 @@ def read_surface_csv(path, costs) -> SolveResult:
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
     surface = ValueSurface(grid, h["T"], num[:, 2].reshape(shape), num[:, 3].reshape(shape), metadata)
     return SolveResult(surface, RegionMap(action.reshape(shape), h["eps_region"]),
-                       PolicyMap(xi0.reshape(shape), grid.k_nodes(costs)))
+                       PolicyMap(xi0.reshape(shape)))
 
 
 def write_policy_csv(path, surface: ValueSurface, regions: RegionMap,

@@ -119,7 +119,7 @@ def test_criterion_04_dpp_residual():
 def test_criterion_05_smooth_fit():
     spec = get_fixture("intervention")
     _, res_c, _ = solved("intervention")           # h = 0.01
-    res_f = solve(spec, Grid(0.1, 4.1, 801, 400, 281))  # h = 0.005
+    res_f = solve(spec, Grid(0.1, 4.1, 801, 400))       # h = 0.005
     reps = []
     for res, h in ((res_c, 0.01), (res_f, 0.005)):
         tol = 5.0 * h + 1e-6 / h
@@ -152,31 +152,37 @@ def test_criterion_06_monotone_structure():
 
 
 def test_criterion_07_impulse_operator_oracle():
+    # exhaustive (node, K) scan over a dense K set that contains the n_k-point
+    # injection grid the operator once searched: the exact sup is at least
+    # every scanned gain, and above the scan's max by at most the gain's
+    # slope bound (max |v_x| + 1) times the scan step
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    worst_below, worst_excess = 0.0, 0.0
     for _ in range(50):
         n_x = int(rng.integers(20, 80))
         n_k = int(rng.integers(2, 40))
         x_min = float(rng.uniform(0.05, 0.5))
-        grid = Grid(x_min, x_min + float(rng.uniform(1.0, 4.0)), n_x, 1, n_k)
+        grid = Grid(x_min, x_min + float(rng.uniform(1.0, 4.0)), n_x, 1)
         k_min = float(rng.uniform(0.05, 0.5))
         costs = CostParams(kappa=float(rng.uniform(0.01, 0.5)), k_min=k_min,
                            k_max=k_min + float(rng.uniform(0.1, 2.0)))
         v = np.cumsum(rng.normal(0.0, 0.3, n_x))
         iv, ks = impulse_max(v, grid, costs)
         x = grid.x_nodes()
-        kg = grid.k_nodes(costs)
-        for i in range(n_x):
-            best, best_k = -np.inf, None
-            for k in kg:
-                gain = float(interp_extended(x, v, x[i] + k)) - (k + costs.kappa)
-                if gain > best:
-                    best, best_k = gain, k
-            worst = max(worst, abs(float(iv[i]) - best))
-            assert ks[i] == best_k, (i, ks[i], best_k)
-    ok = worst <= 1e-12
+        kg = np.union1d(np.linspace(costs.k_min, costs.k_max, n_k),
+                        np.linspace(costs.k_min, costs.k_max, 2001))
+        bound = (float(np.max(np.abs(np.diff(v)))) / grid.h + 1.0) * float(np.max(np.diff(kg)))
+        assert np.all((ks >= costs.k_min) & (ks <= costs.k_max))
+        assert np.array_equal(iv, interp_extended(x, v, x + ks) - injection_cost(ks, costs))
+        dense = np.max(interp_extended(x, v, x[:, None] + kg[None, :])
+                       - injection_cost(kg, costs)[None, :], axis=1)
+        worst_below = max(worst_below, float(np.max(dense - iv)))
+        worst_excess = max(worst_excess, float(np.max(iv - dense)) / bound)
+    ok = worst_below <= 1e-12 and worst_excess <= 1.0
     _record(7, ok, f"impulse operator vs exhaustive (node, K) scan on 50 "
-                   f"random slices: max |diff| = {worst:.1e}")
+                   f"random slices: scan above operator by at most {worst_below:.1e} "
+                   f"(tol 1e-12), operator above scan by at most "
+                   f"{worst_excess:.2f} of the slope bound (cap 1)")
     assert ok
 
 
@@ -207,17 +213,17 @@ def test_criterion_08_cost_subadditivity():
 def test_criterion_09_time_convergence():
     ref = fixture_reference("closed-form")
     study = convergence_study(get_fixture("closed-form"),
-                              [Grid(0.1, 2.1, 101, nt, 21)
+                              [Grid(0.1, 2.1, 101, nt)
                                for nt in (100, 200, 400)], reference=ref)
     e = study.reference_errors
     ref_ratios = (e[0] / e[1], e[1] / e[2])
     ref_ok = all(1.6 <= r <= 2.4 for r in ref_ratios)
 
     cauchy = {}
-    for name, nx, nk in (("intervention", 201, 71), ("geometric", 201, 33)):
+    for name in ("intervention", "geometric"):
         spec = get_fixture(name)
         g0 = suggested_grid(name)
-        st = convergence_study(spec, [Grid(g0.x_min, g0.x_max, nx, nt, nk)
+        st = convergence_study(spec, [Grid(g0.x_min, g0.x_max, 201, nt)
                                       for nt in (50, 100, 200)])
         cauchy[name] = st.ratios[0]
     cauchy_ok = all(r >= 1.8 for r in cauchy.values())
@@ -235,15 +241,15 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
     sched.write_text("[[0.2, 0.3], [0.8, 0.5]]")
     jobs = [
         ("solve", ["--spec", "fixture:closed-form", "--nx", "101", "--nt",
-                   "50", "--nk", "21"]),
+                   "50"]),
         ("simulate", ["--spec", "fixture:geometric", "--seed", "5", "--paths",
                       "800", "--dt", "0.01", "--policy", "schedule",
                       "--schedule", str(sched), "--record-paths", "2"]),
         ("validate", ["--spec", "fixture:intervention"]),
         ("check", ["--spec", "fixture:zero", "--seed", "9", "--nx", "31",
-                   "--nt", "10", "--nk", "5"]),
+                   "--nt", "10"]),
         ("converge", ["--spec", "fixture:closed-form", "--nx", "31", "--nt",
-                      "25", "--nk", "5", "--levels", "2"]),
+                      "25", "--levels", "2"]),
     ]
     n_files = 0
     ok = True

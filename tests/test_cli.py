@@ -80,12 +80,12 @@ def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
 def test_solve_zero_fixture_artifacts(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["solve", "--spec", "fixture:zero", "--out", str(out),
-                   "--nx", "41", "--nt", "20", "--nk", "9"])
+                   "--nx", "41", "--nt", "20"])
     assert rc == 0
     summary = read_json(out / "summary.json")
     assert summary["n_action_nodes"] == 0
     assert summary["grid"] == {"x_min": 0.1, "x_max": 2.1, "n_x": 41,
-                               "n_t": 20, "n_k": 9}
+                               "n_t": 20}
     assert data_rows(out / "boundary.csv") == []  # empty action region
     assert data_rows(out / "policy.csv") == []
     v_col = {row.split(",")[2] for row in data_rows(out / "surface.csv")}
@@ -95,7 +95,7 @@ def test_solve_zero_fixture_artifacts(tmp_path):
 def test_solve_closed_form_matches_formula(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["solve", "--spec", "fixture:closed-form", "--out", str(out),
-                   "--nx", "51", "--nt", "400", "--nk", "5"])
+                   "--nx", "51", "--nt", "400"])
     assert rc == 0
     summary = read_json(out / "summary.json")
     assert summary["max_rel_error_vs_formula"] <= 1e-3
@@ -132,7 +132,7 @@ def test_validate_negative_hazard_fails(tmp_path):
 def test_check_zero_fixture_vacuous(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["check", "--spec", "fixture:zero", "--out", str(out),
-                   "--seed", "9", "--nx", "31", "--nt", "10", "--nk", "5"])
+                   "--seed", "9", "--nx", "31", "--nt", "10"])
     assert rc == 0
     payload = read_json(out / "checks.json")
     assert payload["passed"] is True
@@ -145,7 +145,7 @@ def test_check_zero_fixture_vacuous(tmp_path):
 def test_check_corrupted_surface_exits_1(tmp_path):
     sol = tmp_path / "sol"
     rc = cli.main(["solve", "--spec", "fixture:intervention", "--out", str(sol),
-                   "--nx", "81", "--nt", "40", "--nk", "21"])
+                   "--nx", "81", "--nt", "40"])
     assert rc == 0
     surf = sol / "surface.csv"
     lines = surf.read_text().splitlines()
@@ -159,7 +159,7 @@ def test_check_corrupted_surface_exits_1(tmp_path):
     surf.write_text("\n".join(lines) + "\n")
     out = tmp_path / "o"
     rc = cli.main(["check", "--spec", "fixture:intervention", "--out", str(out),
-                   "--seed", "3", "--nk", "21", "--surface", str(sol)])
+                   "--seed", "3", "--surface", str(sol)])
     assert rc == 1
     payload = read_json(out / "checks.json")
     assert payload["passed"] is False
@@ -174,7 +174,7 @@ def small_surface(tmp_path_factory):
     """A solve output on a grid other than the fixture's suggested one."""
     sol = tmp_path_factory.mktemp("sol")
     rc = cli.main(["solve", "--spec", "fixture:intervention", "--out", str(sol),
-                   "--nx", "81", "--nt", "40", "--nk", "21"])
+                   "--nx", "81", "--nt", "40"])
     assert rc == 0
     return sol
 
@@ -186,7 +186,7 @@ def test_check_surface_takes_grid_from_header(tmp_path, small_surface):
     assert rc == 0
     payload = read_json(out / "checks.json")
     assert payload["grid"] == {"x_min": 0.1, "x_max": 4.1, "n_x": 81,
-                               "n_t": 40, "n_k": 21}
+                               "n_t": 40}
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["obstacle"]["passed"] is True
 
@@ -205,10 +205,10 @@ def _strip_surface_header(text):
 
 @pytest.mark.parametrize("command, spec, flags, edit, reason", [
     ("simulate", "fixture:geometric", ["--policy", "feedback"], None, "different spec"),
-    ("check", "fixture:intervention", ["--nk", "33"], None, "n_k=33 given, 21"),
+    ("check", "fixture:intervention", ["--nx", "401"], None, "n_x=401 given, 81"),
     ("check", "fixture:intervention", [], _delete_data_row, "do not fill"),
     ("check", "fixture:intervention", [], _strip_surface_header, "re-run solve"),
-], ids=["spec-mismatch", "conflicting-nk", "missing-row", "no-header"])
+], ids=["spec-mismatch", "conflicting-nx", "missing-row", "no-header"])
 def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
                                   command, spec, flags, edit, reason):
     sol = small_surface
@@ -253,7 +253,7 @@ def test_simulate_schedule_artifacts(tmp_path):
 
 
 def test_simulate_feedback_surface_roundtrip(tmp_path):
-    grid_flags = ["--nx", "81", "--nt", "40", "--nk", "21"]
+    grid_flags = ["--nx", "81", "--nt", "40"]
     sol = tmp_path / "sol"
     rc = cli.main(["solve", "--spec", "fixture:intervention",
                    "--out", str(sol)] + grid_flags)
@@ -278,7 +278,7 @@ def test_simulate_feedback_surface_roundtrip(tmp_path):
 def test_converge_writes_ladder(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["converge", "--spec", "fixture:closed-form", "--out", str(out),
-                   "--nx", "31", "--nt", "25", "--nk", "5", "--levels", "3"])
+                   "--nx", "31", "--nt", "25", "--levels", "3"])
     assert rc == 0
     payload = read_json(out / "convergence.json")
     study = payload["study"]
@@ -294,7 +294,7 @@ def test_converge_writes_ladder(tmp_path):
 def test_converge_zero_fixture_inf_ratio_serializes(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["converge", "--spec", "fixture:zero", "--out", str(out),
-                   "--nx", "21", "--nt", "10", "--nk", "5", "--levels", "3"])
+                   "--nx", "21", "--nt", "10", "--levels", "3"])
     assert rc == 0
     study = read_json(out / "convergence.json")["study"]
     assert study["ratios"] == ["inf"]  # strict JSON: non-finite as repr text
@@ -314,12 +314,11 @@ def test_reruns_are_byte_identical(tmp_path):
         return dirs
 
     jobs = [
-        ("solve", ["--spec", "fixture:zero", "--nx", "31", "--nt", "10",
-                   "--nk", "5"]),
+        ("solve", ["--spec", "fixture:zero", "--nx", "31", "--nt", "10"]),
         ("simulate", ["--spec", "fixture:geometric", "--seed", "7",
                       "--paths", "300", "--dt", "0.02", "--record-paths", "1"]),
         ("converge", ["--spec", "fixture:closed-form", "--nx", "31",
-                      "--nt", "25", "--nk", "5", "--levels", "2"]),
+                      "--nt", "25", "--levels", "2"]),
     ]
     for cmd, extra in jobs:
         d1, d2 = run_twice(cmd, extra)
@@ -335,6 +334,16 @@ def test_console_script_help():
     assert proc.returncode == 0
     for word in ("solve", "simulate", "validate", "check", "converge"):
         assert word in proc.stdout
+
+
+def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
+    code = ("import sys; from impulse_qvi import cli; "
+            "rc = cli.main(['validate', '--spec', 'fixture:intervention', '--out', sys.argv[1]]); "
+            "print(rc, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_installed_entry_point():

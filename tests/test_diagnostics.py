@@ -18,12 +18,12 @@ from impulse_qvi.solver import (Grid, PolicyMap, RegionMap, ValueSurface,
 @pytest.fixture(scope="module")
 def intervention_solution():
     spec = intervention_spec()
-    grid = Grid(0.1, 4.1, 201, 100, 71)
+    grid = Grid(0.1, 4.1, 201, 100)
     return spec, grid, solve(spec, grid)
 
 
 def test_standard_checks_closed_form_all_pass():
-    reports = standard_checks(closed_form_spec(), Grid(0.1, 2.1, 101, 100, 21),
+    reports = standard_checks(closed_form_spec(), Grid(0.1, 2.1, 101, 100),
                               seed=3)
     by_name = {r.name: r for r in reports}
     assert set(by_name) == {"obstacle", "bounds", "regularity", "smooth_fit",
@@ -35,7 +35,7 @@ def test_standard_checks_closed_form_all_pass():
 
 
 def test_standard_checks_intervention_all_pass():
-    reports = standard_checks(intervention_spec(), Grid(0.1, 4.1, 201, 100, 71),
+    reports = standard_checks(intervention_spec(), Grid(0.1, 4.1, 201, 100),
                               seed=3)
     by_name = {r.name: r for r in reports}
     assert all(r.passed for r in reports), [r.line() for r in reports]
@@ -63,8 +63,8 @@ def test_check_obstacle_detects_corruption(intervention_solution):
 
 def test_smooth_fit_tightens_under_refinement():
     spec = intervention_spec()
-    coarse = solve(spec, Grid(0.1, 4.1, 201, 100, 71))
-    fine = solve(spec, Grid(0.1, 4.1, 401, 200, 141))
+    coarse = solve(spec, Grid(0.1, 4.1, 201, 100))
+    fine = solve(spec, Grid(0.1, 4.1, 401, 200))
     rep_c = check_smooth_fit(coarse.surface, coarse.regions, coarse.policy, spec)
     rep_f = check_smooth_fit(fine.surface, fine.regions, fine.policy, spec)
     assert rep_c.passed and rep_f.passed
@@ -75,7 +75,7 @@ def test_smooth_fit_tightens_under_refinement():
 
 def test_smooth_fit_vacuous_on_empty_region():
     spec = geometric_spec()
-    res = solve(spec, Grid(0.1, 3.1, 101, 50, 33))
+    res = solve(spec, Grid(0.1, 3.1, 101, 50))
     assert not res.regions.labels.any()
     rep = check_smooth_fit(res.surface, res.regions, res.policy, spec)
     assert rep.passed and rep.vacuous
@@ -83,7 +83,7 @@ def test_smooth_fit_vacuous_on_empty_region():
 
 def test_check_bounds_closed_form():
     spec = closed_form_spec()
-    res = solve(spec, Grid(0.1, 2.1, 101, 100, 21))
+    res = solve(spec, Grid(0.1, 2.1, 101, 100))
     rep = check_bounds(res.surface, spec, n_paths=2000, seed=5)
     assert rep.passed
     # C1 = T sup f + sup g1 = 1 here, and V peaks at 2(1 - e^{-1/2}) < 1
@@ -93,8 +93,8 @@ def test_check_bounds_closed_form():
 
 def test_check_regularity_one_sided():
     spec = closed_form_spec()
-    coarse = solve(spec, Grid(0.1, 2.1, 101, 50, 21)).surface
-    fine = solve(spec, Grid(0.1, 2.1, 101, 100, 21)).surface
+    coarse = solve(spec, Grid(0.1, 2.1, 101, 50)).surface
+    fine = solve(spec, Grid(0.1, 2.1, 101, 100)).surface
     ok = check_regularity(coarse, fine)
     assert ok.passed  # smooth data: proxies shrink under refinement
     # inflate the fine surface to force >10% proxy growth
@@ -107,14 +107,14 @@ def test_check_regularity_one_sided():
 def test_theta_structure_flags_landing_violation():
     # synthetic one-slice surface whose action region covers everything,
     # so every landing point is itself labeled action
-    grid = Grid(0.1, 2.1, 21, 1, 5)
+    grid = Grid(0.1, 2.1, 21, 1)
     costs = intervention_spec().costs
     values = np.zeros((2, 21))
     labels = np.ones((2, 21), dtype=bool)
     xi0 = np.full((2, 21), costs.k_min)
     surface = ValueSurface(grid, 2.0, values, values.copy(), {})
     rep = check_theta_structure(surface, RegionMap(labels, 1e-8),
-                                PolicyMap(xi0, grid.k_nodes(costs)),
+                                PolicyMap(xi0),
                                 intervention_spec())
     assert not rep.passed
     assert rep.details["landing_violations"] > 0
@@ -136,7 +136,7 @@ def test_check_report_shape():
 def test_convergence_study_closed_form():
     spec = closed_form_spec()
     ref = fixture_reference("closed-form")
-    grids = [Grid(0.1, 2.1, 51, nt, 21) for nt in (50, 100, 200)]
+    grids = [Grid(0.1, 2.1, 51, nt) for nt in (50, 100, 200)]
     study = convergence_study(spec, grids, reference=ref)
     assert len(study.rows) == 3
     assert len(study.ratios) == 1
@@ -152,7 +152,7 @@ def test_convergence_study_closed_form():
 
 def test_convergence_study_zero_fixture_degenerate():
     spec = zero_spec()
-    grids = [Grid(0.1, 2.1, 31, nt, 9) for nt in (10, 20, 40)]
+    grids = [Grid(0.1, 2.1, 31, nt) for nt in (10, 20, 40)]
     study = convergence_study(spec, grids)
     assert all(d == 0.0 for d in
                (row["sup_diff_to_next"] for row in study.rows[:-1]))

@@ -214,7 +214,7 @@ def test_sampled_lipschitz_saturating():
 def test_validate_fixtures_pass(spec_fn, name):
     spec = spec_fn()
     grid = suggested_grid(name)
-    rep = validate(spec, grid.x_nodes(), k_sample=grid.k_nodes(spec.costs))
+    rep = validate(spec, grid.x_nodes())
     assert rep.passed, [e.name for e in rep.failures()]
 
 
