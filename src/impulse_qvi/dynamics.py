@@ -20,17 +20,28 @@ Two cost representations are computed from the same Brownian numbers:
 Their expectations agree; the gap divided by the combined standard
 error is the reduction check.
 
-Per-path RNG streams derive from (master seed, path index), so results
-are reproducible and growing the path count never perturbs earlier
-paths.  Each path draws its default exponential first and its Brownian
-row second; estimators that ignore the default still draw it, keeping
-the Brownian numbers common across both representations.
+Per-path RNG streams derive from (master seed, path index): path j uses
+the stream of default_rng([seed, j]), so results are reproducible and
+growing the path count never perturbs earlier paths.  Each path draws
+its default exponential first and its Brownian row second; estimators
+that ignore the default still draw it, keeping the Brownian numbers
+common across both representations.
+
+Building a Generator per path would cost several times the path's own
+draws, so the streams are seeded in bulk instead: _seed_states runs
+numpy's SeedSequence hash as uint32 array arithmetic over a block of
+path indices, each result goes through PCG64's seeding step, and one
+reused Generator takes the states in turn.  The numbers are those of
+default_rng([seed, j]) bit for bit; each chunk checks its first path's
+state against a real default_rng([seed, start]) and raises RuntimeError
+on a mismatch.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +51,15 @@ from .model import (ModelSpec, drift, diffusion, injection_cost,
                     invert_hazard, survival, survival_grid)
 
 _CHUNK = 16384
+_BLOCK = 1024  # paths seeded per array pass
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 class ImpulseEvent(NamedTuple):
@@ -212,6 +232,84 @@ def _prepare_control(spec, control, t0, times):
     raise ValueError("control must be None, an ImpulseSchedule, or a feedback policy")
 
 
+def _words(n: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence reads it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_states(seed_words: list, first: int, count: int) -> np.ndarray:
+    """SeedSequence([seed, j]).generate_state(4, np.uint64) for j in
+    first..first+count-1, as a (count, 4) uint64 array.
+
+    All arithmetic is on uint32 arrays and wraps mod 2**32; the hash
+    constants advance identically for every path, so they stay scalars.
+    """
+    j = np.arange(first, first + count, dtype=np.uint64)
+    j_hi = (j >> 32).astype(np.uint32)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words]
+    entropy += [j.astype(np.uint32), j_hi]
+    entropy += [np.zeros(count, dtype=np.uint32)] * (4 - len(entropy))
+    hc = _INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * _MULT_A & _MASK32
+        v = v * hc
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # words past the pool are mixed into every pool word; the last one,
+    # j's high word, exists only for j >= 2**32
+    for i in range(4, len(entropy)):
+        present = j_hi > 0 if i == len(entropy) - 1 else True
+        for dst in range(4):
+            pool[dst] = np.where(present, _mix(pool[dst], hashmix(entropy[i])), pool[dst])
+    out = np.empty((count, 8), dtype="<u4")
+    hb = _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ hb
+        hb = hb * _MULT_B & _MASK32
+        v = v * hb
+        out[:, i] = v ^ (v >> 16)
+    return out.view("<u8")
+
+
+def _draw_paths(seed, start, e_draws, z):
+    """Fill e_draws[j] and z[j] from the stream of default_rng([seed, start + j])."""
+    rng = np.random.default_rng([seed, start])  # rejects bad seeds as numpy does
+    bitgen = rng.bit_generator
+    seed_words = _words(operator.index(seed))
+    count = e_draws.size
+    for b0 in range(0, count, _BLOCK):
+        words = _seed_states(seed_words, start + b0, min(_BLOCK, count - b0))
+        for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(words.tolist(), b0):
+            # PCG64 seeding: inc = 2*initseq + 1, then two LCG steps from 0
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128,
+                     "inc": inc}
+            if j == 0 and state != bitgen.state["state"]:
+                raise RuntimeError("bulk stream seeding disagrees with numpy's default_rng")
+            bitgen.state = {"bit_generator": "PCG64", "state": state,
+                            "has_uint32": 0, "uinteger": 0}
+            e_draws[j] = rng.standard_exponential()
+            rng.standard_normal(out=z[j])
+
+
 def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     u = spec.utilities
     costs = spec.costs
@@ -228,11 +326,7 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
 
     e_draws = np.empty(count)
     z = np.empty((count, n_step))
-    for j in range(count):
-        rng = np.random.default_rng([seed, start + j])
-        e_draws[j] = rng.standard_exponential()
-        if n_step:
-            z[j] = rng.standard_normal(n_step)
+    _draw_paths(seed, start, e_draws, z)
     tau = np.atleast_1d(invert_hazard(spec.beta, t0, e_draws, spec.T))
 
     sched_at, policy = _prepare_control(spec, control, t0, times)

@@ -48,6 +48,13 @@ def test_seed_required_exits_2(tmp_path, capsys, command):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    rc = cli.main(["simulate", "--spec", "fixture:geometric",
+                   "--out", str(tmp_path), "--seed", "-3", "--paths", "10"])
+    assert rc == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
 def test_inadmissible_schedule_exits_2(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text("[[0.2, 99.0]]")  # size far above k_max

@@ -2,17 +2,20 @@
 
 The per-path RNG layout is load-bearing and pinned here: each path j uses
 default_rng([seed, j]) and draws its default-clock exponential before its
-Brownian row.
+Brownian row.  The engine seeds these streams in bulk; the tests below
+compare its draws with a default_rng reference loop bit for bit.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from impulse_qvi import dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
-                                  _simulate_batch, filtration_reduction_check,
+                                  _draw_paths, _simulate_batch, filtration_reduction_check,
                                   mc_cost_f, mc_cost_g, sample_default,
                                   simulate)
 from impulse_qvi.fixtures import (closed_form_params, closed_form_spec,
@@ -100,6 +103,32 @@ def test_default_time_uses_documented_rng_layout():
     rec = simulate(spec, 0.0, 1.0, None, dt=0.5, seed=123, path_index=4)
     e = np.random.default_rng([123, 4]).standard_exponential()
     assert rec.default_time == pytest.approx(e / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**40 + 7, 2**100 + 3, 2**130 + 5])
+@pytest.mark.parametrize("start,count", [(0, 9), (16384, 9), (2**32 - 5, 9),
+                                         (2**32 - 1030, 1040)])
+def test_bulk_seeding_matches_default_rng(seed, start, count):
+    # path j's exponential and Brownian row are those of
+    # default_rng([seed, j]) bit for bit, for multi-word seeds, for blocks
+    # whose indices cross 2**32 (one and two entropy words), and across
+    # two seeding blocks
+    e = np.empty(count)
+    z = np.empty((count, 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _draw_paths(seed, start, e, z)
+    for j in range(count):
+        rng = np.random.default_rng([seed, start + j])
+        assert e[j] == rng.standard_exponential()
+        np.testing.assert_array_equal(z[j], rng.standard_normal(7))
+
+
+def test_bulk_seeding_guard_raises_on_mismatch(monkeypatch):
+    real = dynamics._seed_states
+    monkeypatch.setattr(dynamics, "_seed_states", lambda *a: real(*a) ^ np.uint64(1))
+    with pytest.raises(RuntimeError):
+        _draw_paths(5, 0, np.empty(2), np.empty((2, 3)))
 
 
 def test_default_beyond_horizon_is_inf():

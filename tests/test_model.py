@@ -205,6 +205,25 @@ def test_sampled_lipschitz_saturating():
     assert pair[0] == 0.0  # steepest quotient anchored at the left edge
 
 
+def test_sampled_lipschitz_matches_pairwise_brute_force():
+    # the adjacent-difference pass finds the max over all pairs, up to the
+    # rounding of the wide pairs' own quotients
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        pts = np.unique(rng.uniform(-3.0, 3.0) + rng.uniform(0.0, 4.0, rng.integers(2, 60)))
+        a, b = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        fn = [lambda x: a * x + b, lambda x: np.full_like(x, b),
+              lambda x: np.sin(a * x) + b * x * x][trial % 3]
+        L, pair = sampled_lipschitz(fn, pts)
+        vals = fn(pts)
+        iu = np.triu_indices(pts.size, k=1)
+        brute = np.max(np.abs(vals[iu[0]] - vals[iu[1]]) / (pts[iu[1]] - pts[iu[0]]))
+        assert abs(L - brute) <= np.spacing(max(L, brute)), (trial, L, brute)
+        assert pair[0] < pair[1]
+        if trial % 3 == 1:
+            assert L == 0.0
+
+
 @pytest.mark.parametrize("spec_fn,name", [
     (closed_form_spec, "closed-form"),
     (intervention_spec, "intervention"),
