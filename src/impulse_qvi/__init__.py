@@ -33,6 +33,7 @@ from .dynamics import (
 )
 from .solver import (
     Grid,
+    NumericalError,
     PolicyMap,
     RegionMap,
     SolveResult,

@@ -5,7 +5,8 @@ one subcommand, and writes every artifact into --out.  Artifacts embed the
 config hash and the seed, and rerunning the same invocation reproduces them
 byte for byte.  Structured outputs are JSON, arrays are CSV; nothing binary.
 
-Exit codes: 0 success, 1 check failure, 2 usage or spec error.
+Exit codes: 0 success, 1 check failure, 2 usage or spec error, 3 numerical
+failure (the scheme cannot proceed on the grid).
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .dynamics import (FeedbackPolicy, ImpulseSchedule,
                        filtration_reduction_check, simulate)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
-from .solver import (Grid, SolveResult, read_surface_csv, solve,
-                     write_boundary_csv, write_policy_csv, write_surface_csv)
+from .solver import (Grid, NumericalError, SolveResult, read_surface_csv,
+                     solve, write_boundary_csv, write_policy_csv,
+                     write_surface_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
 
 # the smooth-fit hypothesis needs uniform ellipticity, which the state
 # multiplying the volatility destroys at x=0; every report carries this
@@ -516,6 +519,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ModelSpec, drift, diffusion, injection_cost,
-                    invert_hazard, survival, survival_grid)
+from .model import (ModelSpec, _sorted_distinct, drift, diffusion,
+                    injection_cost, invert_hazard, survival, survival_grid)
 
 _CHUNK = 16384
 _BLOCK = 1024  # paths seeded per array pass
@@ -197,7 +197,7 @@ def _time_grid(t0: float, t_end: float, dt: float, extra=()) -> np.ndarray:
     extra = np.asarray(extra, dtype=float)
     if extra.size:
         pts.append(extra[(extra >= t0) & (extra <= t_end)])
-    return np.unique(np.concatenate(pts))
+    return _sorted_distinct(np.concatenate(pts))
 
 
 @dataclass

@@ -285,6 +285,16 @@ def diffusion(t, x, spec: ModelSpec):
     return out if out.shape else float(out)
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """The distinct values, sorted: np.unique for finite input, without the
+    numpy.ma import that np.unique makes on its first call (about 14 ms
+    and 1.3 MB per process)."""
+    a = np.sort(np.ravel(values))
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _refined_partition(curve: Curve, t: float, s: float, extra=None) -> np.ndarray:
     """[t, s] plus every curve breakpoint (and extra points) inside."""
     pts = [np.array([t, s])]
@@ -294,7 +304,7 @@ def _refined_partition(curve: Curve, t: float, s: float, extra=None) -> np.ndarr
     if extra is not None:
         extra = np.asarray(extra, dtype=float)
         pts.append(extra[(extra > t) & (extra < s)])
-    return np.unique(np.concatenate(pts))
+    return _sorted_distinct(np.concatenate(pts))
 
 
 def cumulative_hazard(curve: Curve, t: float, s: float) -> float:
@@ -461,7 +471,7 @@ def validate(spec: ModelSpec, probe_grid, k_sample=None, t_sample=None) -> Valid
     domain as an ellipticity proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
     """
-    probes = np.unique(np.asarray(probe_grid, dtype=float))
+    probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
     if probes.size < 2:
         raise ValueError("need at least two probe points")
     if k_sample is None:

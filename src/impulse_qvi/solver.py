@@ -17,8 +17,19 @@ until the sup-norm update drops below the inner tolerance.  Each
 profitable injection costs at least kappa while values stay bounded, so
 the projection count is certified by ceil((C1 - min v) / kappa) + 1.
 
+The tridiagonal system of a step is solved by Gaussian elimination
+without pivoting, in the operation order of LAPACK dgtsv's
+no-interchange branch: fact_i = dl_i / d'_i, d'_{i+1} = d_{i+1} -
+fact_i du_i, then a forward and a back substitution.  Each step checks
+strict row diagonal dominance first, and for such matrices elimination
+without pivoting is stable, with growth factor at most 2 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., section 9.5).
+The matrix depends on t only through (mu_tilde(t), sigma_tilde(t),
+beta(t)), so a sweep factors each distinct triple once.
+
 A node is labeled "action" when V - IV <= eps_region; the maximizing
-injection there is the policy.
+injection there is the policy.  Connected action regions (4-neighbour,
+in the (t, x) grid) are labeled by a run-based two-pass scan.
 """
 
 from __future__ import annotations
@@ -31,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics
-from .model import (ModelSpec, diffusion, drift, injection_cost, survival,
-                    validate)
+from .model import ModelSpec, injection_cost, survival, validate
 
 
 @dataclass(frozen=True)
@@ -177,62 +187,171 @@ def impulse_max(v_slice: np.ndarray, grid: Grid, costs) -> tuple[np.ndarray, np.
     return best, k_best
 
 
-def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec) -> np.ndarray:
+class NumericalError(RuntimeError):
+    """The scheme cannot proceed on this grid: a step lost diagonal
+    dominance or a projection hit its certified cap."""
+
+
+class _Factors(NamedTuple):
+    """One step matrix, eliminated, as the two sweeps read it."""
+
+    fact: list       # fact_i = dl_i / d'_i, rows 0 .. n-2
+    back_du: list    # du_i for i = n-1 .. 0, du_{n-1} = 0
+    back_piv: list   # d'_i for i = n-1 .. 0
+    beta: float
+    dominant: bool
+    finite: bool     # a finite margin implies finite coefficients
+    singular: bool   # some pivot is exactly zero
+
+
+def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Gaussian elimination without interchanges of tridiagonal systems,
+    one per column: dgtsv's no-interchange branch, fact_i = dl_i / d'_i and
+    d'_{i+1} = d_{i+1} - fact_i du_i.  Returns fact (it overwrites
+    lower[1:]); diag becomes the pivots d'."""
+    fact = lower[1:]
+    for i in range(diag.shape[0] - 1):
+        fact[i] = lower[i + 1] / diag[i]
+        diag[i + 1] = diag[i + 1] - fact[i] * upper[i]
+    return fact
+
+
+class _StepPlan:
+    """What the implicit steps of one sweep share.
+
+    The step matrix depends on t only through the triple (mu_tilde(t),
+    sigma_tilde(t), beta(t)); x, f(x), g2(x) and (c1 - x) lam(x) are held
+    once.  Each distinct triple is factored once, in blocks of up to
+    _BLOCK triples in the order the sweep first uses them, and its factors
+    are held as Python lists only while steps still use it.
+    """
+
+    _BLOCK = 64
+
+    def __init__(self, grid: Grid, spec: ModelSpec, times):
+        u = spec.utilities
+        self.x = grid.x_nodes()
+        self.h = grid.h
+        self.dt = spec.T / grid.n_t
+        self.fx = np.asarray(u.f(self.x), dtype=float)
+        self.g2x = np.asarray(u.g2(self.x), dtype=float)
+        self.mean_rev = (spec.c1 - self.x) * spec.lam(self.x)
+        times = np.asarray(times, dtype=float)
+        coef = np.stack([np.asarray(c(times), dtype=float)
+                         for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)], axis=1)
+        number, rows, triple = {}, [], []
+        for row, key in enumerate(map(tuple, coef.view(np.uint64).tolist())):
+            if key not in number:  # numbered by bit pattern, in order of first use
+                number[key] = len(rows)
+                rows.append(row)
+            triple.append(number[key])
+        self._coef = coef[rows]
+        self._triple_at = dict(zip(times.tolist(), triple))
+        self._uses = np.bincount(triple).tolist()
+        self._live = {}                         # triple number -> _Factors
+        self._block = (-1, None)
+
+    def _factor_block(self, b: int):
+        """Assemble and eliminate triples b*_BLOCK ..: a loop over x, each
+        operation a vector over the block's triples (columns)."""
+        m, s, beta = self._coef[b * self._BLOCK:(b + 1) * self._BLOCK].T
+        x, h, c = self.x[:, None], self.h, 1.0 / self.dt + beta
+        mu = self.mean_rev[:, None] + m * x
+        dcoef = 0.5 * (s * x)**2 / h**2
+        up = np.maximum(mu, 0.0) / h
+        dn = np.maximum(-mu, 0.0) / h
+
+        lower = -(dcoef + dn)          # coefficient of v[i-1] in row i
+        upper = -(dcoef + up)          # coefficient of v[i+1] in row i
+        diag = c + 2.0 * dcoef + up + dn
+
+        # x_min: zero second difference (linear-extrapolation ghost) kills the
+        # diffusion term and turns the drift into a forward difference
+        diag[0] = c + mu[0] / h
+        upper[0] = -mu[0] / h
+        # x_max: flat ghost; diffusion one-sided, outgoing drift drops, incoming
+        # drift upwinds into the interior
+        diag[-1] = c + dcoef[-1] + dn[-1]
+        lower[-1] = -(dcoef[-1] + dn[-1])
+        upper[-1] = 0.0
+
+        margin = diag.copy()
+        margin[1:] -= np.abs(lower[1:])
+        margin[:-1] -= np.abs(upper[:-1])
+
+        with np.errstate(all="ignore"):  # a rejected triple may overflow or divide by 0
+            fact = _eliminate(lower, diag, upper)
+        self._block = (b, (fact.T, upper.T, diag.T, beta.tolist(),
+                           (margin > 0.0).all(axis=0).tolist(),
+                           np.isfinite(margin).all(axis=0).tolist(),
+                           (diag == 0.0).any(axis=0).tolist()))
+
+    def _factors(self, k: int) -> _Factors:
+        f = self._live.get(k)
+        if f is None:
+            b, i = divmod(k, self._BLOCK)
+            if self._block[0] != b:
+                self._factor_block(b)
+            fact, du, piv, beta, dominant, finite, singular = self._block[1]
+            f = self._live[k] = _Factors(
+                fact[i].tolist(), du[i, ::-1].tolist(), piv[i, ::-1].tolist(),
+                beta[i], dominant[i], finite[i], singular[i])
+        self._uses[k] -= 1
+        if not self._uses[k]:
+            del self._live[k]
+        return f
+
+    def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
+        f = self._factors(self._triple_at[t])
+        if not f.dominant:
+            raise NumericalError(
+                "PDE step lost diagonal dominance (drift at x_min is strongly "
+                "outgoing); shrink dt or move x_min"
+            )
+        rhs = v_next / self.dt + self.fx - f.beta * self.g2x
+        if not (f.finite and np.isfinite(rhs).all()):
+            raise ValueError("PDE step input contains infs or NaNs")
+        if f.singular:
+            raise np.linalg.LinAlgError("PDE step hit a zero pivot: singular matrix")
+
+        # dgtsv's operation order: forward elimination of the right-hand side
+        b = rhs.tolist()
+        acc = b[0]
+        y = [acc]
+        for bi, fi in zip(b[1:], f.fact):
+            acc = bi - fi * acc
+            y.append(acc)
+        # back substitution, with the zeroed second superdiagonal of the
+        # interchange layout kept in: it decides the sign of a zero result.
+        # Subtracting 0.0 * (+0.0) changes nothing, so starting from
+        # x[n] = x[n+1] = +0.0 with du_{n-1} = 0 also gives dgtsv's last two rows
+        x0 = x1 = 0.0
+        out = []
+        for yi, ui, di in zip(reversed(y), f.back_du, f.back_piv):
+            x1, x0 = x0, (yi - ui * x0 - 0.0 * x1) / di
+            out.append(x0)
+        return np.fromiter(reversed(out), float, len(out))
+
+
+def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
+             plan: _StepPlan | None = None) -> np.ndarray:
     """One implicit Euler step of the continuation PDE, from the slice at
     t + dt down to t.  Coefficients are evaluated at (t, x).
 
     The assembled tridiagonal system is strictly diagonally dominant with
     nonpositive off-diagonals (an M-matrix) whenever drift(t, x_min) >= 0;
     a negative drift at the lower boundary flips one corner sign, and the
-    dominance assertion below rejects the step if it loses dominance.
+    step raises NumericalError if the system loses dominance.  The
+    elimination has no pivoting (see the module docstring); wherever
+    dgtsv would not interchange rows its results are dgtsv's bit for bit.
+    Non-finite input raises ValueError, a zero pivot LinAlgError.
+
+    `plan` is the sweep's shared _StepPlan, built by solve() for its step
+    times; without one the step builds its own.
     """
-    dt = spec.T / grid.n_t
-    x = grid.x_nodes()
-    h = grid.h
-    u = spec.utilities
-
-    mu = np.asarray(drift(t, x, spec), dtype=float)
-    sig = np.asarray(diffusion(t, x, spec), dtype=float)
-    beta_t = float(spec.beta(t))
-
-    dcoef = 0.5 * sig**2 / h**2
-    up = np.maximum(mu, 0.0) / h
-    dn = np.maximum(-mu, 0.0) / h
-
-    lower = -(dcoef + dn)          # coefficient of v[i-1] in row i
-    upper = -(dcoef + up)          # coefficient of v[i+1] in row i
-    diag = 1.0 / dt + beta_t + 2.0 * dcoef + up + dn
-
-    # x_min: zero second difference (linear-extrapolation ghost) kills the
-    # diffusion term and turns the drift into a forward difference
-    diag[0] = 1.0 / dt + beta_t + mu[0] / h
-    upper[0] = -mu[0] / h
-    # x_max: flat ghost; diffusion one-sided, outgoing drift drops, incoming
-    # drift upwinds into the interior
-    diag[-1] = 1.0 / dt + beta_t + dcoef[-1] + dn[-1]
-    lower[-1] = -(dcoef[-1] + dn[-1])
-
-    margin = diag.copy()
-    margin[1:] -= np.abs(lower[1:])
-    margin[:-1] -= np.abs(upper[:-1])
-    if not np.all(margin > 0.0):
-        raise RuntimeError(
-            "PDE step lost diagonal dominance (drift at x_min is strongly "
-            "outgoing); shrink dt or move x_min"
-        )
-
-    rhs = v_next / dt + np.asarray(u.f(x), dtype=float) - beta_t * np.asarray(u.g2(x), dtype=float)
-    # a finite margin implies finite coefficients
-    if not (np.isfinite(margin).all() and np.isfinite(rhs).all()):
-        raise ValueError("PDE step input contains infs or NaNs")
-
-    from scipy.linalg.lapack import dgtsv  # here, so importing the package leaves SciPy unloaded
-
-    *_, v, info = dgtsv(lower[1:], diag, upper[:-1], rhs, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return v
+    if plan is None:
+        plan = _StepPlan(grid, spec, [t])
+    return plan.step(v_next, t)
 
 
 @dataclass
@@ -298,8 +417,8 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     the injection policy.
 
     Raises ValueError when the spec fails hypothesis validation (unless
-    check_spec=False) and RuntimeError when an inner projection exceeds
-    its certified iteration cap.
+    check_spec=False) and NumericalError when a step loses diagonal
+    dominance or an inner projection exceeds its certified iteration cap.
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
@@ -313,12 +432,12 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
             names = ", ".join(e.name for e in rep.failures())
             raise ValueError(f"model spec fails validation: {names}")
 
+    plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
+
     # upper bound C1 for the projection cap: horizon * largest source level
     # plus the terminal bound (the scheme and the projection both respect it)
     beta_nodes = np.asarray(spec.beta(tn), dtype=float)
-    fx = np.asarray(u.f(x), dtype=float)
-    g2x = np.asarray(u.g2(x), dtype=float)
-    source_max = float(np.max(fx[None, :] - beta_nodes[:, None] * g2x[None, :]))
+    source_max = float(np.max(plan.fx[None, :] - beta_nodes[:, None] * plan.g2x[None, :]))
     c1_bound = max(0.0, source_max) * spec.T + u.c_g1
 
     n_rows = grid.n_t + 1
@@ -335,7 +454,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     inner_counts = []
     worst_residual = 0.0
     for j in range(grid.n_t - 1, -1, -1):
-        v = pde_step(V[j + 1], tn[j], grid, spec)
+        v = pde_step(V[j + 1], tn[j], grid, spec, plan)
         cap = math.ceil((c1_bound - float(np.min(v))) / spec.costs.kappa) + 1
         updates = 0
         while True:
@@ -344,7 +463,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
             if residual <= tol_inner:
                 break
             if updates >= cap:
-                raise RuntimeError(
+                raise NumericalError(
                     f"impulse projection failed to settle at t={tn[j]:.6g}: "
                     f"residual {residual:.3e} after {updates} updates (cap {cap})"
                 )
@@ -531,15 +650,51 @@ def write_policy_csv(path, surface: ValueSurface, regions: RegionMap,
                 fh.write(f"{_fmt(t)},{_fmt(xn[i])},{_fmt(policy.xi0[j, i])}\n")
 
 
+def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-d boolean mask, numbered from 1 in
+    raster order of their first node; 0 marks background.
+
+    Two passes over the runs of True in each row (He, Chao & Suzuki, IEEE
+    TIP 2008): a run joins every run of the row above whose columns it
+    overlaps, under union-find; then the runs, in raster order, number
+    each component as its first run is met.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
+    row, start = np.nonzero(edges == 1)   # runs in raster order
+    end = np.nonzero(edges == -1)[1]      # one past each run's last column
+    starts, ends = start.tolist(), end.tolist()
+    parent = list(range(row.size))
+
+    def root(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    above, here, cur = [], [], -1         # runs of the row above and of row cur
+    for r, (j, s, e) in enumerate(zip(row.tolist(), starts, ends)):
+        if j != cur:
+            above, here, cur, p = (here if j == cur + 1 else []), [], j, 0
+        here.append(r)
+        while p < len(above) and ends[above[p]] <= s:  # left of this run and of every later one
+            p += 1
+        for q in above[p:]:
+            if starts[q] >= e:
+                break
+            parent[root(r)] = root(q)
+    number = {}
+    run_label = [number.setdefault(root(r), len(number) + 1) for r in range(row.size)]
+    labels = np.zeros(mask.shape, dtype=np.intp)
+    labels[mask] = np.repeat(np.asarray(run_label, dtype=np.intp), end - start)
+    return labels, len(number)
+
+
 def write_boundary_csv(path, surface: ValueSurface, regions: RegionMap,
                        meta: dict | None = None) -> None:
     """Upper edge of each connected action component as a (t, x) polyline."""
-    from scipy import ndimage
-
     tn = surface.t_nodes()
     xn = surface.grid.x_nodes()
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    comp, n_comp = ndimage.label(regions.labels, structure=structure)
+    comp, n_comp = _label_components(regions.labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_meta(fh, meta)
         fh.write("component,t,boundary_x\n")

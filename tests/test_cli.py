@@ -81,6 +81,22 @@ def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
     assert "t0" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------- exit code 3
+
+
+def test_lost_dominance_exits_3(tmp_path, capsys):
+    # strong outgoing drift at x_min on a one-step grid: the implicit step
+    # loses diagonal dominance, a numerical failure, not a usage error
+    spec = replace(closed_form_spec(), c1=0.0, lam=Curve.constant(6.0),
+                   mu_tilde=Curve.constant(0.0), sigma_tilde=Curve.constant(0.0))
+    path = tmp_path / "spec.json"
+    spec.to_json(path)
+    rc = cli.main(["solve", "--spec", str(path), "--out", str(tmp_path / "o"),
+                   "--xmin", "0.1", "--xmax", "1.1", "--nx", "11", "--nt", "1"])
+    assert rc == 3
+    assert "lost diagonal dominance" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- solve
 
 
@@ -344,13 +360,21 @@ def test_console_script_help():
 
 
 def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
-    code = ("import sys; from impulse_qvi import cli; "
-            "rc = cli.main(['validate', '--spec', 'fixture:intervention', '--out', sys.argv[1]]); "
-            "print(rc, 'scipy' in sys.modules)")
+    # neither SciPy nor numpy.ma (which np.unique imports) is loaded by the
+    # package: not on import, validate, solve (with its boundary.csv) or
+    # converge
+    code = ("import sys; from impulse_qvi import cli; out = sys.argv[1]; "
+            "rcs = [cli.main(['validate', '--spec', 'fixture:intervention', '--out', out + '/v']), "
+            "cli.main(['solve', '--spec', 'fixture:intervention', '--nx', '41', '--nt', '10', "
+            "'--out', out + '/s']), "
+            "cli.main(['converge', '--spec', 'fixture:closed-form', '--nx', '31', '--nt', '10', "
+            "'--levels', '2', '--out', out + '/c'])]; "
+            "print(*rcs, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.split()[-5:] == ["0", "0", "0", "False", "False"]
+    assert (tmp_path / "s" / "boundary.csv").is_file()
 
 
 def test_installed_entry_point():

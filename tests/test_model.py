@@ -15,7 +15,7 @@ from impulse_qvi.fixtures import (closed_form_spec, geometric_spec,
                                   intervention_spec, suggested_grid,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
-                               cumulative_hazard, diffusion, drift,
+                               _sorted_distinct, cumulative_hazard, diffusion, drift,
                                injection_cost, invert_hazard, running_cost,
                                sampled_lipschitz, survival, terminal_value,
                                validate)
@@ -188,6 +188,17 @@ def test_injection_cost_subadditivity_dyadic():
 
 
 # ---------------------------------------------------------- validation
+
+
+def test_sorted_distinct_matches_np_unique():
+    # finite input with repeats and both signed zeros, 0-d, 1-d and 2-d
+    rng = np.random.default_rng(8)
+    cases = [np.empty(0), np.array(2.5), np.array([0.0, -0.0, 0.0]), np.ones((3, 4))]
+    for _ in range(200):
+        pool = np.concatenate((rng.normal(size=5), [0.0, -0.0]))
+        cases.append(rng.choice(pool, size=int(rng.integers(1, 40))))
+    for a in cases:
+        assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 def test_sampled_lipschitz_abs():

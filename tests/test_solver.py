@@ -1,13 +1,16 @@
 """Scheme correctness: decoupled-row oracles, a banded-solver reference for
-the implicit step, impulse-operator brute force, the closed-form solve, and
-ordering properties."""
+the implicit step, impulse-operator brute force, the closed-form solve,
+region labeling, and ordering properties.  SciPy serves only as a
+reference; the comparisons that need it skip without it."""
 
+import itertools
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, get_fixture,
@@ -15,8 +18,9 @@ from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, UtilitySpec, diffusion, drift,
                                injection_cost)
-from impulse_qvi.solver import (Grid, _impulse_plan, _window_argmax,
-                                dpp_residual, extract_injection,
+from impulse_qvi.solver import (Grid, NumericalError, _StepPlan,
+                                _eliminate, _impulse_plan, _label_components,
+                                _window_argmax, dpp_residual, extract_injection,
                                 extract_regions, impulse_max,
                                 interp_extended, pde_step, read_surface_csv,
                                 solve, write_boundary_csv, write_policy_csv,
@@ -58,9 +62,10 @@ def test_pde_step_dominance_guard():
         pde_step(np.zeros(11), 0.0, grid, spec)
 
 
-def _pde_step_reference(v_next, t, grid, spec):
-    """The implicit step assembled into LAPACK band storage and solved by
-    scipy.linalg.solve_banded."""
+def _assemble_reference(v_next, t, grid, spec):
+    """The implicit step's tridiagonal system, from the model's drift and
+    diffusion: (sub-, main and superdiagonal in LAPACK's dl, d, du layout,
+    right-hand side)."""
     dt = spec.T / grid.n_t
     x, h = grid.x_nodes(), grid.h
     mu = np.asarray(drift(t, x, spec), dtype=float)
@@ -77,23 +82,137 @@ def _pde_step_reference(v_next, t, grid, spec):
     lower[-1] = -(dcoef[-1] + dn[-1])
     u = spec.utilities
     rhs = v_next / dt + np.asarray(u.f(x), dtype=float) - beta_t * np.asarray(u.g2(x), dtype=float)
-    ab = np.zeros((3, x.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
+    return lower[1:], diag, upper[:-1], rhs
+
+
+def _pde_step_reference(v_next, t, grid, spec):
+    """The implicit step assembled into LAPACK band storage and solved by
+    scipy.linalg.solve_banded (LAPACK dgtsv, with row interchanges)."""
+    pytest.importorskip("scipy")
+    from scipy.linalg import solve_banded
+
+    dl, d, du, rhs = _assemble_reference(v_next, t, grid, spec)
+    ab = np.zeros((3, d.size))
+    ab[0, 1:] = du
+    ab[1] = d
+    ab[2, :-1] = dl
     return solve_banded((1, 1), ab, rhs)
+
+
+def _would_interchange(dl, d, du):
+    """Whether dgtsv would swap rows: some pivot |d'_i| < |dl_i|."""
+    piv = float(d[0])
+    for i in range(dl.size):
+        if abs(piv) < abs(dl[i]):
+            return True
+        piv = d[i + 1] - dl[i] / piv * du[i]
+    return False
 
 
 @pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero"])
 def test_pde_step_matches_banded_reference(name):
-    # three chained steps down from the terminal slice, bit for bit
+    # every step of the suggested grid, chained down from the terminal
+    # slice through one sweep's plan (as solve runs them), bit for bit
     spec, grid = get_fixture(name), suggested_grid(name)
     tn = grid.t_nodes(spec.T)
+    plan = _StepPlan(grid, spec, tn[-2::-1])
     v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
-    for j in (grid.n_t - 1, grid.n_t // 2, 0):
+    for j in range(grid.n_t - 1, -1, -1):
         expected = _pde_step_reference(v, tn[j], grid, spec)
-        v = pde_step(v, tn[j], grid, spec)
-        np.testing.assert_array_equal(v, expected)
+        v = pde_step(v, tn[j], grid, spec, plan)
+        assert v.tobytes() == expected.tobytes(), (name, j)
+
+
+def test_pde_step_signed_zeros_match_banded_reference():
+    # dgtsv's back substitution subtracts 0 * x[i+2]: it turns a -0.0
+    # result into +0.0 when x[i+2] is negative.  Slices of signed zeros and
+    # ones with f = -0.0 reach that case, coupled rows and decoupled ones
+    grid = Grid(0.5, 1.5, 5, 1)
+    for sigma, lam in ((0.0, 0.0), (0.3, 0.5)):
+        for f in (0.0, -0.0):
+            spec = make_spec(lam=lam, mu=0.0, sigma=sigma, beta=0.0, f=f, c1=1.0)
+            for v in itertools.product((-0.0, 0.0, -1.0, 1.0), repeat=5):
+                v = np.array(v)
+                got = pde_step(v, 0.0, grid, spec)
+                assert got.tobytes() == _pde_step_reference(v, 0.0, grid, spec).tobytes(), v
+
+
+def test_pde_step_zero_pivot_raises_linalg_error(monkeypatch):
+    # strict row dominance keeps every pivot nonzero, so the elimination is
+    # handed the singular matrix tridiag(-1, 1, -1): d'_1 = 1 - 1 = 0
+    real = _eliminate
+
+    def singular(lower, diag, upper):
+        lower[:], diag[:], upper[:] = -1.0, 1.0, -1.0
+        return real(lower, diag, upper)
+
+    monkeypatch.setattr("impulse_qvi.solver._eliminate", singular)
+    spec, grid = intervention_spec(), Grid(0.1, 4.1, 11, 5)
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+        pde_step(np.zeros(11), 0.0, grid, spec)
+    lower, diag, upper = np.full((5, 2), -1.0), np.ones((5, 2)), np.full((5, 2), -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real(lower, diag, upper)
+    assert diag[1].tolist() == [0.0, 0.0]
+
+
+def _time_curve(lo, hi):
+    """A constant or a table curve with values in [lo, hi]."""
+    values = st.floats(lo, hi, allow_subnormal=False)
+    table = st.lists(values, min_size=2, max_size=4).flatmap(
+        lambda ys: st.lists(st.floats(0.0, 4.0), min_size=len(ys), max_size=len(ys),
+                            unique=True).map(lambda xs: Curve.table(sorted(xs), ys)))
+    return st.one_of(values.map(Curve.constant), table)
+
+
+def _state_curve(lo, hi):
+    saturating = st.builds(Curve.saturating, st.floats(lo, hi), st.floats(0.1, 5.0),
+                           st.floats(0.1, 2.0))
+    return st.one_of(_time_curve(lo, hi), saturating)
+
+
+_specs = st.builds(
+    lambda c1, T, lam, mu, sig, beta, f, g1, g2: make_spec(
+        c1=c1, T=T, lam=lam, mu=mu, sigma=sig, beta=beta, f=f, g1=g1, g2=g2),
+    st.floats(0.0, 1.0), st.floats(0.05, 5.0), _time_curve(0.0, 3.0),
+    _time_curve(-1.0, 1.0), _time_curve(0.0, 3.0), _time_curve(0.0, 2.0),
+    _state_curve(-2.0, 2.0), _state_curve(-2.0, 2.0), _state_curve(-2.0, 2.0))
+
+_grids = st.builds(lambda lo, width, n_x, n_t: Grid(lo, lo + width, n_x, n_t),
+                   st.floats(0.01, 1.0), st.floats(0.1, 5.0),
+                   st.integers(3, 40), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_specs, grid=_grids, seed=st.integers(0, 2**32 - 1))
+def test_pde_step_random_specs_match_banded_reference(spec, grid, seed):
+    # a whole sweep's steps on random admissible data, each from the same
+    # slice as the reference: bitwise where dgtsv would not interchange
+    # rows, within 1e-12 relative where it would; or an explicit dominance
+    # error exactly when the assembled system is not strictly dominant
+    tn = grid.t_nodes(spec.T)
+    plan = _StepPlan(grid, spec, tn[-2::-1])
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n_x)
+    for j in range(grid.n_t - 1, -1, -1):
+        dl, d, du, _ = _assemble_reference(v, tn[j], grid, spec)
+        margin = d.copy()
+        margin[1:] -= np.abs(dl)
+        margin[:-1] -= np.abs(du)
+        if not np.all(margin > 0.0):
+            with pytest.raises(NumericalError, match="diagonal dominance"):
+                pde_step(v, tn[j], grid, spec, plan)
+            event("lost dominance")
+            return
+        expected = _pde_step_reference(v, tn[j], grid, spec)
+        got = pde_step(v, tn[j], grid, spec, plan)
+        interchange = _would_interchange(dl, d, du)
+        event(f"dgtsv would interchange rows: {interchange}")
+        if interchange:
+            scale = float(np.max(np.abs(expected)))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+        else:
+            assert got.tobytes() == expected.tobytes()
+        v = got
 
 
 def test_pde_step_rejects_non_finite_input():
@@ -374,6 +493,63 @@ def test_surface_csv_row_bytes(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[-len(expected):] == expected
     assert all(ln.startswith("# ") for ln in lines[:-len(expected)])
+
+
+def _label_bfs(mask):
+    """Breadth-first 4-connected labeling, components numbered in raster
+    order of their first node."""
+    labels = np.zeros(mask.shape, dtype=int)
+    n = 0
+    for start in zip(*np.nonzero(mask)):
+        if labels[start]:
+            continue
+        n += 1
+        labels[start] = n
+        todo = deque([start])
+        while todo:
+            i, j = todo.popleft()
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 0 <= a < mask.shape[0] and 0 <= b < mask.shape[1] and mask[a, b] and not labels[a, b]:
+                    labels[a, b] = n
+                    todo.append((a, b))
+    return labels, n
+
+
+def _label_masks():
+    """Random masks of every density and shape, 1 x n and n x 1 included,
+    then empty, full and checkerboard masks."""
+    rng = np.random.default_rng(20)
+    masks = []
+    for k in range(320):
+        shape = [(1, int(rng.integers(1, 40))), (int(rng.integers(1, 40)), 1),
+                 tuple(int(m) for m in rng.integers(1, 30, 2))][k % 3]
+        masks.append(rng.random(shape) < rng.uniform(0.05, 0.95))
+    for shape in ((1, 1), (1, 7), (7, 1), (12, 17)):
+        board = np.indices(shape).sum(axis=0) % 2 == 0
+        masks += [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), board, ~board]
+    return masks
+
+
+def test_label_components_matches_bfs():
+    for mask in _label_masks():
+        labels, n = _label_components(mask)
+        expected, n_expected = _label_bfs(mask)
+        assert n == n_expected
+        np.testing.assert_array_equal(labels, expected)
+
+
+def test_label_components_matches_ndimage():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    masks = _label_masks()
+    for name in ("intervention", "geometric"):
+        spec, grid = get_fixture(name), suggested_grid(name)
+        masks.append(solve(spec, grid).regions.labels)
+    for mask in masks:
+        labels, n = _label_components(mask)
+        expected, n_expected = ndimage.label(mask, structure=cross)
+        assert n == n_expected
+        np.testing.assert_array_equal(labels, expected)
 
 
 def test_policy_and_boundary_csv(tmp_path):
