@@ -55,7 +55,7 @@ class RunConfig:
     spec: ModelSpec
     out_dir: str
     grid: Grid
-    explicit_flags: tuple  # (header key, value) of each grid flag or --eps-region given
+    explicit_flags: tuple  # (header key, value) per grid, --tol-inner or --eps-region flag given
     n_paths: int
     dt: float
     seed: int
@@ -145,7 +145,8 @@ def _build_config(args) -> RunConfig:
         raise UsageError("--paths must be positive")
     if args.dt <= 0.0:
         raise UsageError("--dt must be positive")
-    if args.tol_inner <= 0.0:
+    tol_inner = 1e-9 if args.tol_inner is None else args.tol_inner
+    if tol_inner <= 0.0:
         raise UsageError("--tol-inner must be positive")
     if not (0.0 <= args.t0 < spec.T):
         raise UsageError(f"--t0 must lie in [0, T) with T={spec.T}")
@@ -184,11 +185,11 @@ def _build_config(args) -> RunConfig:
         grid=grid,
         explicit_flags=tuple((key, value) for key, value in (
             ("n_x", args.nx), ("n_t", args.nt), ("x_min", args.xmin), ("x_max", args.xmax),
-            ("eps_region", args.eps_region)) if value is not None),
+            ("tol_inner", args.tol_inner), ("eps_region", args.eps_region)) if value is not None),
         n_paths=args.paths,
         dt=args.dt,
         seed=seed,
-        tol_inner=args.tol_inner,
+        tol_inner=tol_inner,
         eps_region=args.eps_region,
         t0=args.t0,
         x0=args.x0,
@@ -226,7 +227,8 @@ def _txt_header(fh, cfg: RunConfig, chash: str) -> None:
 
 def _load_solution(cfg: RunConfig) -> SolveResult:
     """Read the --surface artifact, which must have been solved for --spec
-    and agree with each grid flag and --eps-region given explicitly."""
+    and agree with each grid flag, --tol-inner and --eps-region given
+    explicitly."""
     try:
         res = read_surface_csv(cfg.surface_path)
     except ValueError as exc:
@@ -234,7 +236,8 @@ def _load_solution(cfg: RunConfig) -> SolveResult:
     md = res.surface.metadata
     if md["spec_sha256"] != cfg.spec.sha256():
         raise UsageError(f"{cfg.surface_path} was solved for a different spec than {cfg.spec_source}")
-    stored = {**res.surface.grid.to_dict(), "eps_region": md["eps_region"]}
+    stored = {**res.surface.grid.to_dict(), "tol_inner": md["tol_inner"],
+              "eps_region": md["eps_region"]}
     clashes = [f"{key}={value!r} given, {stored[key]!r} in the surface header"
                for key, value in cfg.explicit_flags if value != stored[key]]
     if clashes:
@@ -479,8 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=0.01, help="simulation step")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for simulate and check)")
-        p.add_argument("--tol-inner", type=float, default=1e-9,
-                       help="impulse projection tolerance")
+        p.add_argument("--tol-inner", type=float, default=None,
+                       help="impulse projection tolerance (default 1e-9)")
         p.add_argument("--eps-region", type=float, default=None,
                        help="action-label threshold on V - IV")
         p.add_argument("--t0", type=float, default=0.0, help="simulation start time")

@@ -461,7 +461,7 @@ def sampled_lipschitz(fn, points: np.ndarray):
     return float(quo[j]), (float(pts[j]), float(pts[j + 1]))
 
 
-def validate(spec: ModelSpec, probe_grid, k_sample=None, t_sample=None) -> ValidationReport:
+def validate(spec: ModelSpec, probe_grid, k_sample=None) -> ValidationReport:
     """Check the standing hypotheses on finite probe grids.
 
     Reports sampled Lipschitz constants for lam, f, g1, g2; upper-bound
@@ -477,9 +477,7 @@ def validate(spec: ModelSpec, probe_grid, k_sample=None, t_sample=None) -> Valid
     if k_sample is None:
         k_sample = np.linspace(spec.costs.k_min, spec.costs.k_max, 33)
     k_sample = np.asarray(k_sample, dtype=float)
-    if t_sample is None:
-        t_sample = _refined_partition(spec.sigma_tilde, 0.0, spec.T, extra=np.linspace(0.0, spec.T, 33))
-    t_sample = np.asarray(t_sample, dtype=float)
+    t_sample = _refined_partition(spec.sigma_tilde, 0.0, spec.T, extra=np.linspace(0.0, spec.T, 33))
 
     rep = ValidationReport()
     u = spec.utilities

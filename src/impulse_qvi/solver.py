@@ -25,7 +25,8 @@ strict row diagonal dominance first, and for such matrices elimination
 without pivoting is stable, with growth factor at most 2 (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., section 9.5).
 The matrix depends on t only through (mu_tilde(t), sigma_tilde(t),
-beta(t)), so a sweep factors each distinct triple once.
+beta(t)), so a sweep factors it once per run of consecutive steps that
+share the triple.
 
 A node is labeled "action" when V - IV <= eps_region; the maximizing
 injection there is the policy.  Connected action regions (4-neighbour,
@@ -70,6 +71,11 @@ class Grid:
 
     def t_nodes(self, T: float) -> np.ndarray:
         return np.linspace(0.0, T, self.n_t + 1)
+
+    def nearest_node(self, y) -> np.ndarray:
+        """Index of the node nearest to each y (halves to even), clipped to
+        the grid: where an injection from x to y = x + xi0 lands."""
+        return np.clip(np.rint((y - self.x_min) / self.h), 0, self.n_x - 1).astype(int)
 
     def to_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n_x": self.n_x,
@@ -192,18 +198,6 @@ class NumericalError(RuntimeError):
     dominance or a projection hit its certified cap."""
 
 
-class _Factors(NamedTuple):
-    """One step matrix, eliminated, as the two sweeps read it."""
-
-    fact: list       # fact_i = dl_i / d'_i, rows 0 .. n-2
-    back_du: list    # du_i for i = n-1 .. 0, du_{n-1} = 0
-    back_piv: list   # d'_i for i = n-1 .. 0
-    beta: float
-    dominant: bool
-    finite: bool     # a finite margin implies finite coefficients
-    singular: bool   # some pivot is exactly zero
-
-
 def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Gaussian elimination without interchanges of tridiagonal systems,
     one per column: dgtsv's no-interchange branch, fact_i = dl_i / d'_i and
@@ -221,9 +215,10 @@ class _StepPlan:
 
     The step matrix depends on t only through the triple (mu_tilde(t),
     sigma_tilde(t), beta(t)); x, f(x), g2(x) and (c1 - x) lam(x) are held
-    once.  Each distinct triple is factored once, in blocks of up to
-    _BLOCK triples in the order the sweep first uses them, and its factors
-    are held as Python lists only while steps still use it.
+    once.  The step times, in sweep order, split into runs of consecutive
+    steps whose triple keeps its bits.  The runs are factored in order, in
+    blocks of up to _BLOCK runs, and only the current run's factors are
+    held as Python lists.
     """
 
     _BLOCK = 64
@@ -239,21 +234,17 @@ class _StepPlan:
         times = np.asarray(times, dtype=float)
         coef = np.stack([np.asarray(c(times), dtype=float)
                          for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)], axis=1)
-        number, rows, triple = {}, [], []
-        for row, key in enumerate(map(tuple, coef.view(np.uint64).tolist())):
-            if key not in number:  # numbered by bit pattern, in order of first use
-                number[key] = len(rows)
-                rows.append(row)
-            triple.append(number[key])
-        self._coef = coef[rows]
-        self._triple_at = dict(zip(times.tolist(), triple))
-        self._uses = np.bincount(triple).tolist()
-        self._live = {}                         # triple number -> _Factors
+        bits = coef.view(np.uint64)
+        new_run = np.ones(times.size, dtype=bool)
+        new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        self._coef = coef[new_run]
+        self._run_at = dict(zip(times.tolist(), (np.cumsum(new_run) - 1).tolist()))
         self._block = (-1, None)
+        self._run = (-1,)
 
     def _factor_block(self, b: int):
-        """Assemble and eliminate triples b*_BLOCK ..: a loop over x, each
-        operation a vector over the block's triples (columns)."""
+        """Assemble and eliminate the triples of runs b*_BLOCK ..: a loop
+        over x, each operation a vector over the block's runs (columns)."""
         m, s, beta = self._coef[b * self._BLOCK:(b + 1) * self._BLOCK].T
         x, h, c = self.x[:, None], self.h, 1.0 / self.dt + beta
         mu = self.mean_rev[:, None] + m * x
@@ -286,39 +277,32 @@ class _StepPlan:
                            np.isfinite(margin).all(axis=0).tolist(),
                            (diag == 0.0).any(axis=0).tolist()))
 
-    def _factors(self, k: int) -> _Factors:
-        f = self._live.get(k)
-        if f is None:
+    def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
+        k = self._run_at[t]
+        if self._run[0] != k:
             b, i = divmod(k, self._BLOCK)
             if self._block[0] != b:
                 self._factor_block(b)
-            fact, du, piv, beta, dominant, finite, singular = self._block[1]
-            f = self._live[k] = _Factors(
-                fact[i].tolist(), du[i, ::-1].tolist(), piv[i, ::-1].tolist(),
-                beta[i], dominant[i], finite[i], singular[i])
-        self._uses[k] -= 1
-        if not self._uses[k]:
-            del self._live[k]
-        return f
-
-    def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
-        f = self._factors(self._triple_at[t])
-        if not f.dominant:
+            fact, du, piv, *flags = self._block[1]
+            self._run = (k, fact[i].tolist(), du[i, ::-1].tolist(), piv[i, ::-1].tolist(),
+                         *(f[i] for f in flags))
+        _, fact, back_du, back_piv, beta, dominant, finite, singular = self._run
+        if not dominant:
             raise NumericalError(
                 "PDE step lost diagonal dominance (drift at x_min is strongly "
                 "outgoing); shrink dt or move x_min"
             )
-        rhs = v_next / self.dt + self.fx - f.beta * self.g2x
-        if not (f.finite and np.isfinite(rhs).all()):
+        rhs = v_next / self.dt + self.fx - beta * self.g2x
+        if not (finite and np.isfinite(rhs).all()):
             raise ValueError("PDE step input contains infs or NaNs")
-        if f.singular:
+        if singular:
             raise np.linalg.LinAlgError("PDE step hit a zero pivot: singular matrix")
 
         # dgtsv's operation order: forward elimination of the right-hand side
         b = rhs.tolist()
         acc = b[0]
         y = [acc]
-        for bi, fi in zip(b[1:], f.fact):
+        for bi, fi in zip(b[1:], fact):
             acc = bi - fi * acc
             y.append(acc)
         # back substitution, with the zeroed second superdiagonal of the
@@ -327,7 +311,7 @@ class _StepPlan:
         # x[n] = x[n+1] = +0.0 with du_{n-1} = 0 also gives dgtsv's last two rows
         x0 = x1 = 0.0
         out = []
-        for yi, ui, di in zip(reversed(y), f.back_du, f.back_piv):
+        for yi, ui, di in zip(reversed(y), back_du, back_piv):
             x1, x0 = x0, (yi - ui * x0 - 0.0 * x1) / di
             out.append(x0)
         return np.fromiter(reversed(out), float, len(out))
@@ -411,14 +395,26 @@ def _label_slice(v, iv, ks, eps_region):
     return lab, xi
 
 
+def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
+    """C1 = T * max(0, max over the grid of f - beta g2) + sup g1: the
+    horizon times the largest source level plus the terminal bound, an
+    upper bound on V that the scheme and the projection both respect."""
+    u = spec.utilities
+    x = grid.x_nodes()
+    beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
+    fx = np.asarray(u.f(x), dtype=float)
+    g2x = np.asarray(u.g2(x), dtype=float)
+    return max(0.0, float(np.max(fx[None, :] - beta[:, None] * g2x[None, :]))) * spec.T + u.c_g1
+
+
 def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
-          eps_region: float | None = None, check_spec: bool = True) -> SolveResult:
+          eps_region: float | None = None) -> SolveResult:
     """Backward QVI sweep; returns the value surface, region labels, and
     the injection policy.
 
-    Raises ValueError when the spec fails hypothesis validation (unless
-    check_spec=False) and NumericalError when a step loses diagonal
-    dominance or an inner projection exceeds its certified iteration cap.
+    Raises ValueError when the spec fails hypothesis validation and
+    NumericalError when a step loses diagonal dominance or an inner
+    projection exceeds its certified iteration cap.
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
@@ -426,19 +422,13 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     tn = grid.t_nodes(spec.T)
     u = spec.utilities
 
-    if check_spec:
-        rep = validate(spec, x)
-        if not rep.passed:
-            names = ", ".join(e.name for e in rep.failures())
-            raise ValueError(f"model spec fails validation: {names}")
+    rep = validate(spec, x)
+    if not rep.passed:
+        names = ", ".join(e.name for e in rep.failures())
+        raise ValueError(f"model spec fails validation: {names}")
 
     plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
-
-    # upper bound C1 for the projection cap: horizon * largest source level
-    # plus the terminal bound (the scheme and the projection both respect it)
-    beta_nodes = np.asarray(spec.beta(tn), dtype=float)
-    source_max = float(np.max(plan.fx[None, :] - beta_nodes[:, None] * plan.g2x[None, :]))
-    c1_bound = max(0.0, source_max) * spec.T + u.c_g1
+    c1_bound = upper_bound_c1(spec, grid)     # caps the projection count
 
     n_rows = grid.n_t + 1
     V = np.empty((n_rows, grid.n_x))
@@ -477,14 +467,11 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
 
     # landing nodes of the policy should be continuation (within one cell)
     land_violations = 0
-    h = grid.h
     for j in range(n_rows):
         act = LAB[j]
         if not act.any():
             continue
-        land = x[act] + XI[j, act]
-        idx = np.clip(np.rint((land - grid.x_min) / h), 0, grid.n_x - 1).astype(int)
-        land_violations += int(np.count_nonzero(LAB[j, idx]))
+        land_violations += int(np.count_nonzero(LAB[j, grid.nearest_node(x[act] + XI[j, act])]))
 
     metadata = {
         "tol_inner": tol_inner,
@@ -501,10 +488,10 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     return SolveResult(surface, regions, PolicyMap(XI))
 
 
-def extract_regions(surface: ValueSurface, spec: ModelSpec,
-                    eps_region: float | None = None) -> tuple[RegionMap, PolicyMap]:
-    """Recompute labels and maximizers from a (possibly loaded) surface."""
-    eps_region = surface.metadata["eps_region"] if eps_region is None else eps_region
+def extract_regions(surface: ValueSurface, spec: ModelSpec) -> tuple[RegionMap, PolicyMap]:
+    """Recompute labels and maximizers from a (possibly loaded) surface,
+    with the surface's own eps_region."""
+    eps_region = surface.metadata["eps_region"]
     LAB = np.zeros(surface.values.shape, dtype=bool)
     XI = np.full(surface.values.shape, np.nan)
     for j in range(surface.values.shape[0]):
@@ -513,15 +500,15 @@ def extract_regions(surface: ValueSurface, spec: ModelSpec,
     return RegionMap(LAB, eps_region), PolicyMap(XI)
 
 
-def extract_injection(t: float, x: float, surface: ValueSurface, costs,
-                      eps_region: float | None = None) -> float:
-    """Maximizing injection at the grid node nearest (t, x).
+def extract_injection(t: float, x: float, surface: ValueSurface, costs) -> float:
+    """Maximizing injection at the grid node nearest (t, x), labeled with
+    the surface's own eps_region.
 
     Raises ValueError on a continuation node and RuntimeError if the
     post-injection point fails to land in the continuation region
     (within one grid cell).
     """
-    eps_region = surface.metadata["eps_region"] if eps_region is None else eps_region
+    eps_region = surface.metadata["eps_region"]
     tn = surface.t_nodes()
     xn = surface.grid.x_nodes()
     j = int(np.argmin(np.abs(tn - t)))
@@ -531,7 +518,7 @@ def extract_injection(t: float, x: float, surface: ValueSurface, costs,
     if row[i] - iv[i] > eps_region:
         raise ValueError(f"({t}, {x}) is a continuation node; no injection prescribed")
     xi0 = float(ks[i])
-    i_land = int(np.clip(round((xn[i] + xi0 - xn[0]) / surface.grid.h), 0, xn.size - 1))
+    i_land = int(surface.grid.nearest_node(xn[i] + xi0))
     if row[i_land] - iv[i_land] <= eps_region:
         raise RuntimeError("post-injection point is itself an action node")
     return xi0

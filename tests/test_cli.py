@@ -229,9 +229,12 @@ def _strip_surface_header(text):
 @pytest.mark.parametrize("command, spec, flags, edit, reason", [
     ("simulate", "fixture:geometric", ["--policy", "feedback"], None, "different spec"),
     ("check", "fixture:intervention", ["--nx", "401"], None, "n_x=401 given, 81"),
+    ("check", "fixture:intervention", ["--tol-inner", "1e-3"], None,
+     "tol_inner=0.001 given, 1e-09"),
     ("check", "fixture:intervention", [], _delete_data_row, "do not fill"),
     ("check", "fixture:intervention", [], _strip_surface_header, "re-run solve"),
-], ids=["spec-mismatch", "conflicting-nx", "missing-row", "no-header"])
+], ids=["spec-mismatch", "conflicting-nx", "conflicting-tol-inner", "missing-row",
+        "no-header"])
 def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
                                   command, spec, flags, edit, reason):
     sol = small_surface

@@ -109,18 +109,40 @@ def _would_interchange(dl, d, du):
     return False
 
 
-@pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero"])
+def _recurring_beta_case():
+    """beta flat at 0.3 on [0.6, 1], a ramp up to 0.5 and back down over
+    [0.2, 0.6] (its own triple at each of 79 steps), then flat at 0.3
+    again on [0, 0.2]: the sweep's first triple recurs after more than one
+    block of other runs."""
+    beta = Curve.table([0.0, 0.2, 0.4, 0.6], [0.3, 0.3, 0.5, 0.3])
+    spec = make_spec(beta=beta, g1=Curve.saturating(1.0, 2.0), g2=0.5)
+    return spec, Grid(0.1, 2.1, 41, 200)
+
+
+@pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero",
+                                  "recurring-beta"])
 def test_pde_step_matches_banded_reference(name):
-    # every step of the suggested grid, chained down from the terminal
-    # slice through one sweep's plan (as solve runs them), bit for bit
-    spec, grid = get_fixture(name), suggested_grid(name)
+    # every step of the grid, chained down from the terminal slice through
+    # one sweep's plan (as solve runs them): bit for bit the step a fresh
+    # plan takes, then bit for bit the banded reference
+    if name == "recurring-beta":
+        spec, grid = _recurring_beta_case()
+    else:
+        spec, grid = get_fixture(name), suggested_grid(name)
     tn = grid.t_nodes(spec.T)
     plan = _StepPlan(grid, spec, tn[-2::-1])
+    if name == "recurring-beta":
+        runs = plan._coef
+        assert runs.shape[0] > _StepPlan._BLOCK and runs[0].tobytes() == runs[-1].tobytes()
     v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
+    steps = []
     for j in range(grid.n_t - 1, -1, -1):
-        expected = _pde_step_reference(v, tn[j], grid, spec)
-        v = pde_step(v, tn[j], grid, spec, plan)
-        assert v.tobytes() == expected.tobytes(), (name, j)
+        got = pde_step(v, tn[j], grid, spec, plan)
+        assert got.tobytes() == pde_step(v, tn[j], grid, spec).tobytes(), (name, j)
+        steps.append((j, v, got))
+        v = got
+    for j, v_next, got in steps:
+        assert got.tobytes() == _pde_step_reference(v_next, tn[j], grid, spec).tobytes(), (name, j)
 
 
 def test_pde_step_signed_zeros_match_banded_reference():
