@@ -455,6 +455,36 @@ _DISPATCH = {
 }
 
 
+# the flags shared by several subcommands, and which of them each subcommand
+# reads; a subcommand rejects the others (argparse exits 2) and keeps their
+# defaults in its RunConfig, so a config hash does not depend on this table
+_SHARED_FLAGS = {
+    "--nx": dict(type=int, default=None, help="space nodes"),
+    "--nt": dict(type=int, default=None, help="time steps"),
+    "--xmin": dict(type=float, default=None, help="left edge (> 0)"),
+    "--xmax": dict(type=float, default=None, help="right edge"),
+    "--paths": dict(type=int, default=10000, help="MC sample size"),
+    "--dt": dict(type=float, default=0.01, help="simulation step"),
+    "--seed": dict(type=int, default=None, help="RNG seed (required for simulate and check)"),
+    "--tol-inner": dict(type=float, default=None,
+                        help="impulse projection tolerance (default 1e-9)"),
+    "--eps-region": dict(type=float, default=None, help="action-label threshold on V - IV"),
+    "--t0": dict(type=float, default=0.0, help="simulation start time"),
+    "--x0": dict(type=float, default=1.0, help="simulation start state"),
+}
+_GRID = ("--nx", "--nt", "--xmin", "--xmax")
+_READS = {
+    "solve": _GRID + ("--seed", "--tol-inner", "--eps-region"),
+    # the standing hypotheses are checked on the x nodes only
+    "validate": ("--nx", "--xmin", "--xmax", "--seed"),
+    # --paths and --dt are fixed by check_bounds (4,000 paths, the surface's dt)
+    "check": _GRID + ("--seed", "--tol-inner", "--eps-region"),
+    "converge": _GRID + ("--seed", "--tol-inner"),
+    # the grid, --tol-inner and --eps-region serve --policy feedback
+    "simulate": tuple(_SHARED_FLAGS),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impulse-qvi",
@@ -474,20 +504,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="spec JSON path, or fixture:NAME "
                             f"(known: {', '.join(sorted(FIXTURES))})")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--nx", type=int, default=None, help="space nodes")
-        p.add_argument("--nt", type=int, default=None, help="time steps")
-        p.add_argument("--xmin", type=float, default=None, help="left edge (> 0)")
-        p.add_argument("--xmax", type=float, default=None, help="right edge")
-        p.add_argument("--paths", type=int, default=10000, help="MC sample size")
-        p.add_argument("--dt", type=float, default=0.01, help="simulation step")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (required for simulate and check)")
-        p.add_argument("--tol-inner", type=float, default=None,
-                       help="impulse projection tolerance (default 1e-9)")
-        p.add_argument("--eps-region", type=float, default=None,
-                       help="action-label threshold on V - IV")
-        p.add_argument("--t0", type=float, default=0.0, help="simulation start time")
-        p.add_argument("--x0", type=float, default=1.0, help="simulation start state")
+        for flag, kwargs in _SHARED_FLAGS.items():
+            if flag in _READS[name]:
+                p.add_argument(flag, **kwargs)
+            else:
+                p.set_defaults(**{flag[2:].replace("-", "_"): kwargs["default"]})
         if name == "simulate":
             p.add_argument("--policy", choices=("none", "schedule", "feedback"),
                            default="none", help="control to simulate")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import mc_cost_g
 from .model import ModelSpec
-from .solver import (Grid, PolicyMap, RegionMap, ValueSurface, impulse_max, interp_extended,
-                     solve, upper_bound_c1)
+from .solver import (Grid, PolicyMap, RegionMap, ValueSurface, _sweep, impulse_max,
+                     interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -60,17 +60,11 @@ def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
     """V >= IV everywhere within a slack of 1e-8, IV recomputed fresh from
     the stored values."""
     start = time.perf_counter()
-    worst = np.inf
-    loc = None
-    tn = surface.t_nodes()
-    xn = surface.grid.x_nodes()
-    for j in range(surface.values.shape[0]):
-        iv, _ = impulse_max(surface.values[j], surface.grid, spec.costs)
-        gap = surface.values[j] - iv
-        i = int(np.argmin(gap))
-        if gap[i] < worst:
-            worst = float(gap[i])
-            loc = (float(tn[j]), float(xn[i]))
+    iv, _ = impulse_max(surface.values, surface.grid, spec.costs)
+    gap = surface.values - iv
+    j, i = np.unravel_index(int(np.argmin(gap)), gap.shape)  # the first worst node, row-major
+    worst = float(gap[j, i])
+    loc = (float(surface.t_nodes()[j]), float(surface.grid.x_nodes()[i]))
     return CheckReport(
         name="obstacle",
         passed=bool(worst >= -1e-8),
@@ -294,11 +288,11 @@ def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: Pol
 
 def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
                     eps_region: float | None = None, seed: int = 0) -> list:
-    """Solve once (plus a time-refined solve for regularity) and run every
-    surface diagnostic.  Returns the list of CheckReports."""
+    """Solve once (plus a time-refined sweep, V only, for regularity) and
+    run every surface diagnostic.  Returns the list of CheckReports."""
     surface, regions, policy = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
-    fine_grid = Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t)
-    fine_surface, _, _ = solve(spec, fine_grid, tol_inner=tol_inner, eps_region=eps_region)
+    fine_surface = _values_only(spec, Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t),
+                                tol_inner)
     return [
         check_obstacle(surface, spec),
         check_bounds(surface, spec, seed=seed),
@@ -328,30 +322,27 @@ def reference_values(reference, surface: ValueSurface) -> np.ndarray:
     return np.array([np.broadcast_to(reference(t, xn), xn.shape) for t in surface.t_nodes()])
 
 
+def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
+    """The value surface of a solve without IV, labels or policy, for
+    checks that read V alone.  No residual is recomputed, so a slice whose
+    projection the sweep skipped rests on the certificate's proof alone."""
+    return ValueSurface(grid, spec.T, _sweep(spec, grid, tol_inner)[0])
+
+
 def convergence_study(spec: ModelSpec, grids: list, reference=None,
                       tol_inner: float = 1e-9) -> ConvergenceStudy:
-    """Solve on each grid of a refinement ladder.
+    """Solve on each grid of a refinement ladder (the value surfaces only).
 
     Successive solutions are compared on the coarser grid's nodes
     (sup difference); when a reference callable (t, x_nodes) -> V is
     given, each level also records its sup error against it.
     """
-    surfaces = []
-    rows = []
-    for g in grids:
-        s, _, _ = solve(spec, g, tol_inner=tol_inner)
-        surfaces.append(s)
-        rows.append({"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t})
+    surfaces = [_values_only(spec, g, tol_inner) for g in grids]
+    rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
     ref_errors = [] if reference is None else [
         float(np.max(np.abs(s.values - reference_values(reference, s)))) for s in surfaces]
-    diffs = []
-    for a, b in zip(surfaces, surfaces[1:]):
-        tn = a.t_nodes()
-        xn = a.grid.x_nodes()
-        d = 0.0
-        for j, t in enumerate(tn):
-            d = max(d, float(np.max(np.abs(a.values[j] - b.evaluate(t, xn)))))
-        diffs.append(d)
+    diffs = [float(np.max(np.abs(a.values - b.evaluate(a.t_nodes(), a.grid.x_nodes()))))
+             for a, b in zip(surfaces, surfaces[1:])]
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
     ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf

@@ -150,6 +150,9 @@ def injection_cost(k, costs: CostParams):
 
     Merging two injections into one saves exactly one fixed fee:
     cost(k1 + k2) + kappa == cost(k1) + cost(k2).
+
+    solver's certified projection skip assumes cost(k) >= k + kappa for
+    every k in [k_min, k_max]; a cheaper cost must change that certificate.
     """
     return k + costs.kappa
 

@@ -17,6 +17,27 @@ until the sup-norm update drops below the inner tolerance.  Each
 profitable injection costs at least kappa while values stay bounded, so
 the projection count is certified by ceil((C1 - min v) / kappa) + 1.
 
+A slice whose spread is small needs no projection: every gain is
+v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so max v - min v <=
+k_min + kappa gives IV <= min v <= v, and the loop would stop at its first
+check.  The sweep skips the loop when, in floating point,
+
+    max v - min v <= F - 2^-47 (A + F),   F = k_min + kappa, A = max |v|.
+
+With u = 2^-53 the margin 64 u (A + F) covers every rounding: an
+interpolated value exceeds max v by at most 8 u A (one rounding each in
+the slope, the product and the sum, and fl(q - x_j) <= fl(x_{j+1} - x_j)
+keeps the product within |fl(v_{j+1} - v_j)| (1 + u)^2); a cost
+fl(K + kappa) is at least fl(F) >= F (1 - u) by monotone rounding; and the
+spread, the margin and the bound are rounded once each.  Together less
+than 9 u A + 6 u F, so every computed gain is at most min v and the first
+residual max(IV - v) is at most 0 <= tol_inner.  The proof assumes
+injection_cost(K) >= K + kappa.  solve() recomputes IV for every slice
+after the sweep and raises NumericalError if a skipped slice's residual
+exceeds tol_inner.  The sweeps that read V alone (the convergence ladder
+and the time-refined sweep of diagnostics.standard_checks) recompute no
+residual and rely on the proof alone.
+
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
 no-interchange branch: fact_i = dl_i / d'_i, d'_{i+1} = d_{i+1} -
@@ -100,7 +121,6 @@ class _ImpulsePlan(NamedTuple):
     x: np.ndarray        # grid nodes
     k_table: np.ndarray  # rows k_min, node K (set per slice), k_max
     empty: np.ndarray    # no node strictly inside the window x + (k_min, k_max)
-    pad: np.ndarray      # -inf that fills v - x to whole blocks
     idx: np.ndarray      # flat index of each entry, one block per row
     starts: np.ndarray   # first entry of each block-wide run covering a window
 
@@ -127,69 +147,101 @@ def _impulse_plan(grid: Grid, costs) -> _ImpulsePlan:
     idx = np.arange(-(-(int(hi.max()) + 1) // width) * width).reshape(-1, width)
     k_table = np.empty((3, n))
     k_table[0], k_table[2] = costs.k_min, costs.k_max
-    plan = _ImpulsePlan(x, k_table, empty, np.full(idx.size - n, -np.inf), idx, starts)
+    plan = _ImpulsePlan(x, k_table, empty, idx, starts)
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
 def _window_argmax(w: np.ndarray, plan: _ImpulsePlan) -> np.ndarray:
-    """First index of the largest w[j] in each node's window, in O(len(w)).
+    """First index of the largest w[..., j] in each node's window, in
+    O(w.size); the leading axes of w are independent rows.
 
     van Herk/Gil-Werman: with blocks as wide as a run, a run spans at most
     two blocks, so its max is the larger of the first block's suffix max at
     its start and the second block's prefix max at its end.
     """
     idx = plan.idx
-    blk = np.concatenate((w, plan.pad)).reshape(idx.shape)
-    pre = np.maximum.accumulate(blk, axis=1)
-    rise = np.ones(blk.size, dtype=bool)
-    np.greater(pre.ravel()[1:], pre.ravel()[:-1], out=rise[1:])  # strict: a tie keeps the earlier index
-    pre_at = np.maximum.accumulate(np.where(rise.reshape(idx.shape), idx, idx[:, :1]), axis=1)
+    lead = w.shape[:-1]
+    rows = (slice(None),) * len(lead)  # indexes the rows; w[rows + (s,)] is w[s] on one slice
+    blk = np.full(lead + (idx.size,), -np.inf)  # -inf pads v - x to whole blocks
+    blk[..., :w.shape[-1]] = w
+    blk = blk.reshape(lead + idx.shape)
+    pre = np.maximum.accumulate(blk, axis=-1)
+    rise = np.ones(pre.shape, dtype=bool)
+    np.greater(pre[..., 1:], pre[..., :-1], out=rise[..., 1:])  # strict: a tie keeps the earlier index
+    pre_at = np.maximum.accumulate(np.where(rise, idx, idx[:, :1]), axis=-1)
     # suffix maxima run on the reversed blocks; an entry that equals the
     # suffix max from it on is where that max first occurs, so the nearest
     # such entry at or after j is the first index of the suffix max at j
-    suf = np.maximum.accumulate(blk[:, ::-1], axis=1)
-    suf_at = np.minimum.accumulate(np.where(blk[:, ::-1] == suf, idx[:, ::-1], idx.size - 1), axis=1)
-    pre, pre_at = pre.ravel(), pre_at.ravel()
-    suf, suf_at = suf[:, ::-1].ravel(), suf_at[:, ::-1].ravel()
-    s, e = plan.starts, plan.starts + (idx.shape[1] - 1)
+    suf = np.maximum.accumulate(blk[..., ::-1], axis=-1)
+    suf_at = np.minimum.accumulate(np.where(blk[..., ::-1] == suf, idx[:, ::-1], idx.size - 1),
+                                   axis=-1)
+    flat = lead + (idx.size,)
+    pre, pre_at = pre.reshape(flat), pre_at.reshape(flat)
+    suf, suf_at = suf[..., ::-1].reshape(flat), suf_at[..., ::-1].reshape(flat)
+    s, e = rows + (plan.starts,), rows + (plan.starts + (idx.shape[1] - 1),)
     a, b = suf[s], pre[e]
     val, at = np.maximum(a, b), np.where(a >= b, suf_at[s], pre_at[e])
-    best, first = val[0], at[0]
-    for r in range(1, len(s)):  # runs ascend; strict: the earlier run keeps a tie
-        later = val[r] > best
-        best, first = np.where(later, val[r], best), np.where(later, at[r], first)
+    best, first = val[rows + (0,)], at[rows + (0,)]
+    for r in range(1, len(plan.starts)):  # runs ascend; strict: the earlier run keeps a tie
+        later = val[rows + (r,)] > best
+        best = np.where(later, val[rows + (r,)], best)
+        first = np.where(later, at[rows + (r,)], first)
     return first
 
 
+def _impulse_rows(v: np.ndarray, plan: _ImpulsePlan, costs) -> tuple[np.ndarray, np.ndarray]:
+    """impulse_max on one slice (n_x,) or on a block of rows (m, n_x)."""
+    x = plan.x
+    rows = (slice(None),) * (v.ndim - 1)  # k[rows + (c,)] is row c of the K table
+    k = np.broadcast_to(plan.k_table, v.shape[:-1] + plan.k_table.shape).copy()
+    k[rows + (1,)] = np.where(plan.empty, costs.k_min,
+                              np.minimum(np.maximum(x[_window_argmax(v - x, plan)] - x,
+                                                    costs.k_min), costs.k_max))
+    # K >= k_min > 0 keeps every query at or above x_min, where
+    # interp_extended is np.interp; np.interp takes one slice at a time
+    q = x + k
+    if v.ndim == 1:
+        value = np.interp(q, x, v)
+    else:
+        value = np.array([np.interp(q_row, x, v_row) for q_row, v_row in zip(q, v)])
+    gains = value - injection_cost(k, costs)
+    best, k_best = gains[rows + (0,)], k[rows + (0,)]
+    for c in (1, 2):  # strict: a tie keeps the smaller K
+        take = gains[rows + (c,)] > best
+        best = np.where(take, gains[rows + (c,)], best)
+        k_best = np.where(take, k[rows + (c,)], k_best)
+    return best, k_best
+
+
+_ROWS = 16  # rows per block of a stacked impulse_max call
+
+
 def impulse_max(v_slice: np.ndarray, grid: Grid, costs) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse operator on one slice: the exact sup over K in [k_min, k_max]
-    of v~(x + K) - (K + kappa), with the interpolation extension above.
+    """Impulse operator on one slice (n_x,) or on each row of a stack
+    (m, n_x): the exact sup over K in [k_min, k_max] of
+    v~(x + K) - (K + kappa), with the interpolation extension above.
 
     v~(y) - y is piecewise linear with kinks only at nodes, so the sup over
     the window x + [k_min, k_max] is taken at one of its two ends or at a
     node strictly inside it; the best node maximizes v_j - x_j, found for
-    every window at once by a sliding-window max.
+    every window at once by a sliding-window max.  A stack runs in blocks
+    of _ROWS rows, to bound the temporaries, and each row's result is bit
+    for bit that of the row alone.
 
-    Returns (values, maximizers).  Ties go to the smallest K: k_min, then
-    the nodes ascending, then k_max.  Each value is the gain evaluated at
-    its returned K, so recomputing it from the maximizer is bitwise exact.
+    Returns (values, maximizers), shaped like v_slice.  Ties go to the
+    smallest K: k_min, then the nodes ascending, then k_max.  Each value is
+    the gain evaluated at its returned K, so recomputing it from the
+    maximizer is bitwise exact.
     """
     plan = _impulse_plan(grid, costs)
-    x = plan.x
     v = np.asarray(v_slice, dtype=float)
-    j = _window_argmax(v - x, plan)
-    k = plan.k_table.copy()
-    k[1] = np.where(plan.empty, costs.k_min,
-                    np.minimum(np.maximum(x[j] - x, costs.k_min), costs.k_max))
-    # K >= k_min > 0 keeps every query at or above x_min, where
-    # interp_extended is np.interp
-    gains = np.interp(x + k, x, v) - injection_cost(k, costs)
-    best, k_best = gains[0], k[0]
-    for row in (1, 2):  # strict: a tie keeps the smaller K
-        take = gains[row] > best
-        best, k_best = np.where(take, gains[row], best), np.where(take, k[row], k_best)
+    if v.ndim == 1:
+        return _impulse_rows(v, plan, costs)
+    best, k_best = np.empty_like(v), np.empty_like(v)
+    for r in range(0, v.shape[0], _ROWS):
+        best[r:r + _ROWS], k_best[r:r + _ROWS] = _impulse_rows(v[r:r + _ROWS], plan, costs)
     return best, k_best
 
 
@@ -341,29 +393,32 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
 @dataclass
 class ValueSurface:
     """Solved value function on the grid, with the impulse-operator values
-    of every slice and solver metadata."""
+    of every slice (None on a surface that only a sweep made) and solver
+    metadata."""
 
     grid: Grid
     T: float
     values: np.ndarray
-    iv_values: np.ndarray
+    iv_values: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def t_nodes(self) -> np.ndarray:
         return self.grid.t_nodes(self.T)
 
-    def evaluate(self, t: float, x) -> np.ndarray:
-        """Bilinear value lookup: linear in t, extended-linear in x."""
+    def evaluate(self, t, x) -> np.ndarray:
+        """Bilinear value lookup: linear in t, extended-linear in x.  A 1-D
+        array of t gives one row per t."""
         tn = self.t_nodes()
-        t = min(max(float(t), 0.0), self.T)
-        j = int(np.searchsorted(tn, t, side="right")) - 1
-        j = min(max(j, 0), tn.size - 2)
-        w = (t - tn[j]) / (tn[j + 1] - tn[j])
+        ts = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), self.T)
+        js = np.clip(np.searchsorted(tn, ts, side="right") - 1, 0, tn.size - 2)
+        ws = (ts - tn[js]) / (tn[js + 1] - tn[js])
         xn = self.grid.x_nodes()
-        lo = interp_extended(xn, self.values[j], x)
-        hi = interp_extended(xn, self.values[j + 1], x)
-        out = (1.0 - w) * lo + w * hi
-        return out if np.ndim(out) else float(out)
+        rows = [(1.0 - w) * interp_extended(xn, self.values[j], x)
+                + w * interp_extended(xn, self.values[j + 1], x)
+                for j, w in zip(np.atleast_1d(js), np.atleast_1d(ws))]
+        if np.ndim(t):
+            return np.array(rows)
+        return rows[0] if np.ndim(rows[0]) else float(rows[0])
 
 
 @dataclass
@@ -388,11 +443,11 @@ class SolveResult(NamedTuple):
     policy: PolicyMap
 
 
-def _label_slice(v, iv, ks, eps_region):
+def _labels(v, iv, ks, eps_region):
+    """Action labels V - IV <= eps_region and the maximizer on them, NaN
+    elsewhere."""
     lab = (v - iv) <= eps_region
-    xi = np.full(v.shape, np.nan)
-    xi[lab] = ks[lab]
-    return lab, xi
+    return lab, np.where(lab, ks, np.nan)
 
 
 def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
@@ -407,20 +462,26 @@ def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
     return max(0.0, float(np.max(fx[None, :] - beta[:, None] * g2x[None, :]))) * spec.T + u.c_g1
 
 
-def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
-          eps_region: float | None = None) -> SolveResult:
-    """Backward QVI sweep; returns the value surface, region labels, and
-    the injection policy.
+def _projection_certified(v_max: float, v_min: float, costs) -> bool:
+    """Whether a slice with these extremes provably has no profitable
+    injection, so that its projection loop would exit at its first check
+    (see the module docstring for the margin).  Valid only while
+    injection_cost(K) >= K + kappa."""
+    floor = costs.k_min + costs.kappa
+    return v_max - v_min <= floor - 2.0**-47 * (max(abs(v_max), abs(v_min)) + floor)
+
+
+def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, list, float]:
+    """The backward sweep alone: the value surface V, the projection
+    updates of each step, in time order, and the bound C1 that caps them.
 
     Raises ValueError when the spec fails hypothesis validation and
     NumericalError when a step loses diagonal dominance or an inner
     projection exceeds its certified iteration cap.
     """
-    if eps_region is None:
-        eps_region = 10.0 * tol_inner
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
-    u = spec.utilities
+    costs = spec.costs
 
     rep = validate(spec, x)
     if not rep.passed:
@@ -430,73 +491,91 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
     c1_bound = upper_bound_c1(spec, grid)     # caps the projection count
 
-    n_rows = grid.n_t + 1
-    V = np.empty((n_rows, grid.n_x))
-    IV = np.empty_like(V)
-    LAB = np.zeros(V.shape, dtype=bool)
-    XI = np.full(V.shape, np.nan)
-
-    v = np.asarray(u.g1(x), dtype=float)
-    iv, ks = impulse_max(v, grid, spec.costs)
-    V[-1], IV[-1] = v, iv
-    LAB[-1], XI[-1] = _label_slice(v, iv, ks, eps_region)
-
+    V = np.empty((grid.n_t + 1, grid.n_x))
+    V[-1] = np.asarray(spec.utilities.g1(x), dtype=float)
     inner_counts = []
-    worst_residual = 0.0
     for j in range(grid.n_t - 1, -1, -1):
         v = pde_step(V[j + 1], tn[j], grid, spec, plan)
-        cap = math.ceil((c1_bound - float(np.min(v))) / spec.costs.kappa) + 1
+        v_min = float(np.min(v))
         updates = 0
-        while True:
-            iv, ks = impulse_max(v, grid, spec.costs)
-            residual = float(np.max(iv - v))
-            if residual <= tol_inner:
-                break
-            if updates >= cap:
-                raise NumericalError(
-                    f"impulse projection failed to settle at t={tn[j]:.6g}: "
-                    f"residual {residual:.3e} after {updates} updates (cap {cap})"
-                )
-            v = np.maximum(v, iv)
-            updates += 1
-        V[j], IV[j] = v, iv
-        LAB[j], XI[j] = _label_slice(v, iv, ks, eps_region)
+        if not _projection_certified(float(np.max(v)), v_min, costs):
+            cap = math.ceil((c1_bound - v_min) / costs.kappa) + 1
+            while True:
+                iv, _ = impulse_max(v, grid, costs)
+                residual = float(np.max(iv - v))
+                if residual <= tol_inner:
+                    break
+                if updates >= cap:
+                    raise NumericalError(
+                        f"impulse projection failed to settle at t={tn[j]:.6g}: "
+                        f"residual {residual:.3e} after {updates} updates (cap {cap})"
+                    )
+                v = np.maximum(v, iv)
+                updates += 1
+        V[j] = v
         inner_counts.append(updates)
-        worst_residual = max(worst_residual, residual)
     inner_counts.reverse()
+    return V, inner_counts, c1_bound
+
+
+def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
+          eps_region: float | None = None) -> SolveResult:
+    """Backward QVI sweep; returns the value surface, region labels, and
+    the injection policy.
+
+    After the sweep, one stacked impulse_max call gives IV and the
+    maximizers of every slice, and from them the labels, the policy and
+    the largest residual max(IV - V) over the projected slices.
+
+    Raises ValueError when the spec fails hypothesis validation and
+    NumericalError when a step loses diagonal dominance, an inner
+    projection exceeds its certified iteration cap, or a slice whose
+    projection was skipped has a residual above tol_inner.
+    """
+    if eps_region is None:
+        eps_region = 10.0 * tol_inner
+    V, inner_counts, c1_bound = _sweep(spec, grid, tol_inner)
+    x = grid.x_nodes()
+    tn = grid.t_nodes(spec.T)
+
+    IV, KS = impulse_max(V, grid, spec.costs)
+    LAB, XI = _labels(V, IV, KS, eps_region)
+    # the terminal slice is not projected; every other slice left the loop
+    # with this residual or was certified below it
+    residuals = np.max(IV[:-1] - V[:-1], axis=1)
+    bad = np.flatnonzero(residuals > tol_inner)
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"impulse projection skipped at t={tn[j]:.6g} with residual "
+            f"{residuals[j]:.3e} above tol_inner {tol_inner:.3e}"
+        )
 
     # landing nodes of the policy should be continuation (within one cell)
-    land_violations = 0
-    for j in range(n_rows):
-        act = LAB[j]
-        if not act.any():
-            continue
-        land_violations += int(np.count_nonzero(LAB[j, grid.nearest_node(x[act] + XI[j, act])]))
+    j_act, i_act = np.nonzero(LAB)
+    landing = grid.nearest_node(x[i_act] + XI[j_act, i_act])
+    land_violations = int(np.count_nonzero(LAB[j_act, landing]))
 
     metadata = {
         "tol_inner": tol_inner,
         "eps_region": eps_region,
         "spec_sha256": spec.sha256(),
         "inner_iterations": inner_counts,
-        "max_inner_residual": worst_residual,
+        "max_inner_residual": max(0.0, float(np.max(residuals))),
         "c1_bound": c1_bound,
-        "terminal_layer_gap": float(np.max(np.abs(V[-2] - V[-1]))) if grid.n_t >= 1 else 0.0,
+        "terminal_layer_gap": float(np.max(np.abs(V[-2] - V[-1]))),
         "landing_violations": land_violations,
     }
     surface = ValueSurface(grid, spec.T, V, IV, metadata)
-    regions = RegionMap(LAB, eps_region)
-    return SolveResult(surface, regions, PolicyMap(XI))
+    return SolveResult(surface, RegionMap(LAB, eps_region), PolicyMap(XI))
 
 
 def extract_regions(surface: ValueSurface, spec: ModelSpec) -> tuple[RegionMap, PolicyMap]:
     """Recompute labels and maximizers from a (possibly loaded) surface,
     with the surface's own eps_region."""
     eps_region = surface.metadata["eps_region"]
-    LAB = np.zeros(surface.values.shape, dtype=bool)
-    XI = np.full(surface.values.shape, np.nan)
-    for j in range(surface.values.shape[0]):
-        iv, ks = impulse_max(surface.values[j], surface.grid, spec.costs)
-        LAB[j], XI[j] = _label_slice(surface.values[j], iv, ks, eps_region)
+    iv, ks = impulse_max(surface.values, surface.grid, spec.costs)
+    LAB, XI = _labels(surface.values, iv, ks, eps_region)
     return RegionMap(LAB, eps_region), PolicyMap(XI)
 
 

@@ -75,10 +75,66 @@ def test_schedule_flag_needs_schedule_policy(tmp_path, capsys):
 
 
 def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
-    rc = cli.main(["solve", "--spec", "fixture:closed-form",
+    rc = cli.main(["simulate", "--spec", "fixture:closed-form", "--seed", "1",
                    "--out", str(tmp_path), "--t0", "2.0"])
     assert rc == 2
     assert "t0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--spec", "fixture:closed-form", "--nx", "31", "--nt", "10", "--levels", "2",
+     "--eps-region", "5", "--paths", "3", "--x0", "9", "--dt", "7"],
+    ["check", "--spec", "fixture:zero", "--nx", "31", "--nt", "10", "--seed", "9",
+     "--paths", "3", "--dt", "7"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the shared flags each subcommand does not read
+_UNREAD = {
+    "solve": ["--paths", "--dt", "--t0", "--x0"],
+    "validate": ["--nt", "--paths", "--dt", "--tol-inner", "--eps-region", "--t0", "--x0"],
+    "check": ["--paths", "--dt", "--t0", "--x0"],
+    "converge": ["--paths", "--dt", "--eps-region", "--t0", "--x0"],
+    "simulate": [],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _UNREAD.items() for f in flags])
+def test_each_unread_flag_is_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([command, "--spec", "fixture:zero", "--out", "o",
+                                        "--seed", "1", flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["converge", "--spec", "fixture:closed-form", "--nx", "31", "--nt", "10", "--levels", "2"],
+     "cadd8b18be8459ff25413cd803c84c3ae9be63e477d19277683d69b4108c1b39"),
+    (["check", "--spec", "fixture:zero", "--nx", "31", "--nt", "10", "--seed", "9"],
+     "e0a64661e7c1d205b4f7771b33afd044fa3cc1a876eb4e644982c43ad78959cf"),
+    (["solve", "--spec", "fixture:intervention", "--seed", "5", "--tol-inner", "1e-8",
+      "--eps-region", "1e-6"],
+     "a9ff83815d2bf136152552729fa8bedb102113c9f46790b9d7202daf79333d0a"),
+    (["validate", "--spec", "fixture:intervention", "--seed", "5", "--nx", "51"],
+     "97ab98a92935147d332249d7c01ecae3c88b77b86236400bdca0a08b5c7a6d0d"),
+    (["simulate", "--spec", "fixture:geometric", "--seed", "7", "--paths", "300", "--dt", "0.02",
+      "--x0", "0.5", "--t0", "0.1", "--record-paths", "1"],
+     "b18f15eb9060842669d13f6bf17825b955e755d75c24ec42a9d36032c84d9082"),
+])
+def test_config_hash_of_valid_runs_is_stable(argv, expected):
+    # hashes of invocations that were valid when every subcommand took every
+    # shared flag: a flag a subcommand no longer takes keeps its default in
+    # the hash payload
+    cfg = cli._build_config(cli._build_parser().parse_args(argv + ["--out", "o"]))
+    assert cfg.config_hash() == expected
 
 
 # ------------------------------------------------------------- exit code 3

@@ -18,8 +18,10 @@ from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, UtilitySpec, diffusion, drift,
                                injection_cost)
-from impulse_qvi.solver import (Grid, NumericalError, _StepPlan,
+from impulse_qvi import solver
+from impulse_qvi.solver import (Grid, NumericalError, ValueSurface, _StepPlan,
                                 _eliminate, _impulse_plan, _label_components,
+                                _projection_certified, _sweep,
                                 _window_argmax, dpp_residual, extract_injection,
                                 extract_regions, impulse_max,
                                 interp_extended, pde_step, read_surface_csv,
@@ -352,6 +354,141 @@ def test_impulse_max_matches_brute_force():
             gains = interp_extended(x, v, x[i] + k) - injection_cost(k, costs)
             assert iv[i] >= gains.max() - 1e-12
             assert iv[i] <= gains.max() + slope * step
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n_x, k_min, k_max", [
+    (3, 0.5, 0.75),       # every window empty
+    (5, 0.25, 9.0),       # every window runs past x_max
+    (41, 0.0625, 0.3125),
+    (41, 0.1875, 1.4375),
+    (17, 1.0, 1.0),       # a single K
+    (401, 0.1, 1.5),      # several block-wide runs per window
+])
+def test_impulse_max_stack_matches_rows(m, n_x, k_min, k_max):
+    # a stack is cut into row blocks; each row must come out bit for bit
+    # as the slice alone.  Half the rows are dyadic (v = x + small integer
+    # on a dyadic grid: exact gains and frequent ties), half are rough
+    rng = np.random.default_rng(1000 * m + n_x)
+    grid = Grid(0.0, 5.0, n_x, 1)
+    costs = CostParams(kappa=0.0625, k_min=k_min, k_max=k_max)
+    x = grid.x_nodes()
+    dyadic = x + rng.integers(0, 3, (m, n_x))
+    rough = np.cumsum(rng.normal(0.0, 0.3, (m, n_x)), axis=1)
+    stack = np.where(rng.random((m, 1)) < 0.5, dyadic, rough)
+    iv, ks = impulse_max(stack, grid, costs)
+    assert iv.shape == ks.shape == (m, n_x)
+    for r in range(m):
+        iv_r, ks_r = impulse_max(stack[r], grid, costs)
+        assert iv_r.shape == ks_r.shape == (n_x,)
+        assert iv[r].tobytes() == iv_r.tobytes() and ks[r].tobytes() == ks_r.tobytes(), r
+
+
+def test_evaluate_array_t_matches_scalar_lookup():
+    # evaluate with an array of t (the convergence study's Cauchy
+    # differences) gives, row by row and bit for bit, the bilinear formula
+    # at each t alone, on coarse x grids equal to, inside, and wider than
+    # the fine one (the last one reaches below x_min, where the lowest-cell
+    # line applies), with t clipped to [0, T]
+    rng = np.random.default_rng(5)
+    fine = ValueSurface(Grid(0.1, 2.1, 41, 16), 1.5, np.cumsum(rng.normal(size=(17, 41)), axis=1))
+    tn, xn = fine.t_nodes(), fine.grid.x_nodes()
+    for coarse in (Grid(0.1, 2.1, 41, 8), Grid(0.3, 1.7, 7, 3), Grid(0.0, 2.5, 23, 5)):
+        ts = np.concatenate((coarse.t_nodes(1.5), [-0.1, 0.7, 1.6]))
+        xq = coarse.x_nodes()
+        got = fine.evaluate(ts, xq)
+        assert got.shape == (ts.size, xq.size)
+        for r, t in enumerate(ts):
+            tc = min(max(float(t), 0.0), fine.T)
+            j = min(max(int(np.searchsorted(tn, tc, side="right")) - 1, 0), tn.size - 2)
+            w = (tc - tn[j]) / (tn[j + 1] - tn[j])
+            want = ((1.0 - w) * interp_extended(xn, fine.values[j], xq)
+                    + w * interp_extended(xn, fine.values[j + 1], xq))
+            assert got[r].tobytes() == want.tobytes(), (coarse, t)
+            assert fine.evaluate(t, xq).tobytes() == want.tobytes(), (coarse, t)
+    assert isinstance(fine.evaluate(0.7, 1.05), float)
+
+
+# --------------------------------------------------- projection certificate
+
+
+# random admissible specs with random costs, and specs whose slices start
+# flat (g1 = 0) and spread out under a rising running utility, so that the
+# certificate holds near T and fails further back
+_cost_specs = st.one_of(
+    st.builds(lambda spec, kappa, k_min, dk: replace(spec, costs=CostParams(kappa, k_min,
+                                                                            k_min + dk)),
+              _specs, st.floats(1e-4, 0.5), st.floats(1e-3, 0.5), st.floats(0.0, 2.0)),
+    st.builds(lambda level, rate, T, kappa, k_min: make_spec(
+        f=Curve.saturating(level, rate), g1=0.0, T=T, kappa=kappa, k_min=k_min,
+        k_max=k_min + 0.5),
+        st.floats(0.2, 2.0), st.floats(0.5, 5.0), st.floats(0.5, 5.0),
+        st.floats(1e-3, 0.3), st.floats(1e-3, 0.3)))
+
+
+def _sweep_or_error(spec, grid):
+    try:
+        return _sweep(spec, grid, 1e-9)
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_cost_specs, grid=_grids)
+def test_projection_certificate_drops_no_projection(spec, grid):
+    # a certified sweep against one whose certificate never fires: the same
+    # V bit for bit, the same update counts, or the same error
+    fired = []
+
+    def counting(v_max, v_min, costs):
+        fired.append(_projection_certified(v_max, v_min, costs))
+        return fired[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_projection_certified", counting)
+        certified = _sweep_or_error(spec, grid)
+        mp.setattr(solver, "_projection_certified", lambda *a: False)
+        full = _sweep_or_error(spec, grid)
+    if isinstance(certified[0], type):
+        event(f"both raise {certified[0].__name__}")
+        assert certified == full
+        return
+    event(f"slices certified: {'all' if all(fired) else 'some' if any(fired) else 'none'}")
+    assert certified[0].tobytes() == full[0].tobytes()
+    assert certified[1] == full[1]
+
+
+@pytest.mark.parametrize("base", [0.0, 0.37, 1e3 + 0.1, -7e5 - 0.3, 3e8 + 0.7])
+def test_projection_certificate_near_its_bound(base):
+    # slices whose spread sits within a few ulps of k_min + kappa, with the
+    # maximum exactly k_min away from the minimum (the most profitable
+    # injection): wherever the certificate fires, the computed residual
+    # max(IV - v) is at most 0, so the loop would have exited at once
+    grid = Grid(0.1, 4.1, 401, 1)  # h = 0.01, so k_min is 10 cells
+    costs = CostParams(kappa=0.3, k_min=0.1, k_max=0.7)
+    floor = costs.k_min + costs.kappa
+    rng = np.random.default_rng(int(abs(base)))
+    fired = []
+    for step in range(-400, 41, 4):
+        spread = floor + step * np.spacing(max(abs(base), floor))
+        v = base + spread * rng.uniform(0.0, 1.0, grid.n_x)
+        v[100], v[110] = base, base + spread
+        v_max, v_min = float(np.max(v)), float(np.min(v))
+        if _projection_certified(v_max, v_min, costs):
+            fired.append(step)
+            iv, _ = impulse_max(v, grid, costs)
+            assert float(np.max(iv - v)) <= 0.0, step
+    assert fired and max(fired) < 0  # fires below the bound only, and not vacuously
+
+
+def test_skipped_projection_with_a_residual_raises():
+    # a certificate that always fires skips real projections on the
+    # intervention fixture; the finish must notice the residual
+    spec = intervention_spec()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_projection_certified", lambda *a: True)
+        with pytest.raises(NumericalError, match="projection skipped"):
+            solve(spec, Grid(0.1, 4.1, 101, 20))
 
 
 # ------------------------------------------------------------- solve
