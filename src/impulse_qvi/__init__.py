@@ -34,12 +34,9 @@ from .dynamics import (
 from .solver import (
     Grid,
     NumericalError,
-    PolicyMap,
-    RegionMap,
     SolveResult,
     ValueSurface,
     dpp_residual,
-    extract_injection,
     extract_regions,
     impulse_max,
     pde_step,

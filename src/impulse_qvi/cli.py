@@ -172,7 +172,14 @@ def _build_config(args) -> RunConfig:
                                    for t, s in zip(sched.times, sched.sizes))
         elif args.schedule is not None:
             raise UsageError("--schedule is only meaningful with --policy schedule")
-    if args.surface is not None and (args.command == "check" or args.policy == "feedback"):
+        if args.policy != "feedback":
+            unread = [flag for flag, value in (
+                ("--surface", args.surface), ("--nx", args.nx), ("--nt", args.nt),
+                ("--xmin", args.xmin), ("--xmax", args.xmax), ("--tol-inner", args.tol_inner),
+                ("--eps-region", args.eps_region)) if value is not None]
+            if unread:
+                raise UsageError(f"{', '.join(unread)}: read only with --policy feedback")
+    if args.surface is not None:
         surface_path = os.path.join(args.surface, "surface.csv")
         if not os.path.exists(surface_path):
             raise UsageError(f"surface file not found: {surface_path}")
@@ -252,12 +259,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     chash = cfg.config_hash()
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
     meta = {"config_hash": chash, "seed": cfg.seed}
-    write_surface_csv(os.path.join(cfg.out_dir, "surface.csv"),
-                      res.surface, res.regions, res.policy, meta)
-    write_boundary_csv(os.path.join(cfg.out_dir, "boundary.csv"),
-                       res.surface, res.regions, meta)
-    write_policy_csv(os.path.join(cfg.out_dir, "policy.csv"),
-                     res.surface, res.regions, res.policy, meta)
+    write_surface_csv(os.path.join(cfg.out_dir, "surface.csv"), res, meta)
+    write_boundary_csv(os.path.join(cfg.out_dir, "boundary.csv"), res, meta)
+    write_policy_csv(os.path.join(cfg.out_dir, "policy.csv"), res, meta)
     md = res.surface.metadata
     summary = {
         "command": "solve",
@@ -266,7 +270,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "spec_source": cfg.spec_source,
         "grid": cfg.grid.to_dict(),
         "T": cfg.spec.T,
-        "n_action_nodes": int(res.regions.labels.sum()),
+        "n_action_nodes": int(res.labels.sum()),
         "min_obstacle_gap": float(np.min(res.surface.values - res.surface.iv_values)),
         "landing_violations": int(md["landing_violations"]),
         "max_inner_iterations": int(max(md["inner_iterations"], default=0)),
@@ -297,11 +301,10 @@ def _resolve_control(cfg: RunConfig):
                                   np.array([p[1] for p in pairs]))
         return control, {"kind": "schedule", "pairs": pairs}
     if cfg.surface_path is not None:
-        return FeedbackPolicy.from_solution(*_load_solution(cfg)), {
+        return FeedbackPolicy.from_solution(_load_solution(cfg)), {
             "kind": "feedback", "source": "loaded-surface"}
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
-    return FeedbackPolicy.from_solution(res.surface, res.regions, res.policy), {
-        "kind": "feedback", "source": "solved"}
+    return FeedbackPolicy.from_solution(res), {"kind": "feedback", "source": "solved"}
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -380,8 +383,8 @@ def cmd_check(cfg: RunConfig) -> int:
         grid = res.surface.grid
         reports = [
             check_obstacle(res.surface, cfg.spec),
-            check_smooth_fit(*res, cfg.spec),
-            check_theta_structure(*res, cfg.spec),
+            check_smooth_fit(res, cfg.spec),
+            check_theta_structure(res, cfg.spec),
         ]
     else:
         reports = standard_checks(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner,
@@ -480,7 +483,8 @@ _READS = {
     # --paths and --dt are fixed by check_bounds (4,000 paths, the surface's dt)
     "check": _GRID + ("--seed", "--tol-inner", "--eps-region"),
     "converge": _GRID + ("--seed", "--tol-inner"),
-    # the grid, --tol-inner and --eps-region serve --policy feedback
+    # the grid, --tol-inner and --eps-region serve --policy feedback alone;
+    # _build_config rejects them, and --surface, under the other policies
     "simulate": tuple(_SHARED_FLAGS),
 }
 

@@ -2,23 +2,21 @@
 
 Each check returns a CheckReport naming the operation, the tolerance it
 applied, the measured quantity, and the worst location.  Checks never
-raise on a violation; they report it.  Wall-clock runtime is kept on the
-report object but deliberately left out of serialized artifacts so that
-repeated runs stay byte-identical.
+raise on a violation; they report it.  Reports carry no wall-clock
+time, so repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import mc_cost_g
 from .model import ModelSpec
-from .solver import (Grid, PolicyMap, RegionMap, ValueSurface, _sweep, impulse_max,
-                     interp_extended, solve, upper_bound_c1)
+from .solver import (Grid, SolveResult, ValueSurface, _sweep, impulse_max, interp_extended,
+                     solve, upper_bound_c1)
 
 
 @dataclass
@@ -31,7 +29,6 @@ class CheckReport:
     tolerance_note: str
     worst_location: tuple | None = None
     vacuous: bool = False
-    runtime: float = 0.0
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -59,7 +56,6 @@ class CheckReport:
 def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
     """V >= IV everywhere within a slack of 1e-8, IV recomputed fresh from
     the stored values."""
-    start = time.perf_counter()
     iv, _ = impulse_max(surface.values, surface.grid, spec.costs)
     gap = surface.values - iv
     j, i = np.unravel_index(int(np.argmin(gap)), gap.shape)  # the first worst node, row-major
@@ -73,17 +69,15 @@ def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
         operation="min over the grid of V - IV (IV recomputed)",
         tolerance_note="obstacle slack 1e-08",
         worst_location=loc,
-        runtime=time.perf_counter() - start,
     )
 
 
 def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
                  seed: int = 0) -> CheckReport:
-    """Upper bound C1 = T * sup(f - beta g2) + sup g1 over the surface, and
+    """Upper bound C1 = T * sup(f - beta g2)^+ + (sup g1)^+ over the surface, and
     V >= (no-control MC value) - 3 SE - (dt + h) at 6 sampled points, with
     the surface's dt as the MC step.  Also fits the smallest C0 with
     V >= -C0 (1 + |x|) against the MC estimates."""
-    start = time.perf_counter()
     grid = surface.grid
     tn = surface.t_nodes()
     xn = grid.x_nodes()
@@ -121,7 +115,6 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
         operation="V <= C1 and V >= no-control MC value - 3 SE - (dt + h)",
         tolerance_note=f"C1={c1:.6g}, MC n_paths={n_paths}, budget dt+h={budget:.3g}",
         worst_location=loc_lower if worst_lower <= upper_margin else (float(tn[iu]), float(xn[ju])),
-        runtime=time.perf_counter() - start,
         details={"c1": c1, "upper_margin": upper_margin, "worst_lower_margin": worst_lower,
                  "fitted_c0": c0_fit, "lower_grid_ok": lower_grid_ok},
     )
@@ -142,7 +135,6 @@ def check_regularity(coarse: ValueSurface, fine: ValueSurface) -> CheckReport:
     """Space-Lipschitz and time-Holder difference quotients must not grow
     by more than 10% under refinement (they may shrink; smooth data sends
     the Holder quotient to zero like sqrt(dt))."""
-    start = time.perf_counter()
     lip_c, lip_f = _lipschitz_proxy(coarse), _lipschitz_proxy(fine)
     hol_c, hol_f = _holder_proxy(coarse), _holder_proxy(fine)
     finite = all(np.isfinite(v) for v in (lip_c, lip_f, hol_c, hol_f))
@@ -156,33 +148,31 @@ def check_regularity(coarse: ValueSurface, fine: ValueSurface) -> CheckReport:
         threshold=1.1,
         operation="growth of max |dV/dx| and max |dV| / ((1+|x|) sqrt(dt)) under refinement",
         tolerance_note="allowed growth 10%; shrinking always passes",
-        runtime=time.perf_counter() - start,
         details={"lipschitz_coarse": lip_c, "lipschitz_fine": lip_f,
                  "holder_coarse": hol_c, "holder_fine": hol_f},
     )
 
 
-def _eligible_action_nodes(surface, regions, policy):
+def _eligible_action_nodes(res: SolveResult):
     """Action nodes where a central difference can see the contact set:
     grid-interior, both x-neighbors also action (the region edge carries a
     genuine one-sided kink when the minimum jump size is positive), and a
     grid-interior landing node.  Returns (j, i, i_land) in row-major order."""
-    grid = surface.grid
-    lab = regions.labels
+    grid = res.surface.grid
+    lab = res.labels
     inner = np.zeros_like(lab)
     inner[:, 1:-1] = lab[:, :-2] & lab[:, 1:-1] & lab[:, 2:]
     j, i = np.nonzero(inner)
-    i_land = grid.nearest_node(grid.x_nodes()[i] + policy.xi0[j, i])
+    i_land = grid.nearest_node(grid.x_nodes()[i] + res.xi0[j, i])
     keep = (i_land >= 1) & (i_land <= grid.n_x - 2)
     return list(zip(j[keep].tolist(), i[keep].tolist(), i_land[keep].tolist()))
 
 
-def check_smooth_fit(surface: ValueSurface, regions: RegionMap, policy: PolicyMap,
-                     spec: ModelSpec, tol: float | None = None) -> CheckReport:
+def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None) -> CheckReport:
     """|V_x - 1| at up to about 200 sampled interior action nodes and at
     their landing nodes, central differences; default tolerance
     5 h + 10 tol_inner / h."""
-    start = time.perf_counter()
+    surface = res.surface
     grid = surface.grid
     h = grid.h
     if tol is None:
@@ -191,8 +181,8 @@ def check_smooth_fit(surface: ValueSurface, regions: RegionMap, policy: PolicyMa
         note = f"tol = 5 h + 10 tol_inner / h with h={h:.4g}"
     else:
         note = f"explicit tol {tol:.4g} with h={h:.4g}"
-    nodes = _eligible_action_nodes(surface, regions, policy)
-    excluded = int(np.count_nonzero(regions.labels)) - len(nodes)
+    nodes = _eligible_action_nodes(res)
+    excluded = int(np.count_nonzero(res.labels)) - len(nodes)
     if not nodes:
         return CheckReport(
             name="smooth_fit",
@@ -202,8 +192,7 @@ def check_smooth_fit(surface: ValueSurface, regions: RegionMap, policy: PolicyMa
             threshold=tol,
             operation="central-difference V_x at action and landing nodes vs 1",
             tolerance_note="no interior action nodes; vacuous",
-            runtime=time.perf_counter() - start,
-            details={"n_nodes": 0, "excluded_boundary_nodes": excluded},
+                details={"n_nodes": 0, "excluded_boundary_nodes": excluded},
         )
     stride = max(1, len(nodes) // 200)
     sample = nodes[::stride]
@@ -227,18 +216,16 @@ def check_smooth_fit(surface: ValueSurface, regions: RegionMap, policy: PolicyMa
         operation="central-difference V_x at action and landing nodes vs 1",
         tolerance_note=note,
         worst_location=loc,
-        runtime=time.perf_counter() - start,
         details={"n_nodes": len(sample), "excluded_boundary_nodes": excluded},
     )
 
 
-def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: PolicyMap,
-                          spec: ModelSpec) -> CheckReport:
+def check_theta_structure(res: SolveResult, spec: ModelSpec) -> CheckReport:
     """At every action node: the maximizer exists, the post-injection point
     is continuation (within one grid cell), and the operator chain
     IV(x) >= IV(x + xi0) - xi0 holds within a slack of twice the slice's
     interpolation error bound, max|second difference|/8."""
-    start = time.perf_counter()
+    surface = res.surface
     grid = surface.grid
     tn = surface.t_nodes()
     xn = grid.x_nodes()
@@ -247,7 +234,7 @@ def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: Pol
     loc = None
     n_action = 0
     for j in range(surface.values.shape[0]):
-        idx = np.nonzero(regions.labels[j])[0]
+        idx = np.nonzero(res.labels[j])[0]
         if idx.size == 0:
             continue
         n_action += idx.size
@@ -255,9 +242,9 @@ def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: Pol
         second = np.abs(np.diff(surface.values[j], 2))
         e_int = float(np.max(second)) / 8.0 if second.size else 0.0
         slack = 2.0 * e_int + 1e-12
-        land = xn[idx] + policy.xi0[j, idx]
-        landing_violations += int(np.count_nonzero(regions.labels[j, grid.nearest_node(land)]))
-        chain = iv_row[idx] - (interp_extended(xn, iv_row, land) - policy.xi0[j, idx]) + slack
+        land = xn[idx] + res.xi0[j, idx]
+        landing_violations += int(np.count_nonzero(res.labels[j, grid.nearest_node(land)]))
+        chain = iv_row[idx] - (interp_extended(xn, iv_row, land) - res.xi0[j, idx]) + slack
         i_bad = int(np.argmin(chain))
         if chain[i_bad] < worst_chain:
             worst_chain = float(chain[i_bad])
@@ -271,8 +258,7 @@ def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: Pol
             threshold=0.0,
             operation="maximizer exists, lands in continuation, operator chain inequality",
             tolerance_note="action region empty; vacuous",
-            runtime=time.perf_counter() - start,
-        )
+            )
     return CheckReport(
         name="theta_structure",
         passed=bool(landing_violations == 0 and worst_chain >= 0.0),
@@ -281,7 +267,6 @@ def check_theta_structure(surface: ValueSurface, regions: RegionMap, policy: Pol
         operation="maximizer exists, lands in continuation, operator chain inequality",
         tolerance_note="chain slack 2.0 x max|second difference|/8 per slice",
         worst_location=loc,
-        runtime=time.perf_counter() - start,
         details={"n_action_nodes": n_action, "landing_violations": landing_violations},
     )
 
@@ -290,15 +275,15 @@ def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
                     eps_region: float | None = None, seed: int = 0) -> list:
     """Solve once (plus a time-refined sweep, V only, for regularity) and
     run every surface diagnostic.  Returns the list of CheckReports."""
-    surface, regions, policy = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
+    res = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
     fine_surface = _values_only(spec, Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t),
                                 tol_inner)
     return [
-        check_obstacle(surface, spec),
-        check_bounds(surface, spec, seed=seed),
-        check_regularity(surface, fine_surface),
-        check_smooth_fit(surface, regions, policy, spec),
-        check_theta_structure(surface, regions, policy, spec),
+        check_obstacle(res.surface, spec),
+        check_bounds(res.surface, spec, seed=seed),
+        check_regularity(res.surface, fine_surface),
+        check_smooth_fit(res, spec),
+        check_theta_structure(res, spec),
     ]
 
 

@@ -148,29 +148,30 @@ class PathRecord:
 class FeedbackPolicy:
     """Markov injection rule read off a solved surface.
 
-    Queries snap (t, x) to the nearest grid node; action nodes return the
-    recorded injection size, continuation nodes return 0.  A query is made
-    at most once per grid time, so no two injections share an instant.
+    Queries snap t to the nearest time node and x with grid.nearest_node,
+    the rule that lands an injection; action nodes return the recorded
+    injection size, continuation nodes return 0.  A query is made at most
+    once per grid time, so no two injections share an instant.
     """
 
-    def __init__(self, t_nodes, x_nodes, action, xi0):
+    def __init__(self, t_nodes, grid, action, xi0):
         self.t_nodes = np.asarray(t_nodes, dtype=float)
-        self.x_nodes = np.asarray(x_nodes, dtype=float)
+        self.grid = grid
         self.action = np.asarray(action, dtype=bool)
         self.xi0 = np.asarray(xi0, dtype=float)
-        if self.action.shape != (self.t_nodes.size, self.x_nodes.size):
-            raise ValueError("action mask shape must be (n_t_nodes, n_x_nodes)")
+        if self.action.shape != (self.t_nodes.size, grid.n_x):
+            raise ValueError("action mask shape must be (n_t_nodes, n_x)")
         if self.xi0.shape != self.action.shape:
             raise ValueError("xi0 shape must match the action mask")
 
     @classmethod
-    def from_solution(cls, surface, regions, policy) -> "FeedbackPolicy":
-        return cls(surface.t_nodes(), surface.grid.x_nodes(), regions.labels, policy.xi0)
+    def from_solution(cls, res) -> "FeedbackPolicy":
+        """The policy of a solver.SolveResult."""
+        return cls(res.surface.t_nodes(), res.surface.grid, res.labels, res.xi0)
 
     def injections(self, t: float, x: np.ndarray) -> np.ndarray:
         j = int(np.argmin(np.abs(self.t_nodes - t)))
-        h = self.x_nodes[1] - self.x_nodes[0]
-        ix = np.clip(np.rint((np.asarray(x) - self.x_nodes[0]) / h), 0, self.x_nodes.size - 1).astype(int)
+        ix = self.grid.nearest_node(np.asarray(x))
         return np.where(self.action[j, ix], self.xi0[j, ix], 0.0)
 
 

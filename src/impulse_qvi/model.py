@@ -464,12 +464,12 @@ def sampled_lipschitz(fn, points: np.ndarray):
     return float(quo[j]), (float(pts[j]), float(pts[j + 1]))
 
 
-def validate(spec: ModelSpec, probe_grid, k_sample=None) -> ValidationReport:
+def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
     """Check the standing hypotheses on finite probe grids.
 
     Reports sampled Lipschitz constants for lam, f, g1, g2; upper-bound
     margins against c_f, c_g1, c_g2; the no-terminal-impulse inequality
-    g1(x) >= max_K g1(x+K) - K - kappa on a K-sample of [k_min, k_max];
+    g1(x) >= max_K g1(x+K) - K - kappa on 33 points of [k_min, k_max];
     hazard nonnegativity; and the minimum |diffusion| over the probe
     domain as an ellipticity proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
@@ -477,9 +477,7 @@ def validate(spec: ModelSpec, probe_grid, k_sample=None) -> ValidationReport:
     probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
     if probes.size < 2:
         raise ValueError("need at least two probe points")
-    if k_sample is None:
-        k_sample = np.linspace(spec.costs.k_min, spec.costs.k_max, 33)
-    k_sample = np.asarray(k_sample, dtype=float)
+    k_sample = np.linspace(spec.costs.k_min, spec.costs.k_max, 33)
     t_sample = _refined_partition(spec.sigma_tilde, 0.0, spec.T, extra=np.linspace(0.0, spec.T, 33))
 
     rep = ValidationReport()

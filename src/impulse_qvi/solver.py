@@ -50,8 +50,13 @@ beta(t)), so a sweep factors it once per run of consecutive steps that
 share the triple.
 
 A node is labeled "action" when V - IV <= eps_region; the maximizing
-injection there is the policy.  Connected action regions (4-neighbour,
-in the (t, x) grid) are labeled by a run-based two-pass scan.
+injection xi0 there is the policy.  solve, extract_regions and
+read_surface_csv return the one SolveResult(surface, labels, xi0) that
+the CSV writers, the diagnostics and dynamics.FeedbackPolicy read.
+Grid.nearest_node is the one snapping rule: an injection from x lands on
+the node nearest x + xi0, and the feedback policy snaps its queries the
+same way.  Connected action regions (4-neighbour, in the (t, x) grid) are
+labeled by a run-based two-pass scan.
 """
 
 from __future__ import annotations
@@ -421,26 +426,13 @@ class ValueSurface:
         return rows[0] if np.ndim(rows[0]) else float(rows[0])
 
 
-@dataclass
-class RegionMap:
-    """Action/continuation labels per node: True marks an action node,
-    where V - IV <= eps_region."""
-
-    labels: np.ndarray
-    eps_region: float
-
-
-@dataclass
-class PolicyMap:
-    """Maximizing injection xi0 at action nodes, NaN on continuation."""
-
-    xi0: np.ndarray
-
-
 class SolveResult(NamedTuple):
+    """A solved surface with its action labels (True where V - IV <=
+    eps_region) and the maximizing injection xi0 there, NaN elsewhere."""
+
     surface: ValueSurface
-    regions: RegionMap
-    policy: PolicyMap
+    labels: np.ndarray
+    xi0: np.ndarray
 
 
 def _labels(v, iv, ks, eps_region):
@@ -451,15 +443,18 @@ def _labels(v, iv, ks, eps_region):
 
 
 def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
-    """C1 = T * max(0, max over the grid of f - beta g2) + sup g1: the
-    horizon times the largest source level plus the terminal bound, an
-    upper bound on V that the scheme and the projection both respect."""
+    """C1 = T * max(0, max over the grid of f - beta g2) + max(0, sup g1):
+    the horizon times the largest source level plus the terminal bound, an
+    upper bound on V that the scheme and the projection both respect while
+    every step is an M-matrix (drift(t, x_min) >= 0, see pde_step).  A
+    negative sup g1 is not a bound: discounting lifts V above it."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
     fx = np.asarray(u.f(x), dtype=float)
     g2x = np.asarray(u.g2(x), dtype=float)
-    return max(0.0, float(np.max(fx[None, :] - beta[:, None] * g2x[None, :]))) * spec.T + u.c_g1
+    source = max(0.0, float(np.max(fx[None, :] - beta[:, None] * g2x[None, :])))
+    return source * spec.T + max(0.0, u.c_g1)
 
 
 def _projection_certified(v_max: float, v_min: float, costs) -> bool:
@@ -520,8 +515,8 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, l
 
 def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
           eps_region: float | None = None) -> SolveResult:
-    """Backward QVI sweep; returns the value surface, region labels, and
-    the injection policy.
+    """Backward QVI sweep; returns the value surface with its action
+    labels and injection policy.
 
     After the sweep, one stacked impulse_max call gives IV and the
     maximizers of every slice, and from them the labels, the policy and
@@ -566,41 +561,14 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         "terminal_layer_gap": float(np.max(np.abs(V[-2] - V[-1]))),
         "landing_violations": land_violations,
     }
-    surface = ValueSurface(grid, spec.T, V, IV, metadata)
-    return SolveResult(surface, RegionMap(LAB, eps_region), PolicyMap(XI))
+    return SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)
 
 
-def extract_regions(surface: ValueSurface, spec: ModelSpec) -> tuple[RegionMap, PolicyMap]:
+def extract_regions(surface: ValueSurface, spec: ModelSpec) -> SolveResult:
     """Recompute labels and maximizers from a (possibly loaded) surface,
     with the surface's own eps_region."""
-    eps_region = surface.metadata["eps_region"]
     iv, ks = impulse_max(surface.values, surface.grid, spec.costs)
-    LAB, XI = _labels(surface.values, iv, ks, eps_region)
-    return RegionMap(LAB, eps_region), PolicyMap(XI)
-
-
-def extract_injection(t: float, x: float, surface: ValueSurface, costs) -> float:
-    """Maximizing injection at the grid node nearest (t, x), labeled with
-    the surface's own eps_region.
-
-    Raises ValueError on a continuation node and RuntimeError if the
-    post-injection point fails to land in the continuation region
-    (within one grid cell).
-    """
-    eps_region = surface.metadata["eps_region"]
-    tn = surface.t_nodes()
-    xn = surface.grid.x_nodes()
-    j = int(np.argmin(np.abs(tn - t)))
-    i = int(np.argmin(np.abs(xn - x)))
-    row = surface.values[j]
-    iv, ks = impulse_max(row, surface.grid, costs)
-    if row[i] - iv[i] > eps_region:
-        raise ValueError(f"({t}, {x}) is a continuation node; no injection prescribed")
-    xi0 = float(ks[i])
-    i_land = int(surface.grid.nearest_node(xn[i] + xi0))
-    if row[i_land] - iv[i_land] <= eps_region:
-        raise RuntimeError("post-injection point is itself an action node")
-    return xi0
+    return SolveResult(surface, *_labels(surface.values, iv, ks, surface.metadata["eps_region"]))
 
 
 def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
@@ -617,8 +585,7 @@ def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
     if not t <= theta <= spec.T:
         raise ValueError("need t <= theta <= T")
     if policy is None:
-        regions, pol = extract_regions(surface, spec)
-        policy = dynamics.FeedbackPolicy.from_solution(surface, regions, pol)
+        policy = dynamics.FeedbackPolicy.from_solution(extract_regions(surface, spec))
     batch = dynamics._simulate_batch(spec, t, x, policy, dt, seed, n_paths, t_end=theta)
     rho_end = survival(t, theta, spec)
     vals = batch.run_f - batch.imp_f + rho_end * surface.evaluate(theta, batch.final_states)
@@ -648,11 +615,11 @@ _SURFACE_HEADER = {"T": float, "x_min": float, "x_max": float, "n_x": int, "n_t"
                    "eps_region": float, "tol_inner": float, "spec_sha256": str}
 
 
-def write_surface_csv(path, surface: ValueSurface, regions: RegionMap,
-                      policy: PolicyMap, meta: dict | None = None) -> None:
+def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     """Long format: t, x, V, IV, label, xi0 (xi0 empty on continuation),
     after `# key=value` lines for `meta` and for T, the grid, eps_region,
     tol_inner and spec_sha256.  Rows are written one time slice at a time."""
+    surface = res.surface
     known = {**surface.metadata, **surface.grid.to_dict(), "T": surface.T}
     x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -660,7 +627,7 @@ def write_surface_csv(path, surface: ValueSurface, regions: RegionMap,
         fh.write("t,x,V,IV,label,xi0\n")
         for j, t in enumerate(surface.t_nodes().tolist()):
             tails = [f"action,{xi!r}\n" if act else "continuation,\n"
-                     for act, xi in zip(regions.labels[j].tolist(), policy.xi0[j].tolist())]
+                     for act, xi in zip(res.labels[j].tolist(), res.xi0[j].tolist())]
             fh.write("".join([f"{t!r},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)]))
 
@@ -699,21 +666,19 @@ def read_surface_csv(path) -> SolveResult:
     xi0[action] = [float(rows[i].rsplit(",", 1)[1]) for i in np.flatnonzero(action)]
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
     surface = ValueSurface(grid, h["T"], num[:, 2].reshape(shape), num[:, 3].reshape(shape), metadata)
-    return SolveResult(surface, RegionMap(action.reshape(shape), h["eps_region"]),
-                       PolicyMap(xi0.reshape(shape)))
+    return SolveResult(surface, action.reshape(shape), xi0.reshape(shape))
 
 
-def write_policy_csv(path, surface: ValueSurface, regions: RegionMap,
-                     policy: PolicyMap, meta: dict | None = None) -> None:
+def write_policy_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     """Action nodes only: t, x, xi0."""
-    tn = surface.t_nodes()
-    xn = surface.grid.x_nodes()
+    tn = res.surface.t_nodes()
+    xn = res.surface.grid.x_nodes()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_meta(fh, meta)
         fh.write("t,x,xi0\n")
         for j, t in enumerate(tn):
-            for i in np.nonzero(regions.labels[j])[0]:
-                fh.write(f"{_fmt(t)},{_fmt(xn[i])},{_fmt(policy.xi0[j, i])}\n")
+            for i in np.nonzero(res.labels[j])[0]:
+                fh.write(f"{_fmt(t)},{_fmt(xn[i])},{_fmt(res.xi0[j, i])}\n")
 
 
 def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -755,12 +720,11 @@ def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, len(number)
 
 
-def write_boundary_csv(path, surface: ValueSurface, regions: RegionMap,
-                       meta: dict | None = None) -> None:
+def write_boundary_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     """Upper edge of each connected action component as a (t, x) polyline."""
-    tn = surface.t_nodes()
-    xn = surface.grid.x_nodes()
-    comp, n_comp = _label_components(regions.labels)
+    tn = res.surface.t_nodes()
+    xn = res.surface.grid.x_nodes()
+    comp, n_comp = _label_components(res.labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_meta(fh, meta)
         fh.write("component,t,boundary_x\n")

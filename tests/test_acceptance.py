@@ -60,8 +60,7 @@ def test_criterion_02_filtration_reduction():
     n_paths, dt, seed = 100_000, 0.005, 101
     geo = get_fixture("geometric")
     spec_i, res_i, _ = solved("intervention")
-    feedback = FeedbackPolicy.from_solution(res_i.surface, res_i.regions,
-                                            res_i.policy)
+    feedback = FeedbackPolicy.from_solution(res_i)
     cases = [
         ("no impulses", geo, 1.0, None),
         ("2-impulse schedule", geo, 1.0,
@@ -97,7 +96,7 @@ def test_criterion_03_obstacle_inequality():
 
 def test_criterion_04_dpp_residual():
     spec, res, _ = solved("intervention")
-    policy = FeedbackPolicy.from_solution(res.surface, res.regions, res.policy)
+    policy = FeedbackPolicy.from_solution(res)
     dt, n_paths, seed = 0.01, 20_000, 77
     budget_disc = spec.T / res.surface.grid.n_t + res.surface.grid.h
     worst_ratio = 0.0
@@ -123,8 +122,7 @@ def test_criterion_05_smooth_fit():
     reps = []
     for res, h in ((res_c, 0.01), (res_f, 0.005)):
         tol = 5.0 * h + 1e-6 / h
-        reps.append(check_smooth_fit(res.surface, res.regions, res.policy,
-                                     spec, tol=tol))
+        reps.append(check_smooth_fit(res, spec, tol=tol))
     rep_c, rep_f = reps
     ok = (rep_c.passed and rep_f.passed and not rep_c.vacuous
           and not rep_f.vacuous and rep_f.threshold < rep_c.threshold
@@ -143,7 +141,7 @@ def test_criterion_06_monotone_structure():
         drop = float(np.min(np.diff(res.surface.values, axis=1)))
         n_x = res.surface.grid.n_x
         n_top = max(1, n_x // 10)
-        tail_actions = int(res.regions.labels[:, n_x - n_top:].sum())
+        tail_actions = int(res.labels[:, n_x - n_top:].sum())
         ok = ok and drop >= -1e-8 and tail_actions == 0
         notes.append(f"{name} min step {drop:.1e}, tail actions {tail_actions}")
     _record(6, ok, "V(t,.) nondecreasing and top 10% of x-grid action-free: "

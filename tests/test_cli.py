@@ -74,6 +74,24 @@ def test_schedule_flag_needs_schedule_policy(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("policy", ["none", "schedule"])
+@pytest.mark.parametrize("flag, value", [
+    ("--surface", None), ("--nx", "31"), ("--nt", "10"), ("--xmin", "0.2"), ("--xmax", "2.0"),
+    ("--tol-inner", "1e-8"), ("--eps-region", "1e-6")])
+def test_feedback_flags_need_feedback_policy(tmp_path, capsys, policy, flag, value):
+    # a flag only the feedback policy reads is an error, not silently ignored
+    sched = tmp_path / "sched.json"
+    sched.write_text("[[0.2, 0.3]]")
+    out = tmp_path / "o"
+    argv = ["simulate", "--spec", "fixture:geometric", "--out", str(out), "--seed", "1",
+            "--policy", policy, flag, str(tmp_path / "missing") if value is None else value]
+    if policy == "schedule":
+        argv += ["--schedule", str(sched)]
+    assert cli.main(argv) == 2
+    assert f"{flag}: read only with --policy feedback" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
     rc = cli.main(["simulate", "--spec", "fixture:closed-form", "--seed", "1",
                    "--out", str(tmp_path), "--t0", "2.0"])

@@ -11,8 +11,7 @@ from impulse_qvi.diagnostics import (CheckReport, check_bounds,
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, intervention_spec,
                                   suggested_grid, zero_spec)
-from impulse_qvi.solver import (Grid, PolicyMap, RegionMap, ValueSurface,
-                                solve)
+from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,8 @@ def test_smooth_fit_tightens_under_refinement():
     spec = intervention_spec()
     coarse = solve(spec, Grid(0.1, 4.1, 201, 100))
     fine = solve(spec, Grid(0.1, 4.1, 401, 200))
-    rep_c = check_smooth_fit(coarse.surface, coarse.regions, coarse.policy, spec)
-    rep_f = check_smooth_fit(fine.surface, fine.regions, fine.policy, spec)
+    rep_c = check_smooth_fit(coarse, spec)
+    rep_f = check_smooth_fit(fine, spec)
     assert rep_c.passed and rep_f.passed
     assert not rep_c.vacuous and not rep_f.vacuous
     assert rep_f.threshold < rep_c.threshold  # 5h + 10 tol/h shrinks with h
@@ -76,8 +75,8 @@ def test_smooth_fit_tightens_under_refinement():
 def test_smooth_fit_vacuous_on_empty_region():
     spec = geometric_spec()
     res = solve(spec, Grid(0.1, 3.1, 101, 50))
-    assert not res.regions.labels.any()
-    rep = check_smooth_fit(res.surface, res.regions, res.policy, spec)
+    assert not res.labels.any()
+    rep = check_smooth_fit(res, spec)
     assert rep.passed and rep.vacuous
 
 
@@ -113,17 +112,14 @@ def test_theta_structure_flags_landing_violation():
     labels = np.ones((2, 21), dtype=bool)
     xi0 = np.full((2, 21), costs.k_min)
     surface = ValueSurface(grid, 2.0, values, values.copy(), {})
-    rep = check_theta_structure(surface, RegionMap(labels, 1e-8),
-                                PolicyMap(xi0),
-                                intervention_spec())
+    rep = check_theta_structure(SolveResult(surface, labels, xi0), intervention_spec())
     assert not rep.passed
     assert rep.details["landing_violations"] > 0
 
 
 def test_check_report_shape():
     rep = CheckReport(name="demo", passed=True, measured=0.5, threshold=1.0,
-                      operation="op", tolerance_note="note", runtime=12.0,
-                      details={"k": 1})
+                      operation="op", tolerance_note="note", details={"k": 1})
     d = rep.to_dict()
     assert "runtime" not in d  # wall clock never reaches artifacts
     assert d["details"] == {"k": 1}

@@ -22,7 +22,7 @@ from impulse_qvi.fixtures import (closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
 from impulse_qvi.model import Curve, cumulative_hazard
-from impulse_qvi.solver import solve
+from impulse_qvi.solver import Grid, solve
 
 from test_model import make_spec
 
@@ -235,7 +235,7 @@ def test_paths_independent_of_chunking():
 def test_feedback_policy_snapping():
     pol = FeedbackPolicy(
         t_nodes=[0.0, 1.0],
-        x_nodes=[0.0, 1.0, 2.0],
+        grid=Grid(0.0, 2.0, 3, 1),
         action=np.array([[False, True, False], [False, False, False]]),
         xi0=np.array([[0.0, 0.7, 0.0], [0.0, 0.0, 0.0]]),
     )
@@ -243,12 +243,16 @@ def test_feedback_policy_snapping():
     np.testing.assert_array_equal(out, [0.7, 0.0])
     out2 = pol.injections(0.6, np.array([0.9]))      # t snaps to row 1
     np.testing.assert_array_equal(out2, [0.0])
+    # x snaps by Grid.nearest_node: halves go to the even node, and
+    # queries off the grid clip to its ends
+    out3 = pol.injections(0.0, np.array([0.5, 1.5, 1.49, -3.0, 9.0]))
+    np.testing.assert_array_equal(out3, [0.0, 0.0, 0.7, 0.0, 0.0])
 
 
 def test_feedback_policy_triggers_injection():
     spec = intervention_spec()
     res = solve(spec, suggested_grid("intervention"))
-    pol = FeedbackPolicy.from_solution(*res)
+    pol = FeedbackPolicy.from_solution(res)
     rec = simulate(spec, 0.0, 0.15, pol, dt=0.01, seed=11)
     assert len(rec.impulses_applied) >= 1
     ev = rec.impulses_applied[0]

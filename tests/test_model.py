@@ -252,8 +252,7 @@ def test_validate_no_terminal_impulse_margin():
     # g1 with slope exactly 1: g1(x+K) - (K + kappa) = g1(x) - kappa
     # at every probe, so the worst margin equals kappa
     spec = make_spec(g1=Curve.table([0.0, 10.0], [0.0, 10.0]), kappa=0.05)
-    rep = validate(spec, np.linspace(0.1, 4.0, 101),
-                   k_sample=np.linspace(0.1, 1.0, 19))
+    rep = validate(spec, np.linspace(0.1, 4.0, 101))
     e = rep.entry("no_terminal_impulse")
     assert e.passed
     assert e.value == pytest.approx(0.05, abs=1e-12)
@@ -262,8 +261,7 @@ def test_validate_no_terminal_impulse_margin():
 def test_validate_terminal_impulse_profitable_fails():
     # slope-2 terminal utility: jumping K gains 2K - K - kappa > 0
     spec = make_spec(g1=Curve.table([0.0, 10.0], [0.0, 20.0]), kappa=0.05)
-    rep = validate(spec, np.linspace(0.1, 4.0, 101),
-                   k_sample=np.linspace(0.1, 1.0, 19))
+    rep = validate(spec, np.linspace(0.1, 4.0, 101))
     assert not rep.entry("no_terminal_impulse").passed
     assert not rep.passed
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, get_fixture,
@@ -22,8 +22,8 @@ from impulse_qvi import solver
 from impulse_qvi.solver import (Grid, NumericalError, ValueSurface, _StepPlan,
                                 _eliminate, _impulse_plan, _label_components,
                                 _projection_certified, _sweep,
-                                _window_argmax, dpp_residual, extract_injection,
-                                extract_regions, impulse_max,
+                                _window_argmax, dpp_residual, extract_regions,
+                                impulse_max,
                                 interp_extended, pde_step, read_surface_csv,
                                 solve, write_boundary_csv, write_policy_csv,
                                 write_surface_csv)
@@ -505,7 +505,7 @@ def test_solve_closed_form_fixture():
     assert float(rel.max()) <= 1e-3
     # data is x-free, so the solution must be x-free too
     assert float(np.max(np.ptp(res.surface.values, axis=1))) <= 1e-12
-    assert not res.regions.labels.any()
+    assert not res.labels.any()
     assert res.surface.metadata["landing_violations"] == 0
 
 
@@ -513,7 +513,7 @@ def test_solve_zero_fixture():
     spec = zero_spec()
     res = solve(spec, suggested_grid("zero"))
     assert np.all(res.surface.values == 0.0)
-    assert not res.regions.labels.any()
+    assert not res.labels.any()
     # IV of the zero slice is exactly -(k_min + kappa) everywhere
     expected_iv = -(spec.costs.k_min + spec.costs.kappa)
     np.testing.assert_array_equal(res.surface.iv_values, expected_iv)
@@ -563,23 +563,50 @@ def test_obstacle_inequality_on_solved_fixtures():
 def test_extract_regions_matches_solve():
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 201, 100))
-    regions, policy = extract_regions(res.surface, spec)
-    np.testing.assert_array_equal(regions.labels, res.regions.labels)
-    np.testing.assert_array_equal(np.isnan(policy.xi0),
-                                  np.isnan(res.policy.xi0))
-    both = ~np.isnan(policy.xi0)
-    np.testing.assert_array_equal(policy.xi0[both], res.policy.xi0[both])
+    back = extract_regions(res.surface, spec)
+    assert back.surface is res.surface
+    np.testing.assert_array_equal(back.labels, res.labels)
+    assert back.xi0.tobytes() == res.xi0.tobytes()
 
 
-def test_extract_injection_paths():
-    spec = intervention_spec()
-    res = solve(spec, suggested_grid("intervention"))
-    j, i = np.argwhere(res.regions.labels)[0]
-    tn, xn = res.surface.t_nodes(), res.surface.grid.x_nodes()
-    xi = extract_injection(float(tn[j]), float(xn[i]), res.surface, spec.costs)
-    assert xi == res.policy.xi0[j, i]
-    with pytest.raises(ValueError, match="continuation"):
-        extract_injection(float(tn[j]), 3.5, res.surface, spec.costs)
+_ZERO_UTILITIES = UtilitySpec(f=Curve.constant(0.0), g1=Curve.constant(0.0),
+                              g2=Curve.constant(0.0))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_cost_specs, grid=_grids, zero=st.booleans())
+# a negative sup g1 is no bound on V: discounting lifts V above it
+@example(spec=make_spec(beta=1.0, f=0.0, g1=-1.0, mu=0.0, sigma=0.0),
+         grid=Grid(1.0, 2.0, 3, 1), zero=False)
+def test_solve_invariants_on_random_specs(spec, grid, zero):
+    # on random admissible specs a solve raises an explicit error or keeps
+    # the scheme's invariants: V <= C1 where every step is an M-matrix,
+    # V >= IV - tol_inner off the terminal slice, labels and policy read
+    # off V - IV <= eps_region, the same labels and policy again from
+    # extract_regions, and V == 0 with no action node for zero utilities
+    if zero:
+        spec = replace(spec, utilities=_ZERO_UTILITIES)
+    try:
+        res = solve(spec, grid)
+    except (ValueError, NumericalError) as exc:
+        event(f"raises {type(exc).__name__}")
+        return
+    V, IV, md = res.surface.values, res.surface.iv_values, res.surface.metadata
+    # an outgoing drift at x_min flips a corner sign of the step matrix;
+    # the discrete maximum principle, and with it V <= C1, needs it inward
+    m_matrix = bool(np.all(drift(grid.t_nodes(spec.T)[:-1], grid.x_min, spec) >= 0.0))
+    event(f"every step an M-matrix: {m_matrix}")
+    if m_matrix:
+        assert V.max() <= md["c1_bound"] + 1e-9
+    assert np.all(V[:-1] >= IV[:-1] - md["tol_inner"])
+    np.testing.assert_array_equal(res.labels, V - IV <= md["eps_region"])
+    np.testing.assert_array_equal(np.isfinite(res.xi0), res.labels)
+    back = extract_regions(res.surface, spec)
+    assert back.labels.tobytes() == res.labels.tobytes()
+    assert back.xi0.tobytes() == res.xi0.tobytes()
+    if zero:
+        assert np.all(V == 0.0) and not res.labels.any()
+    event(f"zero utilities: {zero}, action nodes: {res.labels.any()}")
 
 
 # ---------------------------------------------------------------- DPP
@@ -616,8 +643,7 @@ def test_surface_csv_round_trip(tmp_path):
                        (intervention_spec(), Grid(0.1, 4.1, 81, 40))):
         res = solve(spec, grid)
         p = tmp_path / "surface.csv"
-        write_surface_csv(p, res.surface, res.regions, res.policy,
-                          meta={"config_hash": "abc", "seed": 0})
+        write_surface_csv(p, res, meta={"config_hash": "abc", "seed": 0})
         back = read_surface_csv(p)
         assert back.surface.grid == grid
         assert back.surface.T == spec.T
@@ -625,28 +651,27 @@ def test_surface_csv_round_trip(tmp_path):
             assert back.surface.metadata[key] == res.surface.metadata[key]
         np.testing.assert_array_equal(back.surface.values, res.surface.values)
         np.testing.assert_array_equal(back.surface.iv_values, res.surface.iv_values)
-        np.testing.assert_array_equal(back.regions.labels, res.regions.labels)
-        assert back.regions.eps_region == res.regions.eps_region
-        np.testing.assert_array_equal(np.isnan(back.policy.xi0), np.isnan(res.policy.xi0))
-        np.testing.assert_array_equal(back.policy.xi0, res.policy.xi0)
+        np.testing.assert_array_equal(back.labels, res.labels)
+        np.testing.assert_array_equal(np.isnan(back.xi0), np.isnan(res.xi0))
+        np.testing.assert_array_equal(back.xi0, res.xi0)
         with open(p, "a", encoding="utf-8") as fh:
             fh.write("\n")  # a trailing blank line is tolerated
-        np.testing.assert_array_equal(read_surface_csv(p).policy.xi0, res.policy.xi0)
-    assert res.regions.labels.any()
+        np.testing.assert_array_equal(read_surface_csv(p).xi0, res.xi0)
+    assert res.labels.any()
 
 
 def test_surface_csv_row_bytes(tmp_path):
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 41, 10))
-    assert res.regions.labels.any()
+    assert res.labels.any()
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res.surface, res.regions, res.policy)
+    write_surface_csv(p, res)
     s = res.surface
     expected = ["t,x,V,IV,label,xi0"]
     for j, t in enumerate(s.t_nodes()):
         for i, x in enumerate(s.grid.x_nodes()):
-            tail = (f"action,{repr(float(res.policy.xi0[j, i]))}"
-                    if res.regions.labels[j, i] else "continuation,")
+            tail = (f"action,{repr(float(res.xi0[j, i]))}"
+                    if res.labels[j, i] else "continuation,")
             expected.append(f"{repr(float(t))},{repr(float(x))},{repr(float(s.values[j, i]))},"
                             f"{repr(float(s.iv_values[j, i]))},{tail}")
     lines = p.read_text().splitlines()
@@ -703,7 +728,7 @@ def test_label_components_matches_ndimage():
     masks = _label_masks()
     for name in ("intervention", "geometric"):
         spec, grid = get_fixture(name), suggested_grid(name)
-        masks.append(solve(spec, grid).regions.labels)
+        masks.append(solve(spec, grid).labels)
     for mask in masks:
         labels, n = _label_components(mask)
         expected, n_expected = ndimage.label(mask, structure=cross)
@@ -714,12 +739,12 @@ def test_label_components_matches_ndimage():
 def test_policy_and_boundary_csv(tmp_path):
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 201, 100))
-    n_action = int(res.regions.labels.sum())
+    n_action = int(res.labels.sum())
     assert n_action > 0
     pp = tmp_path / "policy.csv"
     bp = tmp_path / "boundary.csv"
-    write_policy_csv(pp, res.surface, res.regions, res.policy)
-    write_boundary_csv(bp, res.surface, res.regions)
+    write_policy_csv(pp, res)
+    write_boundary_csv(bp, res)
     plines = pp.read_text().splitlines()
     assert plines[0] == "t,x,xi0"
     assert len(plines) - 1 == n_action
@@ -729,7 +754,7 @@ def test_policy_and_boundary_csv(tmp_path):
     # the reported upper edge is the largest action x at that time slice
     xs = [float(ln.split(",")[2]) for ln in blines[1:]]
     xn = res.surface.grid.x_nodes()
-    assert max(xs) == pytest.approx(float(xn[res.regions.labels.any(axis=0)].max()))
+    assert max(xs) == pytest.approx(float(xn[res.labels.any(axis=0)].max()))
 
 
 def test_value_surface_evaluate_bilinear():
