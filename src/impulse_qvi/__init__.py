@@ -30,6 +30,7 @@ from .dynamics import (
     mc_cost_g,
     sample_default,
     simulate,
+    simulate_paths,
 )
 from .solver import (
     Grid,

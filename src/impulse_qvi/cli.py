@@ -25,7 +25,7 @@ from .diagnostics import (check_obstacle, check_smooth_fit,
                           check_theta_structure, convergence_study,
                           reference_values, standard_checks)
 from .dynamics import (FeedbackPolicy, ImpulseSchedule,
-                       filtration_reduction_check, simulate)
+                       filtration_reduction_check, simulate_paths)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
 from .solver import (Grid, NumericalError, SolveResult, read_surface_csv,
@@ -325,9 +325,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "reduction": report.to_dict(),
     }
     _write_json(os.path.join(cfg.out_dir, "mc_report.json"), payload)
-    for i in range(cfg.record_paths):
-        rec = simulate(cfg.spec, cfg.t0, cfg.x0, control, cfg.dt, cfg.seed,
-                       path_index=i)
+    records = simulate_paths(cfg.spec, cfg.t0, cfg.x0, control, cfg.dt, cfg.seed,
+                             cfg.record_paths) if cfg.record_paths else []
+    for i, rec in enumerate(records):
         meta = {
             "config_hash": chash,
             "seed": cfg.seed,

@@ -30,15 +30,23 @@ common across both representations.
 Building a Generator per path would cost several times the path's own
 draws, so the streams are seeded in bulk instead: _seed_states runs
 numpy's SeedSequence hash as uint32 array arithmetic over a block of
-path indices, each result goes through PCG64's seeding step, and one
-reused Generator takes the states in turn.  The numbers are those of
-default_rng([seed, j]) bit for bit; each chunk checks its first path's
-state against a real default_rng([seed, start]) and raises RuntimeError
-on a mismatch.
+path indices, and _pcg64_words runs PCG64's seeding step on the results
+as uint64 limb arithmetic.  One reused Generator draws every path: its
+pcg64_random_t (the 128-bit state, then the 128-bit inc) is opened once
+per chunk as a four-word uint64 view, reached through the pointer that
+is the first field of the struct at bit_generator.ctypes.state_address,
+and each path's words are written into it in place.  numpy stores each
+128-bit word low then high where the compiler has __uint128_t and high
+then low where it emulates one (MSVC); the order is chosen once per
+chunk as the one under which the chunk's first path reads back, through
+the bit_generator.state getter, as the whole state dict of a real
+default_rng([seed, start]), and RuntimeError is raised if neither does.
+So the numbers are those of default_rng([seed, j]) bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import operator
@@ -55,11 +63,14 @@ _BLOCK = 1024  # paths seeded per array pass
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341  # 64-bit halves
+# column orders of _pcg64_words rows in pcg64_random_t: each 128-bit word
+# low then high where numpy has __uint128_t, high then low where it
+# emulates 128-bit arithmetic (MSVC)
+_WORD_ORDERS = ((1, 0, 3, 2), (0, 1, 2, 3))
 
 
 class ImpulseEvent(NamedTuple):
@@ -290,25 +301,73 @@ def _seed_states(seed_words: list, first: int, count: int) -> np.ndarray:
     return out.view("<u8")
 
 
+def _mul_hi(a, b: int):
+    """High 64 bits of the 128-bit products a * b, for a uint64 array a and
+    a 64-bit constant b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_words(seed_words: list, first: int, count: int) -> np.ndarray:
+    """PCG64 seeded from _seed_states: (count, 4) uint64 rows of the state
+    and inc words (state_hi, state_lo, inc_hi, inc_lo) of
+    default_rng([seed, j]) for j in first..first+count-1.
+
+    PCG64's seeding step, inc = 2 initseq + 1 and then two LCG steps from 0,
+    state = (s + inc) * mult + inc mod 2**128, on 64-bit limbs; uint64
+    array arithmetic wraps, and each carry is a comparison.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_states(seed_words, first, count).T
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < s_lo)
+    hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = lo * _PCG_MULT_LO
+    state_lo = lo + inc_lo
+    return np.stack([hi + inc_hi + (state_lo < lo), state_lo, inc_hi, inc_lo], axis=1)
+
+
+def _state_view(bitgen) -> np.ndarray:
+    """The four uint64 words of a PCG64's pcg64_random_t (state, then inc),
+    as a writable view: the first field of the struct at
+    bitgen.ctypes.state_address points to them."""
+    words = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
+
+
+def _word_order(bitgen, mem, words, expected) -> list:
+    """The column order of _pcg64_words rows that bitgen's memory takes:
+    the first of _WORD_ORDERS whose write of ``words`` makes bitgen.state
+    equal ``expected``."""
+    for order in map(list, _WORD_ORDERS):
+        mem[:] = words[order]
+        if bitgen.state == expected:
+            return order
+    raise RuntimeError("bulk stream seeding disagrees with numpy's default_rng")
+
+
 def _draw_paths(seed, start, e_draws, z):
     """Fill e_draws[j] and z[j] from the stream of default_rng([seed, start + j])."""
     rng = np.random.default_rng([seed, start])  # rejects bad seeds as numpy does
     bitgen = rng.bit_generator
+    expected = bitgen.state
+    mem = _state_view(bitgen)  # valid while rng lives
     seed_words = _words(operator.index(seed))
     count = e_draws.size
+    order = None
     for b0 in range(0, count, _BLOCK):
-        words = _seed_states(seed_words, start + b0, min(_BLOCK, count - b0))
-        for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(words.tolist(), b0):
-            # PCG64 seeding: inc = 2*initseq + 1, then two LCG steps from 0
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128,
-                     "inc": inc}
-            if j == 0 and state != bitgen.state["state"]:
-                raise RuntimeError("bulk stream seeding disagrees with numpy's default_rng")
-            bitgen.state = {"bit_generator": "PCG64", "state": state,
-                            "has_uint32": 0, "uinteger": 0}
-            e_draws[j] = rng.standard_exponential()
-            rng.standard_normal(out=z[j])
+        words = _pcg64_words(seed_words, start + b0, min(_BLOCK, count - b0))
+        if order is None:
+            order = _word_order(bitgen, mem, words[0], expected)
+        e = []
+        for row, z_row in zip(words[:, order], z[b0:b0 + _BLOCK]):
+            mem[:] = row
+            e.append(rng.standard_exponential())
+            rng.standard_normal(out=z_row)
+        e_draws[b0:b0 + len(e)] = e
 
 
 def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
@@ -418,6 +477,19 @@ def _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, t_end=None, record
     )
 
 
+def simulate_paths(spec: ModelSpec, t0: float, x0: float, control, dt: float, seed,
+                   n_paths: int, first: int = 0) -> list:
+    """Simulate paths first..first+n_paths-1 in one batch; entry i is the
+    PathRecord of simulate(..., path_index=first + i) bit for bit."""
+    batch = _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, record=True,
+                            path_offset=int(first))
+    return [PathRecord(times=batch.times, states=batch.histories[i],
+                       impulses_applied=batch.events[i],
+                       default_time=float(batch.default_times[i]),
+                       realized_cost=float(batch.cost_g[i]))
+            for i in range(n_paths)]
+
+
 def simulate(spec: ModelSpec, t0: float, x0: float, control, dt: float, seed,
              path_index: int = 0) -> PathRecord:
     """Simulate one controlled path; deterministic in (seed, path_index).
@@ -426,15 +498,7 @@ def simulate(spec: ModelSpec, t0: float, x0: float, control, dt: float, seed,
     times are inserted into the step grid, states are post-impulse, and the
     realized cost is the default-truncated representation.
     """
-    batch = _simulate_batch(spec, t0, x0, control, dt, seed, 1, record=True,
-                            path_offset=int(path_index))
-    return PathRecord(
-        times=batch.times,
-        states=batch.histories[0],
-        impulses_applied=batch.events[0],
-        default_time=float(batch.default_times[0]),
-        realized_cost=float(batch.cost_g[0]),
-    )
+    return simulate_paths(spec, t0, x0, control, dt, seed, 1, first=path_index)[0]
 
 
 def _mean_se(values: np.ndarray) -> MCEstimate:

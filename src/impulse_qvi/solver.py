@@ -15,7 +15,11 @@ x_max) and then projects onto the impulse obstacle
 
 until the sup-norm update drops below the inner tolerance.  Each
 profitable injection costs at least kappa while values stay bounded, so
-the projection count is certified by ceil((C1 - min v) / kappa) + 1.
+the projection count is certified by ceil((M - min v) / kappa) + 1 with
+M = max(C1, max v).  C1 alone bounds V only while every step is an
+M-matrix, and V exceeds it where drift(t, x_min) < 0; projection never
+raises max v, since every gain is v~(x + K) - (K + kappa) <= max v -
+(k_min + kappa), so M bounds the slice through its whole loop.
 
 A slice whose spread is small needs no projection: every gain is
 v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so max v - min v <=
@@ -32,11 +36,12 @@ fl(K + kappa) is at least fl(F) >= F (1 - u) by monotone rounding; and the
 spread, the margin and the bound are rounded once each.  Together less
 than 9 u A + 6 u F, so every computed gain is at most min v and the first
 residual max(IV - v) is at most 0 <= tol_inner.  The proof assumes
-injection_cost(K) >= K + kappa.  solve() recomputes IV for every slice
-after the sweep and raises NumericalError if a skipped slice's residual
-exceeds tol_inner.  The sweeps that read V alone (the convergence ladder
-and the time-refined sweep of diagnostics.standard_checks) recompute no
-residual and rely on the proof alone.
+injection_cost(K) >= K + kappa.  solve() computes IV for every skipped
+slice after the sweep and raises NumericalError if its residual exceeds
+tol_inner; a projected slice keeps the IV of its loop's last check.  The
+sweeps that read V alone (the convergence ladder and the time-refined
+sweep of diagnostics.standard_checks) recompute no residual and rely on
+the proof alone.
 
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
@@ -466,9 +471,11 @@ def _projection_certified(v_max: float, v_min: float, costs) -> bool:
     return v_max - v_min <= floor - 2.0**-47 * (max(abs(v_max), abs(v_min)) + floor)
 
 
-def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, list, float]:
+def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, list, float, dict]:
     """The backward sweep alone: the value surface V, the projection
-    updates of each step, in time order, and the bound C1 that caps them.
+    updates of each step, in time order, the bound C1, and for each slice
+    whose projection loop ran, by time index, its last impulse_max(v) pair
+    (IV and the maximizers of the final slice).
 
     Raises ValueError when the spec fails hypothesis validation and
     NumericalError when a step loses diagonal dominance or an inner
@@ -489,14 +496,15 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, l
     V = np.empty((grid.n_t + 1, grid.n_x))
     V[-1] = np.asarray(spec.utilities.g1(x), dtype=float)
     inner_counts = []
+    projected = {}
     for j in range(grid.n_t - 1, -1, -1):
         v = pde_step(V[j + 1], tn[j], grid, spec, plan)
-        v_min = float(np.min(v))
+        v_max, v_min = float(np.max(v)), float(np.min(v))
         updates = 0
-        if not _projection_certified(float(np.max(v)), v_min, costs):
-            cap = math.ceil((c1_bound - v_min) / costs.kappa) + 1
+        if not _projection_certified(v_max, v_min, costs):
+            cap = math.ceil((max(c1_bound, v_max) - v_min) / costs.kappa) + 1
             while True:
-                iv, _ = impulse_max(v, grid, costs)
+                iv, ks = impulse_max(v, grid, costs)
                 residual = float(np.max(iv - v))
                 if residual <= tol_inner:
                     break
@@ -507,10 +515,11 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, l
                     )
                 v = np.maximum(v, iv)
                 updates += 1
+            projected[j] = iv, ks
         V[j] = v
         inner_counts.append(updates)
     inner_counts.reverse()
-    return V, inner_counts, c1_bound
+    return V, inner_counts, c1_bound, projected
 
 
 def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
@@ -518,9 +527,10 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     """Backward QVI sweep; returns the value surface with its action
     labels and injection policy.
 
-    After the sweep, one stacked impulse_max call gives IV and the
-    maximizers of every slice, and from them the labels, the policy and
-    the largest residual max(IV - V) over the projected slices.
+    IV and the maximizers of a projected slice come from its loop's last
+    impulse_max call; one stacked call gives those of the terminal slice
+    and of the slices whose projection was certified away.  From them come
+    the labels, the policy and the largest residual max(IV - V).
 
     Raises ValueError when the spec fails hypothesis validation and
     NumericalError when a step loses diagonal dominance, an inner
@@ -529,11 +539,15 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
-    V, inner_counts, c1_bound = _sweep(spec, grid, tol_inner)
+    V, inner_counts, c1_bound, projected = _sweep(spec, grid, tol_inner)
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
 
-    IV, KS = impulse_max(V, grid, spec.costs)
+    IV, KS = np.empty_like(V), np.empty_like(V)
+    for j, (iv, ks) in projected.items():
+        IV[j], KS[j] = iv, ks
+    rest = [j for j in range(grid.n_t + 1) if j not in projected]
+    IV[rest], KS[rest] = impulse_max(V[rest], grid, spec.costs)
     LAB, XI = _labels(V, IV, KS, eps_region)
     # the terminal slice is not projected; every other slice left the loop
     # with this residual or was certified below it
@@ -632,13 +646,17 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)]))
 
 
+_CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
+
+
 def read_surface_csv(path) -> SolveResult:
     """Rebuild the SolveResult written by write_surface_csv on the grid its
     header records.
 
     Raises ValueError when a header field is missing (as in files written
-    before the header existed), when a value does not parse, or when the
-    rows do not fill the header's grid.
+    before the header existed), when a value does not parse, when the
+    rows do not fill the header's grid, or when a row's label is neither
+    action nor continuation or a continuation row carries an xi0.
     """
     header = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -660,10 +678,17 @@ def read_surface_csv(path) -> SolveResult:
             and np.array_equal(num[:, 0], np.repeat(grid.t_nodes(h["T"]), grid.n_x))
             and np.array_equal(num[:, 1], np.tile(grid.x_nodes(), shape[0]))):
         raise ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
-    # label and xi0 are the last two fields; xi0 is parsed on action rows only
-    action = np.array([r.rsplit(",", 2)[1] == "action" for r in rows])
+    # label and xi0 are the last two fields: "continuation," with xi0 empty,
+    # or "action," with xi0 parsed; any other label is an error
+    action = np.array([not r.endswith(_CONTINUATION) for r in rows])
+    at = np.flatnonzero(action)
+    tails = [rows[i].rsplit(",", 2)[1:] for i in at]
+    for i, (label, _) in zip(at, tails):
+        if label != "action":
+            raise ValueError(f"surface data row {i + 1} is neither an action row nor a "
+                             f"continuation row with empty xi0: {rows[i].strip()!r}")
     xi0 = np.full(action.shape, np.nan)
-    xi0[action] = [float(rows[i].rsplit(",", 1)[1]) for i in np.flatnonzero(action)]
+    xi0[at] = [float(xi) for _, xi in tails]
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
     surface = ValueSurface(grid, h["T"], num[:, 2].reshape(shape), num[:, 3].reshape(shape), metadata)
     return SolveResult(surface, action.reshape(shape), xi0.reshape(shape))

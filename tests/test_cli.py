@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifact contents, reproducibility."""
 
 import filecmp
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from dataclasses import replace
 import pytest
 
 from impulse_qvi import cli
-from impulse_qvi.fixtures import closed_form_spec
+from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
+from impulse_qvi.fixtures import closed_form_spec, geometric_spec, intervention_spec
 from impulse_qvi.model import Curve
+from impulse_qvi.solver import read_surface_csv
 
 
 def read_json(path):
@@ -294,6 +297,13 @@ def _delete_data_row(text):
     return "".join(lines)
 
 
+def _relabel_first_row(label, xi0):
+    """Give the first continuation row another label and xi0 field."""
+    def edit(text):
+        return text.replace(",continuation,\n", f",{label},{xi0}\n", 1)
+    return edit
+
+
 def _strip_surface_header(text):
     # the layout of surfaces written before the header existed
     return "".join(ln for ln in text.splitlines(keepends=True)
@@ -307,8 +317,12 @@ def _strip_surface_header(text):
      "tol_inner=0.001 given, 1e-09"),
     ("check", "fixture:intervention", [], _delete_data_row, "do not fill"),
     ("check", "fixture:intervention", [], _strip_surface_header, "re-run solve"),
+    ("check", "fixture:intervention", [], _relabel_first_row("continuaton", ""),
+     "is neither an action row nor a continuation row"),
+    ("simulate", "fixture:intervention", ["--policy", "feedback"],
+     _relabel_first_row("continuation", "0.5"), "is neither an action row nor a continuation row"),
 ], ids=["spec-mismatch", "conflicting-nx", "conflicting-tol-inner", "missing-row",
-        "no-header"])
+        "no-header", "unknown-label", "xi0-on-continuation"])
 def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
                                   command, spec, flags, edit, reason):
     sol = small_surface
@@ -350,6 +364,34 @@ def test_simulate_schedule_artifacts(tmp_path):
                if r.split(",")[2] == "1"]
     assert [r.split(",")[0] for r in flagged] == ["0.2", "0.8"]
     assert [r.split(",")[3] for r in flagged] == ["0.3", "0.5"]
+
+
+@pytest.mark.parametrize("policy", ["schedule", "feedback"])
+def test_recorded_path_files_match_single_path_simulate(tmp_path, small_surface, policy):
+    # the path files of one batched recording are, byte for byte, what the
+    # single-path simulate of each index writes
+    if policy == "schedule":
+        sched = tmp_path / "sched.json"
+        sched.write_text("[[0.2, 0.3], [0.8, 0.5]]")
+        name, spec, x0, flags = "geometric", geometric_spec(), 1.0, ["--schedule", str(sched)]
+        control = ImpulseSchedule.from_json(sched)
+    else:
+        name, spec, x0 = "intervention", intervention_spec(), 0.15
+        flags = ["--surface", str(small_surface)]
+        control = FeedbackPolicy.from_solution(read_surface_csv(small_surface / "surface.csv"))
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--spec", f"fixture:{name}", "--out", str(out), "--seed", "8",
+                   "--paths", "50", "--dt", "0.02", "--x0", repr(x0), "--policy", policy, "--record-paths", "3"] + flags)
+    assert rc == 0
+    chash = read_json(out / "mc_report.json")["config_hash"]
+    for i in range(3):
+        rec = simulate(spec, 0.0, x0, control, 0.02, 8, path_index=i)
+        assert rec.impulses_applied
+        buf = io.StringIO(newline="\n")
+        rec.to_csv(buf, {"config_hash": chash, "seed": 8, "path_index": i, "t0": "0.0",
+                         "x0": repr(x0), "default_time": repr(rec.default_time),
+                         "realized_cost": repr(rec.realized_cost)})
+        assert (out / f"path_{i:03d}.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_simulate_feedback_surface_roundtrip(tmp_path):

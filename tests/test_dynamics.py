@@ -2,8 +2,11 @@
 
 The per-path RNG layout is load-bearing and pinned here: each path j uses
 default_rng([seed, j]) and draws its default-clock exponential before its
-Brownian row.  The engine seeds these streams in bulk; the tests below
-compare its draws with a default_rng reference loop bit for bit.
+Brownian row.  The engine computes the streams' PCG64 states in bulk and
+writes them in place into one reused generator; the tests below compare
+its draws with a default_rng reference loop bit for bit, its PCG64 seeding
+step with Python big-int arithmetic, and check that the per-chunk guard
+raises on a corrupted state or a wrong word order.
 """
 
 import math
@@ -12,12 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from impulse_qvi import dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
                                   _draw_paths, _simulate_batch, filtration_reduction_check,
                                   mc_cost_f, mc_cost_g, sample_default,
-                                  simulate)
+                                  simulate, simulate_paths)
 from impulse_qvi.fixtures import (closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
@@ -131,6 +135,51 @@ def test_bulk_seeding_guard_raises_on_mismatch(monkeypatch):
         _draw_paths(5, 0, np.empty(2), np.empty((2, 3)))
 
 
+def test_bulk_seeding_guard_raises_on_wrong_word_order(monkeypatch):
+    # orders that swap the state and inc words are wrong on every build
+    monkeypatch.setattr(dynamics, "_WORD_ORDERS", ((3, 2, 1, 0), (2, 3, 0, 1)))
+    with pytest.raises(RuntimeError):
+        _draw_paths(5, 0, np.empty(2), np.empty((2, 3)))
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
+
+
+def _pcg64_seeded(s_hi, s_lo, i_hi, i_lo):
+    """PCG64's seeding step in Python ints: inc = 2 initseq + 1, then
+    state = (s + inc) * mult + inc mod 2**128, as (hi, lo) word pairs."""
+    mask = (1 << 128) - 1
+    inc = ((i_hi << 64 | i_lo) * 2 + 1) & mask
+    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & mask
+    return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**80), first=st.integers(0, 2**33), count=st.integers(1, 5))
+@example(seed=2**64 - 1, first=2**32 - 3, count=5)
+@example(seed=2**64, first=2**32 - 1, count=2)
+def test_pcg64_seeding_step_matches_big_int(seed, first, count):
+    # seeds of one to three 32-bit words, path indices on both sides of 2**32
+    seed_words = dynamics._words(seed)
+    seeded = dynamics._seed_states(seed_words, first, count).tolist()
+    got = dynamics._pcg64_words(seed_words, first, count).tolist()
+    assert got == [_pcg64_seeded(*row) for row in seeded]
+
+
+_word = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_word, _word, _word, _word), min_size=1, max_size=6))
+def test_pcg64_seeding_limbs_match_big_int(rows):
+    # the limb arithmetic on any words, carries at 0 and 2**64 - 1 included
+    words = np.array(rows, dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_seed_states", lambda *a: words)
+        got = dynamics._pcg64_words([0], 0, len(rows)).tolist()
+    assert got == [_pcg64_seeded(*row) for row in rows]
+
+
 def test_default_beyond_horizon_is_inf():
     spec = make_spec(beta=1e-9, T=1.0)
     rec = simulate(spec, 0.0, 1.0, None, dt=0.25, seed=5)
@@ -227,6 +276,27 @@ def test_paths_independent_of_chunking():
     full = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, 20000)
     tail = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, 3616, path_offset=16384)
     np.testing.assert_array_equal(full.cost_g[16384:], tail.cost_g)
+
+
+@pytest.mark.parametrize("policy", ["schedule", "feedback"])
+def test_simulate_paths_match_single_paths(policy):
+    # one batch of recorded paths is, path by path and bit for bit, the
+    # single-path simulate of each index
+    if policy == "schedule":
+        spec, x0 = geometric_spec(), 1.0
+        control = ImpulseSchedule(np.array([0.25, 0.7]), np.array([0.3, 0.5]))
+    else:
+        spec, x0 = intervention_spec(), 0.15
+        control = FeedbackPolicy.from_solution(solve(spec, Grid(0.1, 4.1, 81, 40)))
+    records = simulate_paths(spec, 0.1, x0, control, 0.02, 17, 4, first=2)
+    assert len(records) == 4
+    assert any(rec.impulses_applied for rec in records)
+    for i, rec in enumerate(records, 2):
+        one = simulate(spec, 0.1, x0, control, 0.02, 17, path_index=i)
+        assert rec.times.tobytes() == one.times.tobytes()
+        assert rec.states.tobytes() == one.states.tobytes()
+        assert rec.impulses_applied == one.impulses_applied
+        assert (rec.default_time, rec.realized_cost) == (one.default_time, one.realized_cost)
 
 
 # ------------------------------------------------------ feedback rule

@@ -481,6 +481,30 @@ def test_projection_certificate_near_its_bound(base):
     assert fired and max(fired) < 0  # fires below the bound only, and not vacuously
 
 
+def test_projection_cap_holds_where_v_exceeds_c1():
+    # drift(t, x_min) = -1.86 < 0: the x_min row of the step is no M-matrix
+    # and V rises above C1, on some slices everywhere, so a cap taken from
+    # C1 alone is below 1 there and the first profitable injection would
+    # raise; taken from max(C1, max v) it lets every slice settle
+    spec = make_spec(c1=0.0, T=1.85, lam=0.0, mu=-2.0, sigma=0.2, beta=0.45,
+                     f=Curve.table([1.05, 1.18], [-0.4, 1.5]),
+                     g1=Curve.table([1.01, 1.05, 1.34], [1.6, -0.5, -1.1]),
+                     g2=Curve.table([0.95, 1.07], [-0.8, -1.3]),
+                     kappa=0.05, k_min=0.005, k_max=1.6)
+    grid = Grid(0.93, 1.43, 5, 55)
+    tn = grid.t_nodes(spec.T)
+    assert drift(0.0, grid.x_min, spec) < 0.0
+    res = solve(spec, grid)
+    V, md, kappa = res.surface.values, res.surface.metadata, spec.costs.kappa
+    assert V.max() > md["c1_bound"] + kappa
+    assert np.all(V[:-1] >= res.surface.iv_values[:-1] - md["tol_inner"])
+    # some slice needed an update although the C1-only cap, from its
+    # pre-projection minimum, allowed none
+    c1_caps = [math.ceil((md["c1_bound"] - pde_step(V[j + 1], tn[j], grid, spec).min())
+                         / kappa) + 1 for j in range(grid.n_t)]
+    assert any(n > max(cap, 0) for n, cap in zip(md["inner_iterations"], c1_caps))
+
+
 def test_skipped_projection_with_a_residual_raises():
     # a certificate that always fires skips real projections on the
     # intervention fixture; the finish must notice the residual
@@ -567,6 +591,10 @@ def test_extract_regions_matches_solve():
     assert back.surface is res.surface
     np.testing.assert_array_equal(back.labels, res.labels)
     assert back.xi0.tobytes() == res.xi0.tobytes()
+    # the projected slices keep their loops' IV: that of one stacked call
+    iv, _ = impulse_max(res.surface.values, res.surface.grid, spec.costs)
+    assert iv.tobytes() == res.surface.iv_values.tobytes()
+    assert any(res.surface.metadata["inner_iterations"])  # some slice was projected
 
 
 _ZERO_UTILITIES = UtilitySpec(f=Curve.constant(0.0), g1=Curve.constant(0.0),
@@ -604,6 +632,7 @@ def test_solve_invariants_on_random_specs(spec, grid, zero):
     back = extract_regions(res.surface, spec)
     assert back.labels.tobytes() == res.labels.tobytes()
     assert back.xi0.tobytes() == res.xi0.tobytes()
+    assert impulse_max(V, grid, spec.costs)[0].tobytes() == IV.tobytes()
     if zero:
         assert np.all(V == 0.0) and not res.labels.any()
     event(f"zero utilities: {zero}, action nodes: {res.labels.any()}")
