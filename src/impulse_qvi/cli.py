@@ -547,7 +547,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, RuntimeError, OSError) as exc:

@@ -7,19 +7,20 @@ Euler step of
     -dV/dt - mu(t,x) V_x - 0.5 sigma(t,x)^2 V_xx - f(x)
         + beta(t) (V + g2(x)) = 0
 
-(central second difference, drift upwinded so the system matrix is an
-M-matrix; zero second difference at x_min, zero first difference at
-x_max) and then projects onto the impulse obstacle
+(central second difference, drift upwinded; zero second difference at
+x_min, zero first difference at x_max, and at either end outgoing drift
+drops) and then projects onto the impulse obstacle
 
     v <- max(v, max_K v~(x + K) - (K + kappa))
 
 until the sup-norm update drops below the inner tolerance.  Each
 profitable injection costs at least kappa while values stay bounded, so
 the projection count is certified by ceil((M - min v) / kappa) + 1 with
-M = max(C1, max v).  C1 alone bounds V only while every step is an
-M-matrix, and V exceeds it where drift(t, x_min) < 0; projection never
-raises max v, since every gain is v~(x + K) - (K + kappa) <= max v -
-(k_min + kappa), so M bounds the slice through its whole loop.
+M = max(C1, max v).  Every step is an M-matrix, so the discrete maximum
+principle keeps V <= C1; projection never raises max v, since every gain
+is v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so M bounds the
+slice through its whole loop.  The count needs h <= k_min, so that each
+gain reads only nodes to its right; a window inside one cell is rejected.
 
 A slice whose spread is small needs no projection: every gain is
 v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so max v - min v <=
@@ -46,13 +47,17 @@ the proof alone.
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
 no-interchange branch: fact_i = dl_i / d'_i, d'_{i+1} = d_{i+1} -
-fact_i du_i, then a forward and a back substitution.  Each step checks
-strict row diagonal dominance first, and for such matrices elimination
-without pivoting is stable, with growth factor at most 2 (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., section 9.5).
-The matrix depends on t only through (mu_tilde(t), sigma_tilde(t),
-beta(t)), so a sweep factors it once per run of consecutive steps that
-share the triple.
+fact_i du_i, then a forward and a back substitution.  Each row sums to
+c = 1/dt + beta with nonpositive off-diagonals, d_{i+1} = c + |dl_i| +
+|du_{i+1}|, so by induction every pivot d'_i >= c + |du_i| in exact
+arithmetic: d'_0 = d_0, and d'_i >= c + |du_i| gives |fact_i du_i| <=
+|dl_i|, so d'_{i+1} >= d_{i+1} - |dl_i|.  Elimination without pivoting
+is then stable, with growth factor at most 2 (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 9.5).  A step needs
+every computed pivot >= c/2, the rest being rounding allowance that only
+a cell too small for double precision exhausts.  The matrix depends on t
+only through (mu_tilde(t), sigma_tilde(t), beta(t)), so a sweep factors
+it once per run of consecutive steps that share the triple.
 
 A node is labeled "action" when V - IV <= eps_region; the maximizing
 injection xi0 there is the policy.  solve, extract_regions and
@@ -256,8 +261,8 @@ def impulse_max(v_slice: np.ndarray, grid: Grid, costs) -> tuple[np.ndarray, np.
 
 
 class NumericalError(RuntimeError):
-    """The scheme cannot proceed on this grid: a step lost diagonal
-    dominance or a projection hit its certified cap."""
+    """The scheme cannot proceed on this grid: a step's pivot fell below
+    c/2 (a cell too small for double precision) or a projection hit its cap."""
 
 
 def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -318,26 +323,20 @@ class _StepPlan:
         upper = -(dcoef + up)          # coefficient of v[i+1] in row i
         diag = c + 2.0 * dcoef + up + dn
 
-        # x_min: zero second difference (linear-extrapolation ghost) kills the
-        # diffusion term and turns the drift into a forward difference
-        diag[0] = c + mu[0] / h
-        upper[0] = -mu[0] / h
-        # x_max: flat ghost; diffusion one-sided, outgoing drift drops, incoming
-        # drift upwinds into the interior
+        # x_min: zero second difference (linear-extrapolation ghost); x_max:
+        # flat ghost, diffusion one-sided.  At either end outgoing drift drops
+        # and incoming drift upwinds into the interior, so every row sums to c
+        diag[0] = c + up[0]
+        upper[0] = -up[0]
         diag[-1] = c + dcoef[-1] + dn[-1]
         lower[-1] = -(dcoef[-1] + dn[-1])
         upper[-1] = 0.0
 
-        margin = diag.copy()
-        margin[1:] -= np.abs(lower[1:])
-        margin[:-1] -= np.abs(upper[:-1])
-
         with np.errstate(all="ignore"):  # a rejected triple may overflow or divide by 0
             fact = _eliminate(lower, diag, upper)
         self._block = (b, (fact.T, upper.T, diag.T, beta.tolist(),
-                           (margin > 0.0).all(axis=0).tolist(),
-                           np.isfinite(margin).all(axis=0).tolist(),
-                           (diag == 0.0).any(axis=0).tolist()))
+                           np.isfinite(diag).all(axis=0).tolist(),
+                           (diag >= 0.5 * c).all(axis=0).tolist()))
 
     def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
         k = self._run_at[t]
@@ -348,17 +347,13 @@ class _StepPlan:
             fact, du, piv, *flags = self._block[1]
             self._run = (k, fact[i].tolist(), du[i, ::-1].tolist(), piv[i, ::-1].tolist(),
                          *(f[i] for f in flags))
-        _, fact, back_du, back_piv, beta, dominant, finite, singular = self._run
-        if not dominant:
-            raise NumericalError(
-                "PDE step lost diagonal dominance (drift at x_min is strongly "
-                "outgoing); shrink dt or move x_min"
-            )
+        _, fact, back_du, back_piv, beta, finite, floored = self._run
         rhs = v_next / self.dt + self.fx - beta * self.g2x
         if not (finite and np.isfinite(rhs).all()):
             raise ValueError("PDE step input contains infs or NaNs")
-        if singular:
-            raise np.linalg.LinAlgError("PDE step hit a zero pivot: singular matrix")
+        if not floored:
+            raise NumericalError(f"PDE step pivot below half of 1/dt + beta: cell width h = "
+                                 f"{self.h:.3g} is too small for double precision")
 
         # dgtsv's operation order: forward elimination of the right-hand side
         b = rhs.tolist()
@@ -384,13 +379,12 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
     """One implicit Euler step of the continuation PDE, from the slice at
     t + dt down to t.  Coefficients are evaluated at (t, x).
 
-    The assembled tridiagonal system is strictly diagonally dominant with
-    nonpositive off-diagonals (an M-matrix) whenever drift(t, x_min) >= 0;
-    a negative drift at the lower boundary flips one corner sign, and the
-    step raises NumericalError if the system loses dominance.  The
+    Every row of the assembled tridiagonal system sums to 1/dt + beta with
+    nonpositive off-diagonals, so it is a strictly dominant M-matrix.  The
     elimination has no pivoting (see the module docstring); wherever
     dgtsv would not interchange rows its results are dgtsv's bit for bit.
-    Non-finite input raises ValueError, a zero pivot LinAlgError.
+    Non-finite input raises ValueError, a pivot below half of 1/dt + beta
+    NumericalError.
 
     `plan` is the sweep's shared _StepPlan, built by solve() for its step
     times; without one the step builds its own.
@@ -450,9 +444,9 @@ def _labels(v, iv, ks, eps_region):
 def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
     """C1 = T * max(0, max over the grid of f - beta g2) + max(0, sup g1):
     the horizon times the largest source level plus the terminal bound, an
-    upper bound on V that the scheme and the projection both respect while
-    every step is an M-matrix (drift(t, x_min) >= 0, see pde_step).  A
-    negative sup g1 is not a bound: discounting lifts V above it."""
+    upper bound on V that the scheme and the projection both respect, since
+    every step is an M-matrix (see pde_step).  A negative sup g1 is not a
+    bound: discounting lifts V above it."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
@@ -477,14 +471,20 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, l
     whose projection loop ran, by time index, its last impulse_max(v) pair
     (IV and the maximizers of the final slice).
 
-    Raises ValueError when the spec fails hypothesis validation and
-    NumericalError when a step loses diagonal dominance or an inner
-    projection exceeds its certified iteration cap.
+    Raises ValueError when the spec fails hypothesis validation or the
+    injection window fits inside one cell (h > k_min), and NumericalError
+    when a step's pivot falls below c/2 or an inner projection exceeds its
+    certified iteration cap.
     """
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
     costs = spec.costs
 
+    if grid.h > costs.k_min:  # the smallest n_x with h <= k_min, after rounding
+        n_x = math.ceil((grid.x_max - grid.x_min) / costs.k_min) + 1
+        n_x += Grid(grid.x_min, grid.x_max, n_x, 1).h > costs.k_min
+        raise ValueError(f"cell width h = {grid.h:.6g} exceeds k_min = {costs.k_min:.6g}, "
+                         f"so the smallest injection lands inside one cell; use --nx >= {n_x}")
     rep = validate(spec, x)
     if not rep.passed:
         names = ", ".join(e.name for e in rep.failures())
@@ -532,9 +532,9 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     and of the slices whose projection was certified away.  From them come
     the labels, the policy and the largest residual max(IV - V).
 
-    Raises ValueError when the spec fails hypothesis validation and
-    NumericalError when a step loses diagonal dominance, an inner
-    projection exceeds its certified iteration cap, or a slice whose
+    Raises ValueError when the spec fails hypothesis validation or h >
+    k_min, and NumericalError when a step's pivot falls below c/2, an
+    inner projection exceeds its certified iteration cap, or a slice whose
     projection was skipped has a residual above tol_inner.
     """
     if eps_region is None:

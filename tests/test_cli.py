@@ -15,6 +15,9 @@ from impulse_qvi.fixtures import closed_form_spec, geometric_spec, intervention_
 from impulse_qvi.model import Curve
 from impulse_qvi.solver import read_surface_csv
 
+from test_model import make_spec
+from test_solver import _found_sub_cell_spec
+
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -102,6 +105,18 @@ def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
     assert "t0" in capsys.readouterr().err
 
 
+def test_sub_cell_injection_window_exits_2(tmp_path, capsys):
+    # k_min = 0.00121 inside the first cell (h = 0.141): a grid the program
+    # cannot honour, with the n_x that it can
+    path = tmp_path / "spec.json"
+    _found_sub_cell_spec().to_json(path)
+    rc = cli.main(["solve", "--spec", str(path), "--out", str(tmp_path / "o"),
+                   "--xmin", "0.43802", "--xmax", "1.28287", "--nx", "7", "--nt", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "exceeds k_min" in err and "use --nx >= 700" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--spec", "fixture:closed-form", "--nx", "31", "--nt", "10", "--levels", "2",
      "--eps-region", "5", "--paths", "3", "--x0", "9", "--dt", "7"],
@@ -161,17 +176,30 @@ def test_config_hash_of_valid_runs_is_stable(argv, expected):
 # ------------------------------------------------------------- exit code 3
 
 
-def test_lost_dominance_exits_3(tmp_path, capsys):
-    # strong outgoing drift at x_min on a one-step grid: the implicit step
-    # loses diagonal dominance, a numerical failure, not a usage error
+def test_cell_too_small_for_double_precision_exits_3(tmp_path, capsys):
+    # a 1e-15-wide grid: rounding swamps 1/dt + beta in the step's pivots,
+    # a numerical failure, not a usage error
+    path = tmp_path / "spec.json"
+    make_spec(c1=0.0, mu=0.5, sigma=1.0, beta=0.0, f=0.0, g1=0.0, g2=0.0).to_json(path)
+    rc = cli.main(["solve", "--spec", str(path), "--out", str(tmp_path / "o"),
+                   "--xmin", "0.5", "--xmax", repr(0.5 + 1e-15), "--nx", "7", "--nt", "1"])
+    assert rc == 3
+    assert "too small for double precision" in capsys.readouterr().err
+
+
+def test_outgoing_drift_at_x_min_solves_below_c1(tmp_path):
+    # strong outgoing drift at x_min on a one-step grid, where a forward
+    # difference once cost the step its diagonal dominance: the upwinded
+    # row keeps it an M-matrix, and V stays below C1
     spec = replace(closed_form_spec(), c1=0.0, lam=Curve.constant(6.0),
                    mu_tilde=Curve.constant(0.0), sigma_tilde=Curve.constant(0.0))
-    path = tmp_path / "spec.json"
+    path, out = tmp_path / "spec.json", tmp_path / "o"
     spec.to_json(path)
-    rc = cli.main(["solve", "--spec", str(path), "--out", str(tmp_path / "o"),
+    rc = cli.main(["solve", "--spec", str(path), "--out", str(out),
                    "--xmin", "0.1", "--xmax", "1.1", "--nx", "11", "--nt", "1"])
-    assert rc == 3
-    assert "lost diagonal dominance" in capsys.readouterr().err
+    assert rc == 0
+    v = read_surface_csv(out / "surface.csv").surface.values
+    assert v.max() <= read_json(out / "summary.json")["c1_bound"]
 
 
 # ------------------------------------------------------------------- solve
