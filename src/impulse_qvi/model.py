@@ -469,9 +469,12 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
 
     Reports sampled Lipschitz constants for lam, f, g1, g2; upper-bound
     margins against c_f, c_g1, c_g2; the no-terminal-impulse inequality
-    g1(x) >= max_K g1(x+K) - K - kappa on 33 points of [k_min, k_max];
-    hazard nonnegativity; and the minimum |diffusion| over the probe
-    domain as an ellipticity proxy.  Never raises on a violation; the
+    g1(x) >= max_K g1(x+K) - K - kappa on 33 points of [k_min, k_max],
+    at the probes and, for a table g1, also at its knots and the knots
+    minus k_min and minus k_max inside the probe range, so that a steep
+    segment between two probes is not missed; hazard nonnegativity; and
+    the minimum |diffusion| over the probe domain as an ellipticity
+    proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
     """
     probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
@@ -509,9 +512,13 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
             )
         )
 
-    # no profitable terminal impulse: g1(x) >= g1(x+K) - K - kappa on the K-sample
-    shifted = u.g1(probes[:, None] + k_sample[None, :]) - k_sample[None, :] - spec.costs.kappa
-    margins = np.asarray(u.g1(probes), dtype=float) - np.max(shifted, axis=1)
+    # no profitable terminal impulse: g1(x) >= g1(x+K) - K - kappa on the K-sample;
+    # a knot minus k_min or k_max is where a window end meets the knot
+    knots = u.g1.breakpoints()
+    x_ni = _refined_partition(u.g1, probes[0], probes[-1], extra=np.concatenate(
+        [probes, knots - spec.costs.k_min, knots - spec.costs.k_max]))
+    shifted = u.g1(x_ni[:, None] + k_sample[None, :]) - k_sample[None, :] - spec.costs.kappa
+    margins = np.asarray(u.g1(x_ni), dtype=float) - np.max(shifted, axis=1)
     i = int(np.argmin(margins))
     rep.entries.append(
         CheckEntry(
@@ -519,7 +526,7 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
             passed=bool(margins[i] >= -1e-12),
             value=float(margins[i]),
             threshold=0.0,
-            worst_point=(float(probes[i]),),
+            worst_point=(float(x_ni[i]),),
             note="min over probes of g1(x) - max_K [g1(x+K) - K - kappa]",
         )
     )

@@ -59,6 +59,19 @@ a cell too small for double precision exhausts.  The matrix depends on t
 only through (mu_tilde(t), sigma_tilde(t), beta(t)), so a sweep factors
 it once per run of consecutive steps that share the triple.
 
+The factoring runs in numpy.  Each step's substitution runs in LAPACK
+dgttrs from the OpenBLAS that numpy's wheel ships, called through ctypes
+with TRANS = 'N', NRHS = 1, IPIV = 1..n and DU2 = 0.  With no
+interchanges recorded, dgttrs runs the forward and back substitution of
+dgtsv's no-interchange branch, operation for operation, zero DU2 term
+included.  (dgttrf is not used: it interchanges rows where this order
+does not.)  The routine is bound once per process, when the first
+sweep's step plan is built, never at import.  It is kept only if it
+solves a fixed probe system bit for bit as the Python substitution does,
+which a build that fuses multiply-adds or drops the zero term fails.
+Without the library, its symbol or that agreement, the steps run the
+Python substitution, the reference; a nonzero INFO raises.
+
 A node is labeled "action" when V - IV <= eps_region; the maximizing
 injection xi0 there is the policy.  solve, extract_regions and
 read_surface_csv return the one SolveResult(surface, labels, xi0) that
@@ -71,8 +84,10 @@ labeled by a run-based two-pass scan.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import pathlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -277,6 +292,110 @@ def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.nda
     return fact
 
 
+class _PythonSubstitution:
+    """The substitution of one factored system (multipliers fact, the
+    superdiagonal du with a trailing 0, pivots piv) on the right-hand side
+    b, in place, in Python floats and in dgtsv's no-interchange order: the
+    reference for _Dgttrs, and the path taken where _dgttrs() is None."""
+
+    def __init__(self, n: int):
+        self.b = np.empty(n)
+
+    def load(self, fact, du, piv):
+        self._fact, self._back_du, self._back_piv = (
+            fact.tolist(), du[::-1].tolist(), piv[::-1].tolist())
+
+    def __call__(self):
+        # forward elimination of the right-hand side
+        b = self.b.tolist()
+        acc = b[0]
+        y = [acc]
+        for bi, fi in zip(b[1:], self._fact):
+            acc = bi - fi * acc
+            y.append(acc)
+        # back substitution, with the zeroed second superdiagonal of the
+        # interchange layout kept in: it decides the sign of a zero result.
+        # Subtracting 0.0 * (+0.0) changes nothing, so starting from
+        # x[n] = x[n+1] = +0.0 with du_{n-1} = 0 also gives dgtsv's last two rows
+        x0 = x1 = 0.0
+        out = []
+        for yi, ui, di in zip(reversed(y), self._back_du, self._back_piv):
+            x1, x0 = x0, (yi - ui * x0 - 0.0 * x1) / di
+            out.append(x0)
+        self.b[::-1] = out
+
+
+class _Dgttrs:
+    """The same substitution by LAPACK dgttrs(TRANS='N', N, NRHS=1, DL, D,
+    DU, DU2, IPIV, B, LDB=N, INFO) with DU2 = 0 and IPIV = 1..N: no row
+    interchanges, and then dgttrs runs _PythonSubstitution's operations in
+    its order.  The arrays live as long as the object, so the argument
+    pointers are built once; `load` copies a run's factors in."""
+
+    def __init__(self, fn, n: int):
+        self._fn = fn
+        self.b = np.empty(n)
+        self._dl, self._d, self._du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+        self._du2, self._ipiv = np.zeros(n - 2), np.arange(1, n + 1, dtype=np.int64)
+        self._n, self._info = ctypes.c_int64(n), ctypes.c_int64(0)
+        arrays = (self._dl, self._d, self._du, self._du2, self._ipiv, self.b)
+        # 64-bit integers by reference, then TRANS's hidden length
+        self._args = (b"N", ctypes.byref(self._n), ctypes.byref(ctypes.c_int64(1)),
+                      *(ctypes.c_void_p(a.ctypes.data) for a in arrays),
+                      ctypes.byref(self._n), ctypes.byref(self._info), ctypes.c_size_t(1))
+
+    def load(self, fact, du, piv):
+        self._dl[:], self._d[:], self._du[:] = fact, piv, du[:-1]
+
+    def __call__(self):
+        self._fn(*self._args)
+        if self._info.value:
+            raise RuntimeError(f"LAPACK dgttrs rejected argument {-self._info.value}")
+
+
+def _substitutions_agree(fn) -> bool:
+    """Whether dgttrs through fn solves a fixed probe system bit for bit as
+    _PythonSubstitution does.  The probe's solution changes if a
+    multiply-add is fused (five coupled rows of inexact products) or if the
+    zero DU2 term is dropped (then decoupled rows, where that term turns
+    x_5's -0.0 into +0.0)."""
+    i = np.arange(8.0)
+    lower, upper = -(i + 1.0) / 7.0, -(i + 2.0) / 7.0
+    lower[5:] = upper[4:] = 0.0
+    diag = 3.0 + i / 3.0
+    rhs = np.array([0.3, -1.1, 0.7, 2.9, 0.1, -0.0, 0.5, -0.5])
+    fact = _eliminate(lower, diag, upper)
+    solved = []
+    for sub in (_Dgttrs(fn, rhs.size), _PythonSubstitution(rhs.size)):
+        sub.load(fact, upper, diag)
+        sub.b[:] = rhs
+        sub()
+        solved.append(sub.b.tobytes())
+    return solved[0] == solved[1]
+
+
+@functools.cache
+def _dgttrs():
+    """dgttrs from the OpenBLAS that numpy's wheel ships (symbol
+    scipy_dgttrs_64_, 64-bit integers), bound once per process by the
+    first _StepPlan.  None when the library or the symbol is missing, or
+    when the bound routine fails the probe (a build that contracts
+    multiply-adds into FMA would)."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_dgttrs_64_
+        except (OSError, AttributeError):
+            continue
+        ptr, int64 = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
+        fn.argtypes = [ctypes.c_char_p, int64, int64, ptr, ptr, ptr, ptr, ptr, ptr,
+                       int64, int64, ctypes.c_size_t]
+        fn.restype = None
+        if _substitutions_agree(fn):
+            return fn
+    return None
+
+
 class _StepPlan:
     """What the implicit steps of one sweep share.
 
@@ -284,8 +403,9 @@ class _StepPlan:
     sigma_tilde(t), beta(t)); x, f(x), g2(x) and (c1 - x) lam(x) are held
     once.  The step times, in sweep order, split into runs of consecutive
     steps whose triple keeps its bits.  The runs are factored in order, in
-    blocks of up to _BLOCK runs, and only the current run's factors are
-    held as Python lists.
+    blocks of up to _BLOCK runs.  The plan holds one substitution
+    (_Dgttrs where _dgttrs() binds, else _PythonSubstitution), and each run
+    loads its factors into it once.
     """
 
     _BLOCK = 64
@@ -308,6 +428,9 @@ class _StepPlan:
         self._run_at = dict(zip(times.tolist(), (np.cumsum(new_run) - 1).tolist()))
         self._block = (-1, None)
         self._run = (-1,)
+        fn = _dgttrs()
+        n = self.x.size
+        self._sub = _Dgttrs(fn, n) if fn is not None else _PythonSubstitution(n)
 
     def _factor_block(self, b: int):
         """Assemble and eliminate the triples of runs b*_BLOCK ..: a loop
@@ -338,40 +461,30 @@ class _StepPlan:
                            np.isfinite(diag).all(axis=0).tolist(),
                            (diag >= 0.5 * c).all(axis=0).tolist()))
 
+    def _start_run(self, k: int):
+        b, i = divmod(k, self._BLOCK)
+        if self._block[0] != b:
+            self._factor_block(b)
+        fact, du, piv, beta, finite, floored = self._block[1]
+        self._sub.load(fact[i], du[i], piv[i])
+        self._run = (k, beta[i] * self.g2x, finite[i], floored[i])
+
     def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
         k = self._run_at[t]
         if self._run[0] != k:
-            b, i = divmod(k, self._BLOCK)
-            if self._block[0] != b:
-                self._factor_block(b)
-            fact, du, piv, *flags = self._block[1]
-            self._run = (k, fact[i].tolist(), du[i, ::-1].tolist(), piv[i, ::-1].tolist(),
-                         *(f[i] for f in flags))
-        _, fact, back_du, back_piv, beta, finite, floored = self._run
-        rhs = v_next / self.dt + self.fx - beta * self.g2x
+            self._start_run(k)
+        _, beta_g2x, finite, floored = self._run
+        rhs = self._sub.b  # v_next / dt + f - beta g2, solved in place
+        np.divide(v_next, self.dt, out=rhs)
+        np.add(rhs, self.fx, out=rhs)
+        np.subtract(rhs, beta_g2x, out=rhs)
         if not (finite and np.isfinite(rhs).all()):
             raise ValueError("PDE step input contains infs or NaNs")
         if not floored:
             raise NumericalError(f"PDE step pivot below half of 1/dt + beta: cell width h = "
                                  f"{self.h:.3g} is too small for double precision")
-
-        # dgtsv's operation order: forward elimination of the right-hand side
-        b = rhs.tolist()
-        acc = b[0]
-        y = [acc]
-        for bi, fi in zip(b[1:], fact):
-            acc = bi - fi * acc
-            y.append(acc)
-        # back substitution, with the zeroed second superdiagonal of the
-        # interchange layout kept in: it decides the sign of a zero result.
-        # Subtracting 0.0 * (+0.0) changes nothing, so starting from
-        # x[n] = x[n+1] = +0.0 with du_{n-1} = 0 also gives dgtsv's last two rows
-        x0 = x1 = 0.0
-        out = []
-        for yi, ui, di in zip(reversed(y), back_du, back_piv):
-            x1, x0 = x0, (yi - ui * x0 - 0.0 * x1) / di
-            out.append(x0)
-        return np.fromiter(reversed(out), float, len(out))
+        self._sub()
+        return rhs.copy()
 
 
 def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
@@ -383,8 +496,11 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
     nonpositive off-diagonals, so it is a strictly dominant M-matrix.  The
     elimination has no pivoting (see the module docstring); wherever
     dgtsv would not interchange rows its results are dgtsv's bit for bit.
+    The substitution runs in LAPACK dgttrs with IPIV = 1..n and DU2 = 0,
+    which does the same operations in the same order, or, where numpy's
+    LAPACK is absent or fails its bitwise self-check, in Python.
     Non-finite input raises ValueError, a pivot below half of 1/dt + beta
-    NumericalError.
+    NumericalError, a nonzero INFO from dgttrs RuntimeError.
 
     `plan` is the sweep's shared _StepPlan, built by solve() for its step
     times; without one the step builds its own.

@@ -524,6 +524,23 @@ def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "s" / "boundary.csv").is_file()
 
 
+def test_dgttrs_binds_on_the_first_sweep_only(tmp_path):
+    # the LAPACK binding waits for the first sweep's step plan: import,
+    # validate and a Monte Carlo run without a solve leave it unbound, so
+    # start-up and the simulate-only jobs never pay for it
+    code = ("import sys; from impulse_qvi import cli, solver; out = sys.argv[1]; "
+            "bound = lambda: solver._dgttrs.cache_info().currsize; seen = [bound()]; "
+            "cli.main(['validate', '--spec', 'fixture:intervention', '--out', out + '/v']); "
+            "cli.main(['simulate', '--spec', 'fixture:geometric', '--seed', '1', '--paths', '64', "
+            "'--dt', '0.05', '--out', out + '/m']); seen.append(bound()); "
+            "cli.main(['solve', '--spec', 'fixture:intervention', '--nx', '41', '--nt', '10', "
+            "'--out', out + '/s']); seen.append(bound()); print(*seen)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "0", "1"]
+
+
 def test_installed_entry_point():
     proc = subprocess.run(["impulse-qvi", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -19,6 +19,7 @@ from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
                                injection_cost, invert_hazard, running_cost,
                                sampled_lipschitz, survival, terminal_value,
                                validate)
+from impulse_qvi.solver import Grid
 
 
 def make_spec(lam=0.0, mu=0.1, sigma=0.2, beta=0.5, f=1.0, g1=0.0, g2=0.0,
@@ -264,6 +265,23 @@ def test_validate_terminal_impulse_profitable_fails():
     rep = validate(spec, np.linspace(0.1, 4.0, 101))
     assert not rep.entry("no_terminal_impulse").passed
     assert not rep.passed
+
+
+def test_validate_probes_g1_knots_beyond_the_grid_nodes():
+    # g1's last segment rises with slope 82, between two nodes of a 7-node
+    # grid: at the knot 0.9661 a jump past 0.9991 gains about 2.39.  The
+    # nodes alone miss it, so admissibility depended on n_x; the knots and
+    # the knots minus k_min and k_max are probed too
+    spec = make_spec(c1=0.0, T=0.0808, lam=0.0, mu=-14.25, sigma=0.155, beta=1.776,
+                     f=0.8496, g1=Curve.table([0.4647, 0.9661, 0.9991], [-1.787, -1.392, 1.310]),
+                     g2=Curve.table([1.0965, 1.1514], [0.472, 0.857]),
+                     kappa=0.2793, k_min=0.00121, k_max=0.0357)
+    nodes = Grid(0.43802, 1.28287, 7, 8).x_nodes()
+    e = validate(spec, nodes).entry("no_terminal_impulse")
+    assert not e.passed
+    assert e.worst_point == (0.9661,) and e.value < -2.0
+    # a probe range below every knot probes no knot
+    assert validate(spec, nodes[:1] * [1.0, 1.01]).entry("no_terminal_impulse").passed
 
 
 def test_validate_negative_hazard_fails():

@@ -3,8 +3,10 @@ the implicit step, impulse-operator brute force, the closed-form solve,
 region labeling, and ordering properties.  SciPy serves only as a
 reference; the comparisons that need it skip without it."""
 
+import ctypes
 import itertools
 import math
+import pathlib
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -114,18 +116,87 @@ def _recurring_beta_case():
     return spec, Grid(0.1, 2.1, 41, 200)
 
 
+def _both_substitutions(grid, spec, times):
+    """Two plans for the same step times: one that solves with dgttrs
+    wherever numpy's LAPACK binds, and one built while the binding reads
+    as absent, so it keeps the Python substitution."""
+    plan = _StepPlan(grid, spec, times)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_dgttrs", lambda: None)
+        fallback = _StepPlan(grid, spec, times)
+    assert type(fallback._sub) is solver._PythonSubstitution
+    expected = solver._PythonSubstitution if solver._dgttrs() is None else solver._Dgttrs
+    assert type(plan._sub) is expected
+    return plan, fallback
+
+
+def test_dgttrs_binds_from_numpy_wheel():
+    # where numpy's wheel ships its OpenBLAS, dgttrs binds and passes the
+    # bitwise self-check; a build without that library takes the fallback
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    if not any(libs.glob("libscipy_openblas64_*")):
+        pytest.skip("numpy was not installed from a wheel that ships OpenBLAS")
+    assert solver._dgttrs() is not None
+
+
+def _fake_dgttrs(fused=False, du2_term=True):
+    """A stand-in for dgttrs in Python, with its argument list, running its
+    no-interchange substitution (LAPACK dgtts2) on the arrays behind the
+    pointers: with every multiply-subtract rounded once (fused, taken in
+    exact rationals) or with the DU2 term dropped, as a build that
+    contracts or simplifies the Fortran would."""
+    def msub(c, a, b):  # c - a * b
+        return float(Fraction(c) - Fraction(a) * Fraction(b)) if fused else c - a * b
+
+    def fn(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, trans_len):
+        n = n._obj.value
+        view = lambda p, k: np.ctypeslib.as_array((ctypes.c_double * k).from_address(p.value))
+        dl, d, du, x = view(dl, n - 1), view(d, n), view(du, n - 1), view(b, n)
+        for i in range(n - 1):
+            x[i + 1] = msub(x[i + 1], dl[i], x[i])
+        x[n - 1] = x[n - 1] / d[n - 1]
+        x[n - 2] = msub(x[n - 2], du[n - 2], x[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            y = msub(x[i], du[i], x[i + 1])
+            x[i] = (msub(y, 0.0, x[i + 2]) if du2_term else y) / d[i]
+        info._obj.value = 0
+    return fn
+
+
+def test_dgttrs_self_check_rejects_fused_or_simplified_builds():
+    # the probe system tells the exact substitution from one whose
+    # multiply-adds are fused or whose zero DU2 term is dropped
+    assert solver._substitutions_agree(_fake_dgttrs())
+    assert not solver._substitutions_agree(_fake_dgttrs(fused=True))
+    assert not solver._substitutions_agree(_fake_dgttrs(du2_term=False))
+
+
+def test_dgttrs_nonzero_info_raises():
+    # dgttrs rejecting an argument raises; it never falls back silently
+    if solver._dgttrs() is None:
+        pytest.skip("numpy's LAPACK does not bind here")
+    spec, grid = intervention_spec(), suggested_grid("intervention")
+    plan = _StepPlan(grid, spec, [0.5])
+    v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
+    plan.step(v, 0.5)
+    plan._sub._n.value = -1  # N < 0
+    with pytest.raises(RuntimeError, match="dgttrs rejected argument 2"):
+        plan.step(v, 0.5)
+
+
 @pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero",
                                   "recurring-beta"])
 def test_pde_step_matches_banded_reference(name):
     # every step of the grid, chained down from the terminal slice through
     # one sweep's plan (as solve runs them): bit for bit the step a fresh
-    # plan takes, then bit for bit the banded reference
+    # plan takes and the step of the Python substitution, then bit for bit
+    # the banded reference
     if name == "recurring-beta":
         spec, grid = _recurring_beta_case()
     else:
         spec, grid = get_fixture(name), suggested_grid(name)
     tn = grid.t_nodes(spec.T)
-    plan = _StepPlan(grid, spec, tn[-2::-1])
+    plan, fallback = _both_substitutions(grid, spec, tn[-2::-1])
     if name == "recurring-beta":
         runs = plan._coef
         assert runs.shape[0] > _StepPlan._BLOCK and runs[0].tobytes() == runs[-1].tobytes()
@@ -134,6 +205,7 @@ def test_pde_step_matches_banded_reference(name):
     for j in range(grid.n_t - 1, -1, -1):
         got = pde_step(v, tn[j], grid, spec, plan)
         assert got.tobytes() == pde_step(v, tn[j], grid, spec).tobytes(), (name, j)
+        assert got.tobytes() == fallback.step(v, tn[j]).tobytes(), (name, j)
         steps.append((j, v, got))
         v = got
     for j, v_next, got in steps:
@@ -270,17 +342,19 @@ def test_pde_step_pivot_floor_on_tiny_cells():
 @given(spec=_specs, grid=_grids, seed=st.integers(0, 2**32 - 1))
 def test_pde_step_random_specs_match_banded_reference(spec, grid, seed):
     # a whole sweep's steps on random admissible data, either drift sign at
-    # x_min, each from the same slice as the reference: bitwise where dgtsv
-    # would not interchange rows, within 1e-12 relative where it would; a
-    # step never raises
+    # x_min, each from the same slice as the reference: bitwise the Python
+    # substitution's step, bitwise the reference where dgtsv would not
+    # interchange rows and within 1e-12 relative where it would; a step
+    # never raises
     tn = grid.t_nodes(spec.T)
-    plan = _StepPlan(grid, spec, tn[-2::-1])
+    plan, fallback = _both_substitutions(grid, spec, tn[-2::-1])
     v = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n_x)
     event(f"drift(0, x_min) < 0: {drift(0.0, grid.x_min, spec) < 0.0}")
     for j in range(grid.n_t - 1, -1, -1):
         dl, d, du, _ = _assemble_reference(v, tn[j], grid, spec)
         expected = _pde_step_reference(v, tn[j], grid, spec)
         got = pde_step(v, tn[j], grid, spec, plan)
+        assert got.tobytes() == fallback.step(v, tn[j]).tobytes()
         interchange = _would_interchange(dl, d, du)
         event(f"dgtsv would interchange rows: {interchange}")
         if interchange:
@@ -690,6 +764,54 @@ def test_solve_monotone_in_fixed_cost():
     v_cheap = solve(spec_cheap, grid).surface.values
     v_dear = solve(spec_dear, grid).surface.values
     assert np.all(v_cheap >= v_dear - 1e-12)
+
+
+def _monotone_curve(increasing):
+    """A constant, a monotone table or, rising only, a saturating curve."""
+    values = st.floats(-2.0, 2.0, allow_subnormal=False)
+    table = st.lists(values, min_size=2, max_size=4).flatmap(
+        lambda ys: st.lists(st.floats(0.0, 4.0), min_size=len(ys), max_size=len(ys),
+                            unique=True).map(
+            lambda xs: Curve.table(sorted(xs), sorted(ys, reverse=not increasing))))
+    kinds = [values.map(Curve.constant), table]
+    if increasing:
+        kinds.append(st.builds(Curve.saturating, values, st.floats(0.1, 5.0),
+                               st.floats(0.1, 2.0)))
+    return st.one_of(kinds)
+
+
+@st.composite
+def _monotone_cases(draw):
+    """f and g1 nondecreasing, g2 nonincreasing, on a grid from _grids with
+    h <= k_min: the window starts within one cell of h, or anywhere up to
+    h + 1."""
+    grid = draw(_grids)
+    k_min = draw(st.one_of(st.floats(grid.h, 2.0 * grid.h), st.floats(grid.h, grid.h + 1.0)))
+    spec = make_spec(c1=draw(st.floats(0.0, 1.0)), T=draw(st.floats(0.05, 5.0)),
+                     lam=draw(_time_curve(0.0, 3.0)), mu=draw(_time_curve(-1.0, 1.0)),
+                     sigma=draw(_time_curve(0.0, 3.0)), beta=draw(_time_curve(0.0, 2.0)),
+                     f=draw(_monotone_curve(True)), g1=draw(_monotone_curve(True)),
+                     g2=draw(_monotone_curve(False)), kappa=draw(st.floats(1e-4, 0.5)),
+                     k_min=k_min, k_max=k_min + draw(st.floats(0.0, 2.0)))
+    return spec, grid
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_monotone_cases())
+def test_solve_monotone_in_x_for_monotone_data(case):
+    # a larger ratio earns at least as much running and terminal utility
+    # and pays no more at default, and the flow keeps the order of its
+    # starting points, so V is nondecreasing in x.  The M-matrix steps and
+    # the projection keep that on the grid, up to rounding: 2^-40 of max |V|
+    spec, grid = case
+    try:
+        V = solve(spec, grid).surface.values
+    except (ValueError, NumericalError) as exc:
+        event(f"raises {type(exc).__name__}")
+        return
+    drop = float(np.min(np.diff(V, axis=1)))
+    event(f"some step down in x below 0: {drop < 0.0}")
+    assert drop >= -2.0**-40 * float(np.max(np.abs(V)))
 
 
 def test_obstacle_inequality_on_solved_fixtures():
