@@ -72,12 +72,26 @@ def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
     )
 
 
+def lower_bound_c0(spec: ModelSpec, grid: Grid) -> float:
+    """C0 = T * max(0, max over the grid of beta g2 - f) + max(0, -min over
+    the nodes of g1): the mirror of solver.upper_bound_c1.  The monotone
+    scheme keeps V >= -C0, since every step is an M-matrix whose rows sum to
+    1/dt + beta and projection only raises V."""
+    u = spec.utilities
+    x = grid.x_nodes()
+    beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
+    fx = np.asarray(u.f(x), dtype=float)
+    g2x = np.asarray(u.g2(x), dtype=float)
+    sink = max(0.0, float(np.max(beta[:, None] * g2x[None, :] - fx[None, :])))
+    return sink * spec.T + max(0.0, -float(np.min(u.g1(x))))
+
+
 def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
                  seed: int = 0) -> CheckReport:
-    """Upper bound C1 = T * sup(f - beta g2)^+ + (sup g1)^+ over the surface, and
-    V >= (no-control MC value) - 3 SE - (dt + h) at 6 sampled points, with
-    the surface's dt as the MC step.  Also fits the smallest C0 with
-    V >= -C0 (1 + |x|) against the MC estimates."""
+    """V <= C1 = T * sup(f - beta g2)^+ + (sup g1)^+ and V >= -C0 (see
+    lower_bound_c0) over the surface, and V >= (no-control MC value) - 3 SE
+    - (dt + h) at 6 sampled points, with the surface's dt as the MC step.
+    measured and worst_location are those of the worst of the three."""
     grid = surface.grid
     tn = surface.t_nodes()
     xn = grid.x_nodes()
@@ -86,6 +100,9 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
     c1 = upper_bound_c1(spec, grid)
     upper_margin = c1 + 1e-9 - float(np.max(surface.values))
     iu, ju = np.unravel_index(int(np.argmax(surface.values)), surface.values.shape)
+    c0 = lower_bound_c0(spec, grid)
+    grid_margin = float(np.min(surface.values)) + c0 + 1e-9
+    il, jl = np.unravel_index(int(np.argmin(surface.values)), surface.values.shape)
 
     # no-control MC lower bound at a deterministic sample of interior points
     t_samples = tn[[0, grid.n_t // 2]]
@@ -94,7 +111,6 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
     budget = dt + grid.h
     worst_lower = np.inf
     loc_lower = None
-    c0_fit = 0.0
     for ts in t_samples:
         for xs in x_samples:
             est = mc_cost_g(spec, float(ts), float(xs), None, dt, n_paths, seed)
@@ -102,21 +118,21 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
             if margin < worst_lower:
                 worst_lower = margin
                 loc_lower = (float(ts), float(xs))
-            c0_fit = max(c0_fit, -(est.estimate) / (1.0 + abs(float(xs))))
-    c0_fit = max(0.0, c0_fit)
-    lower_grid_ok = bool(np.all(surface.values >= -c0_fit * (1.0 + np.abs(xn))[None, :] - 1e-9))
 
-    measured = min(upper_margin, worst_lower)
+    # the first worst sub-check, MC lower bound first on ties
+    measured, loc = min([(worst_lower, loc_lower),
+                         (upper_margin, (float(tn[iu]), float(xn[ju]))),
+                         (grid_margin, (float(tn[il]), float(xn[jl])))], key=lambda m: m[0])
     return CheckReport(
         name="bounds",
-        passed=bool(upper_margin >= 0.0 and worst_lower >= 0.0 and lower_grid_ok),
+        passed=bool(measured >= 0.0),
         measured=float(measured),
         threshold=0.0,
-        operation="V <= C1 and V >= no-control MC value - 3 SE - (dt + h)",
-        tolerance_note=f"C1={c1:.6g}, MC n_paths={n_paths}, budget dt+h={budget:.3g}",
-        worst_location=loc_lower if worst_lower <= upper_margin else (float(tn[iu]), float(xn[ju])),
-        details={"c1": c1, "upper_margin": upper_margin, "worst_lower_margin": worst_lower,
-                 "fitted_c0": c0_fit, "lower_grid_ok": lower_grid_ok},
+        operation="-C0 <= V <= C1 and V >= no-control MC value - 3 SE - (dt + h)",
+        tolerance_note=f"C0={c0:.6g}, C1={c1:.6g}, MC n_paths={n_paths}, budget dt+h={budget:.3g}",
+        worst_location=loc,
+        details={"c0": c0, "c1": c1, "upper_margin": upper_margin,
+                 "worst_lower_margin": worst_lower, "lower_grid_margin": grid_margin},
     )
 
 

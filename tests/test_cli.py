@@ -270,6 +270,17 @@ def test_check_zero_fixture_vacuous(tmp_path):
     assert "ALL CHECKS PASSED" in (out / "checks.txt").read_text()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_check_geometric_passes_bounds(tmp_path, seed):
+    # V < 0 near x_min is inside the derived lower bound -C0
+    out = tmp_path / "o"
+    assert cli.main(["check", "--spec", "fixture:geometric", "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    by_name = {c["name"]: c for c in read_json(out / "checks.json")["checks"]}
+    assert by_name["bounds"]["passed"] is True
+    assert by_name["bounds"]["details"]["c0"] > 0.0
+
+
 def test_check_corrupted_surface_exits_1(tmp_path):
     sol = tmp_path / "sol"
     rc = cli.main(["solve", "--spec", "fixture:intervention", "--out", str(sol),

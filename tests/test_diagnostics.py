@@ -1,17 +1,23 @@
 """Surface diagnostics: obstacle, bounds, regularity, smooth fit, structure,
 and the refinement study."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from impulse_qvi.diagnostics import (CheckReport, check_bounds,
                                      check_obstacle, check_regularity,
                                      check_smooth_fit, check_theta_structure,
-                                     convergence_study, standard_checks)
+                                     convergence_study, lower_bound_c0,
+                                     standard_checks)
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, intervention_spec,
                                   suggested_grid, zero_spec)
+from impulse_qvi.model import Curve
 from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve
+
+from test_model import make_spec
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,51 @@ def test_check_bounds_closed_form():
     # C1 = T sup f + sup g1 = 1 here, and V peaks at 2(1 - e^{-1/2}) < 1
     assert rep.details["c1"] == pytest.approx(1.0)
     assert rep.details["upper_margin"] > 0.2
+
+
+@pytest.fixture(scope="module")
+def geometric_solution():
+    spec = geometric_spec()
+    return spec, solve(spec, suggested_grid("geometric"))
+
+
+def test_check_bounds_geometric_passes_below_zero(geometric_solution):
+    # V dips below 0 at x_min, inside the derived lower bound -C0 (the CLI
+    # test runs seeds 0-3)
+    spec, res = geometric_solution
+    rep = check_bounds(res.surface, spec, seed=0)
+    assert rep.passed, rep.line()
+    assert res.surface.values.min() < 0.0
+    assert rep.details["c0"] == lower_bound_c0(spec, res.surface.grid) > 0.0
+    assert rep.details["lower_grid_margin"] > 0.0
+
+
+def test_check_bounds_reports_a_node_below_minus_c0(geometric_solution):
+    # the grid sub-check is the worst one here: measured and worst_location
+    # come from it, not from an MC sample
+    spec, res = geometric_solution
+    surf = res.surface
+    c0 = lower_bound_c0(spec, surf.grid)
+    values = surf.values.copy()
+    j, i = 7, 150  # no MC sample time row
+    values[j, i] = -c0 - 1e-3
+    bad = ValueSurface(surf.grid, surf.T, values, surf.iv_values, dict(surf.metadata))
+    rep = check_bounds(bad, spec, seed=0)
+    assert not rep.passed
+    assert rep.measured == pytest.approx(-1e-3, abs=1e-8)
+    assert rep.worst_location == (surf.t_nodes()[j], surf.grid.x_nodes()[i])
+
+
+def test_lower_bound_c0_mirrors_c1():
+    # beta g2 - f peaks at 2 * 0.75 - 0.5 = 1 and g1 bottoms out at -0.25
+    # on the nodes: C0 = T * 1 + 0.25; with f large and g1 >= 0, C0 = 0
+    grid = Grid(0.0, 2.0, 5, 4)
+    spec = make_spec(T=2.0, beta=Curve.table([0.0, 2.0], [1.0, 2.0]),
+                     f=0.5, g2=Curve.table([0.0, 2.0], [0.75, 0.0]),
+                     g1=Curve.table([0.0, 2.0], [-0.25, 1.0]))
+    assert lower_bound_c0(spec, grid) == 2.0 * 1.0 + 0.25
+    assert lower_bound_c0(replace(spec, utilities=replace(spec.utilities, f=Curve.constant(5.0),
+                                                          g1=Curve.constant(0.0))), grid) == 0.0
 
 
 def test_check_regularity_one_sided():

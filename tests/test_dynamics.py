@@ -7,28 +7,35 @@ writes them in place into one reused generator; the tests below compare
 its draws with a default_rng reference loop bit for bit, its PCG64 seeding
 step with Python big-int arithmetic, and check that the per-chunk guard
 raises on a corrupted state or a wrong word order.
+
+The Euler step runs in place on preallocated arrays; _run_chunk_reference
+below is the plain array loop it replaced, and the engine must match it
+bit for bit on every output.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from impulse_qvi import dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
                                   _draw_paths, _simulate_batch, filtration_reduction_check,
                                   mc_cost_f, mc_cost_g, sample_default,
                                   simulate, simulate_paths)
-from impulse_qvi.fixtures import (closed_form_params, closed_form_spec,
+from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
-from impulse_qvi.model import Curve, cumulative_hazard
+from impulse_qvi.model import (Curve, cumulative_hazard, diffusion, drift, injection_cost,
+                               invert_hazard, survival_grid)
 from impulse_qvi.solver import Grid, solve
 
 from test_model import make_spec
+from test_solver import _state_curve, _time_curve
 
 
 # ------------------------------------------------------------- schedules
@@ -270,12 +277,31 @@ def test_path_determinism_and_independence():
 
 
 def test_paths_independent_of_chunking():
-    # the second chunk of a 20,000-path batch (paths 16384..19999) is the
-    # same, bit for bit, as a batch that starts at path 16384
+    # a batch that starts mid-chunk and crosses two of the full batch's
+    # chunk boundaries is, path for path, the full batch's tail
     spec = geometric_spec()
-    full = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, 20000)
-    tail = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, 3616, path_offset=16384)
-    np.testing.assert_array_equal(full.cost_g[16384:], tail.cost_g)
+    n, first = 3 * dynamics._CHUNK + 100, dynamics._CHUNK // 2 + 1
+    full = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, n)
+    tail = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, n - first, path_offset=first)
+    for name in ("cost_g", "run_f", "imp_f", "final_states", "default_times"):
+        assert getattr(full, name)[first:].tobytes() == getattr(tail, name).tobytes(), name
+
+
+def test_batch_memory_stays_within_two_brownian_blocks():
+    # 16,384 paths at 1,000 steps run in 4,096-path chunks, so the peak
+    # stays below two Brownian blocks of 4,096 x (steps + 1) doubles; one
+    # 16,384-path block alone would be four
+    spec = geometric_spec()
+    _simulate_batch(spec, 0.0, 1.0, None, 0.001, 3, 10)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        batch = _simulate_batch(spec, 0.0, 1.0, None, 0.001, 3, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_step = batch.times.size - 1
+    assert n_step == 1000
+    assert peak < 2 * 4096 * (n_step + 1) * 8
 
 
 @pytest.mark.parametrize("policy", ["schedule", "feedback"])
@@ -329,3 +355,157 @@ def test_feedback_policy_triggers_injection():
     assert ev.time == 0.0  # x0 = 0.15 starts inside the action region
     assert spec.costs.k_min <= ev.size <= spec.costs.k_max
     assert ev.state_after == ev.state_before + ev.size
+
+
+# ------------------------------------------- the in-place Euler kernel
+
+
+def _run_chunk_reference(spec, t0, x0, control, times, seed, start, count, record):
+    """The engine's chunk loop before the in-place kernel: fresh arrays at
+    every step, the running term clipped against tau at every step."""
+    u = spec.utilities
+    costs = spec.costs
+    n_step = times.size - 1
+    dts = np.diff(times)
+    rho = survival_grid(spec, t0, times)
+    p_def = rho[:-1] - rho[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_hazard = np.log(rho[:-1]) - np.log(rho[1:])
+        w_run = np.where(d_hazard > 0.0, p_def * dts / d_hazard, rho[:-1] * dts)
+
+    e_draws = np.empty(count)
+    z = np.empty((count, n_step))
+    _draw_paths(seed, start, e_draws, z)
+    tau = np.atleast_1d(invert_hazard(spec.beta, t0, e_draws, spec.T))
+
+    sched_at, policy = dynamics._prepare_control(spec, control, t0, times)
+
+    x = np.full(count, float(x0))
+    run_g = np.zeros(count)
+    run_f = np.zeros(count)
+    imp_g = np.zeros(count)
+    imp_f = np.zeros(count)
+    g2_at_tau = np.zeros(count)
+    hist = np.empty((count, times.size)) if record else None
+    events = [[] for _ in range(count)] if record else None
+
+    for k in range(times.size):
+        tk = times[k]
+        xi = None
+        if k in sched_at:
+            xi = np.full(count, sched_at[k])
+        elif policy is not None and k < n_step:
+            xi = np.asarray(policy.injections(tk, x), dtype=float)
+        if xi is not None and np.any(xi > 0):
+            hit = xi > 0
+            if record:
+                before = x.copy()
+            x = np.where(hit, x + xi, x)
+            alive = tau >= tk
+            imp_g += np.where(hit & alive, injection_cost(xi, costs), 0.0)
+            imp_f += np.where(hit, rho[k] * injection_cost(xi, costs), 0.0)
+            if record:
+                for j in np.nonzero(hit)[0]:
+                    events[j].append(dynamics.ImpulseEvent(float(tk), float(xi[j]),
+                                                           float(before[j]), float(x[j])))
+        if record:
+            hist[:, k] = x
+        if k == n_step:
+            break
+        d = dts[k]
+        fx = np.asarray(u.f(x), dtype=float)
+        g2x = np.asarray(u.g2(x), dtype=float)
+        overlap = np.clip(np.minimum(times[k + 1], tau) - tk, 0.0, d)
+        run_g += fx * overlap
+        run_f += w_run[k] * fx - p_def[k] * g2x
+        at_tau = (tau >= tk) & (tau < times[k + 1])
+        if np.any(at_tau):
+            g2_at_tau[at_tau] = g2x[at_tau]
+        x = x + np.asarray(drift(tk, x, spec), dtype=float) * d \
+              + np.asarray(diffusion(tk, x, spec), dtype=float) * math.sqrt(d) * z[:, k]
+
+    survive = tau >= spec.T
+    g1x = np.asarray(u.g1(x), dtype=float)
+    cost_g = run_g + np.where(survive, g1x, 0.0) - np.where(survive, 0.0, g2_at_tau) - imp_g
+    return dynamics.PathBatch(times, x, tau, cost_g, run_f, imp_f, hist, events)
+
+
+def _assert_matches_reference(spec, t0, x0, control, dt, seed, n_paths, record, first=0):
+    """_simulate_batch equals the reference loop, run as one chunk, bit for bit."""
+    got = _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, record=record,
+                          path_offset=first)
+    extra = control.times if isinstance(control, ImpulseSchedule) else ()
+    times = dynamics._time_grid(t0, spec.T, dt, extra)
+    ref = _run_chunk_reference(spec, t0, x0, control, times, seed, first, n_paths, record)
+    for name in ("times", "cost_g", "run_f", "imp_f", "final_states", "default_times"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    if record:
+        assert got.histories.tobytes() == ref.histories.tobytes()
+        assert repr(got.events) == repr(ref.events)  # repr tells -0.0 from 0.0
+    else:
+        assert got.histories is None and got.events is None
+    return ref
+
+
+@pytest.fixture(scope="module")
+def fixture_policies():
+    return {name: FeedbackPolicy.from_solution(solve(FIXTURES[name](), suggested_grid(name)))
+            for name in FIXTURES}
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("policy", ["none", "schedule", "feedback"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_kernel_matches_reference_loop_on_fixtures(name, policy, record, fixture_policies):
+    # more paths than one chunk, from t0 > 0, starting inside the action
+    # region of the intervention fixture
+    spec = FIXTURES[name]()
+    c = spec.costs
+    control = {"none": None,
+               "schedule": ImpulseSchedule(np.array([0.0, 0.25 * spec.T, 0.7 * spec.T]),
+                                           np.array([c.k_min, c.k_max, c.k_min])),
+               "feedback": fixture_policies[name]}[policy]
+    ref = _assert_matches_reference(spec, 0.0, 0.15, control, 0.05, 13,
+                                    dynamics._CHUNK + 37, record, first=5)
+    if policy == "schedule" or (policy, name) == ("feedback", "intervention"):
+        assert np.any(ref.imp_f > 0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A spec with table-capable lam, mu_tilde, sigma_tilde and beta (beta up
+    to 6, so that many defaults land inside steps), any state curves, a
+    start, a step, and no control, a schedule or a random feedback rule."""
+    spec = make_spec(c1=draw(st.floats(0.0, 1.0)), T=draw(st.floats(0.05, 3.0)),
+                     lam=draw(_time_curve(0.0, 3.0)), mu=draw(_time_curve(-1.0, 1.0)),
+                     sigma=draw(_time_curve(0.0, 1.0)), beta=draw(_time_curve(0.0, 6.0)),
+                     f=draw(_state_curve(-2.0, 2.0)), g1=draw(_state_curve(-2.0, 2.0)),
+                     g2=draw(_state_curve(-2.0, 2.0)), k_min=0.1, k_max=1.0)
+    t0 = draw(st.floats(0.0, 0.9)) * spec.T
+    dt = draw(st.floats(0.01, 0.5)) * spec.T
+    kind = draw(st.sampled_from(["none", "schedule", "feedback"]))
+    control = None
+    if kind == "schedule":
+        times = draw(st.lists(st.floats(t0, spec.T, exclude_max=True), min_size=1, max_size=4,
+                              unique=True))
+        sizes = draw(st.lists(st.floats(0.1, 1.0), min_size=len(times), max_size=len(times)))
+        control = ImpulseSchedule(np.array(sorted(times)), np.array(sizes))
+    elif kind == "feedback":
+        grid = Grid(0.0, draw(st.floats(0.5, 4.0)), draw(st.integers(3, 9)), draw(st.integers(1, 6)))
+        shape = (grid.n_t + 1, grid.n_x)
+        action = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+        action = np.array(action).reshape(shape)
+        control = FeedbackPolicy(np.linspace(0.0, spec.T, shape[0]), grid, action,
+                                 np.where(action, 0.5, np.nan))
+    return spec, t0, draw(st.floats(0.01, 3.0)), control, dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_cases(), seed=st.integers(0, 2**32), n_paths=st.integers(1, 40),
+       record=st.booleans())
+def test_kernel_matches_reference_loop_on_random_specs(case, seed, n_paths, record):
+    spec, t0, x0, control, dt = case
+    ref = _assert_matches_reference(spec, t0, x0, control, dt, seed, n_paths, record)
+    inside = np.isfinite(ref.default_times) & np.isin(ref.default_times, ref.times, invert=True)
+    event(f"a default inside a step: {bool(inside.any())}")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
-from impulse_qvi.diagnostics import convergence_study
+from impulse_qvi.diagnostics import convergence_study, lower_bound_c0
 from impulse_qvi.fixtures import (closed_form_spec, closed_form_value,
                                   fixture_reference, geometric_spec,
                                   get_fixture, intervention_spec,
@@ -856,8 +856,8 @@ _ZERO_UTILITIES = UtilitySpec(f=Curve.constant(0.0), g1=Curve.constant(0.0),
          zero=False)
 def test_solve_invariants_on_random_specs(case, zero):
     # on random admissible specs a solve raises an explicit error or keeps
-    # the scheme's invariants: V <= C1 (every step is an M-matrix, either
-    # drift sign at x_min), V >= IV - tol_inner off the terminal slice,
+    # the scheme's invariants: -C0 <= V <= C1 (every step is an M-matrix,
+    # either drift sign at x_min), V >= IV - tol_inner off the terminal slice,
     # labels and policy read off V - IV <= eps_region, the same labels and
     # policy again from extract_regions, and V == 0 with no action node for
     # zero utilities
@@ -872,6 +872,7 @@ def test_solve_invariants_on_random_specs(case, zero):
     V, IV, md = res.surface.values, res.surface.iv_values, res.surface.metadata
     event(f"drift(0, x_min) < 0: {drift(0.0, grid.x_min, spec) < 0.0}")
     assert V.max() <= md["c1_bound"] + 1e-9
+    assert V.min() >= -lower_bound_c0(spec, grid) - 1e-9
     assert np.all(V[:-1] >= IV[:-1] - md["tol_inner"])
     np.testing.assert_array_equal(res.labels, V - IV <= md["eps_region"])
     np.testing.assert_array_equal(np.isfinite(res.xi0), res.labels)
