@@ -282,7 +282,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     ref = (fixture_reference(cfg.spec_source[len("fixture:"):])
            if cfg.spec_source.startswith("fixture:") else None)
     if ref is not None:
-        exact = reference_values(ref, res.surface)
+        exact = reference_values(ref, res.surface.t_nodes(), res.surface.grid.x_nodes())
         err = np.abs(res.surface.values - exact)
         scale = np.maximum(np.abs(exact), 1e-12)
         summary["max_error_vs_formula"] = float(np.max(err))

@@ -76,13 +76,17 @@ def lower_bound_c0(spec: ModelSpec, grid: Grid) -> float:
     """C0 = T * max(0, max over the grid of beta g2 - f) + max(0, -min over
     the nodes of g1): the mirror of solver.upper_bound_c1.  The monotone
     scheme keeps V >= -C0, since every step is an M-matrix whose rows sum to
-    1/dt + beta and projection only raises V."""
+    1/dt + beta and projection only raises V.
+
+    As for C1, the rounded b g2 - f is monotone in b at a fixed x, so its
+    max over the time nodes is taken at the smallest or the largest beta:
+    O(n_x) work, the same value bit for bit as the max over the full grid."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
     fx = np.asarray(u.f(x), dtype=float)
     g2x = np.asarray(u.g2(x), dtype=float)
-    sink = max(0.0, float(np.max(beta[:, None] * g2x[None, :] - fx[None, :])))
+    sink = max(0.0, float(np.max(np.maximum(beta.min() * g2x - fx, beta.max() * g2x - fx))))
     return sink * spec.T + max(0.0, -float(np.min(u.g1(x))))
 
 
@@ -316,11 +320,23 @@ class ConvergenceStudy:
                 "reference_errors": self.reference_errors}
 
 
-def reference_values(reference, surface: ValueSurface) -> np.ndarray:
-    """The exact reference on the surface's nodes: one call
-    reference(t, x_nodes) per time node, broadcast over x."""
-    xn = surface.grid.x_nodes()
-    return np.array([np.broadcast_to(reference(t, xn), xn.shape) for t in surface.t_nodes()])
+def reference_values(reference, t_nodes, x_nodes) -> np.ndarray:
+    """The exact reference on a grid: one call reference(t, x_nodes) per
+    time node, broadcast over x."""
+    return np.array([np.broadcast_to(reference(t, x_nodes), x_nodes.shape) for t in t_nodes])
+
+
+_BLOCK_ROWS = 64  # time rows per block of a convergence_study reduction
+
+
+def _sup_abs_diff(values: np.ndarray, other_rows) -> float:
+    """max |values - other_rows(rows)|, taken over blocks of _BLOCK_ROWS
+    time rows (other_rows(rows) gives the comparison values of the row
+    slice rows), so no temporary grows with the number of rows.  A max of
+    exact absolute differences does not depend on the blocking; a NaN
+    anywhere gives NaN, as a single np.max would."""
+    blocks = [slice(j, j + _BLOCK_ROWS) for j in range(0, values.shape[0], _BLOCK_ROWS)]
+    return float(np.max([np.max(np.abs(values[b] - other_rows(b))) for b in blocks]))
 
 
 def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
@@ -336,14 +352,24 @@ def convergence_study(spec: ModelSpec, grids: list, reference=None,
 
     Successive solutions are compared on the coarser grid's nodes
     (sup difference); when a reference callable (t, x_nodes) -> V is
-    given, each level also records its sup error against it.
+    given, each level also records its sup error against it, one call per
+    time node.  The ladder holds at most two levels: level i is swept,
+    takes its reference error and its difference to level i - 1, and only
+    then is level i - 1 dropped.
     """
-    surfaces = [_values_only(spec, g, tol_inner) for g in grids]
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
-    ref_errors = [] if reference is None else [
-        float(np.max(np.abs(s.values - reference_values(reference, s)))) for s in surfaces]
-    diffs = [float(np.max(np.abs(a.values - b.evaluate(a.t_nodes(), a.grid.x_nodes()))))
-             for a, b in zip(surfaces, surfaces[1:])]
+    ref_errors, diffs = [], []
+    prev = None
+    for g in grids:
+        cur = _values_only(spec, g, tol_inner)
+        if reference is not None:
+            tn, xn = cur.t_nodes(), g.x_nodes()
+            ref_errors.append(_sup_abs_diff(
+                cur.values, lambda b: reference_values(reference, tn[b], xn)))
+        if prev is not None:
+            tn, xn = prev.t_nodes(), prev.grid.x_nodes()
+            diffs.append(_sup_abs_diff(prev.values, lambda b: cur.evaluate(tn[b], xn)))
+        prev = cur
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
     ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf

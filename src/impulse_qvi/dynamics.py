@@ -177,12 +177,13 @@ class FeedbackPolicy:
     def __init__(self, t_nodes, grid, action, xi0):
         self.t_nodes = np.asarray(t_nodes, dtype=float)
         self.grid = grid
-        self.action = np.asarray(action, dtype=bool)
-        self.xi0 = np.asarray(xi0, dtype=float)
-        if self.action.shape != (self.t_nodes.size, grid.n_x):
+        action = np.asarray(action, dtype=bool)
+        xi0 = np.asarray(xi0, dtype=float)
+        if action.shape != (self.t_nodes.size, grid.n_x):
             raise ValueError("action mask shape must be (n_t_nodes, n_x)")
-        if self.xi0.shape != self.action.shape:
+        if xi0.shape != action.shape:
             raise ValueError("xi0 shape must match the action mask")
+        self.sizes = np.where(action, xi0, 0.0)  # the injection at each node
 
     @classmethod
     def from_solution(cls, res) -> "FeedbackPolicy":
@@ -192,7 +193,7 @@ class FeedbackPolicy:
     def injections(self, t: float, x: np.ndarray) -> np.ndarray:
         j = int(np.argmin(np.abs(self.t_nodes - t)))
         ix = self.grid.nearest_node(np.asarray(x))
-        return np.where(self.action[j, ix], self.xi0[j, ix], 0.0)
+        return self.sizes[j, ix]
 
 
 def sample_default(spec: ModelSpec, t0: float, seed) -> float:

@@ -562,13 +562,19 @@ def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
     the horizon times the largest source level plus the terminal bound, an
     upper bound on V that the scheme and the projection both respect, since
     every step is an M-matrix (see pde_step).  A negative sup g1 is not a
-    bound: discounting lifts V above it."""
+    bound: discounting lifts V above it.
+
+    At a fixed x, the rounded f - b g2 is monotone in b, since correctly
+    rounded multiplication and subtraction are monotone in each operand.
+    So its max over the time nodes is taken at the smallest or the largest
+    beta, and the bound is found in O(n_x), the same value bit for bit as
+    the max over the full (n_t + 1) x n_x grid."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
     fx = np.asarray(u.f(x), dtype=float)
     g2x = np.asarray(u.g2(x), dtype=float)
-    source = max(0.0, float(np.max(fx[None, :] - beta[:, None] * g2x[None, :])))
+    source = max(0.0, float(np.max(np.maximum(fx - beta.min() * g2x, fx - beta.max() * g2x))))
     return source * spec.T + max(0.0, u.c_g1)
 
 

@@ -1,12 +1,16 @@
 """Surface diagnostics: obstacle, bounds, regularity, smooth fit, structure,
 and the refinement study."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from impulse_qvi.diagnostics import (CheckReport, check_bounds,
+from impulse_qvi.diagnostics import (CheckReport, ConvergenceStudy,
+                                     _values_only, check_bounds,
                                      check_obstacle, check_regularity,
                                      check_smooth_fit, check_theta_structure,
                                      convergence_study, lower_bound_c0,
@@ -15,7 +19,7 @@ from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, intervention_spec,
                                   suggested_grid, zero_spec)
 from impulse_qvi.model import Curve
-from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve
+from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, upper_bound_c1
 
 from test_model import make_spec
 
@@ -141,6 +145,54 @@ def test_lower_bound_c0_mirrors_c1():
                                                           g1=Curve.constant(0.0))), grid) == 0.0
 
 
+def _outer_bound_sources(spec, grid):
+    """max over the full (n_t + 1) x n_x grid of f - beta g2 and of
+    beta g2 - f, from the outer products: the former form of the bounds."""
+    x = grid.x_nodes()
+    beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
+    fx = np.asarray(spec.utilities.f(x), dtype=float)
+    g2x = np.asarray(spec.utilities.g2(x), dtype=float)
+    return (float(np.max(fx[None, :] - beta[:, None] * g2x[None, :])),
+            float(np.max(beta[:, None] * g2x[None, :] - fx[None, :])))
+
+
+def _c1_outer(spec, grid):
+    return max(0.0, _outer_bound_sources(spec, grid)[0]) * spec.T + max(0.0, spec.utilities.c_g1)
+
+
+def _c0_outer(spec, grid):
+    sink = max(0.0, _outer_bound_sources(spec, grid)[1])
+    return sink * spec.T + max(0.0, -float(np.min(spec.utilities.g1(grid.x_nodes()))))
+
+
+_level = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _table(draw, lo, hi, values):
+    """A table curve on 2-5 sorted distinct knots in [lo, hi]."""
+    knots = draw(st.lists(st.floats(lo, hi), min_size=2, max_size=5, unique=True))
+    return Curve.table(sorted(knots), draw(st.lists(values, min_size=len(knots),
+                                                    max_size=len(knots))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.1, 3.0), n_t=st.integers(1, 60), n_x=st.integers(3, 40),
+       beta=st.one_of(st.floats(0.0, 3.0).map(Curve.constant), _table(0.0, 3.0, st.floats(0.0, 3.0))),
+       f=st.one_of(_level.map(Curve.constant), _table(0.0, 2.5, _level),
+                   st.builds(Curve.saturating, st.floats(0.0, 2.0), st.floats(0.1, 5.0))),
+       g2=st.one_of(st.just(Curve.constant(0.0)), _level.map(Curve.constant),
+                    _table(0.0, 2.5, _level)),
+       g1=st.one_of(_level.map(Curve.constant), _table(0.0, 2.5, _level)))
+def test_bounds_from_beta_extremes_equal_the_outer_product(T, n_t, n_x, beta, f, g2, g1):
+    # C1 and C0 take the max over time at beta's smallest or largest value;
+    # a non-monotone beta table puts both extremes at interior time nodes
+    spec = make_spec(T=T, beta=beta, f=f, g2=g2, g1=g1)
+    grid = Grid(0.1, 2.1, n_x, n_t)
+    assert upper_bound_c1(spec, grid).hex() == _c1_outer(spec, grid).hex()
+    assert lower_bound_c0(spec, grid).hex() == _c0_outer(spec, grid).hex()
+
+
 def test_check_regularity_one_sided():
     spec = closed_form_spec()
     coarse = solve(spec, Grid(0.1, 2.1, 101, 50)).surface
@@ -204,3 +256,57 @@ def test_convergence_study_zero_fixture_degenerate():
     assert all(d == 0.0 for d in
                (row["sup_diff_to_next"] for row in study.rows[:-1]))
     assert study.ratios[0] == np.inf  # 0/0 ladder reported as inf, not NaN
+
+
+def _convergence_study_all_levels(spec, grids, reference=None, tol_inner=1e-9):
+    """The former convergence_study, every level held at once and each
+    reduction over full-size arrays: the oracle of the two-level ladder."""
+    surfaces = [_values_only(spec, g, tol_inner) for g in grids]
+    rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
+
+    def exact(s):
+        xn = s.grid.x_nodes()
+        return np.array([np.broadcast_to(reference(t, xn), xn.shape) for t in s.t_nodes()])
+
+    ref_errors = [] if reference is None else [
+        float(np.max(np.abs(s.values - exact(s)))) for s in surfaces]
+    diffs = [float(np.max(np.abs(a.values - b.evaluate(a.t_nodes(), a.grid.x_nodes()))))
+             for a, b in zip(surfaces, surfaces[1:])]
+    for i, d in enumerate(diffs):
+        rows[i]["sup_diff_to_next"] = d
+    ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf
+              for i in range(len(diffs) - 1)]
+    return ConvergenceStudy(rows=rows, ratios=ratios, reference_errors=ref_errors)
+
+
+def _cli_ladder(name):
+    g = suggested_grid(name)
+    return [Grid(g.x_min, g.x_max, g.n_x, g.n_t * 2**i) for i in range(3)]
+
+
+@pytest.mark.parametrize("spec, grids, reference", [
+    (closed_form_spec(), _cli_ladder("closed-form"), fixture_reference("closed-form")),
+    (zero_spec(), [Grid(0.1, 2.1, 31, nt) for nt in (10, 20, 40)], None),
+    # unequal n_x, and row counts that are not multiples of the block
+    (intervention_spec(), [Grid(0.1, 4.1, 41, 70), Grid(0.1, 4.1, 61, 129),
+                           Grid(0.1, 4.1, 51, 300)], None),
+], ids=["closed-form-cli-ladder", "zero", "intervention-unequal-n_x"])
+def test_convergence_study_matches_all_levels_oracle(spec, grids, reference):
+    study = convergence_study(spec, grids, reference=reference)
+    oracle = _convergence_study_all_levels(spec, grids, reference=reference)
+    assert repr(study.to_dict()) == repr(oracle.to_dict())
+
+
+def test_convergence_study_holds_two_levels():
+    # traced peak of the closed-form ladder: the finest V, the previous V
+    # and 1 MiB for blocks and the sweep's working rows (the all-levels
+    # form peaked at 18.3 MiB here)
+    grids = [Grid(0.1, 2.1, 400, 400 * 2**i) for i in range(3)]
+    bound = 8 * 400 * (1601 + 801) + 2**20
+    tracemalloc.start()
+    try:
+        convergence_study(closed_form_spec(), grids, reference=fixture_reference("closed-form"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
