@@ -40,6 +40,7 @@ EXIT_NUMERICAL = 3
 # the smooth-fit hypothesis needs uniform ellipticity, which the state
 # multiplying the volatility destroys at x=0; every report carries this
 _DOMAIN_NOTE = "diagnostics restricted to x_min > 0 (ellipticity proxy sigma_tilde*x_min)"
+_HASH_BLOCK = 1 << 20  # bytes per read while hashing --surface
 
 
 class UsageError(Exception):
@@ -88,8 +89,11 @@ class RunConfig:
             "levels": self.levels,
         }
         if self.surface_path is not None:
+            digest = hashlib.sha256()
             with open(self.surface_path, "rb") as fh:
-                payload["surface_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+                for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+                    digest.update(block)
+            payload["surface_sha256"] = digest.hexdigest()
         return payload
 
     def config_hash(self) -> str:

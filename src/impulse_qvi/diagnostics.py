@@ -15,8 +15,8 @@ import numpy as np
 
 from .dynamics import mc_cost_g
 from .model import ModelSpec
-from .solver import (Grid, SolveResult, ValueSurface, _sweep, impulse_max, interp_extended,
-                     solve, upper_bound_c1)
+from .solver import (Grid, SolveResult, ValueSurface, _blend, _sweep, _time_cell, impulse_max,
+                     interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -326,24 +326,15 @@ def reference_values(reference, t_nodes, x_nodes) -> np.ndarray:
     return np.array([np.broadcast_to(reference(t, x_nodes), x_nodes.shape) for t in t_nodes])
 
 
-_BLOCK_ROWS = 64  # time rows per block of a convergence_study reduction
-
-
-def _sup_abs_diff(values: np.ndarray, other_rows) -> float:
-    """max |values - other_rows(rows)|, taken over blocks of _BLOCK_ROWS
-    time rows (other_rows(rows) gives the comparison values of the row
-    slice rows), so no temporary grows with the number of rows.  A max of
-    exact absolute differences does not depend on the blocking; a NaN
-    anywhere gives NaN, as a single np.max would."""
-    blocks = [slice(j, j + _BLOCK_ROWS) for j in range(0, values.shape[0], _BLOCK_ROWS)]
-    return float(np.max([np.max(np.abs(values[b] - other_rows(b))) for b in blocks]))
-
-
 def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
     """The value surface of a solve without IV, labels or policy, for
     checks that read V alone.  No residual is recomputed, so a slice whose
     projection the sweep skipped rests on the certificate's proof alone."""
-    return ValueSurface(grid, spec.T, _sweep(spec, grid, tol_inner)[0])
+    _, slices = _sweep(spec, grid, tol_inner)
+    V = np.empty((grid.n_t + 1, grid.n_x))
+    for j, v, _, _ in slices:
+        V[j] = v
+    return ValueSurface(grid, spec.T, V)
 
 
 def convergence_study(spec: ModelSpec, grids: list, reference=None,
@@ -351,25 +342,49 @@ def convergence_study(spec: ModelSpec, grids: list, reference=None,
     """Solve on each grid of a refinement ladder (the value surfaces only).
 
     Successive solutions are compared on the coarser grid's nodes
-    (sup difference); when a reference callable (t, x_nodes) -> V is
+    (sup difference, the finer level read by the bilinear rule of
+    ValueSurface.evaluate); when a reference callable (t, x_nodes) -> V is
     given, each level also records its sup error against it, one call per
-    time node.  The ladder holds at most two levels: level i is swept,
-    takes its reference error and its difference to level i - 1, and only
-    then is level i - 1 dropped.
+    time node.
+
+    Every level is streamed slice by slice, in sweep order.  Its reference
+    error is taken row by row, and its difference to the coarser level
+    from a window of two finer rows, the cell of each coarser row, against
+    the stored coarser level.  A level is stored only while a finer level
+    still has to be compared with it: the ladder holds at most the
+    previous level and the one being swept, and the last level is never
+    stored.  Each reduction keeps one max per row, so a NaN anywhere still
+    gives NaN.
     """
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
     ref_errors, diffs = [], []
-    prev = None
-    for g in grids:
-        cur = _values_only(spec, g, tol_inner)
+    coarse = None  # (t nodes, x nodes, V) of the previous level
+    for i, g in enumerate(grids):
+        tn, xn = g.t_nodes(spec.T), g.x_nodes()
+        if coarse is not None:  # rebinding cv first drops the level before it
+            ctn, cxn, cv = coarse
+            cell, weight = _time_cell(tn, ctn)
+            # cell ascends with the coarser rows: cell j holds rows starts[j]:starts[j + 1]
+            starts = np.searchsorted(cell, np.arange(g.n_t + 1)).tolist()
+            diff_rows = np.empty(ctn.size)
+        _, slices = _sweep(spec, g, tol_inner)
+        kept = np.empty((g.n_t + 1, g.n_x)) if i + 1 < len(grids) else None
+        ref_rows = np.empty(g.n_t + 1)
+        upper = None  # the finer slice j + 1
+        for j, v, _, _ in slices:
+            if kept is not None:
+                kept[j] = v
+            if reference is not None:
+                ref_rows[j] = np.abs(v - reference(tn[j], xn)).max()
+            if coarse is not None and j < g.n_t:
+                for r in range(starts[j], starts[j + 1]):
+                    diff_rows[r] = np.abs(cv[r] - _blend(xn, v, upper, weight[r], cxn)).max()
+            upper = v
         if reference is not None:
-            tn, xn = cur.t_nodes(), g.x_nodes()
-            ref_errors.append(_sup_abs_diff(
-                cur.values, lambda b: reference_values(reference, tn[b], xn)))
-        if prev is not None:
-            tn, xn = prev.t_nodes(), prev.grid.x_nodes()
-            diffs.append(_sup_abs_diff(prev.values, lambda b: cur.evaluate(tn[b], xn)))
-        prev = cur
+            ref_errors.append(float(ref_rows.max()))
+        if coarse is not None:
+            diffs.append(float(diff_rows.max()))
+        coarse = None if kept is None else (tn, xn, kept)
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
     ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf

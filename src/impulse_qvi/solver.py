@@ -44,6 +44,12 @@ sweeps that read V alone (the convergence ladder and the time-refined
 sweep of diagnostics.standard_checks) recompute no residual and rely on
 the proof alone.
 
+The sweep hands out its slices one at a time, in sweep order, and each
+caller keeps only what it needs: solve writes V, IV and the maximizers
+straight into its stacked arrays, a values-only sweep keeps V, and the
+convergence ladder keeps a level only while a finer level still has to be
+compared with it.
+
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
 no-interchange branch: fact_i = dl_i / d'_i, d'_{i+1} = d_{i+1} -
@@ -86,10 +92,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -525,20 +532,27 @@ class ValueSurface:
     def t_nodes(self) -> np.ndarray:
         return self.grid.t_nodes(self.T)
 
-    def evaluate(self, t, x) -> np.ndarray:
-        """Bilinear value lookup: linear in t, extended-linear in x.  A 1-D
-        array of t gives one row per t."""
-        tn = self.t_nodes()
-        ts = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), self.T)
-        js = np.clip(np.searchsorted(tn, ts, side="right") - 1, 0, tn.size - 2)
-        ws = (ts - tn[js]) / (tn[js + 1] - tn[js])
-        xn = self.grid.x_nodes()
-        rows = [(1.0 - w) * interp_extended(xn, self.values[j], x)
-                + w * interp_extended(xn, self.values[j + 1], x)
-                for j, w in zip(np.atleast_1d(js), np.atleast_1d(ws))]
-        if np.ndim(t):
-            return np.array(rows)
-        return rows[0] if np.ndim(rows[0]) else float(rows[0])
+    def evaluate(self, t: float, x) -> np.ndarray:
+        """Bilinear value lookup at one t: linear in t, extended-linear in
+        x (see _time_cell and _blend)."""
+        j, w = _time_cell(self.t_nodes(), t)
+        out = _blend(self.grid.x_nodes(), self.values[j], self.values[j + 1], w, x)
+        return out if np.ndim(out) else float(out)
+
+
+def _time_cell(t_nodes: np.ndarray, t):
+    """The time cell (j, w) of the bilinear rule: t clipped to [0, T] lies
+    in [t_j, t_{j+1}] at weight w = (t - t_j) / (t_{j+1} - t_j), the last
+    cell taking t = T.  Elementwise over an array of t."""
+    ts = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), t_nodes[-1])
+    j = np.clip(np.searchsorted(t_nodes, ts, side="right") - 1, 0, t_nodes.size - 2)
+    return j, (ts - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
+
+
+def _blend(x_nodes: np.ndarray, lower: np.ndarray, upper: np.ndarray, w, x) -> np.ndarray:
+    """The bilinear rule on one time cell: slices lower = V[j] and upper =
+    V[j + 1], each interpolated at x by interp_extended, mixed at weight w."""
+    return (1.0 - w) * interp_extended(x_nodes, lower, x) + w * interp_extended(x_nodes, upper, x)
 
 
 class SolveResult(NamedTuple):
@@ -551,10 +565,11 @@ class SolveResult(NamedTuple):
 
 
 def _labels(v, iv, ks, eps_region):
-    """Action labels V - IV <= eps_region and the maximizer on them, NaN
-    elsewhere."""
+    """Action labels V - IV <= eps_region, and ks, in place, turned into
+    the maximizer on them, NaN elsewhere."""
     lab = (v - iv) <= eps_region
-    return lab, np.where(lab, ks, np.nan)
+    ks[~lab] = np.nan
+    return lab, ks
 
 
 def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
@@ -587,16 +602,19 @@ def _projection_certified(v_max: float, v_min: float, costs) -> bool:
     return v_max - v_min <= floor - 2.0**-47 * (max(abs(v_max), abs(v_min)) + floor)
 
 
-def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, list, float, dict]:
-    """The backward sweep alone: the value surface V, the projection
-    updates of each step, in time order, the bound C1, and for each slice
-    whose projection loop ran, by time index, its last impulse_max(v) pair
-    (IV and the maximizers of the final slice).
+def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterator]:
+    """The backward sweep alone: the bound C1 and a generator of the
+    slices in sweep order, j = n_t down to 0.  Each slice is
+    (j, v, updates, last): the time index, the final values V[j], the
+    projection updates of its step (0 for the terminal slice), and the
+    last impulse_max(v) pair (IV and the maximizers) where the projection
+    loop ran, else None.  A slice's arrays are the caller's to keep; the
+    sweep holds only the slice it steps from.
 
-    Raises ValueError when the spec fails hypothesis validation or the
-    injection window fits inside one cell (h > k_min), and NumericalError
-    when a step's pivot falls below c/2 or an inner projection exceeds its
-    certified iteration cap.
+    Raises ValueError, at the call, when the spec fails hypothesis
+    validation or the injection window fits inside one cell (h > k_min);
+    the generator raises NumericalError when a step's pivot falls below
+    c/2 or an inner projection exceeds its certified iteration cap.
     """
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
@@ -615,33 +633,31 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[np.ndarray, l
     plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
     c1_bound = upper_bound_c1(spec, grid)     # caps the projection count
 
-    V = np.empty((grid.n_t + 1, grid.n_x))
-    V[-1] = np.asarray(spec.utilities.g1(x), dtype=float)
-    inner_counts = []
-    projected = {}
-    for j in range(grid.n_t - 1, -1, -1):
-        v = pde_step(V[j + 1], tn[j], grid, spec, plan)
-        v_max, v_min = float(np.max(v)), float(np.min(v))
-        updates = 0
-        if not _projection_certified(v_max, v_min, costs):
-            cap = math.ceil((max(c1_bound, v_max) - v_min) / costs.kappa) + 1
-            while True:
-                iv, ks = impulse_max(v, grid, costs)
-                residual = float(np.max(iv - v))
-                if residual <= tol_inner:
-                    break
-                if updates >= cap:
-                    raise NumericalError(
-                        f"impulse projection failed to settle at t={tn[j]:.6g}: "
-                        f"residual {residual:.3e} after {updates} updates (cap {cap})"
-                    )
-                v = np.maximum(v, iv)
-                updates += 1
-            projected[j] = iv, ks
-        V[j] = v
-        inner_counts.append(updates)
-    inner_counts.reverse()
-    return V, inner_counts, c1_bound, projected
+    def slices():
+        v = np.asarray(spec.utilities.g1(x), dtype=float)
+        yield grid.n_t, v, 0, None
+        for j in range(grid.n_t - 1, -1, -1):
+            v = pde_step(v, tn[j], grid, spec, plan)
+            v_max, v_min = float(v.max()), float(v.min())
+            updates, last = 0, None
+            if not _projection_certified(v_max, v_min, costs):
+                cap = math.ceil((max(c1_bound, v_max) - v_min) / costs.kappa) + 1
+                while True:
+                    iv, ks = impulse_max(v, grid, costs)
+                    residual = float(np.max(iv - v))
+                    if residual <= tol_inner:
+                        break
+                    if updates >= cap:
+                        raise NumericalError(
+                            f"impulse projection failed to settle at t={tn[j]:.6g}: "
+                            f"residual {residual:.3e} after {updates} updates (cap {cap})"
+                        )
+                    v = np.maximum(v, iv)
+                    updates += 1
+                last = iv, ks
+            yield j, v, updates, last
+
+    return c1_bound, slices()
 
 
 def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
@@ -649,10 +665,12 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     """Backward QVI sweep; returns the value surface with its action
     labels and injection policy.
 
-    IV and the maximizers of a projected slice come from its loop's last
-    impulse_max call; one stacked call gives those of the terminal slice
-    and of the slices whose projection was certified away.  From them come
-    the labels, the policy and the largest residual max(IV - V).
+    Each slice of the sweep goes straight into the stacked V, IV and
+    maximizer arrays.  IV and the maximizers of a projected slice come
+    from its loop's last impulse_max call; one stacked call gives those of
+    the terminal slice and of the slices whose projection was certified
+    away.  From them come the labels, the policy and the largest residual
+    max(IV - V).
 
     Raises ValueError when the spec fails hypothesis validation or h >
     k_min, and NumericalError when a step's pivot falls below c/2, an
@@ -661,16 +679,21 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
-    V, inner_counts, c1_bound, projected = _sweep(spec, grid, tol_inner)
+    c1_bound, slices = _sweep(spec, grid, tol_inner)
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
 
-    IV, KS = np.empty_like(V), np.empty_like(V)
-    for j, (iv, ks) in projected.items():
-        IV[j], KS[j] = iv, ks
-    rest = [j for j in range(grid.n_t + 1) if j not in projected]
-    IV[rest], KS[rest] = impulse_max(V[rest], grid, spec.costs)
-    LAB, XI = _labels(V, IV, KS, eps_region)
+    V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))
+    inner_counts = [0] * (grid.n_t + 1)
+    rest = []  # the slices without a projection loop
+    for j, v, updates, last in slices:
+        V[j], inner_counts[j] = v, updates
+        if last is None:
+            rest.append(j)
+        else:
+            IV[j], XI[j] = last
+    IV[rest], XI[rest] = impulse_max(V[rest], grid, spec.costs)
+    LAB, XI = _labels(V, IV, XI, eps_region)
     # the terminal slice is not projected; every other slice left the loop
     # with this residual or was certified below it
     residuals = np.max(IV[:-1] - V[:-1], axis=1)
@@ -691,7 +714,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         "tol_inner": tol_inner,
         "eps_region": eps_region,
         "spec_sha256": spec.sha256(),
-        "inner_iterations": inner_counts,
+        "inner_iterations": inner_counts[:-1],
         "max_inner_residual": max(0.0, float(np.max(residuals))),
         "c1_bound": c1_bound,
         "terminal_layer_gap": float(np.max(np.abs(V[-2] - V[-1]))),
@@ -769,16 +792,35 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
 
 
 _CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
+_READ_SLICES = 16  # time slices per block of read_surface_csv
+
+
+def _parse_numbers(rows: list, first: int) -> np.ndarray:
+    """t, x, V and IV of a block of data rows, the first of them data row
+    first + 1 of the file; a value that does not parse names its row."""
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2)
+    except ValueError as exc:
+        for i, row in enumerate(rows):  # find the row, with the same parser
+            try:
+                np.loadtxt([row], delimiter=",", usecols=(0, 1, 2, 3))
+            except ValueError:
+                raise ValueError(f"surface data row {first + i + 1} has a t, x, V or IV "
+                                 f"that does not parse: {row.strip()!r}") from None
+        raise exc
 
 
 def read_surface_csv(path) -> SolveResult:
     """Rebuild the SolveResult written by write_surface_csv on the grid its
     header records.
 
-    Raises ValueError when a header field is missing (as in files written
-    before the header existed), when a value does not parse, when the
-    rows do not fill the header's grid, or when a row's label is neither
-    action nor continuation or a continuation row carries an xi0.
+    The rows are read in blocks of _READ_SLICES time slices, one
+    np.loadtxt call each, so the file's lines are never held at once.
+    Blank lines are skipped; data rows are numbered from 1 over the whole
+    file.  Raises ValueError when a header field is missing (as in files
+    written before the header existed), when a value does not parse, when
+    the rows do not fill the header's grid, or when a row's label is
+    neither action nor continuation or a continuation row carries an xi0.
     """
     header = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -787,33 +829,45 @@ def read_surface_csv(path) -> SolveResult:
                 break
             key, _, value = line[1:].strip().partition("=")
             header[key] = value
-        rows = [r for r in fh if not r.isspace()]
-    missing = [k for k in _SURFACE_HEADER if k not in header]
-    if missing:
-        raise ValueError(f"surface header lacks {', '.join(missing)}; "
-                         "re-run solve to write a complete surface")
-    h = {k: parse(header[k]) for k, parse in _SURFACE_HEADER.items()}
-    grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"])
-    shape = (grid.n_t + 1, grid.n_x)
-    num = np.loadtxt(rows, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2)
-    if not (num.shape[0] == shape[0] * shape[1]
-            and np.array_equal(num[:, 0], np.repeat(grid.t_nodes(h["T"]), grid.n_x))
-            and np.array_equal(num[:, 1], np.tile(grid.x_nodes(), shape[0]))):
-        raise ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
-    # label and xi0 are the last two fields: "continuation," with xi0 empty,
-    # or "action," with xi0 parsed; any other label is an error
-    action = np.array([not r.endswith(_CONTINUATION) for r in rows])
-    at = np.flatnonzero(action)
-    tails = [rows[i].rsplit(",", 2)[1:] for i in at]
-    for i, (label, _) in zip(at, tails):
-        if label != "action":
-            raise ValueError(f"surface data row {i + 1} is neither an action row nor a "
-                             f"continuation row with empty xi0: {rows[i].strip()!r}")
-    xi0 = np.full(action.shape, np.nan)
-    xi0[at] = [float(xi) for _, xi in tails]
+        missing = [k for k in _SURFACE_HEADER if k not in header]
+        if missing:
+            raise ValueError(f"surface header lacks {', '.join(missing)}; "
+                             "re-run solve to write a complete surface")
+        h = {k: parse(header[k]) for k, parse in _SURFACE_HEADER.items()}
+        grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"])
+        shape = (grid.n_t + 1, grid.n_x)
+        unfilled = ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
+        tn, xn = grid.t_nodes(h["T"]), grid.x_nodes()
+        V, IV, xi0 = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
+        action = np.empty(shape, dtype=bool)
+        data = (r for r in fh if not r.isspace())
+        for j in range(0, shape[0], _READ_SLICES):
+            m = min(_READ_SLICES, shape[0] - j)
+            rows = list(itertools.islice(data, m * grid.n_x))
+            if len(rows) < m * grid.n_x:
+                raise unfilled
+            first = j * grid.n_x
+            num = _parse_numbers(rows, first)
+            if not (np.array_equal(num[:, 0], np.repeat(tn[j:j + m], grid.n_x))
+                    and np.array_equal(num[:, 1], np.tile(xn, m))):
+                raise unfilled
+            V[j:j + m], IV[j:j + m] = num[:, 2].reshape(m, -1), num[:, 3].reshape(m, -1)
+            # label and xi0 are the last two fields: "continuation," with xi0
+            # empty, or "action," with xi0 parsed; any other label is an error
+            act = ~np.fromiter(map(str.endswith, rows, itertools.repeat(_CONTINUATION)),
+                               dtype=bool, count=len(rows))
+            action[j:j + m] = act.reshape(m, -1)
+            at = np.flatnonzero(act)
+            tails = [rows[i].rsplit(",", 2)[1:] for i in at.tolist()]
+            for i, (label, _) in zip(at.tolist(), tails):
+                if label != "action":
+                    raise ValueError(f"surface data row {first + i + 1} is neither an action row "
+                                     f"nor a continuation row with empty xi0: {rows[i].strip()!r}")
+            xi0.reshape(-1)[first + at] = [float(xi) for _, xi in tails]
+        if next(data, None) is not None:
+            raise unfilled
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
-    surface = ValueSurface(grid, h["T"], num[:, 2].reshape(shape), num[:, 3].reshape(shape), metadata)
-    return SolveResult(surface, action.reshape(shape), xi0.reshape(shape))
+    return SolveResult(ValueSurface(grid, h["T"], V, IV, metadata), action, xi0)
 
 
 def write_policy_csv(path, res: SolveResult, meta: dict | None = None) -> None:

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifact contents, reproducibility."""
 
 import filecmp
+import hashlib
 import io
 import json
 import subprocess
@@ -171,6 +172,17 @@ def test_config_hash_of_valid_runs_is_stable(argv, expected):
     # the hash payload
     cfg = cli._build_config(cli._build_parser().parse_args(argv + ["--out", "o"]))
     assert cfg.config_hash() == expected
+
+
+def test_surface_hash_read_in_blocks(tmp_path):
+    # --surface is hashed block by block; the digest is that of the whole
+    # file, here two and a half blocks long
+    path = tmp_path / "surface.csv"
+    path.write_bytes(bytes(range(256)) * (5 * cli._HASH_BLOCK // 512))
+    cfg = cli._build_config(cli._build_parser().parse_args(
+        ["check", "--spec", "fixture:intervention", "--seed", "3", "--surface", str(tmp_path),
+         "--out", "o"]))
+    assert cfg.hash_payload()["surface_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ------------------------------------------------------------- exit code 3
@@ -371,6 +383,37 @@ def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
         (sol / "surface.csv").write_text(edit((small_surface / "surface.csv").read_text()))
     rc = cli.main([command, "--spec", spec, "--out", str(tmp_path / "o"), "--seed", "3",
                    "--surface", str(sol)] + flags)
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+
+
+def _edit_last_row(field, value):
+    """Set one field of the surface's last data row, in its last slice."""
+    def edit(text):
+        head, last = text.rstrip("\n").rsplit("\n", 1)
+        fields = last.split(",")
+        fields[field] = value
+        return f"{head}\n{','.join(fields)}\n"
+    return edit
+
+
+def _repeat_last_row(text):
+    return text + text.rstrip("\n").rsplit("\n", 1)[1] + "\n"
+
+
+# the small surface has 41 x 81 data rows, so its last slice lies in the
+# reader's third block; the messages number rows over the whole file
+@pytest.mark.parametrize("edit, reason", [
+    (_edit_last_row(2, "0.5x"), "surface data row 3321 has a t, x, V or IV that does not parse"),
+    (_repeat_last_row, "do not fill"),
+    (_edit_last_row(4, "continuaton"), "surface data row 3321 is neither an action row"),
+], ids=["non-numeric-V", "extra-row", "unknown-label"])
+def test_unusable_surface_beyond_first_block_exits_2(tmp_path, capsys, small_surface, edit, reason):
+    sol = tmp_path / "sol"
+    sol.mkdir()
+    (sol / "surface.csv").write_text(edit((small_surface / "surface.csv").read_text()))
+    rc = cli.main(["check", "--spec", "fixture:intervention", "--out", str(tmp_path / "o"),
+                   "--seed", "3", "--surface", str(sol)])
     assert rc == 2
     assert reason in capsys.readouterr().err
 

@@ -270,7 +270,8 @@ def _convergence_study_all_levels(spec, grids, reference=None, tol_inner=1e-9):
 
     ref_errors = [] if reference is None else [
         float(np.max(np.abs(s.values - exact(s)))) for s in surfaces]
-    diffs = [float(np.max(np.abs(a.values - b.evaluate(a.t_nodes(), a.grid.x_nodes()))))
+    diffs = [float(np.max(np.abs(a.values - np.array([b.evaluate(t, a.grid.x_nodes())
+                                                        for t in a.t_nodes()]))))
              for a, b in zip(surfaces, surfaces[1:])]
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
@@ -298,11 +299,13 @@ def test_convergence_study_matches_all_levels_oracle(spec, grids, reference):
 
 
 def test_convergence_study_holds_two_levels():
-    # traced peak of the closed-form ladder: the finest V, the previous V
-    # and 1 MiB for blocks and the sweep's working rows (the all-levels
-    # form peaked at 18.3 MiB here)
+    # traced peak of the closed-form ladder: the middle level while it is
+    # swept and kept, the coarsest one it is compared with, and 1 MiB for
+    # the sweep's working rows; the finest level is never stored (the
+    # all-levels form peaked at 18.3 MiB here, a ladder that stored every
+    # level it swept, two at a time, at 7.77 MiB)
     grids = [Grid(0.1, 2.1, 400, 400 * 2**i) for i in range(3)]
-    bound = 8 * 400 * (1601 + 801) + 2**20
+    bound = 8 * 400 * (801 + 401) + 2**20
     tracemalloc.start()
     try:
         convergence_study(closed_form_spec(), grids, reference=fixture_reference("closed-form"))

@@ -7,6 +7,7 @@ import ctypes
 import itertools
 import math
 import pathlib
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -510,27 +511,28 @@ def test_impulse_max_stack_matches_rows(m, n_x, k_min, k_max):
         assert iv[r].tobytes() == iv_r.tobytes() and ks[r].tobytes() == ks_r.tobytes(), r
 
 
-def test_evaluate_array_t_matches_scalar_lookup():
-    # evaluate with an array of t (the convergence study's Cauchy
-    # differences) gives, row by row and bit for bit, the bilinear formula
-    # at each t alone, on coarse x grids equal to, inside, and wider than
-    # the fine one (the last one reaches below x_min, where the lowest-cell
-    # line applies), with t clipped to [0, T]
+def test_evaluate_matches_bilinear_formula_at_each_t():
+    # evaluate at each t, and the time cell the convergence ladder finds
+    # for an array of t, give bit for bit the bilinear formula at that t,
+    # on coarse x grids equal to, inside, and wider than the fine one (the
+    # last one reaches below x_min, where the lowest-cell line applies),
+    # with t clipped to [0, T]
     rng = np.random.default_rng(5)
     fine = ValueSurface(Grid(0.1, 2.1, 41, 16), 1.5, np.cumsum(rng.normal(size=(17, 41)), axis=1))
     tn, xn = fine.t_nodes(), fine.grid.x_nodes()
     for coarse in (Grid(0.1, 2.1, 41, 8), Grid(0.3, 1.7, 7, 3), Grid(0.0, 2.5, 23, 5)):
         ts = np.concatenate((coarse.t_nodes(1.5), [-0.1, 0.7, 1.6]))
         xq = coarse.x_nodes()
-        got = fine.evaluate(ts, xq)
-        assert got.shape == (ts.size, xq.size)
+        cell, weight = solver._time_cell(tn, ts)
         for r, t in enumerate(ts):
             tc = min(max(float(t), 0.0), fine.T)
             j = min(max(int(np.searchsorted(tn, tc, side="right")) - 1, 0), tn.size - 2)
             w = (tc - tn[j]) / (tn[j + 1] - tn[j])
             want = ((1.0 - w) * interp_extended(xn, fine.values[j], xq)
                     + w * interp_extended(xn, fine.values[j + 1], xq))
-            assert got[r].tobytes() == want.tobytes(), (coarse, t)
+            assert cell[r] == j and weight[r] == w, (coarse, t)
+            got = solver._blend(xn, fine.values[j], fine.values[j + 1], weight[r], xq)
+            assert got.tobytes() == want.tobytes(), (coarse, t)
             assert fine.evaluate(t, xq).tobytes() == want.tobytes(), (coarse, t)
     assert isinstance(fine.evaluate(0.7, 1.05), float)
 
@@ -566,8 +568,10 @@ def _cost_cases(draw):
 
 
 def _sweep_or_error(spec, grid):
+    """The sweep's slices as (j, V[j] bytes, updates), or its error."""
     try:
-        return _sweep(spec, grid, 1e-9)
+        _, slices = _sweep(spec, grid, 1e-9)
+        return [(j, v.tobytes(), updates) for j, v, updates, _ in slices]
     except (ValueError, NumericalError) as exc:
         return type(exc), str(exc)
 
@@ -594,8 +598,8 @@ def test_projection_certificate_drops_no_projection(case):
         assert certified == full
         return
     event(f"slices certified: {'all' if all(fired) else 'some' if any(fired) else 'none'}")
-    assert certified[0].tobytes() == full[0].tobytes()
-    assert certified[1] == full[1]
+    assert [s[:2] for s in certified] == [s[:2] for s in full]  # V bit for bit, in sweep order
+    assert [s[2] for s in certified] == [s[2] for s in full]
 
 
 @pytest.mark.parametrize("base", [0.0, 0.37, 1e3 + 0.1, -7e5 - 0.3, 3e8 + 0.7])
@@ -707,6 +711,27 @@ def test_solve_closed_form_fixture():
     assert float(np.max(np.ptp(res.surface.values, axis=1))) <= 1e-12
     assert not res.labels.any()
     assert res.surface.metadata["landing_violations"] == 0
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its peak of traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_streams_the_sweep_into_its_arrays():
+    # traced peak of a solve on the intervention fixture's grid: V, IV and
+    # the maximizers, one V-sized temporary, the labels and 1 MiB for the
+    # working slices (with every projected slice's IV and maximizers held
+    # until the sweep ended, the peak was 4.47 MiB here)
+    grid = suggested_grid("intervention")
+    res, peak = _traced_peak(solve, intervention_spec(), grid)
+    bound = 4 * res.surface.values.nbytes + res.labels.nbytes + 2**20
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 @settings(max_examples=30, deadline=None)
@@ -934,6 +959,46 @@ def test_surface_csv_round_trip(tmp_path):
             fh.write("\n")  # a trailing blank line is tolerated
         np.testing.assert_array_equal(read_surface_csv(p).xi0, res.xi0)
     assert res.labels.any()
+
+
+def _same_result(a, b):
+    """Two SolveResults equal bit for bit (NaN xi0 included)."""
+    assert a.surface.grid == b.surface.grid and a.surface.T == b.surface.T
+    for x, y in ((a.surface.values, b.surface.values), (a.surface.iv_values, b.surface.iv_values),
+                 (a.labels, b.labels), (a.xi0, b.xi0)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_surface_csv_blocks_round_trip(tmp_path):
+    # a slice count that is no multiple of the reader's block, over more
+    # than two blocks, reads back bit for bit; so it does with blank lines
+    # between slices, at a block boundary and inside a block
+    blk = solver._READ_SLICES
+    grid = Grid(0.1, 4.1, 41, 2 * blk + 4)
+    assert (grid.n_t + 1) % blk
+    res = solve(intervention_spec(), grid)
+    assert res.labels[-blk:].any() and not res.labels.all()
+    p = tmp_path / "surface.csv"
+    write_surface_csv(p, res)
+    _same_result(read_surface_csv(p), res)
+    lines = p.read_text().splitlines(keepends=True)
+    first = len(lines) - (grid.n_t + 1) * grid.n_x  # the first data line
+    for j in (blk + 3, blk):  # slices j - 1 and j, back to front
+        lines.insert(first + j * grid.n_x, "\n")
+    p.write_text("".join(lines))
+    _same_result(read_surface_csv(p), res)
+
+
+def test_surface_csv_read_memory(tmp_path):
+    # traced peak of reading the intervention fixture's surface: the four
+    # result arrays and one block of rows, never the file's lines (all
+    # 80,601 rows held as strings peaked at 13.45 MiB here)
+    res = solve(intervention_spec(), suggested_grid("intervention"))
+    p = tmp_path / "surface.csv"
+    write_surface_csv(p, res)
+    back, peak = _traced_peak(read_surface_csv, p)
+    _same_result(back, res)
+    assert peak <= 6 * 2**20, peak / 2**20
 
 
 def test_surface_csv_row_bytes(tmp_path):
