@@ -14,9 +14,7 @@ from .model import (
     drift,
     injection_cost,
     invert_hazard,
-    running_cost,
     survival,
-    terminal_value,
     validate,
 )
 from .dynamics import (
@@ -26,9 +24,7 @@ from .dynamics import (
     PathRecord,
     ReductionReport,
     filtration_reduction_check,
-    mc_cost_f,
     mc_cost_g,
-    sample_default,
     simulate,
     simulate_paths,
 )
@@ -37,8 +33,6 @@ from .solver import (
     NumericalError,
     SolveResult,
     ValueSurface,
-    dpp_residual,
-    extract_regions,
     impulse_max,
     pde_step,
     solve,
@@ -52,6 +46,8 @@ from .diagnostics import (
     check_smooth_fit,
     check_theta_structure,
     convergence_study,
+    dpp_residual,
+    extract_regions,
     standard_checks,
 )
 

@@ -4,6 +4,10 @@ Each check returns a CheckReport naming the operation, the tolerance it
 applied, the measured quantity, and the worst location.  Checks never
 raise on a violation; they report it.  Reports carry no wall-clock
 time, so repeated runs stay byte-identical.
+
+The checks that need the model's paths live here too: extract_regions
+rebuilds a surface's policy, and dpp_residual runs it through the Monte
+Carlo engine, so that the solver itself stays numerics only.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import mc_cost_g
-from .model import ModelSpec
-from .solver import (Grid, SolveResult, ValueSurface, _blend, _sweep, _time_cell, impulse_max,
-                     interp_extended, solve, upper_bound_c1)
+from .dynamics import FeedbackPolicy, MCEstimate, _mean_se, _simulate_batch, mc_cost_g
+from .model import ModelSpec, survival
+from .solver import (Grid, SolveResult, ValueSurface, _blend, _labels, _sweep, _time_cell,
+                     impulse_max, interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -289,6 +293,37 @@ def check_theta_structure(res: SolveResult, spec: ModelSpec) -> CheckReport:
         worst_location=loc,
         details={"n_action_nodes": n_action, "landing_violations": landing_violations},
     )
+
+
+def extract_regions(surface: ValueSurface, spec: ModelSpec) -> SolveResult:
+    """Recompute labels and maximizers from a (possibly loaded) surface,
+    with the surface's own eps_region."""
+    iv, ks = impulse_max(surface.values, surface.grid, spec.costs)
+    return SolveResult(surface, *_labels(surface.values, iv, ks, surface.metadata["eps_region"]))
+
+
+def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
+                 theta: float, dt: float, n_paths: int, seed,
+                 policy: FeedbackPolicy | None = None) -> MCEstimate:
+    """Monte Carlo dynamic-programming residual at (t, x):
+
+        E[ int_t^theta rho (f - beta g2) ds  -  sum rho(tau_n)(K_n + kappa)
+           + rho(theta) V(theta, X(theta)) ]  -  V(t, x)
+
+    under the surface's own feedback policy.  Returns (residual, se);
+    theta == t gives exactly zero.
+    """
+    if not t <= theta <= spec.T:
+        raise ValueError("need t <= theta <= T")
+    if policy is None:
+        policy = FeedbackPolicy.from_solution(extract_regions(surface, spec))
+    batch = _simulate_batch(spec, t, x, policy, dt, seed, n_paths, t_end=theta)
+    rho_end = survival(t, theta, spec)
+    vals = batch.run_f - batch.imp_f + rho_end * surface.evaluate(theta, batch.final_states)
+    # subtract V(t,x) per path, not after averaging: the theta == t case then
+    # averages exact zeros instead of accumulating float-mean noise
+    resid = np.asarray(vals) - float(surface.evaluate(t, x))
+    return _mean_se(resid)
 
 
 def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,

@@ -196,17 +196,6 @@ class FeedbackPolicy:
         return self.sizes[j, ix]
 
 
-def sample_default(spec: ModelSpec, t0: float, seed) -> float:
-    """Draw one default time from t0 by exact hazard inversion.
-
-    Returns inf when the exponential clock exceeds the total hazard on
-    [t0, T], i.e. default does not happen before the horizon.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    e = rng.standard_exponential()
-    return float(invert_hazard(spec.beta, t0, e, spec.T))
-
-
 def _time_grid(t0: float, t_end: float, dt: float, extra=()) -> np.ndarray:
     if t_end < t0:
         raise ValueError("need t_end >= t0")
@@ -551,19 +540,6 @@ def mc_cost_g(spec: ModelSpec, t0: float, x0: float, control, dt: float,
     return _mean_se(batch.cost_g)
 
 
-def _cost_f_values(spec, t0, batch) -> np.ndarray:
-    rho_T = survival(t0, spec.T, spec)
-    g1x = np.asarray(spec.utilities.g1(batch.final_states), dtype=float)
-    return batch.run_f + rho_T * g1x - batch.imp_f
-
-
-def mc_cost_f(spec: ModelSpec, t0: float, x0: float, control, dt: float,
-              n_paths: int, seed) -> MCEstimate:
-    """MC estimate of the survival-discounted cost on default-free paths."""
-    batch = _simulate_batch(spec, t0, x0, control, dt, seed, n_paths)
-    return _mean_se(_cost_f_values(spec, t0, batch))
-
-
 @dataclass
 class ReductionReport:
     """Agreement of the two cost representations at common Brownian numbers."""
@@ -597,7 +573,9 @@ def filtration_reduction_check(spec: ModelSpec, t0: float, x0: float, control,
     """
     batch = _simulate_batch(spec, t0, x0, control, dt, seed, n_paths)
     est_g = _mean_se(batch.cost_g)
-    est_f = _mean_se(_cost_f_values(spec, t0, batch))
+    rho_T = survival(t0, spec.T, spec)
+    g1x = np.asarray(spec.utilities.g1(batch.final_states), dtype=float)
+    est_f = _mean_se(batch.run_f + rho_T * g1x - batch.imp_f)
     diff = est_g.estimate - est_f.estimate
     combined = math.sqrt(est_g.std_error**2 + est_f.std_error**2)
     return ReductionReport(

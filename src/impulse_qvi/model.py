@@ -319,7 +319,18 @@ def cumulative_hazard(curve: Curve, t: float, s: float) -> float:
         return 0.0
     p = _refined_partition(curve, t, s)
     v = curve(p)
+    # np.sum, not _hazard_table's cumsum: numpy's pairwise sum differs from a
+    # running sum from 8 segments on, and survival's bits follow this sum
     return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(p)))
+
+
+def _hazard_table(curve: Curve, t: float, s: float, extra=None):
+    """(knots, values, cumulative) on the refined partition of [t, s]: the
+    curve at each knot and its trapezoid integral from t, exact for
+    constant and table curves."""
+    knots = _refined_partition(curve, t, s, extra)
+    v = curve(knots)
+    return knots, v, np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(knots))])
 
 
 def hazard_grid(curve: Curve, t0: float, s_values: np.ndarray) -> np.ndarray:
@@ -332,11 +343,8 @@ def hazard_grid(curve: Curve, t0: float, s_values: np.ndarray) -> np.ndarray:
     hi = float(np.max(s_values))
     if hi == t0:
         return np.zeros(s_values.shape)
-    p = _refined_partition(curve, t0, hi, extra=s_values)
-    v = curve(p)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(p))])
-    idx = np.searchsorted(p, s_values)
-    return cum[idx]
+    p, _, cum = _hazard_table(curve, t0, hi, extra=s_values)
+    return cum[np.searchsorted(p, s_values)]
 
 
 def survival(t: float, s: float, spec: ModelSpec) -> float:
@@ -359,9 +367,7 @@ def invert_hazard(curve: Curve, t0: float, targets, t_max: float):
     targets = np.asarray(targets, dtype=float)
     scalar = targets.ndim == 0
     tg = np.atleast_1d(targets)
-    knots = _refined_partition(curve, t0, t_max)
-    v = curve(knots)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(knots))])
+    knots, v, cum = _hazard_table(curve, t0, t_max)
     out = np.full(tg.shape, np.inf)
     ok = tg <= cum[-1]
     if np.any(ok):
@@ -378,26 +384,6 @@ def invert_hazard(curve: Curve, t0: float, targets, t_max: float):
             delta = np.where(rem > 0, 2.0 * rem / denom, 0.0)
         out[ok] = knots[lo] + delta
     return float(out[0]) if scalar else out
-
-
-def running_cost(t: float, s: float, x, spec: ModelSpec):
-    """Discounted running gain density rho_t(s) * (f(x) - beta(s) * g2(x))."""
-    if s < t:
-        raise ValueError("need s >= t")
-    rho = survival(t, s, spec)
-    u = spec.utilities
-    x = np.asarray(x, dtype=float)
-    out = rho * (np.asarray(u.f(x), dtype=float)
-                 - spec.beta(s) * np.asarray(u.g2(x), dtype=float))
-    return out if out.shape else float(out)
-
-
-def terminal_value(t: float, x, spec: ModelSpec):
-    """Discounted terminal utility rho_t(T) * g1(x)."""
-    rho = survival(t, spec.T, spec)
-    x = np.asarray(x, dtype=float)
-    out = rho * np.asarray(spec.utilities.g1(x), dtype=float)
-    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

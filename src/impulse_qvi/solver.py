@@ -79,13 +79,13 @@ Without the library, its symbol or that agreement, the steps run the
 Python substitution, the reference; a nonzero INFO raises.
 
 A node is labeled "action" when V - IV <= eps_region; the maximizing
-injection xi0 there is the policy.  solve, extract_regions and
-read_surface_csv return the one SolveResult(surface, labels, xi0) that
-the CSV writers, the diagnostics and dynamics.FeedbackPolicy read.
-Grid.nearest_node is the one snapping rule: an injection from x lands on
-the node nearest x + xi0, and the feedback policy snaps its queries the
-same way.  Connected action regions (4-neighbour, in the (t, x) grid) are
-labeled by a run-based two-pass scan.
+injection xi0 there is the policy.  solve, read_surface_csv and
+diagnostics.extract_regions return the one SolveResult(surface, labels,
+xi0) that the CSV writers, the diagnostics and dynamics.FeedbackPolicy
+read.  Grid.nearest_node is the one snapping rule: an injection from x
+lands on the node nearest x + xi0, and the feedback policy snaps its
+queries the same way.  Connected action regions (4-neighbour, in the
+(t, x) grid) are labeled by a run-based two-pass scan.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import dynamics
-from .model import ModelSpec, injection_cost, survival, validate
+from .model import ModelSpec, injection_cost, validate
 
 
 @dataclass(frozen=True)
@@ -721,37 +720,6 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         "landing_violations": land_violations,
     }
     return SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)
-
-
-def extract_regions(surface: ValueSurface, spec: ModelSpec) -> SolveResult:
-    """Recompute labels and maximizers from a (possibly loaded) surface,
-    with the surface's own eps_region."""
-    iv, ks = impulse_max(surface.values, surface.grid, spec.costs)
-    return SolveResult(surface, *_labels(surface.values, iv, ks, surface.metadata["eps_region"]))
-
-
-def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
-                 theta: float, dt: float, n_paths: int, seed,
-                 policy: dynamics.FeedbackPolicy | None = None) -> dynamics.MCEstimate:
-    """Monte Carlo dynamic-programming residual at (t, x):
-
-        E[ int_t^theta rho (f - beta g2) ds  -  sum rho(tau_n)(K_n + kappa)
-           + rho(theta) V(theta, X(theta)) ]  -  V(t, x)
-
-    under the surface's own feedback policy.  Returns (residual, se);
-    theta == t gives exactly zero.
-    """
-    if not t <= theta <= spec.T:
-        raise ValueError("need t <= theta <= T")
-    if policy is None:
-        policy = dynamics.FeedbackPolicy.from_solution(extract_regions(surface, spec))
-    batch = dynamics._simulate_batch(spec, t, x, policy, dt, seed, n_paths, t_end=theta)
-    rho_end = survival(t, theta, spec)
-    vals = batch.run_f - batch.imp_f + rho_end * surface.evaluate(theta, batch.final_states)
-    # subtract V(t,x) per path, not after averaging: the theta == t case then
-    # averages exact zeros instead of accumulating float-mean noise
-    resid = np.asarray(vals) - float(surface.evaluate(t, x))
-    return dynamics._mean_se(resid)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ import pytest
 
 from conftest import record_criterion
 from impulse_qvi import cli
-from impulse_qvi.diagnostics import check_smooth_fit, convergence_study
+from impulse_qvi.diagnostics import check_smooth_fit, convergence_study, dpp_residual
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
                                   filtration_reduction_check)
 from impulse_qvi.fixtures import fixture_reference, get_fixture, suggested_grid
 from impulse_qvi.model import CostParams, injection_cost
-from impulse_qvi.solver import (Grid, dpp_residual, impulse_max,
-                                interp_extended, solve)
+from impulse_qvi.solver import Grid, impulse_max, interp_extended, solve
 
 FIXTURE_NAMES = ("closed-form", "intervention", "geometric", "zero")
 

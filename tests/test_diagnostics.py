@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import impulse_qvi
+from impulse_qvi import diagnostics, dynamics, solver
 from impulse_qvi.diagnostics import (CheckReport, ConvergenceStudy,
                                      _values_only, check_bounds,
                                      check_obstacle, check_regularity,
@@ -218,6 +220,19 @@ def test_theta_structure_flags_landing_violation():
     rep = check_theta_structure(SolveResult(surface, labels, xi0), intervention_spec())
     assert not rep.passed
     assert rep.details["landing_violations"] > 0
+
+
+def test_solver_is_numerics_only():
+    # the solver binds nothing of the path engine; the checks that run
+    # paths, and the policy they rebuild, are defined in diagnostics
+    assert not any(v is dynamics or getattr(v, "__module__", None) == dynamics.__name__
+                   for v in vars(solver).values())
+    for name in ("extract_regions", "dpp_residual"):
+        assert not hasattr(solver, name)
+        assert getattr(diagnostics, name).__module__ == diagnostics.__name__
+        assert name in impulse_qvi.__all__
+    for name in ("running_cost", "terminal_value", "sample_default", "mc_cost_f"):
+        assert name not in impulse_qvi.__all__
 
 
 def test_check_report_shape():

@@ -25,8 +25,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from impulse_qvi import dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
                                   _draw_paths, _simulate_batch, filtration_reduction_check,
-                                  mc_cost_f, mc_cost_g, sample_default,
-                                  simulate, simulate_paths)
+                                  mc_cost_g, simulate, simulate_paths)
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
@@ -97,12 +96,12 @@ def test_record_csv_format(tmp_path):
 # ------------------------------------------------------------ defaults
 
 
-def test_sample_default_constant_hazard_distribution():
+def test_default_times_constant_hazard_distribution():
     # P(tau <= T) = 1 - e^{-0.5} ~ 0.3935 for beta=0.5, T=1
     spec = closed_form_spec()
-    rng = np.random.default_rng(20)
     n = 2000
-    hits = sum(sample_default(spec, 0.0, rng) < spec.T for _ in range(n))
+    batch = _simulate_batch(spec, 0.0, 1.0, None, dt=0.5, seed=20, n_paths=n)
+    hits = int(np.count_nonzero(batch.default_times < spec.T))
     p = 1.0 - math.exp(-0.5)
     assert abs(hits / n - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
@@ -229,7 +228,7 @@ def test_cost_f_deterministic_for_state_free_data():
     # the closed form
     spec = closed_form_spec()
     exact = (1.0 - math.exp(-0.5)) / 0.5
-    est = mc_cost_f(spec, 0.0, 1.0, None, dt=0.02, n_paths=50, seed=4)
+    est = filtration_reduction_check(spec, 0.0, 1.0, None, dt=0.02, n_paths=50, seed=4).cost_f
     assert est.std_error == 0.0
     assert abs(est.estimate - exact) <= 1e-12
 

@@ -16,8 +16,7 @@ from impulse_qvi.fixtures import (closed_form_spec, geometric_spec,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
                                _sorted_distinct, cumulative_hazard, diffusion, drift,
-                               injection_cost, invert_hazard, running_cost,
-                               sampled_lipschitz, survival, terminal_value,
+                               injection_cost, invert_hazard, sampled_lipschitz, survival,
                                validate)
 from impulse_qvi.solver import Grid
 
@@ -160,20 +159,6 @@ def test_invert_hazard_round_trip_random():
 
 
 # ------------------------------------------------------- cost kernels
-
-
-def test_running_cost_hand_value():
-    # survival e^{-0.5} times (f - beta g2) = e^{-0.5} * (1 - 0.5*0.4)
-    spec = make_spec(beta=0.5, f=1.0, g2=0.4)
-    assert running_cost(0.0, 1.0, 2.0, spec) == pytest.approx(
-        math.exp(-0.5) * 0.8, rel=1e-14)
-
-
-def test_terminal_value_hand_value():
-    # e^{-beta (T-t)} g1 = e^{-1} * 0.7
-    spec = make_spec(beta=1.0, g1=0.7, T=1.0)
-    assert terminal_value(0.0, 3.0, spec) == pytest.approx(
-        0.7 * math.exp(-1.0), rel=1e-14)
 
 
 def test_injection_cost_subadditivity_dyadic():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
-from impulse_qvi.diagnostics import convergence_study, lower_bound_c0
+from impulse_qvi.diagnostics import (convergence_study, dpp_residual, extract_regions,
+                                     lower_bound_c0)
 from impulse_qvi.fixtures import (closed_form_spec, closed_form_value,
                                   fixture_reference, geometric_spec,
                                   get_fixture, intervention_spec,
@@ -27,8 +28,7 @@ from impulse_qvi import solver
 from impulse_qvi.solver import (Grid, NumericalError, ValueSurface, _StepPlan,
                                 _eliminate, _impulse_plan, _label_components,
                                 _projection_certified, _sweep,
-                                _window_argmax, dpp_residual, extract_regions,
-                                impulse_max,
+                                _window_argmax, impulse_max,
                                 interp_extended, pde_step, read_surface_csv,
                                 solve, write_boundary_csv, write_policy_csv,
                                 write_surface_csv)
