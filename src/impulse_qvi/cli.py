@@ -56,6 +56,7 @@ class RunConfig:
     spec: ModelSpec
     out_dir: str
     grid: Grid
+    reference: object  # exact V(t, x) of a fixture that has one, else None; not hashed
     explicit_flags: tuple  # (header key, value) per grid, --tol-inner or --eps-region flag given
     n_paths: int
     dt: float
@@ -101,33 +102,28 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _load_spec(source: str) -> ModelSpec:
+def _load_spec(source: str):
+    """(spec, default grid, exact reference or None) for --spec: a fixture
+    brings its suggested grid and, for closed-form, its exact value."""
     if source.startswith("fixture:"):
         name = source[len("fixture:"):]
         try:
-            return get_fixture(name)
+            return get_fixture(name), suggested_grid(name), fixture_reference(name)
         except KeyError as exc:
             raise UsageError(str(exc)) from None
     if not os.path.exists(source):
         raise UsageError(f"spec file not found: {source}")
     try:
-        return ModelSpec.from_json(source)
+        return ModelSpec.from_json(source), Grid(0.1, 4.1, 201, 200), None
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"invalid spec {source}: {exc}") from None
 
 
-def _build_grid(args, source: str) -> Grid:
-    if source.startswith("fixture:"):
-        base = suggested_grid(source[len("fixture:"):])
-        nx = base.n_x if args.nx is None else args.nx
-        nt = base.n_t if args.nt is None else args.nt
-        xmin = base.x_min if args.xmin is None else args.xmin
-        xmax = base.x_max if args.xmax is None else args.xmax
-    else:
-        nx = 201 if args.nx is None else args.nx
-        nt = 200 if args.nt is None else args.nt
-        xmin = 0.1 if args.xmin is None else args.xmin
-        xmax = 4.1 if args.xmax is None else args.xmax
+def _build_grid(args, base: Grid) -> Grid:
+    nx = base.n_x if args.nx is None else args.nx
+    nt = base.n_t if args.nt is None else args.nt
+    xmin = base.x_min if args.xmin is None else args.xmin
+    xmax = base.x_max if args.xmax is None else args.xmax
     if min(nx, nt) <= 0:
         raise UsageError("--nx, --nt must be positive")
     if xmin <= 0.0:
@@ -139,8 +135,8 @@ def _build_grid(args, source: str) -> Grid:
 
 
 def _build_config(args) -> RunConfig:
-    spec = _load_spec(args.spec)
-    grid = _build_grid(args, args.spec)
+    spec, base_grid, reference = _load_spec(args.spec)
+    grid = _build_grid(args, base_grid)
     mc_command = args.command in ("simulate", "check")
     if mc_command and args.seed is None:
         raise UsageError(f"--seed is required for the {args.command} subcommand")
@@ -194,6 +190,7 @@ def _build_config(args) -> RunConfig:
         spec=spec,
         out_dir=args.out,
         grid=grid,
+        reference=reference,
         explicit_flags=tuple((key, value) for key, value in (
             ("n_x", args.nx), ("n_t", args.nt), ("x_min", args.xmin), ("x_max", args.xmax),
             ("tol_inner", args.tol_inner), ("eps_region", args.eps_region)) if value is not None),
@@ -226,14 +223,21 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_sanitize(payload), fh, sort_keys=True, indent=2, allow_nan=False)
+def _write_report(cfg: RunConfig, chash: str, stem: str, payload: dict,
+                  lines=None) -> None:
+    """Write STEM.json, the run's header keys merged with payload, and,
+    given lines, STEM.txt under the three-line header."""
+    path = os.path.join(cfg.out_dir, stem)
+    header = {"command": cfg.command, "config_hash": chash, "seed": cfg.seed,
+              "spec_source": cfg.spec_source}
+    with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_sanitize({**header, **payload}), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
-
-
-def _txt_header(fh, cfg: RunConfig, chash: str) -> None:
-    fh.write(f"# config_hash={chash}\n# seed={cfg.seed}\n# {_DOMAIN_NOTE}\n")
+    if lines is not None:
+        with open(path + ".txt", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# config_hash={chash}\n# seed={cfg.seed}\n# {_DOMAIN_NOTE}\n")
+            fh.writelines(line + "\n" for line in lines)
 
 
 def _load_solution(cfg: RunConfig) -> SolveResult:
@@ -259,8 +263,7 @@ def _load_solution(cfg: RunConfig) -> SolveResult:
 # --------------------------------------------------------------- subcommands
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    chash = cfg.config_hash()
+def cmd_solve(cfg: RunConfig, chash: str) -> int:
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
     meta = {"config_hash": chash, "seed": cfg.seed}
     write_surface_csv(os.path.join(cfg.out_dir, "surface.csv"), res, meta)
@@ -268,10 +271,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_policy_csv(os.path.join(cfg.out_dir, "policy.csv"), res, meta)
     md = res.surface.metadata
     summary = {
-        "command": "solve",
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "spec_source": cfg.spec_source,
         "grid": cfg.grid.to_dict(),
         "T": cfg.spec.T,
         "n_action_nodes": int(res.labels.sum()),
@@ -283,15 +282,13 @@ def cmd_solve(cfg: RunConfig) -> int:
         "tol_inner": cfg.tol_inner,
         "eps_region": float(md["eps_region"]),
     }
-    ref = (fixture_reference(cfg.spec_source[len("fixture:"):])
-           if cfg.spec_source.startswith("fixture:") else None)
-    if ref is not None:
-        exact = reference_values(ref, res.surface.t_nodes(), res.surface.grid.x_nodes())
+    if cfg.reference is not None:
+        exact = reference_values(cfg.reference, res.surface.t_nodes(), res.surface.grid.x_nodes())
         err = np.abs(res.surface.values - exact)
         scale = np.maximum(np.abs(exact), 1e-12)
         summary["max_error_vs_formula"] = float(np.max(err))
         summary["max_rel_error_vs_formula"] = float(np.max(err / scale))
-    _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
+    _write_report(cfg, chash, "summary", summary)
     print(f"solve: wrote surface.csv boundary.csv policy.csv summary.json to {cfg.out_dir}")
     return EXIT_OK
 
@@ -311,24 +308,18 @@ def _resolve_control(cfg: RunConfig):
     return FeedbackPolicy.from_solution(res), {"kind": "feedback", "source": "solved"}
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    chash = cfg.config_hash()
+def cmd_simulate(cfg: RunConfig, chash: str) -> int:
     control, control_desc = _resolve_control(cfg)
     report = filtration_reduction_check(cfg.spec, cfg.t0, cfg.x0, control,
                                         cfg.dt, cfg.n_paths, cfg.seed)
-    payload = {
-        "command": "simulate",
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "spec_source": cfg.spec_source,
+    _write_report(cfg, chash, "mc_report", {
         "t0": cfg.t0,
         "x0": cfg.x0,
         "dt": cfg.dt,
         "n_paths": cfg.n_paths,
         "control": control_desc,
         "reduction": report.to_dict(),
-    }
-    _write_json(os.path.join(cfg.out_dir, "mc_report.json"), payload)
+    })
     records = simulate_paths(cfg.spec, cfg.t0, cfg.x0, control, cfg.dt, cfg.seed,
                              cfg.record_paths) if cfg.record_paths else []
     for i, rec in enumerate(records):
@@ -351,34 +342,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    chash = cfg.config_hash()
+def cmd_validate(cfg: RunConfig, chash: str) -> int:
     report = validate(cfg.spec, cfg.grid.x_nodes())
-    payload = {
-        "command": "validate",
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "spec_source": cfg.spec_source,
-        "report": report.to_dict(),
-    }
-    _write_json(os.path.join(cfg.out_dir, "validation.json"), payload)
-    with open(os.path.join(cfg.out_dir, "validation.txt"),
-              "w", encoding="utf-8", newline="\n") as fh:
-        _txt_header(fh, cfg, chash)
-        for e in report.entries:
-            status = "PASS" if e.passed else "FAIL"
-            thr = "" if e.threshold is None else f" threshold={e.threshold!r}"
-            fh.write(f"{e.name:24s} {status}  value={e.value!r}{thr}  {e.note}\n")
-        for w in report.warnings:
-            fh.write(f"warning: {w}\n")
-        fh.write("PASSED\n" if report.passed else "FAILED\n")
+    lines = []
+    for e in report.entries:
+        status = "PASS" if e.passed else "FAIL"
+        thr = "" if e.threshold is None else f" threshold={e.threshold!r}"
+        lines.append(f"{e.name:24s} {status}  value={e.value!r}{thr}  {e.note}")
+    lines += [f"warning: {w}" for w in report.warnings]
+    lines.append("PASSED" if report.passed else "FAILED")
+    _write_report(cfg, chash, "validation", {"report": report.to_dict()}, lines)
     print(f"validate: {'PASSED' if report.passed else 'FAILED'} "
           f"({len(report.entries)} entries, {len(report.warnings)} warnings)")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    chash = cfg.config_hash()
+def cmd_check(cfg: RunConfig, chash: str) -> int:
     grid = cfg.grid
     if cfg.surface_path is not None:
         # diagnose an existing artifact: only the checks that read the
@@ -399,56 +378,33 @@ def cmd_check(cfg: RunConfig) -> int:
         d["domain_restriction"] = _DOMAIN_NOTE
         entries.append(d)
     all_passed = all(r.passed for r in reports)
-    payload = {
-        "command": "check",
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "spec_source": cfg.spec_source,
+    lines = [rep.line() for rep in reports]
+    _write_report(cfg, chash, "checks", {
         "grid": grid.to_dict(),
         "domain_restriction": _DOMAIN_NOTE,
         "passed": all_passed,
         "checks": entries,
-    }
-    _write_json(os.path.join(cfg.out_dir, "checks.json"), payload)
-    with open(os.path.join(cfg.out_dir, "checks.txt"),
-              "w", encoding="utf-8", newline="\n") as fh:
-        _txt_header(fh, cfg, chash)
-        for rep in reports:
-            fh.write(rep.line() + "\n")
-        fh.write("ALL CHECKS PASSED\n" if all_passed else "CHECK FAILURES\n")
-    for rep in reports:
-        print(rep.line())
+    }, lines + ["ALL CHECKS PASSED" if all_passed else "CHECK FAILURES"])
+    for line in lines:
+        print(line)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    chash = cfg.config_hash()
+def cmd_converge(cfg: RunConfig, chash: str) -> int:
     grids = [Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_x, cfg.grid.n_t * 2**i)
              for i in range(cfg.levels)]
-    ref = (fixture_reference(cfg.spec_source[len("fixture:"):])
-           if cfg.spec_source.startswith("fixture:") else None)
-    study = convergence_study(cfg.spec, grids, reference=ref,
+    study = convergence_study(cfg.spec, grids, reference=cfg.reference,
                               tol_inner=cfg.tol_inner)
-    payload = {
-        "command": "converge",
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "spec_source": cfg.spec_source,
-        "levels": cfg.levels,
-        "study": study.to_dict(),
-    }
-    _write_json(os.path.join(cfg.out_dir, "convergence.json"), payload)
-    with open(os.path.join(cfg.out_dir, "convergence.txt"),
-              "w", encoding="utf-8", newline="\n") as fh:
-        _txt_header(fh, cfg, chash)
-        fh.write("n_t,dt,sup_diff_to_next,reference_error\n")
-        for i, row in enumerate(study.rows):
-            diff = row.get("sup_diff_to_next")
-            ref_err = study.reference_errors[i] if study.reference_errors else None
-            fh.write(f"{row['n_t']},{row['dt']!r},"
+    lines = ["n_t,dt,sup_diff_to_next,reference_error"]
+    for i, row in enumerate(study.rows):
+        diff = row.get("sup_diff_to_next")
+        ref_err = study.reference_errors[i] if study.reference_errors else None
+        lines.append(f"{row['n_t']},{row['dt']!r},"
                      f"{'' if diff is None else repr(diff)},"
-                     f"{'' if ref_err is None else repr(ref_err)}\n")
-        fh.write(f"ratios={[round(r, 4) for r in study.ratios]!r}\n")
+                     f"{'' if ref_err is None else repr(ref_err)}")
+    lines.append(f"ratios={[round(r, 4) for r in study.ratios]!r}")
+    _write_report(cfg, chash, "convergence", {"levels": cfg.levels, "study": study.to_dict()},
+                  lines)
     print(f"converge: ratios {study.ratios}")
     return EXIT_OK
 
@@ -547,7 +503,7 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[cfg.command](cfg, cfg.config_hash())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import FeedbackPolicy, MCEstimate, _mean_se, _simulate_batch, mc_cost_g
 from .model import ModelSpec, survival
-from .solver import (Grid, SolveResult, ValueSurface, _blend, _labels, _sweep, _time_cell,
-                     impulse_max, interp_extended, solve, upper_bound_c1)
+from .solver import (Grid, SolveResult, ValueSurface, _blend, _labels, _source_extremes,
+                     _sweep, _time_cell, impulse_max, interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -82,16 +82,10 @@ def lower_bound_c0(spec: ModelSpec, grid: Grid) -> float:
     scheme keeps V >= -C0, since every step is an M-matrix whose rows sum to
     1/dt + beta and projection only raises V.
 
-    As for C1, the rounded b g2 - f is monotone in b at a fixed x, so its
-    max over the time nodes is taken at the smallest or the largest beta:
-    O(n_x) work, the same value bit for bit as the max over the full grid."""
-    u = spec.utilities
-    x = grid.x_nodes()
-    beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
-    fx = np.asarray(u.f(x), dtype=float)
-    g2x = np.asarray(u.g2(x), dtype=float)
-    sink = max(0.0, float(np.max(np.maximum(beta.min() * g2x - fx, beta.max() * g2x - fx))))
-    return sink * spec.T + max(0.0, -float(np.min(u.g1(x))))
+    The max of beta g2 - f is minus the min of f - beta g2 bit for bit,
+    since rounded subtraction is sign-symmetric."""
+    sink = max(0.0, -_source_extremes(spec, grid)[0])
+    return sink * spec.T + max(0.0, -float(np.min(spec.utilities.g1(grid.x_nodes()))))
 
 
 def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,

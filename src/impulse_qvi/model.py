@@ -28,6 +28,24 @@ import numpy as np
 CONSTANT = "constant"
 TABLE = "table"
 SATURATING = "saturating"
+# the keys a curve of each kind reads, besides "kind"
+_CURVE_KEYS = {CONSTANT: ("value",), TABLE: ("x", "y"), SATURATING: ("level", "rate", "scale")}
+
+
+def _spec_object(d, prefix: str) -> dict:
+    """d, which must be a JSON object; prefix is its dotted path plus a dot."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{prefix[:-1] or 'the spec'} must be a JSON object, "
+                         f"not {type(d).__name__}")
+    return d
+
+
+def _reject_unread(d, keys, prefix: str = "") -> None:
+    """ValueError naming each key of d that is not in keys by its dotted
+    path (prefix + key): a misspelt key would otherwise be silently ignored."""
+    unread = sorted(set(_spec_object(d, prefix)) - set(keys))
+    if unread:
+        raise ValueError(f"unknown spec key {', '.join(prefix + k for k in unread)}")
 
 
 @dataclass(frozen=True)
@@ -112,15 +130,16 @@ class Curve:
         return {"kind": SATURATING, "level": self.level, "rate": self.rate, "scale": self.scale}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Curve":
-        kind = d.get("kind")
+    def from_dict(cls, d: dict, prefix: str = "") -> "Curve":
+        kind = _spec_object(d, prefix).get("kind")
+        if kind not in _CURVE_KEYS:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        _reject_unread(d, ("kind",) + _CURVE_KEYS[kind], prefix)
         if kind == CONSTANT:
             return cls.constant(d["value"])
         if kind == TABLE:
             return cls.table(d["x"], d["y"])
-        if kind == SATURATING:
-            return cls.saturating(d["level"], d.get("rate", 1.0), d.get("scale", 1.0))
-        raise ValueError(f"unknown curve kind {kind!r}")
+        return cls.saturating(d["level"], d.get("rate", 1.0), d.get("scale", 1.0))
 
 
 @dataclass(frozen=True)
@@ -141,7 +160,8 @@ class CostParams:
         return {"kappa": self.kappa, "k_min": self.k_min, "k_max": self.k_max}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CostParams":
+    def from_dict(cls, d: dict, prefix: str = "") -> "CostParams":
+        _reject_unread(d, ("kappa", "k_min", "k_max"), prefix)
         return cls(float(d["kappa"]), float(d["k_min"]), float(d["k_max"]))
 
 
@@ -159,49 +179,32 @@ def injection_cost(k, costs: CostParams):
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Running, terminal, and default utilities with upper-bound constants.
-
-    Bounds default to each curve's supremum; explicit overrides are for
-    table curves whose intended bound is looser than the sampled max.
-    """
+    """Running, terminal, and default utilities with upper-bound constants,
+    each curve's supremum."""
 
     f: Curve
     g1: Curve
     g2: Curve
-    f_bound: float | None = None
-    g1_bound: float | None = None
-    g2_bound: float | None = None
 
     @property
     def c_f(self) -> float:
-        return self.f.upper_bound() if self.f_bound is None else self.f_bound
+        return self.f.upper_bound()
 
     @property
     def c_g1(self) -> float:
-        return self.g1.upper_bound() if self.g1_bound is None else self.g1_bound
+        return self.g1.upper_bound()
 
     @property
     def c_g2(self) -> float:
-        return self.g2.upper_bound() if self.g2_bound is None else self.g2_bound
+        return self.g2.upper_bound()
 
     def to_dict(self) -> dict:
-        out = {"f": self.f.to_dict(), "g1": self.g1.to_dict(), "g2": self.g2.to_dict()}
-        for name in ("f_bound", "g1_bound", "g2_bound"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return {"f": self.f.to_dict(), "g1": self.g1.to_dict(), "g2": self.g2.to_dict()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "UtilitySpec":
-        return cls(
-            Curve.from_dict(d["f"]),
-            Curve.from_dict(d["g1"]),
-            Curve.from_dict(d["g2"]),
-            d.get("f_bound"),
-            d.get("g1_bound"),
-            d.get("g2_bound"),
-        )
+    def from_dict(cls, d: dict, prefix: str = "") -> "UtilitySpec":
+        _reject_unread(d, ("f", "g1", "g2"), prefix)
+        return cls(*(Curve.from_dict(d[k], f"{prefix}{k}.") for k in ("f", "g1", "g2")))
 
 
 @dataclass(frozen=True)
@@ -250,16 +253,18 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        _reject_unread(d, ("c1", "T", "lambda", "mu_tilde", "sigma_tilde", "beta",
+                           "utilities", "costs"))
         try:
             return cls(
                 c1=float(d["c1"]),
                 T=float(d["T"]),
-                lam=Curve.from_dict(d["lambda"]),
-                mu_tilde=Curve.from_dict(d["mu_tilde"]),
-                sigma_tilde=Curve.from_dict(d["sigma_tilde"]),
-                beta=Curve.from_dict(d["beta"]),
-                utilities=UtilitySpec.from_dict(d["utilities"]),
-                costs=CostParams.from_dict(d["costs"]),
+                lam=Curve.from_dict(d["lambda"], "lambda."),
+                mu_tilde=Curve.from_dict(d["mu_tilde"], "mu_tilde."),
+                sigma_tilde=Curve.from_dict(d["sigma_tilde"], "sigma_tilde."),
+                beta=Curve.from_dict(d["beta"], "beta."),
+                utilities=UtilitySpec.from_dict(d["utilities"], "utilities."),
+                costs=CostParams.from_dict(d["costs"], "costs."),
             )
         except KeyError as exc:
             raise ValueError(f"model spec is missing key {exc}") from exc

@@ -571,25 +571,31 @@ def _labels(v, iv, ks, eps_region):
     return lab, ks
 
 
-def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
-    """C1 = T * max(0, max over the grid of f - beta g2) + max(0, sup g1):
-    the horizon times the largest source level plus the terminal bound, an
-    upper bound on V that the scheme and the projection both respect, since
-    every step is an M-matrix (see pde_step).  A negative sup g1 is not a
-    bound: discounting lifts V above it.
+def _source_extremes(spec: ModelSpec, grid: Grid) -> tuple:
+    """(min, max) over the grid of the source level f - beta g2.
 
     At a fixed x, the rounded f - b g2 is monotone in b, since correctly
     rounded multiplication and subtraction are monotone in each operand.
-    So its max over the time nodes is taken at the smallest or the largest
-    beta, and the bound is found in O(n_x), the same value bit for bit as
-    the max over the full (n_t + 1) x n_x grid."""
+    So both extremes over the time nodes are taken at the smallest or the
+    largest beta, and they are found in O(n_x), the same values bit for bit
+    as over the full (n_t + 1) x n_x grid."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
     fx = np.asarray(u.f(x), dtype=float)
     g2x = np.asarray(u.g2(x), dtype=float)
-    source = max(0.0, float(np.max(np.maximum(fx - beta.min() * g2x, fx - beta.max() * g2x))))
-    return source * spec.T + max(0.0, u.c_g1)
+    at_min, at_max = fx - beta.min() * g2x, fx - beta.max() * g2x
+    return (float(np.min(np.minimum(at_min, at_max))),
+            float(np.max(np.maximum(at_min, at_max))))
+
+
+def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
+    """C1 = T * max(0, max over the grid of f - beta g2) + max(0, sup g1):
+    the horizon times the largest source level plus the terminal bound, an
+    upper bound on V that the scheme and the projection both respect, since
+    every step is an M-matrix (see pde_step).  A negative sup g1 is not a
+    bound: discounting lifts V above it."""
+    return max(0.0, _source_extremes(spec, grid)[1]) * spec.T + max(0.0, spec.utilities.c_g1)
 
 
 def _projection_certified(v_max: float, v_min: float, costs) -> bool:
@@ -716,7 +722,6 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         "inner_iterations": inner_counts[:-1],
         "max_inner_residual": max(0.0, float(np.max(residuals))),
         "c1_bound": c1_bound,
-        "terminal_layer_gap": float(np.max(np.abs(V[-2] - V[-1]))),
         "landing_violations": land_violations,
     }
     return SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)

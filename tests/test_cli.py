@@ -99,6 +99,45 @@ def test_feedback_flags_need_feedback_policy(tmp_path, capsys, policy, flag, val
     assert not out.exists()
 
 
+def _validate_edited_spec(tmp_path, key, value):
+    """Exit code of validate on intervention's spec with the value at the
+    dotted key path set to value ("" replaces the whole spec)."""
+    spec = intervention_spec().to_dict()
+    if key:
+        *parents, leaf = key.split(".")
+        level = spec
+        for name in parents:
+            level = level[name]
+        level[leaf] = value
+    else:
+        spec = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return cli.main(["validate", "--spec", str(path), "--out", str(tmp_path / "o"), "--nx", "21"])
+
+
+# one per level; beta is a constant curve, which has no rate
+@pytest.mark.parametrize("key", ["lamda", "costs.kapa", "beta.rate", "utilities.f.levl",
+                                 "utilities.f_bound"])
+def test_unread_spec_key_exits_2(tmp_path, capsys, key):
+    # a key that nothing reads, at any level of the spec, is named by its
+    # path instead of being silently ignored
+    assert _validate_edited_spec(tmp_path, key, 1.0) == 2
+    assert f"unknown spec key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("beta", 0.35, "beta must be a JSON object, not float"),
+    ("utilities.f", "flat", "utilities.f must be a JSON object, not str"),
+    ("costs", [0.04, 0.1, 1.5], "costs must be a JSON object, not list"),
+    ("", [1.0], "the spec must be a JSON object, not list"),
+], ids=["curve-number", "curve-string", "costs-list", "spec-list"])
+def test_spec_level_that_is_not_an_object_exits_2(tmp_path, capsys, key, value, reason):
+    # a curve given as a bare number ended in an AttributeError traceback
+    assert _validate_edited_spec(tmp_path, key, value) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
     rc = cli.main(["simulate", "--spec", "fixture:closed-form", "--seed", "1",
                    "--out", str(tmp_path), "--t0", "2.0"])
@@ -522,6 +561,37 @@ def test_converge_zero_fixture_inf_ratio_serializes(tmp_path):
     assert rc == 0
     study = read_json(out / "convergence.json")["study"]
     assert study["ratios"] == ["inf"]  # strict JSON: non-finite as repr text
+
+
+# (report stem, whether it has a .txt, seed, argv) per subcommand, on tiny grids
+_REPORTS = {
+    "solve": ("summary", False, 5, ["--spec", "fixture:zero", "--nx", "21", "--nt", "10",
+                                    "--seed", "5"]),
+    "simulate": ("mc_report", False, 7, ["--spec", "fixture:geometric", "--seed", "7",
+                                         "--paths", "200", "--dt", "0.05",
+                                         "--record-paths", "1"]),
+    "validate": ("validation", True, 0, ["--spec", "fixture:intervention", "--nx", "21"]),
+    "check": ("checks", True, 9, ["--spec", "fixture:zero", "--nx", "21", "--nt", "10",
+                                  "--seed", "9"]),
+    "converge": ("convergence", True, 0, ["--spec", "fixture:closed-form", "--nx", "21",
+                                          "--nt", "10", "--levels", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTS))
+def test_every_report_carries_the_run_header(tmp_path, command):
+    stem, has_txt, seed, flags = _REPORTS[command]
+    argv = [command] + flags + ["--out", str(tmp_path)]
+    chash = cli._build_config(cli._build_parser().parse_args(argv)).config_hash()
+    assert cli.main(argv) == 0
+    payload = read_json(tmp_path / f"{stem}.json")
+    assert {k: payload[k] for k in ("command", "config_hash", "seed", "spec_source")} == {
+        "command": command, "config_hash": chash, "seed": seed, "spec_source": flags[1]}
+    txt = tmp_path / f"{stem}.txt"
+    assert txt.exists() == has_txt
+    if has_txt:
+        assert txt.read_text().splitlines()[:3] == [
+            f"# config_hash={chash}", f"# seed={seed}", f"# {cli._DOMAIN_NOTE}"]
 
 
 # ------------------------------------------------------------ repeatability

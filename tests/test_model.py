@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from impulse_qvi.fixtures import (closed_form_spec, geometric_spec,
+from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec,
                                   intervention_spec, suggested_grid,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
@@ -286,6 +286,14 @@ def test_validation_report_round_trip():
 
 
 # --------------------------------------------------------- spec plumbing
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_specs_load_from_their_dicts(name):
+    # every key a fixture writes is one that from_dict reads
+    spec = FIXTURES[name]()
+    back = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert back.sha256() == spec.sha256()
 
 
 def test_model_spec_json_round_trip(tmp_path):
