@@ -110,7 +110,7 @@ def _load_spec(source: str):
         try:
             return get_fixture(name), suggested_grid(name), fixture_reference(name)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
     if not os.path.exists(source):
         raise UsageError(f"spec file not found: {source}")
     try:

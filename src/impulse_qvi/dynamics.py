@@ -20,45 +20,34 @@ Two cost representations are computed from the same Brownian numbers:
 Their expectations agree; the gap divided by the combined standard
 error is the reduction check.
 
-Per-path RNG streams derive from (master seed, path index): path j uses
-the stream of default_rng([seed, j]), so results are reproducible and
-growing the path count never perturbs earlier paths.  Each path draws
-its default exponential first and its Brownian row second; estimators
-that ignore the default still draw it, keeping the Brownian numbers
-common across both representations.
+Random numbers come from one stream per block of _BLOCK = 1024 paths:
+path j belongs to block j // 1024 and reads lane j % 1024 of the stream
+default_rng([seed, j // 1024]).  Each block first draws its 1,024
+default exponentials, then at every Euler step that step's 1,024
+normals, so path j's step-k normal is lane j % 1024 of the stream's
+(k+1)-th normal draw.  A block is always drawn in full and the lanes of
+paths outside the requested range are discarded, so results are
+reproducible, growing the path count never perturbs earlier paths, and
+neither the chunk size nor a first path inside a block changes any
+number.  Estimators that ignore the default still draw it, keeping the
+Brownian numbers common across both representations.  Keyed streams of
+this kind follow Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3" (SC'11).
 
-Building a Generator per path would cost several times the path's own
-draws, so the streams are seeded in bulk instead: _seed_states runs
-numpy's SeedSequence hash as uint32 array arithmetic over a block of
-path indices, and _pcg64_words runs PCG64's seeding step on the results
-as uint64 limb arithmetic.  One reused Generator draws every path: its
-pcg64_random_t (the 128-bit state, then the 128-bit inc) is opened once
-per chunk as a four-word uint64 view, reached through the pointer that
-is the first field of the struct at bit_generator.ctypes.state_address,
-and each path's words are written into it in place.  numpy stores each
-128-bit word low then high where the compiler has __uint128_t and high
-then low where it emulates one (MSVC); the order is chosen once per
-chunk as the one under which the chunk's first path reads back, through
-the bit_generator.state getter, as the whole state dict of a real
-default_rng([seed, start]), and RuntimeError is raised if neither does.
-So the numbers are those of default_rng([seed, j]) bit for bit.
-
-Paths run in chunks of _CHUNK = 4096; since every path has its own
-stream, the chunk size changes no number.  A chunk holds its Brownian
-block, 4096 x n_step x 8 B (6.6 MB at 202 steps), plus a few working
-arrays of 4096 doubles that each Euler step writes in place, with the
-time-only coefficients evaluated once over the step grid and each path's
-default step found once by searchsorted.  Peak RSS of a 65,536-path,
-202-step `simulate` is about 46 MB (66 MB with 16,384-path chunks) on a
-2-vCPU x86-64 VM with numpy 2.4.
+Paths run in chunks of _CHUNK = 4096.  A chunk holds one row of 1,024
+doubles per block it touches, which every step refills in place, and
+the Euler step reads the chunk's normals as one contiguous slice of
+those rows, so no count x n_step array is made and memory does not grow
+with 1/dt.  The Euler step writes into a few working arrays of 4096
+doubles, with the time-only coefficients evaluated once over the step
+grid and each path's default step found once by searchsorted.  Only the
+per-step coefficient lists and the step grid grow with n_step.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,18 +57,7 @@ from .model import (ModelSpec, _sorted_distinct, injection_cost, invert_hazard, 
                     survival_grid)
 
 _CHUNK = 4096
-_BLOCK = 1024  # paths seeded per array pass
-
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341  # 64-bit halves
-# column orders of _pcg64_words rows in pcg64_random_t: each 128-bit word
-# low then high where numpy has __uint128_t, high then low where it
-# emulates 128-bit arithmetic (MSVC)
-_WORD_ORDERS = ((1, 0, 3, 2), (0, 1, 2, 3))
+_BLOCK = 1024  # paths per RNG stream
 
 
 class ImpulseEvent(NamedTuple):
@@ -243,132 +221,6 @@ def _prepare_control(spec, control, t0, times):
     raise ValueError("control must be None, an ImpulseSchedule, or a feedback policy")
 
 
-def _words(n: int) -> list:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence reads it."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _mix(x, y):
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
-
-
-def _seed_states(seed_words: list, first: int, count: int) -> np.ndarray:
-    """SeedSequence([seed, j]).generate_state(4, np.uint64) for j in
-    first..first+count-1, as a (count, 4) uint64 array.
-
-    All arithmetic is on uint32 arrays and wraps mod 2**32; the hash
-    constants advance identically for every path, so they stay scalars.
-    """
-    j = np.arange(first, first + count, dtype=np.uint64)
-    j_hi = (j >> 32).astype(np.uint32)
-    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words]
-    entropy += [j.astype(np.uint32), j_hi]
-    entropy += [np.zeros(count, dtype=np.uint32)] * (4 - len(entropy))
-    hc = _INIT_A
-
-    def hashmix(v):
-        nonlocal hc
-        v = v ^ hc
-        hc = hc * _MULT_A & _MASK32
-        v = v * hc
-        return v ^ (v >> 16)
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    # words past the pool are mixed into every pool word; the last one,
-    # j's high word, exists only for j >= 2**32
-    for i in range(4, len(entropy)):
-        present = j_hi > 0 if i == len(entropy) - 1 else True
-        for dst in range(4):
-            pool[dst] = np.where(present, _mix(pool[dst], hashmix(entropy[i])), pool[dst])
-    out = np.empty((count, 8), dtype="<u4")
-    hb = _INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ hb
-        hb = hb * _MULT_B & _MASK32
-        v = v * hb
-        out[:, i] = v ^ (v >> 16)
-    return out.view("<u8")
-
-
-def _mul_hi(a, b: int):
-    """High 64 bits of the 128-bit products a * b, for a uint64 array a and
-    a 64-bit constant b, from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _pcg64_words(seed_words: list, first: int, count: int) -> np.ndarray:
-    """PCG64 seeded from _seed_states: (count, 4) uint64 rows of the state
-    and inc words (state_hi, state_lo, inc_hi, inc_lo) of
-    default_rng([seed, j]) for j in first..first+count-1.
-
-    PCG64's seeding step, inc = 2 initseq + 1 and then two LCG steps from 0,
-    state = (s + inc) * mult + inc mod 2**128, on 64-bit limbs; uint64
-    array arithmetic wraps, and each carry is a comparison.
-    """
-    s_hi, s_lo, i_hi, i_lo = _seed_states(seed_words, first, count).T
-    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    lo = s_lo + inc_lo
-    hi = s_hi + inc_hi + (lo < s_lo)
-    hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    lo = lo * _PCG_MULT_LO
-    state_lo = lo + inc_lo
-    return np.stack([hi + inc_hi + (state_lo < lo), state_lo, inc_hi, inc_lo], axis=1)
-
-
-def _state_view(bitgen) -> np.ndarray:
-    """The four uint64 words of a PCG64's pcg64_random_t (state, then inc),
-    as a writable view: the first field of the struct at
-    bitgen.ctypes.state_address points to them."""
-    words = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    return np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
-
-
-def _word_order(bitgen, mem, words, expected) -> list:
-    """The column order of _pcg64_words rows that bitgen's memory takes:
-    the first of _WORD_ORDERS whose write of ``words`` makes bitgen.state
-    equal ``expected``."""
-    for order in map(list, _WORD_ORDERS):
-        mem[:] = words[order]
-        if bitgen.state == expected:
-            return order
-    raise RuntimeError("bulk stream seeding disagrees with numpy's default_rng")
-
-
-def _draw_paths(seed, start, e_draws, z):
-    """Fill e_draws[j] and z[j] from the stream of default_rng([seed, start + j])."""
-    rng = np.random.default_rng([seed, start])  # rejects bad seeds as numpy does
-    bitgen = rng.bit_generator
-    expected = bitgen.state
-    mem = _state_view(bitgen)  # valid while rng lives
-    seed_words = _words(operator.index(seed))
-    count = e_draws.size
-    order = None
-    for b0 in range(0, count, _BLOCK):
-        words = _pcg64_words(seed_words, start + b0, min(_BLOCK, count - b0))
-        if order is None:
-            order = _word_order(bitgen, mem, words[0], expected)
-        e = []
-        for row, z_row in zip(words[:, order], z[b0:b0 + _BLOCK]):
-            mem[:] = row
-            e.append(rng.standard_exponential())
-            rng.standard_normal(out=z_row)
-        e_draws[b0:b0 + len(e)] = e
-
-
 def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     u = spec.utilities
     costs = spec.costs
@@ -388,10 +240,16 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     coef = list(zip(dts.tolist(), np.sqrt(dts).tolist(), mu.tolist(), sig.tolist(),
                     w_run.tolist(), p_def.tolist()))
 
-    e_draws = np.empty(count)
-    z = np.empty((count, n_step))
-    _draw_paths(seed, start, e_draws, z)
-    tau = np.atleast_1d(invert_hazard(spec.beta, t0, e_draws, spec.T))
+    # one stream per block of paths that the chunk touches; z is the
+    # chunk's lanes of the blocks' current draw, first the exponentials
+    b0 = start // _BLOCK
+    gens = [np.random.default_rng([seed, b])
+            for b in range(b0, (start + count - 1) // _BLOCK + 1)]
+    draws = np.empty((len(gens), _BLOCK))
+    z = draws.reshape(-1)[start - b0 * _BLOCK:][:count]
+    for g, row in zip(gens, draws):
+        g.standard_exponential(out=row)
+    tau = invert_hazard(spec.beta, t0, z, spec.T)
     # each path's default step, times[kd] <= tau < times[kd + 1] (n_step for
     # a default at or after the last grid time), and the paths of step k as
     # by_step[ends[k]:ends[k + 1]]
@@ -456,9 +314,11 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
         a *= lam_x
         a += np.multiply(x, mu_k, out=b)
         a *= d
+        for g, row in zip(gens, draws):
+            g.standard_normal(out=row)
         np.multiply(x, sig_k, out=b)
         b *= sqrt_d
-        b *= z[:, k]
+        b *= z
         x += a
         x += b
 

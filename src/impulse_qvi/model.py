@@ -48,6 +48,14 @@ def _reject_unread(d, keys, prefix: str = "") -> None:
         raise ValueError(f"unknown spec key {', '.join(prefix + k for k in unread)}")
 
 
+def _number(value, path: str) -> float:
+    """value as a float; ValueError naming its dotted path unless it is a
+    JSON number (a boolean would otherwise read as 1.0 or 0.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"spec key {path} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Curve:
     """Scalar function of one real variable.
@@ -135,11 +143,12 @@ class Curve:
         if kind not in _CURVE_KEYS:
             raise ValueError(f"unknown curve kind {kind!r}")
         _reject_unread(d, ("kind",) + _CURVE_KEYS[kind], prefix)
-        if kind == CONSTANT:
-            return cls.constant(d["value"])
         if kind == TABLE:
-            return cls.table(d["x"], d["y"])
-        return cls.saturating(d["level"], d.get("rate", 1.0), d.get("scale", 1.0))
+            return cls.table(*([_number(v, prefix + k) for v in d[k]] for k in ("x", "y")))
+        if kind == SATURATING:
+            d = {"rate": 1.0, "scale": 1.0, **d}
+        args = [_number(d[k], prefix + k) for k in _CURVE_KEYS[kind]]
+        return cls.constant(*args) if kind == CONSTANT else cls.saturating(*args)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,7 @@ class CostParams:
     @classmethod
     def from_dict(cls, d: dict, prefix: str = "") -> "CostParams":
         _reject_unread(d, ("kappa", "k_min", "k_max"), prefix)
-        return cls(float(d["kappa"]), float(d["k_min"]), float(d["k_max"]))
+        return cls(*(_number(d[k], prefix + k) for k in ("kappa", "k_min", "k_max")))
 
 
 def injection_cost(k, costs: CostParams):
@@ -257,8 +266,8 @@ class ModelSpec:
                            "utilities", "costs"))
         try:
             return cls(
-                c1=float(d["c1"]),
-                T=float(d["T"]),
+                c1=_number(d["c1"], "c1"),
+                T=_number(d["T"], "T"),
                 lam=Curve.from_dict(d["lambda"], "lambda."),
                 mu_tilde=Curve.from_dict(d["mu_tilde"], "mu_tilde."),
                 sigma_tilde=Curve.from_dict(d["sigma_tilde"], "sigma_tilde."),

@@ -12,7 +12,7 @@ import pytest
 
 from impulse_qvi import cli
 from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
-from impulse_qvi.fixtures import closed_form_spec, geometric_spec, intervention_spec
+from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
 from impulse_qvi.model import Curve
 from impulse_qvi.solver import read_surface_csv
 
@@ -45,7 +45,8 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
 def test_unknown_fixture_exits_2(tmp_path, capsys):
     rc = cli.main(["solve", "--spec", "fixture:bogus", "--out", str(tmp_path)])
     assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    known = sorted(FIXTURES)
+    assert capsys.readouterr().err == f"error: unknown fixture 'bogus'; known: {known}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
@@ -124,6 +125,15 @@ def test_unread_spec_key_exits_2(tmp_path, capsys, key):
     # path instead of being silently ignored
     assert _validate_edited_spec(tmp_path, key, 1.0) == 2
     assert f"unknown spec key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("c1", True), ("beta.value", False),
+                                        ("utilities.g2.y", [0.9, 0.5, True, 0.1, 0.0])],
+                         ids=["top-level", "curve-field", "table-entry"])
+def test_boolean_for_a_number_exits_2(tmp_path, capsys, key, value):
+    # JSON true/false read as 1.0/0.0 and validated at the parent
+    assert _validate_edited_spec(tmp_path, key, value) == 2
+    assert f"spec key {key} must be a number, not bool" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, reason", [

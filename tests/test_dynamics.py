@@ -1,31 +1,31 @@
 """Path engine: exact jumps, hazard sampling, the two cost representations.
 
-The per-path RNG layout is load-bearing and pinned here: each path j uses
-default_rng([seed, j]) and draws its default-clock exponential before its
-Brownian row.  The engine computes the streams' PCG64 states in bulk and
-writes them in place into one reused generator; the tests below compare
-its draws with a default_rng reference loop bit for bit, its PCG64 seeding
-step with Python big-int arithmetic, and check that the per-chunk guard
-raises on a corrupted state or a wrong word order.
+The RNG layout is load-bearing and pinned here: path j reads lane
+j % 1024 of the stream default_rng([seed, j // 1024]), which draws its
+block's 1,024 default-clock exponentials first and then one 1,024-normal
+row per Euler step.  The tests below check a path's exponential and
+normals against that rule, that the chunking and a first path inside a
+block change no number, and that a chunk's memory does not grow with the
+step count.
 
 The Euler step runs in place on preallocated arrays; _run_chunk_reference
-below is the plain array loop it replaced, and the engine must match it
-bit for bit on every output.
+below is the plain array loop it replaced, fed the layout's numbers by
+_layout_draws, and the engine must match it bit for bit on every output.
 """
 
+import inspect
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from impulse_qvi import dynamics
-from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule,
-                                  _draw_paths, _simulate_batch, filtration_reduction_check,
-                                  mc_cost_g, simulate, simulate_paths)
+from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _simulate_batch,
+                                  filtration_reduction_check, mc_cost_g, simulate,
+                                  simulate_paths)
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
@@ -107,83 +107,21 @@ def test_default_times_constant_hazard_distribution():
 
 
 def test_default_time_uses_documented_rng_layout():
-    # path j draws its exponential first from default_rng([seed, j]);
-    # with constant beta the inverse is e / beta
-    spec = make_spec(beta=2.0, T=50.0)
-    rec = simulate(spec, 0.0, 1.0, None, dt=0.5, seed=123, path_index=4)
-    e = np.random.default_rng([123, 4]).standard_exponential()
-    assert rec.default_time == pytest.approx(e / 2.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**40 + 7, 2**100 + 3, 2**130 + 5])
-@pytest.mark.parametrize("start,count", [(0, 9), (16384, 9), (2**32 - 5, 9),
-                                         (2**32 - 1030, 1040)])
-def test_bulk_seeding_matches_default_rng(seed, start, count):
-    # path j's exponential and Brownian row are those of
-    # default_rng([seed, j]) bit for bit, for multi-word seeds, for blocks
-    # whose indices cross 2**32 (one and two entropy words), and across
-    # two seeding blocks
-    e = np.empty(count)
-    z = np.empty((count, 7))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _draw_paths(seed, start, e, z)
-    for j in range(count):
-        rng = np.random.default_rng([seed, start + j])
-        assert e[j] == rng.standard_exponential()
-        np.testing.assert_array_equal(z[j], rng.standard_normal(7))
-
-
-def test_bulk_seeding_guard_raises_on_mismatch(monkeypatch):
-    real = dynamics._seed_states
-    monkeypatch.setattr(dynamics, "_seed_states", lambda *a: real(*a) ^ np.uint64(1))
-    with pytest.raises(RuntimeError):
-        _draw_paths(5, 0, np.empty(2), np.empty((2, 3)))
-
-
-def test_bulk_seeding_guard_raises_on_wrong_word_order(monkeypatch):
-    # orders that swap the state and inc words are wrong on every build
-    monkeypatch.setattr(dynamics, "_WORD_ORDERS", ((3, 2, 1, 0), (2, 3, 0, 1)))
-    with pytest.raises(RuntimeError):
-        _draw_paths(5, 0, np.empty(2), np.empty((2, 3)))
-
-
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
-
-
-def _pcg64_seeded(s_hi, s_lo, i_hi, i_lo):
-    """PCG64's seeding step in Python ints: inc = 2 initseq + 1, then
-    state = (s + inc) * mult + inc mod 2**128, as (hi, lo) word pairs."""
-    mask = (1 << 128) - 1
-    inc = ((i_hi << 64 | i_lo) * 2 + 1) & mask
-    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & mask
-    return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**80), first=st.integers(0, 2**33), count=st.integers(1, 5))
-@example(seed=2**64 - 1, first=2**32 - 3, count=5)
-@example(seed=2**64, first=2**32 - 1, count=2)
-def test_pcg64_seeding_step_matches_big_int(seed, first, count):
-    # seeds of one to three 32-bit words, path indices on both sides of 2**32
-    seed_words = dynamics._words(seed)
-    seeded = dynamics._seed_states(seed_words, first, count).tolist()
-    got = dynamics._pcg64_words(seed_words, first, count).tolist()
-    assert got == [_pcg64_seeded(*row) for row in seeded]
-
-
-_word = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1])
-
-
-@settings(max_examples=150, deadline=None)
-@given(rows=st.lists(st.tuples(_word, _word, _word, _word), min_size=1, max_size=6))
-def test_pcg64_seeding_limbs_match_big_int(rows):
-    # the limb arithmetic on any words, carries at 0 and 2**64 - 1 included
-    words = np.array(rows, dtype=np.uint64)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_seed_states", lambda *a: words)
-        got = dynamics._pcg64_words([0], 0, len(rows)).tolist()
-    assert got == [_pcg64_seeded(*row) for row in rows]
+    # path j's exponential is lane j % 1024 of default_rng([seed, j // 1024])'s
+    # first 1,024-exponential draw, and its step-k normal lane j % 1024 of
+    # the stream's (k+1)-th 1,024-normal draw.  With constant beta the
+    # default is e / beta, and with lam = mu = 0 each Euler step is
+    # x + ((sigma x) sqrt(d)) z, so every state pins one normal bit for bit
+    spec = make_spec(lam=0.0, mu=0.0, sigma=0.3, beta=2.0, T=50.0)
+    for j in (0, 4, 1023, 1024, 5000):
+        rec = simulate(spec, 0.0, 1.0, None, dt=0.5, seed=123, path_index=j)
+        rng = np.random.default_rng([123, j // 1024])
+        e = rng.standard_exponential(1024)[j % 1024]
+        assert rec.default_time == pytest.approx(e / 2.0, rel=1e-12)
+        for k in range(rec.times.size - 1):
+            z = rng.standard_normal(1024)[j % 1024]
+            x, d = rec.states[k], rec.times[k + 1] - rec.times[k]
+            assert rec.states[k + 1] == x + x * 0.3 * math.sqrt(d) * z, (j, k)
 
 
 def test_default_beyond_horizon_is_inf():
@@ -277,13 +215,16 @@ def test_path_determinism_and_independence():
 
 def test_paths_independent_of_chunking():
     # a batch that starts mid-chunk and crosses two of the full batch's
-    # chunk boundaries is, path for path, the full batch's tail
+    # chunk boundaries is, path for path, the full batch's tail; so is one
+    # that starts inside an RNG block and ends inside another
     spec = geometric_spec()
-    n, first = 3 * dynamics._CHUNK + 100, dynamics._CHUNK // 2 + 1
+    n = 3 * dynamics._CHUNK + 100
     full = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, n)
-    tail = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, n - first, path_offset=first)
-    for name in ("cost_g", "run_f", "imp_f", "final_states", "default_times"):
-        assert getattr(full, name)[first:].tobytes() == getattr(tail, name).tobytes(), name
+    for first, stop in ((dynamics._CHUNK // 2 + 1, n), (1000, 1000 + dynamics._CHUNK + 60)):
+        part = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, stop - first, path_offset=first)
+        for name in ("cost_g", "run_f", "imp_f", "final_states", "default_times"):
+            assert getattr(full, name)[first:stop].tobytes() == getattr(part, name).tobytes(), \
+                (first, name)
 
 
 def test_batch_memory_stays_within_two_brownian_blocks():
@@ -301,6 +242,31 @@ def test_batch_memory_stays_within_two_brownian_blocks():
     n_step = batch.times.size - 1
     assert n_step == 1000
     assert peak < 2 * 4096 * (n_step + 1) * 8
+
+
+def test_batch_memory_does_not_grow_with_steps():
+    # 4,096 paths at 5,000 steps hold one normal per path and step at a
+    # time: the peak stays far below one 4,096 x 5,000 Brownian block
+    spec = geometric_spec()
+    _simulate_batch(spec, 0.0, 1.0, None, 0.0002, 3, 10)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        batch = _simulate_batch(spec, 0.0, 1.0, None, 0.0002, 3, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_step = batch.times.size - 1
+    assert n_step == 5000
+    assert peak < 4096 * n_step * 8 / 20
+
+
+def test_dynamics_draws_through_public_generators():
+    # the engine draws only through numpy Generators: it binds no ctypes
+    # and reaches into no bit generator's state by address
+    assert not any(getattr(v, "__name__", None) == "ctypes"
+                   or getattr(v, "__module__", None) == "ctypes"
+                   for v in vars(dynamics).values())
+    assert "state_address" not in inspect.getsource(dynamics)
 
 
 @pytest.mark.parametrize("policy", ["schedule", "feedback"])
@@ -359,6 +325,22 @@ def test_feedback_policy_triggers_injection():
 # ------------------------------------------- the in-place Euler kernel
 
 
+def _layout_draws(seed, start, count, n_step):
+    """The exponentials and the count x n_step normals of paths
+    start..start+count-1 under the documented layout, one whole block
+    stream at a time."""
+    e, z = np.empty(count), np.empty((count, n_step))
+    for j0 in range(start - start % 1024, start + count, 1024):
+        rng = np.random.default_rng([seed, j0 // 1024])
+        rows = [rng.standard_exponential(1024)] + [rng.standard_normal(1024)
+                                                   for _ in range(n_step)]
+        lo, hi = max(start, j0), min(start + count, j0 + 1024)
+        e[lo - start:hi - start] = rows[0][lo - j0:hi - j0]
+        for k, row in enumerate(rows[1:]):
+            z[lo - start:hi - start, k] = row[lo - j0:hi - j0]
+    return e, z
+
+
 def _run_chunk_reference(spec, t0, x0, control, times, seed, start, count, record):
     """The engine's chunk loop before the in-place kernel: fresh arrays at
     every step, the running term clipped against tau at every step."""
@@ -372,9 +354,7 @@ def _run_chunk_reference(spec, t0, x0, control, times, seed, start, count, recor
         d_hazard = np.log(rho[:-1]) - np.log(rho[1:])
         w_run = np.where(d_hazard > 0.0, p_def * dts / d_hazard, rho[:-1] * dts)
 
-    e_draws = np.empty(count)
-    z = np.empty((count, n_step))
-    _draw_paths(seed, start, e_draws, z)
+    e_draws, z = _layout_draws(seed, start, count, n_step)
     tau = np.atleast_1d(invert_hazard(spec.beta, t0, e_draws, spec.T))
 
     sched_at, policy = dynamics._prepare_control(spec, control, t0, times)
