@@ -16,6 +16,7 @@ _layout_draws, and the engine must match it bit for bit on every output.
 import inspect
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,28 @@ def test_default_time_uses_documented_rng_layout():
             z = rng.standard_normal(1024)[j % 1024]
             x, d = rec.states[k], rec.times[k + 1] - rec.times[k]
             assert rec.states[k + 1] == x + x * 0.3 * math.sqrt(d) * z, (j, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**40 + 7, 2**100 + 3, 2**130 + 5])
+@pytest.mark.parametrize("start,count", [(0, 9), (16384, 9), (2**32 - 5, 9),
+                                         (2**32 - 1030, 1040)])
+def test_bulk_seeding_matches_default_rng(seed, start, count):
+    # a whole batch's default times and Euler states come bit for bit from
+    # the block streams default_rng([seed, j // 1024]), for multi-word
+    # seeds, for path indices near 2**32, and across two blocks; with
+    # lam = mu = 0 and d = 1 each step is x + (sigma x) z
+    spec = make_spec(lam=0.0, mu=0.0, sigma=0.3, beta=2.0, T=7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = simulate_paths(spec, 0.0, 1.0, None, 1.0, seed, count, first=start)
+    e, z = _layout_draws(seed, start, count, 7)
+    tau = np.array([r.default_time for r in recs])
+    np.testing.assert_array_equal(tau, invert_hazard(spec.beta, 0.0, e, spec.T))
+    states = np.array([r.states for r in recs])
+    assert states.shape == (count, 8)
+    for k in range(7):
+        x = states[:, k]
+        np.testing.assert_array_equal(states[:, k + 1], x + x * 0.3 * z[:, k])
 
 
 def test_default_beyond_horizon_is_inf():
