@@ -3,10 +3,10 @@
 Loads a model spec (a JSON file, or ``fixture:NAME`` for a built-in), runs
 one subcommand, and writes every artifact into --out.  Artifacts embed the
 config hash and the seed, and rerunning the same invocation reproduces them
-byte for byte.  Structured outputs are JSON, arrays are CSV; nothing binary.
+byte for byte.  Structured outputs are JSON, arrays CSV (solver.write_csv).
 
-Exit codes: 0 success, 1 check failure, 2 usage or spec error, 3 numerical
-failure (the scheme cannot proceed on the grid).
+Exit codes: 0 success, 1 check failure, 2 usage, spec or out-of-memory
+error, 3 numerical failure (the scheme cannot proceed on the grid).
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (check_obstacle, check_smooth_fit,
-                          check_theta_structure, convergence_study,
-                          reference_values, standard_checks)
+                          check_theta_structure, convergence_study, standard_checks)
 from .dynamics import (FeedbackPolicy, ImpulseSchedule,
                        filtration_reduction_check, simulate_paths)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
 from .solver import (Grid, NumericalError, SolveResult, read_surface_csv,
-                     solve, write_boundary_csv, write_policy_csv,
+                     solve, write_boundary_csv, write_csv, write_policy_csv,
                      write_surface_csv)
 
 EXIT_OK = 0
@@ -41,6 +40,7 @@ EXIT_NUMERICAL = 3
 # multiplying the volatility destroys at x=0; every report carries this
 _DOMAIN_NOTE = "diagnostics restricted to x_min > 0 (ellipticity proxy sigma_tilde*x_min)"
 _HASH_BLOCK = 1 << 20  # bytes per read while hashing --surface
+_PATH_COLUMNS = ("time", "state", "impulse_flag", "impulse_size")  # of each path_NNN.csv
 
 
 class UsageError(Exception):
@@ -115,21 +115,14 @@ def _load_spec(source: str):
         raise UsageError(f"spec file not found: {source}")
     try:
         return ModelSpec.from_json(source), Grid(0.1, 4.1, 201, 200), None
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise UsageError(f"invalid spec {source}: {exc}") from None
 
 
 def _build_grid(args, base: Grid) -> Grid:
-    nx = base.n_x if args.nx is None else args.nx
-    nt = base.n_t if args.nt is None else args.nt
-    xmin = base.x_min if args.xmin is None else args.xmin
-    xmax = base.x_max if args.xmax is None else args.xmax
-    if min(nx, nt) <= 0:
-        raise UsageError("--nx, --nt must be positive")
-    if xmin <= 0.0:
-        raise UsageError("--xmin must be > 0 (ellipticity restriction)")
+    given = {"n_x": args.nx, "n_t": args.nt, "x_min": args.xmin, "x_max": args.xmax}
     try:
-        return Grid(xmin, xmax, nx, nt)
+        return Grid(**{**base.to_dict(), **{k: v for k, v in given.items() if v is not None}})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -141,19 +134,9 @@ def _build_config(args) -> RunConfig:
     if mc_command and args.seed is None:
         raise UsageError(f"--seed is required for the {args.command} subcommand")
     seed = 0 if args.seed is None else args.seed
-    if args.paths <= 0:
-        raise UsageError("--paths must be positive")
-    if args.dt <= 0.0:
-        raise UsageError("--dt must be positive")
     tol_inner = 1e-9 if args.tol_inner is None else args.tol_inner
-    if tol_inner <= 0.0:
-        raise UsageError("--tol-inner must be positive")
     if not (0.0 <= args.t0 < spec.T):
         raise UsageError(f"--t0 must lie in [0, T) with T={spec.T}")
-    if args.record_paths < 0:
-        raise UsageError("--record-paths must be >= 0")
-    if args.levels < 2:
-        raise UsageError("--levels must be >= 2")
 
     schedule_pairs = None
     surface_path = None
@@ -283,11 +266,14 @@ def cmd_solve(cfg: RunConfig, chash: str) -> int:
         "eps_region": float(md["eps_region"]),
     }
     if cfg.reference is not None:
-        exact = reference_values(cfg.reference, res.surface.t_nodes(), res.surface.grid.x_nodes())
-        err = np.abs(res.surface.values - exact)
-        scale = np.maximum(np.abs(exact), 1e-12)
-        summary["max_error_vs_formula"] = float(np.max(err))
-        summary["max_rel_error_vs_formula"] = float(np.max(err / scale))
+        # one reference(t, x_nodes) call per time node, as in convergence_study
+        xn, err, rel = res.surface.grid.x_nodes(), 0.0, 0.0
+        for t, v in zip(res.surface.t_nodes(), res.surface.values):
+            exact = cfg.reference(t, xn)
+            gap = np.abs(v - exact)
+            err, rel = max(err, gap.max()), max(rel, (gap / np.maximum(np.abs(exact), 1e-12)).max())
+        summary["max_error_vs_formula"] = float(err)
+        summary["max_rel_error_vs_formula"] = float(rel)
     _write_report(cfg, chash, "summary", summary)
     print(f"solve: wrote surface.csv boundary.csv policy.csv summary.json to {cfg.out_dir}")
     return EXIT_OK
@@ -306,6 +292,14 @@ def _resolve_control(cfg: RunConfig):
             "kind": "feedback", "source": "loaded-surface"}
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
     return FeedbackPolicy.from_solution(res), {"kind": "feedback", "source": "solved"}
+
+
+def _path_rows(rec):
+    """time, state, impulse_flag, impulse_size lines of a recorded path:
+    flag 1 and the size at an impulse time, else 0 and 0.0."""
+    sizes = {float(ev.time): float(ev.size) for ev in rec.impulses_applied}
+    return (f"{t!r},{x!r},1,{sizes[t]!r}\n" if t in sizes else f"{t!r},{x!r},0,0.0\n"
+            for t, x in zip(rec.times.tolist(), rec.states.tolist()))
 
 
 def cmd_simulate(cfg: RunConfig, chash: str) -> int:
@@ -332,9 +326,8 @@ def cmd_simulate(cfg: RunConfig, chash: str) -> int:
             "default_time": repr(rec.default_time),
             "realized_cost": repr(rec.realized_cost),
         }
-        with open(os.path.join(cfg.out_dir, f"path_{i:03d}.csv"),
-                  "w", encoding="utf-8", newline="\n") as fh:
-            rec.to_csv(fh, meta)
+        write_csv(os.path.join(cfg.out_dir, f"path_{i:03d}.csv"), meta, _PATH_COLUMNS,
+                  _path_rows(rec))
     print(f"simulate: cost_g={report.cost_g.estimate:.6g} (se {report.cost_g.std_error:.2g}) "
           f"cost_f={report.cost_f.estimate:.6g} (se {report.cost_f.std_error:.2g}) "
           f"difference={report.difference:.3g} agree={report.passed}")
@@ -418,22 +411,47 @@ _DISPATCH = {
 }
 
 
+def _domain(what: str, convert, ok):
+    """A flag's type=: its text converted, if the value passes ok."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_FINITE = _domain("finite number", float, math.isfinite)
+_POSITIVE = _domain("finite number > 0", float, lambda v: 0 < v < math.inf)
+_COUNT = _domain("positive integer", int, lambda v: v > 0)
+_INDEX = _domain("non-negative integer", int, lambda v: v >= 0)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's bad flag raises UsageError, so main returns exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # the flags shared by several subcommands, and which of them each subcommand
 # reads; a subcommand rejects the others (argparse exits 2) and keeps their
 # defaults in its RunConfig, so a config hash does not depend on this table
 _SHARED_FLAGS = {
-    "--nx": dict(type=int, default=None, help="space nodes"),
-    "--nt": dict(type=int, default=None, help="time steps"),
-    "--xmin": dict(type=float, default=None, help="left edge (> 0)"),
-    "--xmax": dict(type=float, default=None, help="right edge"),
-    "--paths": dict(type=int, default=10000, help="MC sample size"),
-    "--dt": dict(type=float, default=0.01, help="simulation step"),
-    "--seed": dict(type=int, default=None, help="RNG seed (required for simulate and check)"),
-    "--tol-inner": dict(type=float, default=None,
+    "--nx": dict(type=_COUNT, default=None, help="space nodes"),
+    "--nt": dict(type=_COUNT, default=None, help="time steps"),
+    "--xmin": dict(type=_POSITIVE, default=None, help="left edge (> 0)"),
+    "--xmax": dict(type=_FINITE, default=None, help="right edge"),
+    "--paths": dict(type=_COUNT, default=10000, help="MC sample size"),
+    "--dt": dict(type=_POSITIVE, default=0.01, help="simulation step"),
+    "--seed": dict(type=_INDEX, default=None, help="RNG seed (required for simulate and check)"),
+    "--tol-inner": dict(type=_POSITIVE, default=None,
                         help="impulse projection tolerance (default 1e-9)"),
-    "--eps-region": dict(type=float, default=None, help="action-label threshold on V - IV"),
-    "--t0": dict(type=float, default=0.0, help="simulation start time"),
-    "--x0": dict(type=float, default=1.0, help="simulation start state"),
+    "--eps-region": dict(type=_FINITE, default=None, help="action-label threshold on V - IV"),
+    "--t0": dict(type=_FINITE, default=0.0, help="simulation start time"),
+    "--x0": dict(type=_FINITE, default=1.0, help="simulation start state"),
 }
 _GRID = ("--nx", "--nt", "--xmin", "--xmax")
 _READS = {
@@ -455,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-horizon impulse-control QVI: solve, simulate, "
                     "validate, check, converge.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, helptext in (
         ("solve", "backward QVI sweep; writes surface/boundary/policy CSVs and a summary"),
         ("simulate", "controlled SDE paths with default; writes MC report and path CSVs"),
@@ -480,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="JSON [[time, size], ...] for --policy schedule")
             p.add_argument("--surface", default=None,
                            help="solve output dir to reuse for --policy feedback")
-            p.add_argument("--record-paths", type=int, default=3,
+            p.add_argument("--record-paths", type=_INDEX, default=3,
                            help="number of individual path CSVs to write")
         elif name == "check":
             p.add_argument("--surface", default=None,
@@ -491,7 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.set_defaults(policy="none", schedule=None, surface=None,
                            record_paths=0)
         if name == "converge":
-            p.add_argument("--levels", type=int, default=3,
+            p.add_argument("--levels", default=3,
+                           type=_domain("integer >= 2", int, lambda v: v >= 2),
                            help="refinement levels (n_t doubles each level)")
         else:
             p.set_defaults(levels=2)
@@ -499,9 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
+        cfg = _build_config(_build_parser().parse_args(argv))
         os.makedirs(cfg.out_dir, exist_ok=True)
         return _DISPATCH[cfg.command](cfg, cfg.config_hash())
     except UsageError as exc:
@@ -510,6 +528,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'MemoryError'}): ask for a smaller grid "
+              "(--nx, --nt, --levels) or fewer steps (a larger --dt)", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -349,12 +349,6 @@ class ConvergenceStudy:
                 "reference_errors": self.reference_errors}
 
 
-def reference_values(reference, t_nodes, x_nodes) -> np.ndarray:
-    """The exact reference on a grid: one call reference(t, x_nodes) per
-    time node, broadcast over x."""
-    return np.array([np.broadcast_to(reference(t, x_nodes), x_nodes.shape) for t in t_nodes])
-
-
 def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
     """The value surface of a solve without IV, labels or policy, for
     checks that read V alone.  No residual is recomputed, so a slice whose

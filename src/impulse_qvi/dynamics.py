@@ -126,22 +126,6 @@ class PathRecord:
     default_time: float
     realized_cost: float
 
-    def to_csv(self, fh, meta: dict | None = None) -> None:
-        """Long format: time, state, impulse_flag, impulse_size."""
-        flags = {}
-        for ev in self.impulses_applied:
-            flags[float(ev.time)] = float(ev.size)
-        if meta:
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-        fh.write("time,state,impulse_flag,impulse_size\n")
-        for t, x in zip(self.times, self.states):
-            k = flags.get(float(t))
-            if k is None:
-                fh.write(f"{float(t)!r},{float(x)!r},0,0.0\n")
-            else:
-                fh.write(f"{float(t)!r},{float(x)!r},1,{k!r}\n")
-
 
 class FeedbackPolicy:
     """Markov injection rule read off a solved surface.

@@ -50,9 +50,12 @@ def _reject_unread(d, keys, prefix: str = "") -> None:
 
 def _number(value, path: str) -> float:
     """value as a float; ValueError naming its dotted path unless it is a
-    JSON number (a boolean would otherwise read as 1.0 or 0.0)."""
+    finite JSON number (a boolean would otherwise read as 1.0 or 0.0, and
+    Python's json reads NaN, Infinity and -Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"spec key {path} must be a number, not {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"spec key {path} must be finite, not {value!r}")
     return float(value)
 
 

@@ -731,14 +731,14 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
 # exports
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_meta(fh, meta: dict | None) -> None:
-    if meta:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
+def write_csv(path, meta: dict, columns, rows) -> None:
+    """The one CSV layout of every artifact: a `# key=value` line per meta
+    key in sorted order, the column line, then rows, an iterable of text
+    holding whole lines; utf-8 with `\\n` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(rows)
 
 
 # surface.csv header fields with their parsers: what read_surface_csv needs
@@ -750,18 +750,20 @@ _SURFACE_HEADER = {"T": float, "x_min": float, "x_max": float, "n_x": int, "n_t"
 def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     """Long format: t, x, V, IV, label, xi0 (xi0 empty on continuation),
     after `# key=value` lines for `meta` and for T, the grid, eps_region,
-    tol_inner and spec_sha256.  Rows are written one time slice at a time."""
+    tol_inner and spec_sha256.  Rows are built one time slice at a time."""
     surface = res.surface
     known = {**surface.metadata, **surface.grid.to_dict(), "T": surface.T}
     x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_meta(fh, {**(meta or {}), **{k: known[k] for k in _SURFACE_HEADER}})
-        fh.write("t,x,V,IV,label,xi0\n")
+
+    def slices():
         for j, t in enumerate(surface.t_nodes().tolist()):
             tails = [f"action,{xi!r}\n" if act else "continuation,\n"
                      for act, xi in zip(res.labels[j].tolist(), res.xi0[j].tolist())]
-            fh.write("".join([f"{t!r},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
-                x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)]))
+            yield "".join([f"{t!r},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
+                x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)])
+
+    write_csv(path, {**(meta or {}), **{k: known[k] for k in _SURFACE_HEADER}},
+              ("t", "x", "V", "IV", "label", "xi0"), slices())
 
 
 _CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
@@ -844,15 +846,11 @@ def read_surface_csv(path) -> SolveResult:
 
 
 def write_policy_csv(path, res: SolveResult, meta: dict | None = None) -> None:
-    """Action nodes only: t, x, xi0."""
-    tn = res.surface.t_nodes()
-    xn = res.surface.grid.x_nodes()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_meta(fh, meta)
-        fh.write("t,x,xi0\n")
-        for j, t in enumerate(tn):
-            for i in np.nonzero(res.labels[j])[0]:
-                fh.write(f"{_fmt(t)},{_fmt(xn[i])},{_fmt(res.xi0[j, i])}\n")
+    """Action nodes only, in row-major order: t, x, xi0."""
+    j, i = np.nonzero(res.labels)
+    rows = zip(res.surface.t_nodes()[j].tolist(), res.surface.grid.x_nodes()[i].tolist(),
+               res.xi0[j, i].tolist())
+    write_csv(path, meta or {}, ("t", "x", "xi0"), (f"{t!r},{x!r},{xi!r}\n" for t, x, xi in rows))
 
 
 def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -895,15 +893,12 @@ def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def write_boundary_csv(path, res: SolveResult, meta: dict | None = None) -> None:
-    """Upper edge of each connected action component as a (t, x) polyline."""
-    tn = res.surface.t_nodes()
-    xn = res.surface.grid.x_nodes()
-    comp, n_comp = _label_components(res.labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_meta(fh, meta)
-        fh.write("component,t,boundary_x\n")
-        for c in range(1, n_comp + 1):
-            rows = np.nonzero((comp == c).any(axis=1))[0]
-            for j in rows:
-                cols = np.nonzero(comp[j] == c)[0]
-                fh.write(f"{c},{_fmt(tn[j])},{_fmt(xn[cols.max()])}\n")
+    """Upper edge of each connected action component as a (t, x) polyline,
+    by component, then time."""
+    tn = res.surface.t_nodes().tolist()
+    xn = res.surface.grid.x_nodes().tolist()
+    comp, _ = _label_components(res.labels)
+    j, i = np.nonzero(comp)  # row-major, so the last i of a (component, row) is its largest
+    top = dict(zip(zip(comp[j, i].tolist(), j.tolist()), i.tolist()))
+    write_csv(path, meta or {}, ("component", "t", "boundary_x"),
+              (f"{c},{tn[j]!r},{xn[i]!r}\n" for (c, j), i in sorted(top.items())))

@@ -2,19 +2,21 @@
 
 import filecmp
 import hashlib
-import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from impulse_qvi import cli
 from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
 from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
 from impulse_qvi.model import Curve
-from impulse_qvi.solver import read_surface_csv
+from impulse_qvi.solver import read_surface_csv, write_csv
 
 from test_model import make_spec
 from test_solver import _found_sub_cell_spec
@@ -63,6 +65,27 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
 
 
+_SOLVE = ["solve", "--spec", "fixture:zero", "--nx", "21", "--nt", "10"]
+_SIMULATE = ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "50"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    *[(argv, flag, value) for argv, flags in (
+        (_SOLVE, ("--xmin", "--xmax", "--tol-inner", "--eps-region")),
+        (_SIMULATE, ("--dt", "--t0", "--x0")))
+      for flag in flags for value in ("inf", "nan")],
+    (_SIMULATE, "--paths", "0"), (_SIMULATE, "--dt", "0"), (_SOLVE, "--tol-inner", "0"),
+    (_SIMULATE, "--record-paths", "-1"), (_SOLVE, "--nx", "0"), (_SOLVE, "--xmin", "0"),
+    (["converge", "--spec", "fixture:closed-form", "--nx", "21", "--nt", "10"], "--levels", "1"),
+])
+def test_flag_outside_its_domain_exits_2(tmp_path, capsys, argv, flag, value):
+    # a non-finite or out-of-range flag is named, before any work is done
+    out = tmp_path / "o"
+    assert cli.main(argv + [flag, value, "--out", str(out)]) == 2
+    assert f"error: argument {flag}: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inadmissible_schedule_exits_2(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text("[[0.2, 99.0]]")  # size far above k_max
@@ -100,9 +123,9 @@ def test_feedback_flags_need_feedback_policy(tmp_path, capsys, policy, flag, val
     assert not out.exists()
 
 
-def _validate_edited_spec(tmp_path, key, value):
-    """Exit code of validate on intervention's spec with the value at the
-    dotted key path set to value ("" replaces the whole spec)."""
+def _validate_edited_spec(tmp_path, key, value, command="validate"):
+    """Exit code of validate (or command) on intervention's spec with the
+    value at the dotted key path set to value ("" replaces the whole spec)."""
     spec = intervention_spec().to_dict()
     if key:
         *parents, leaf = key.split(".")
@@ -114,7 +137,7 @@ def _validate_edited_spec(tmp_path, key, value):
         spec = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    return cli.main(["validate", "--spec", str(path), "--out", str(tmp_path / "o"), "--nx", "21"])
+    return cli.main([command, "--spec", str(path), "--out", str(tmp_path / "o"), "--nx", "21"])
 
 
 # one per level; beta is a constant curve, which has no rate
@@ -134,6 +157,18 @@ def test_boolean_for_a_number_exits_2(tmp_path, capsys, key, value):
     # JSON true/false read as 1.0/0.0 and validated at the parent
     assert _validate_edited_spec(tmp_path, key, value) == 2
     assert f"spec key {key} must be a number, not bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("T", float("inf")), ("beta.value", float("inf")),
+                                        ("utilities.f.level", float("nan")),
+                                        ("utilities.g2.y", [0.9, 0.5, float("-inf"), 0.1, 0.0])],
+                         ids=["top-level", "curve-field", "saturating-level", "table-entry"])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_non_finite_spec_number_exits_2(tmp_path, capsys, key, value, command):
+    # Python's json reads NaN, Infinity and -Infinity, which no spec number
+    # may be; the key path is named
+    assert _validate_edited_spec(tmp_path, key, value, command) == 2
+    assert f"spec key {key} must be finite, not " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, reason", [
@@ -232,6 +267,24 @@ def test_surface_hash_read_in_blocks(tmp_path):
         ["check", "--spec", "fixture:intervention", "--seed", "3", "--surface", str(tmp_path),
          "--out", "o"]))
     assert cfg.hash_payload()["surface_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--spec", "fixture:intervention", "--nt", "1000000000"],
+    ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--dt", "1e-8"],
+], ids=["solve-nt", "simulate-dt"])
+def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
+    # under a 512 MB address-space limit each request fails its first large
+    # allocation (7.45 GiB and 763 MiB), so the child never holds much
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "impulse_qvi.cli"] + argv + ["--out", str(tmp_path)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory (Unable to allocate ")
+    assert "--nt" in proc.stderr and "--dt" in proc.stderr
 
 
 # ------------------------------------------------------------- exit code 3
@@ -518,11 +571,25 @@ def test_recorded_path_files_match_single_path_simulate(tmp_path, small_surface,
     for i in range(3):
         rec = simulate(spec, 0.0, x0, control, 0.02, 8, path_index=i)
         assert rec.impulses_applied
-        buf = io.StringIO(newline="\n")
-        rec.to_csv(buf, {"config_hash": chash, "seed": 8, "path_index": i, "t0": "0.0",
-                         "x0": repr(x0), "default_time": repr(rec.default_time),
-                         "realized_cost": repr(rec.realized_cost)})
-        assert (out / f"path_{i:03d}.csv").read_bytes() == buf.getvalue().encode()
+        single = tmp_path / f"single_{i}.csv"
+        write_csv(single, {"config_hash": chash, "seed": 8, "path_index": i, "t0": "0.0",
+                           "x0": repr(x0), "default_time": repr(rec.default_time),
+                           "realized_cost": repr(rec.realized_cost)},
+                  cli._PATH_COLUMNS, cli._path_rows(rec))
+        assert (out / f"path_{i:03d}.csv").read_bytes() == single.read_bytes()
+
+
+def test_record_csv_format(tmp_path):
+    rec = simulate(geometric_spec(), 0.0, 1.0, ImpulseSchedule(np.array([0.5]), np.array([0.2])),
+                   dt=0.25, seed=1)
+    p = tmp_path / "path.csv"
+    write_csv(p, {"seed": 1, "b": "two"}, cli._PATH_COLUMNS, cli._path_rows(rec))
+    lines = p.read_text().splitlines()
+    assert lines[0] == "# b=two"       # meta keys sorted
+    assert lines[1] == "# seed=1"
+    assert lines[2] == "time,state,impulse_flag,impulse_size"
+    flagged = [ln for ln in lines[3:] if ln.split(",")[2] == "1"]
+    assert len(flagged) == 1 and flagged[0].startswith("0.5,")
 
 
 def test_simulate_feedback_surface_roundtrip(tmp_path):
@@ -602,6 +669,31 @@ def test_every_report_carries_the_run_header(tmp_path, command):
     if has_txt:
         assert txt.read_text().splitlines()[:3] == [
             f"# config_hash={chash}", f"# seed={seed}", f"# {cli._DOMAIN_NOTE}"]
+
+
+# the CSV artifacts of each subcommand that writes any, on the argv of _REPORTS
+_CSV_ARTIFACTS = {
+    "solve": {"surface.csv": "t,x,V,IV,label,xi0", "boundary.csv": "component,t,boundary_x",
+              "policy.csv": "t,x,xi0"},
+    "simulate": {"path_000.csv": "time,state,impulse_flag,impulse_size"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_ARTIFACTS))
+def test_every_csv_carries_the_run_header(tmp_path, command):
+    # sorted `# key=value` lines with the config hash and the seed, then
+    # the column line
+    _, _, seed, flags = _REPORTS[command]
+    argv = [command] + flags + ["--out", str(tmp_path)]
+    chash = cli._build_config(cli._build_parser().parse_args(argv)).config_hash()
+    assert cli.main(argv) == 0
+    for name, columns in _CSV_ARTIFACTS[command].items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        n = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+        meta = dict(line[2:].partition("=")[::2] for line in lines[:n])
+        assert list(meta) == sorted(meta), name
+        assert (meta["config_hash"], meta["seed"]) == (chash, str(seed)), name
+        assert lines[n] == columns, name
 
 
 # ------------------------------------------------------------ repeatability

@@ -79,21 +79,6 @@ def test_jump_identity_exact():
     assert rec.states[k] == ev.state_after  # stored states are post-impulse
 
 
-def test_record_csv_format(tmp_path):
-    spec = geometric_spec()
-    sched = ImpulseSchedule(np.array([0.5]), np.array([0.2]))
-    rec = simulate(spec, 0.0, 1.0, sched, dt=0.25, seed=1)
-    p = tmp_path / "path.csv"
-    with open(p, "w", newline="\n") as fh:
-        rec.to_csv(fh, meta={"seed": 1, "b": "two"})
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# b=two"       # meta keys sorted
-    assert lines[1] == "# seed=1"
-    assert lines[2] == "time,state,impulse_flag,impulse_size"
-    flagged = [ln for ln in lines[3:] if ln.split(",")[2] == "1"]
-    assert len(flagged) == 1 and flagged[0].startswith("0.5,")
-
-
 # ------------------------------------------------------------ defaults
 
 
