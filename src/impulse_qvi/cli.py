@@ -150,7 +150,7 @@ def _build_config(args) -> RunConfig:
             try:
                 sched.validate(spec, t0=args.t0)
             except ValueError as exc:
-                raise UsageError(f"inadmissible schedule: {exc}") from None
+                raise UsageError(f"inadmissible schedule {args.schedule}: {exc}") from None
             schedule_pairs = tuple((float(t), float(s))
                                    for t, s in zip(sched.times, sched.sizes))
         elif args.schedule is not None:

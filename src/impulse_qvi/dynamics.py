@@ -34,14 +34,19 @@ Brownian numbers common across both representations.  Keyed streams of
 this kind follow Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3" (SC'11).
 
-Paths run in chunks of _CHUNK = 4096.  A chunk holds one row of 1,024
-doubles per block it touches, which every step refills in place, and
-the Euler step reads the chunk's normals as one contiguous slice of
-those rows, so no count x n_step array is made and memory does not grow
-with 1/dt.  The Euler step writes into a few working arrays of 4096
-doubles, with the time-only coefficients evaluated once over the step
-grid and each path's default step found once by searchsorted.  Only the
-per-step coefficient lists and the step grid grow with n_step.
+Each batch is planned once: its time-only terms (the step lengths and
+their square roots, mu_tilde, sigma_tilde, the survival rho, the cost_f
+weights and the scheduled size at each grid time) are float arrays over
+the step grid, and the schedule is validated there.  Paths then run in
+chunks of _CHUNK = 4096 that write their rows of the batch's output
+arrays in place.  A chunk holds one row of 1,024 doubles per block it
+touches, which every step refills in place, and the Euler step reads
+the chunk's normals as one contiguous slice of those rows, so no count x
+n_step array is made.  The Euler step writes into a few working arrays
+of 4096 doubles, and each path's default step is found once by
+searchsorted.  What grows with n_step is 80 bytes per step: the plan's
+nine float arrays and each chunk's int64 bounds of the paths defaulting
+at each step (a tracemalloc peak of about 88 bytes per step).
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ModelSpec, _sorted_distinct, injection_cost, invert_hazard, survival,
-                    survival_grid)
+from .model import (ModelSpec, _number, _sorted_distinct, injection_cost, invert_hazard,
+                    survival, survival_grid)
 
 _CHUNK = 4096
 _BLOCK = 1024  # paths per RNG stream
@@ -93,6 +98,8 @@ class ImpulseSchedule:
         """Raise ValueError unless the schedule is admissible from t0."""
         if self.times.size == 0:
             return
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.sizes))):
+            raise ValueError("impulse times and sizes must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("impulse times must be strictly increasing")
         if self.times[0] < t0 or self.times[-1] >= spec.T:
@@ -108,9 +115,21 @@ class ImpulseSchedule:
 
     @classmethod
     def from_json(cls, path) -> "ImpulseSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            pairs = json.load(fh)
-        pairs = [(float(t), float(s)) for t, s in pairs]
+        """Read a JSON list of [time, size] pairs of finite numbers; ValueError
+        naming the file, and the entry, otherwise."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                pairs = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text
+            raise ValueError(f"schedule {path} is not valid JSON: {exc}") from None
+        if not isinstance(pairs, list):
+            raise ValueError(f"schedule {path} must be a list of [time, size] pairs")
+        for i, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"schedule {path} entry {i} must be a [time, size] pair, "
+                                 f"not {json.dumps(pair)}")
+            pairs[i] = [_number(v, f"{path} entry {i} {name}", "schedule")
+                        for v, name in zip(pair, ("time", "size"))]
         return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
@@ -163,7 +182,11 @@ def _time_grid(t0: float, t_end: float, dt: float, extra=()) -> np.ndarray:
         raise ValueError("need t_end >= t0")
     if t_end == t0:
         return np.array([t0])
-    n = max(1, math.ceil((t_end - t0) / dt - 1e-9))
+    steps = (t_end - t0) / dt - 1e-9
+    if not steps < 2**60:  # the most doubles an array can hold
+        raise ValueError(f"dt = {dt!r} makes {steps:.3g} Euler steps over [{t0!r}, {t_end!r}], "
+                         "more than an array holds; use a larger --dt")
+    n = max(1, math.ceil(steps))
     base = t0 + dt * np.arange(n + 1)
     base[-1] = t_end
     pts = [base]
@@ -187,28 +210,22 @@ class PathBatch:
     events: list | None = None
 
 
-def _prepare_control(spec, control, t0, times):
-    """Return (schedule index->size map, policy or None)."""
-    if control is None:
-        return {}, None
+def _plan(spec, t0, t_end, dt, control):
+    """The time-only terms of a batch, its schedule validated: per grid time
+    the time, the survival rho from t0 and the scheduled injection size (0
+    where none); per step its length and square root, mu_tilde and
+    sigma_tilde at its start, and the weights w_run of f and p_def of g2."""
     if isinstance(control, ImpulseSchedule):
         control.validate(spec, t0)
-        at = {}
-        idx = np.searchsorted(times, control.times)
-        for i, t_imp, k in zip(idx, control.times, control.sizes):
-            if i >= times.size or times[i] != t_imp:
-                continue  # impulse after the simulated window
-            at[int(i)] = float(k)
-        return at, None
-    if hasattr(control, "injections"):
-        return {}, control
-    raise ValueError("control must be None, an ImpulseSchedule, or a feedback policy")
-
-
-def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
-    u = spec.utilities
-    costs = spec.costs
-    n_step = times.size - 1
+        times = _time_grid(t0, t_end, dt, control.times)
+    elif control is None or hasattr(control, "injections"):
+        times = _time_grid(t0, t_end, dt)
+    else:
+        raise ValueError("control must be None, an ImpulseSchedule, or a feedback policy")
+    sched = np.zeros(times.size)
+    if isinstance(control, ImpulseSchedule):
+        keep = control.times <= times[-1]  # impulses after the simulated window drop out
+        sched[np.searchsorted(times, control.times[keep])] = control.sizes[keep]
     dts = np.diff(times)
     rho = survival_grid(spec, t0, times)
     # per step: default probability p_k = rho_k - rho_{k+1} weights g2, and
@@ -218,11 +235,18 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     with np.errstate(divide="ignore", invalid="ignore"):
         d_hazard = np.log(rho[:-1]) - np.log(rho[1:])
         w_run = np.where(d_hazard > 0.0, p_def * dts / d_hazard, rho[:-1] * dts)
-    # time-only coefficients, once over the step grid
     mu = np.asarray(spec.mu_tilde(times[:-1]), dtype=float)
     sig = np.asarray(spec.sigma_tilde(times[:-1]), dtype=float)
-    coef = list(zip(dts.tolist(), np.sqrt(dts).tolist(), mu.tolist(), sig.tolist(),
-                    w_run.tolist(), p_def.tolist()))
+    return times, rho, sched, dts, np.sqrt(dts), mu, sig, w_run, p_def
+
+
+def _run_chunk(spec, t0, x0, policy, plan, seed, start, out, rows):
+    """Run paths start, start + 1, ... into the rows slice of out, in place."""
+    u = spec.utilities
+    costs = spec.costs
+    times, rho, sched, dts, sqrt_dts, mu, sig, w_run, p_def = plan
+    n_step = times.size - 1
+    count = rows.stop - rows.start
 
     # one stream per block of paths that the chunk touches; z is the
     # chunk's lanes of the blocks' current draw, first the exponentials
@@ -233,35 +257,34 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     z = draws.reshape(-1)[start - b0 * _BLOCK:][:count]
     for g, row in zip(gens, draws):
         g.standard_exponential(out=row)
-    tau = invert_hazard(spec.beta, t0, z, spec.T)
+    tau = out.default_times[rows]
+    tau[:] = invert_hazard(spec.beta, t0, z, spec.T)
     # each path's default step, times[kd] <= tau < times[kd + 1] (n_step for
     # a default at or after the last grid time), and the paths of step k as
     # by_step[ends[k]:ends[k + 1]]
     kd = np.searchsorted(times, tau, "right") - 1
     by_step = np.argsort(kd, kind="stable")
-    ends = np.searchsorted(kd, np.arange(n_step + 1), sorter=by_step).tolist()
+    ends = np.searchsorted(kd, np.arange(n_step + 1), sorter=by_step)
 
-    sched_at, policy = _prepare_control(spec, control, t0, times)
-
-    x = np.full(count, float(x0))
+    x, run_f, imp_f = out.final_states[rows], out.run_f[rows], out.imp_f[rows]  # in place
+    x[:] = float(x0)
     run_g = np.zeros(count)  # running f over whole steps, as if no default
     run_g_tau = np.zeros(count)  # running f up to tau, set on the default step
-    run_f = np.zeros(count)
     imp_g = np.zeros(count)
-    imp_f = np.zeros(count)
     g2_at_tau = np.zeros(count)
     a = np.empty(count)  # work arrays for each step's terms
     b = np.empty(count)
-    hist = np.empty((count, times.size)) if record else None
-    events = [[] for _ in range(count)] if record else None
+    record = out.histories is not None
+    if record:
+        hist, events = out.histories[rows], out.events[rows]
 
     for k in range(times.size):
         tk = times[k]
         # injection at tk: scheduled, or queried from the policy (never at the
         # final grid time, so no injection can ride on the evaluation instant)
         xi = None
-        if k in sched_at:
-            xi = np.full(count, sched_at[k])
+        if sched[k] > 0:
+            xi = np.full(count, sched[k])
         elif policy is not None and k < n_step:
             xi = np.asarray(policy.injections(tk, x), dtype=float)
         if xi is not None and np.any(xi > 0):
@@ -279,7 +302,7 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
             hist[:, k] = x
         if k == n_step:
             break
-        d, sqrt_d, mu_k, sig_k, w_k, p_k = coef[k]
+        d, sqrt_d, mu_k, sig_k = dts[k], sqrt_dts[k], mu[k], sig[k]
         fx = np.asarray(u.f(x), dtype=float)
         g2x = np.asarray(u.g2(x), dtype=float)
         # the default-truncated running term clips the default step at tau
@@ -289,8 +312,8 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
             run_g_tau[at] = run_g[at] + fx[at] * (tau[at] - tk)
             g2_at_tau[at] = g2x[at]
         run_g += np.multiply(fx, d, out=a)
-        np.multiply(fx, w_k, out=a)
-        a -= np.multiply(g2x, p_k, out=b)
+        np.multiply(fx, w_run[k], out=a)
+        a -= np.multiply(g2x, p_def[k], out=b)
         run_f += a
         # x + ((c1 - x) lam(x) + mu x) d + ((sigma x) sqrt(d)) z, in that order
         lam_x = np.asarray(spec.lam(x), dtype=float)
@@ -309,13 +332,13 @@ def _run_chunk(spec, t0, x0, control, times, seed, start, count, record):
     survive = tau >= spec.T
     g1x = np.asarray(u.g1(x), dtype=float)
     run_g = np.where(kd < n_step, run_g_tau, run_g)
-    cost_g = run_g + np.where(survive, g1x, 0.0) - np.where(survive, 0.0, g2_at_tau) - imp_g
-    return PathBatch(times, x, tau, cost_g, run_f, imp_f, hist, events)
+    out.cost_g[rows] = run_g + np.where(survive, g1x, 0.0) - np.where(survive, 0.0, g2_at_tau) - imp_g
 
 
 def _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, t_end=None, record=False,
                     path_offset=0) -> PathBatch:
-    """Run n_paths Euler paths from (t0, x0), in chunks of _CHUNK paths."""
+    """Run n_paths Euler paths from (t0, x0), in chunks of _CHUNK paths that
+    share one plan and write their rows of one PathBatch."""
     if not 0.0 <= t0 <= spec.T:
         raise ValueError("t0 must lie in [0, T]")
     if dt <= 0:
@@ -325,25 +348,16 @@ def _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, t_end=None, record
     t_end = spec.T if t_end is None else float(t_end)
     if t_end > spec.T:
         raise ValueError("t_end beyond the horizon")
-    extra = control.times if isinstance(control, ImpulseSchedule) else ()
-    times = _time_grid(t0, t_end, dt, extra)
-
-    parts = [_run_chunk(spec, t0, x0, control, times, seed, path_offset + s,
-                        min(_CHUNK, n_paths - s), record)
-             for s in range(0, n_paths, _CHUNK)]
-
-    if len(parts) == 1:
-        return parts[0]
-    return PathBatch(
-        times=times,
-        final_states=np.concatenate([p.final_states for p in parts]),
-        default_times=np.concatenate([p.default_times for p in parts]),
-        cost_g=np.concatenate([p.cost_g for p in parts]),
-        run_f=np.concatenate([p.run_f for p in parts]),
-        imp_f=np.concatenate([p.imp_f for p in parts]),
-        histories=np.concatenate([p.histories for p in parts]) if record else None,
-        events=[e for p in parts for e in p.events] if record else None,
-    )
+    plan = _plan(spec, t0, t_end, dt, control)
+    policy = None if isinstance(control, ImpulseSchedule) else control
+    n, times = n_paths, plan[0]
+    out = PathBatch(times, np.empty(n), np.empty(n), np.empty(n), np.zeros(n), np.zeros(n),
+                    np.empty((n, times.size)) if record else None,
+                    [[] for _ in range(n)] if record else None)
+    for s in range(0, n, _CHUNK):
+        _run_chunk(spec, t0, x0, policy, plan, seed, path_offset + s, out,
+                   slice(s, min(s + _CHUNK, n)))
+    return out
 
 
 def simulate_paths(spec: ModelSpec, t0: float, x0: float, control, dt: float, seed,

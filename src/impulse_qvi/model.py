@@ -48,14 +48,14 @@ def _reject_unread(d, keys, prefix: str = "") -> None:
         raise ValueError(f"unknown spec key {', '.join(prefix + k for k in unread)}")
 
 
-def _number(value, path: str) -> float:
-    """value as a float; ValueError naming its dotted path unless it is a
+def _number(value, path: str, what: str = "spec key") -> float:
+    """value as a float; ValueError naming what and its path unless it is a
     finite JSON number (a boolean would otherwise read as 1.0 or 0.0, and
     Python's json reads NaN, Infinity and -Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"spec key {path} must be a number, not {type(value).__name__}")
+        raise ValueError(f"{what} {path} must be a number, not {type(value).__name__}")
     if not math.isfinite(value):
-        raise ValueError(f"spec key {path} must be finite, not {value!r}")
+        raise ValueError(f"{what} {path} must be finite, not {value!r}")
     return float(value)
 
 

@@ -626,7 +626,12 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
     costs = spec.costs
 
     if grid.h > costs.k_min:  # the smallest n_x with h <= k_min, after rounding
-        n_x = math.ceil((grid.x_max - grid.x_min) / costs.k_min) + 1
+        cells = (grid.x_max - grid.x_min) / costs.k_min
+        if math.isinf(cells):
+            raise ValueError(f"cell width h = {grid.h:.6g} exceeds k_min = {costs.k_min:.6g}, and "
+                             f"no --nx mends it: --xmax {grid.x_max!r} is too far from --xmin "
+                             f"{grid.x_min!r} to count the cells; use a smaller --xmax")
+        n_x = math.ceil(cells) + 1
         n_x += Grid(grid.x_min, grid.x_max, n_x, 1).h > costs.k_min
         raise ValueError(f"cell width h = {grid.h:.6g} exceeds k_min = {costs.k_min:.6g}, "
                          f"so the smallest injection lands inside one cell; use --nx >= {n_x}")

@@ -96,6 +96,43 @@ def test_inadmissible_schedule_exits_2(tmp_path, capsys):
     assert "inadmissible schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[[NaN, 0.3]]", "entry 0 time must be finite, not nan"),
+    ("[[0.5, NaN]]", "entry 0 size must be finite, not nan"),
+    ("[[0.5, true]]", "entry 0 size must be a number, not bool"),
+    ("[[true, 0.3]]", "entry 0 time must be a number, not bool"),
+    ("[[0.2, 0.3], [0.5]]", "entry 1 must be a [time, size] pair, not [0.5]"),
+    ("[[0.2, 0.3]", "is not valid JSON"),
+    ('{"0.5": 0.3}', "must be a list of [time, size] pairs"),
+], ids=["nan-time", "nan-size", "bool-size", "bool-time", "short-pair", "malformed", "object"])
+def test_bad_schedule_entry_exits_2(tmp_path, capsys, text, reason):
+    # a schedule entry is a pair of finite JSON numbers; anything else is
+    # named with its file, where NaN was dropped and true read as 1.0
+    sched = tmp_path / "sched.json"
+    sched.write_text(text)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--spec", "fixture:geometric", "--out", str(out), "--seed", "1",
+                   "--policy", "schedule", "--schedule", str(sched)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schedule {sched} ") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, advice", [("solve", "use a smaller --xmax"),
+                                             ("simulate", "use a larger --dt")])
+def test_uncountable_grid_exits_2(tmp_path, capsys, command, advice):
+    # a finite --xmax or T so large that the suggested --nx or the Euler step
+    # count is inf ended in an OverflowError traceback; the flag is named
+    argv = ["solve", "--spec", "fixture:zero", "--xmax", "1e308"]
+    if command == "simulate":
+        path = tmp_path / "spec.json"
+        replace(geometric_spec(), T=1e308).to_json(path)
+        argv = ["simulate", "--spec", str(path), "--seed", "1", "--dt", "1e-10"]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert advice in capsys.readouterr().err
+
+
 def test_schedule_flag_needs_schedule_policy(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text("[[0.2, 0.3]]")

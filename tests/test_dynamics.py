@@ -11,6 +11,8 @@ step count.
 The Euler step runs in place on preallocated arrays; _run_chunk_reference
 below is the plain array loop it replaced, fed the layout's numbers by
 _layout_draws, and the engine must match it bit for bit on every output.
+The reference maps a schedule to grid indices itself, so it shares no
+code with the engine beyond the model's curves and hazard functions.
 """
 
 import inspect
@@ -54,6 +56,9 @@ def test_schedule_validation():
         ImpulseSchedule(np.array([0.5]), np.array([0.05])).validate(spec)
     with pytest.raises(ValueError):  # before t0
         ImpulseSchedule(np.array([0.1]), np.array([0.3])).validate(spec, t0=0.2)
+    for times, sizes in (([np.nan], [0.3]), ([0.5], [np.inf]), ([0.2, np.nan], [0.3, 0.3])):
+        with pytest.raises(ValueError, match="must be finite"):  # NaN passed every comparison
+            ImpulseSchedule(np.array(times), np.array(sizes)).validate(spec)
     ImpulseSchedule(np.array([]), np.array([])).validate(spec)  # empty is fine
 
 
@@ -268,6 +273,23 @@ def test_batch_memory_does_not_grow_with_steps():
     assert peak < 4096 * n_step * 8 / 20
 
 
+def test_batch_memory_per_step_is_a_few_float_arrays():
+    # 8 paths at 10,000 steps: the time-only terms are float arrays over the
+    # step grid, computed once per batch, so the peak stays within 16 doubles
+    # per step plus 1 MiB
+    spec = geometric_spec()
+    _simulate_batch(spec, 0.0, 1.0, None, 1e-4, 3, 8)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        batch = _simulate_batch(spec, 0.0, 1.0, None, 1e-4, 3, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_step = batch.times.size - 1
+    assert n_step == 10000
+    assert peak <= 16 * 8 * n_step + 2**20
+
+
 def test_dynamics_draws_through_public_generators():
     # the engine draws only through numpy Generators: it binds no ctypes
     # and reaches into no bit generator's state by address
@@ -365,7 +387,12 @@ def _run_chunk_reference(spec, t0, x0, control, times, seed, start, count, recor
     e_draws, z = _layout_draws(seed, start, count, n_step)
     tau = np.atleast_1d(invert_hazard(spec.beta, t0, e_draws, spec.T))
 
-    sched_at, policy = dynamics._prepare_control(spec, control, t0, times)
+    # the schedule by grid index, found by equality; impulses after the grid drop out
+    sched_at, policy = {}, control
+    if isinstance(control, ImpulseSchedule):
+        sched_at = {int(np.flatnonzero(times == t)[0]): float(k)
+                    for t, k in zip(control.times, control.sizes) if np.any(times == t)}
+        policy = None
 
     x = np.full(count, float(x0))
     run_g = np.zeros(count)
