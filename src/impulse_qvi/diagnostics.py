@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import FeedbackPolicy, MCEstimate, _mean_se, _simulate_batch, mc_cost_g
+from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
 from .model import ModelSpec, survival
 from .solver import (Grid, SolveResult, ValueSurface, _blend, _labels, _source_extremes,
                      _sweep, _time_cell, impulse_max, interp_extended, solve, upper_bound_c1)
@@ -311,13 +311,15 @@ def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
         raise ValueError("need t <= theta <= T")
     if policy is None:
         policy = FeedbackPolicy.from_solution(extract_regions(surface, spec))
-    batch = _simulate_batch(spec, t, x, policy, dt, seed, n_paths, t_end=theta)
     rho_end = survival(t, theta, spec)
-    vals = batch.run_f - batch.imp_f + rho_end * surface.evaluate(theta, batch.final_states)
-    # subtract V(t,x) per path, not after averaging: the theta == t case then
-    # averages exact zeros instead of accumulating float-mean noise
-    resid = np.asarray(vals) - float(surface.evaluate(t, x))
-    return _mean_se(resid)
+    v_start = float(surface.evaluate(t, x))
+    acc = _Moments()
+    for chunk in _simulate_chunks(spec, t, x, policy, dt, seed, n_paths, t_end=theta):
+        vals = chunk.run_f - chunk.imp_f + rho_end * surface.evaluate(theta, chunk.final_states)
+        # subtract V(t,x) per path, not after averaging: the theta == t case
+        # then averages exact zeros instead of accumulating float-mean noise
+        acc.add(np.asarray(vals) - v_start)
+    return acc.estimate()
 
 
 def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,

@@ -472,10 +472,10 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
 
     Reports sampled Lipschitz constants for lam, f, g1, g2; upper-bound
     margins against c_f, c_g1, c_g2; the no-terminal-impulse inequality
-    g1(x) >= max_K g1(x+K) - K - kappa on 33 points of [k_min, k_max],
-    at the probes and, for a table g1, also at its knots and the knots
-    minus k_min and minus k_max inside the probe range, so that a steep
-    segment between two probes is not missed; hazard nonnegativity; and
+    g1(x) >= max_K g1(x+K) - K - kappa with the max over [k_min, k_max]
+    taken exactly, at the probes and at g1's knots (a saturating g1's top)
+    and those minus k_min and minus k_max inside the probe range, so that a
+    steep segment between two probes is not missed; hazard nonnegativity; and
     the minimum |diffusion| over the probe domain as an ellipticity
     proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
@@ -483,7 +483,6 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
     probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
     if probes.size < 2:
         raise ValueError("need at least two probe points")
-    k_sample = np.linspace(spec.costs.k_min, spec.costs.k_max, 33)
     t_sample = _refined_partition(spec.sigma_tilde, 0.0, spec.T, extra=np.linspace(0.0, spec.T, 33))
 
     rep = ValidationReport()
@@ -515,12 +514,22 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
             )
         )
 
-    # no profitable terminal impulse: g1(x) >= g1(x+K) - K - kappa on the K-sample;
-    # a knot minus k_min or k_max is where a window end meets the knot
-    knots = u.g1.breakpoints()
+    # no profitable terminal impulse: g1(x) >= sup_K g1(x+K) - K - kappa, the
+    # sup taken exactly.  For a table g1 the gain is piecewise linear in K,
+    # kinked where x + K is a knot; a saturating g1 is concave, with its top
+    # where x + K = y* = ln(scale rate) / rate.  So the sup lies at k_min,
+    # k_max, or at K = p - x for such a landing point p, clipped to the
+    # window.  The margin's minima over x lie at the probe ends, at p and at
+    # p minus k_min or k_max, which are all probed
+    c = spec.costs
+    lands = u.g1.breakpoints()
+    if u.g1.kind == SATURATING:
+        lands = np.array([(math.log(u.g1.scale) + math.log(u.g1.rate)) / u.g1.rate])
     x_ni = _refined_partition(u.g1, probes[0], probes[-1], extra=np.concatenate(
-        [probes, knots - spec.costs.k_min, knots - spec.costs.k_max]))
-    shifted = u.g1(x_ni[:, None] + k_sample[None, :]) - k_sample[None, :] - spec.costs.kappa
+        [probes, lands - c.k_min, lands - c.k_max]))
+    k_sup = np.concatenate([np.broadcast_to([c.k_min, c.k_max], (x_ni.size, 2)),
+                            np.clip(lands[None, :] - x_ni[:, None], c.k_min, c.k_max)], axis=1)
+    shifted = u.g1(x_ni[:, None] + k_sup) - k_sup - c.kappa
     margins = np.asarray(u.g1(x_ni), dtype=float) - np.max(shifted, axis=1)
     i = int(np.argmin(margins))
     rep.entries.append(

@@ -15,7 +15,7 @@ import pytest
 from impulse_qvi import cli
 from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
 from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
-from impulse_qvi.model import Curve
+from impulse_qvi.model import CostParams, Curve
 from impulse_qvi.solver import read_surface_csv, write_csv
 
 from test_model import make_spec
@@ -324,6 +324,21 @@ def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
     assert "--nt" in proc.stderr and "--dt" in proc.stderr
 
 
+def test_ten_million_paths_fit_in_512_mb(tmp_path):
+    # each chunk is reduced as it finishes, so the path count sets no array
+    # length: under the same 512 MB limit, ten million paths run to the end
+    limit = 512 << 20
+    argv = ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "10000000",
+            "--dt", "1", "--record-paths", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "impulse_qvi.cli"] + argv + ["--out", str(tmp_path)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "mc_report.json")["reduction"]["n_paths"] == 10_000_000
+
+
 # ------------------------------------------------------------- exit code 3
 
 
@@ -403,6 +418,22 @@ def test_validate_negative_hazard_fails(tmp_path):
     rc = cli.main(["validate", "--spec", str(spec_path), "--out", str(out)])
     assert rc == 1
     assert read_json(out / "validation.json")["report"]["passed"] is False
+
+
+def test_terminal_impulse_between_k_samples_is_refused(tmp_path):
+    # g1 has a 0.002-wide tent at 1.114, which a jump of K = 0.114 from
+    # x = 1 reaches: validate fails it and solve refuses the spec
+    spec = replace(closed_form_spec(), costs=CostParams(kappa=0.05, k_min=0.1, k_max=1.0))
+    g1 = Curve.table([0, 0.999, 1, 1.001, 1.049, 1.05, 1.113, 1.114, 1.115, 10],
+                     [0, 0, -1, 0, 0, -1, -1, 0, -1, -1])
+    spec = replace(spec, utilities=replace(spec.utilities, g1=g1))
+    spec.to_json(tmp_path / "tent.json")
+    argv = ["--spec", str(tmp_path / "tent.json"), "--out", str(tmp_path / "o")]
+    assert cli.main(["validate"] + argv) == 1
+    entry = [e for e in read_json(tmp_path / "o" / "validation.json")["report"]["entries"]
+             if e["name"] == "no_terminal_impulse"][0]
+    assert entry["passed"] is False and entry["value"] == pytest.approx(-0.836, abs=1e-12)
+    assert cli.main(["solve"] + argv) == 2
 
 
 # ------------------------------------------------------------------- check

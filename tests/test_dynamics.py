@@ -5,8 +5,10 @@ j % 1024 of the stream default_rng([seed, j // 1024]), which draws its
 block's 1,024 default-clock exponentials first and then one 1,024-normal
 row per Euler step.  The tests below check a path's exponential and
 normals against that rule, that the chunking and a first path inside a
-block change no number, and that a chunk's memory does not grow with the
-step count.
+block change no number, and that a batch's memory grows neither with the
+step count nor with the path count.  The engine hands out one chunk at a
+time in shared buffers, so tests that compare per-path arrays join copies
+of the chunks with _whole_batch.
 
 The Euler step runs in place on preallocated arrays; _run_chunk_reference
 below is the plain array loop it replaced, fed the layout's numbers by
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from impulse_qvi import dynamics
-from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _simulate_batch,
+from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _Moments, _simulate_chunks,
                                   filtration_reduction_check, mc_cost_g, simulate,
                                   simulate_paths)
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
@@ -38,6 +40,28 @@ from impulse_qvi.solver import Grid, solve
 
 from test_model import make_spec
 from test_solver import _state_curve, _time_curve
+
+
+_ROWS = ("final_states", "default_times", "cost_g", "run_f", "imp_f")
+
+
+def _whole_batch(*args, **kwargs):
+    """One PathBatch of every chunk the engine yields, each copied out
+    before the next chunk overwrites the shared buffers."""
+    chunks = [([getattr(c, name).copy() for name in _ROWS],
+               None if c.histories is None else c.histories.copy(), c.events, c.times)
+              for c in _simulate_chunks(*args, **kwargs)]
+    rows, hist, events, times = zip(*chunks)
+    return dynamics.PathBatch(times[0], *(np.concatenate(r) for r in zip(*rows)),
+                              None if hist[0] is None else np.concatenate(hist),
+                              None if events[0] is None else sum(events, []))
+
+
+def _drain(*args, **kwargs):
+    """Run a batch through the engine, keeping nothing; its step grid."""
+    for chunk in _simulate_chunks(*args, **kwargs):
+        pass
+    return chunk.times
 
 
 # ------------------------------------------------------------- schedules
@@ -91,7 +115,7 @@ def test_default_times_constant_hazard_distribution():
     # P(tau <= T) = 1 - e^{-0.5} ~ 0.3935 for beta=0.5, T=1
     spec = closed_form_spec()
     n = 2000
-    batch = _simulate_batch(spec, 0.0, 1.0, None, dt=0.5, seed=20, n_paths=n)
+    batch = _whole_batch(spec, 0.0, 1.0, None, dt=0.5, seed=20, n_paths=n)
     hits = int(np.count_nonzero(batch.default_times < spec.T))
     p = 1.0 - math.exp(-0.5)
     assert abs(hits / n - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
@@ -184,6 +208,36 @@ def test_cost_f_deterministic_for_state_free_data():
     assert abs(est.estimate - exact) <= 1e-12
 
 
+_C = dynamics._CHUNK
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, _C - 1, _C, _C + 1, 2 * _C, 3 * _C]),
+                   st.integers(1, 3 * _C)),
+       seed=st.integers(0, 2**32 - 1), loc=st.floats(-1e6, 1e6), scale=st.floats(0.0, 1e6),
+       spikes=st.lists(st.floats(-1e6, 1e6), max_size=8))
+def test_merged_moments_match_numpy(n, seed, loc, scale, spikes):
+    # chunk-wise moments merged by the pairwise update against numpy over the
+    # whole sample: bit for bit for one chunk, to rounding for more; the
+    # floor, at the data's scale, covers a zero or tiny spread, where each
+    # side's deviations are the rounding of its own mean
+    rng = np.random.default_rng(seed)
+    v = loc + scale * rng.standard_normal(n)
+    v[rng.permutation(n)[:len(spikes)]] = spikes[:n]
+    acc = _Moments()
+    for s in range(0, n, _C):
+        acc.add(v[s:s + _C])
+    est, se = acc.estimate()
+    mean = float(np.mean(v))
+    sd = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if n <= _C:
+        assert repr((est, se)) == repr((mean, sd))
+    else:
+        floor = 2.0**-46 * float(np.max(np.abs(v)))
+        assert abs(est - mean) <= 1e-12 * abs(mean) + floor
+        assert abs(se - sd) <= 1e-12 * sd + floor
+
+
 def test_reduction_report_dict_fields():
     spec = geometric_spec()
     rep = filtration_reduction_check(spec, 0.0, 1.0, None, dt=0.05,
@@ -232,9 +286,9 @@ def test_paths_independent_of_chunking():
     # that starts inside an RNG block and ends inside another
     spec = geometric_spec()
     n = 3 * dynamics._CHUNK + 100
-    full = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, n)
+    full = _whole_batch(spec, 0.0, 1.0, None, 0.05, 6, n)
     for first, stop in ((dynamics._CHUNK // 2 + 1, n), (1000, 1000 + dynamics._CHUNK + 60)):
-        part = _simulate_batch(spec, 0.0, 1.0, None, 0.05, 6, stop - first, path_offset=first)
+        part = _whole_batch(spec, 0.0, 1.0, None, 0.05, 6, stop - first, path_offset=first)
         for name in ("cost_g", "run_f", "imp_f", "final_states", "default_times"):
             assert getattr(full, name)[first:stop].tobytes() == getattr(part, name).tobytes(), \
                 (first, name)
@@ -245,14 +299,14 @@ def test_batch_memory_stays_within_two_brownian_blocks():
     # stays below two Brownian blocks of 4,096 x (steps + 1) doubles; one
     # 16,384-path block alone would be four
     spec = geometric_spec()
-    _simulate_batch(spec, 0.0, 1.0, None, 0.001, 3, 10)  # lazy set-up outside the trace
+    _drain(spec, 0.0, 1.0, None, 0.001, 3, 10)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
-        batch = _simulate_batch(spec, 0.0, 1.0, None, 0.001, 3, 16384)
+        times = _drain(spec, 0.0, 1.0, None, 0.001, 3, 16384)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_step = batch.times.size - 1
+    n_step = times.size - 1
     assert n_step == 1000
     assert peak < 2 * 4096 * (n_step + 1) * 8
 
@@ -261,14 +315,14 @@ def test_batch_memory_does_not_grow_with_steps():
     # 4,096 paths at 5,000 steps hold one normal per path and step at a
     # time: the peak stays far below one 4,096 x 5,000 Brownian block
     spec = geometric_spec()
-    _simulate_batch(spec, 0.0, 1.0, None, 0.0002, 3, 10)  # lazy set-up outside the trace
+    _drain(spec, 0.0, 1.0, None, 0.0002, 3, 10)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
-        batch = _simulate_batch(spec, 0.0, 1.0, None, 0.0002, 3, 4096)
+        times = _drain(spec, 0.0, 1.0, None, 0.0002, 3, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_step = batch.times.size - 1
+    n_step = times.size - 1
     assert n_step == 5000
     assert peak < 4096 * n_step * 8 / 20
 
@@ -278,16 +332,33 @@ def test_batch_memory_per_step_is_a_few_float_arrays():
     # step grid, computed once per batch, so the peak stays within 16 doubles
     # per step plus 1 MiB
     spec = geometric_spec()
-    _simulate_batch(spec, 0.0, 1.0, None, 1e-4, 3, 8)  # warm-up outside the trace
+    _drain(spec, 0.0, 1.0, None, 1e-4, 3, 8)  # warm-up outside the trace
     tracemalloc.start()
     try:
-        batch = _simulate_batch(spec, 0.0, 1.0, None, 1e-4, 3, 8)
+        times = _drain(spec, 0.0, 1.0, None, 1e-4, 3, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_step = batch.times.size - 1
+    n_step = times.size - 1
     assert n_step == 10000
     assert peak <= 16 * 8 * n_step + 2**20
+
+
+def test_batch_memory_does_not_grow_with_paths():
+    # each chunk is reduced as it finishes, so eight times the paths (16
+    # chunks against 2) add no per-path array to the reduction's peak
+    spec = geometric_spec()
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            filtration_reduction_check(spec, 0.0, 1.0, None, 0.05, n_paths, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    filtration_reduction_check(spec, 0.0, 1.0, None, 0.05, 10, 3)  # warm-up outside the trace
+    assert peak(16 * dynamics._CHUNK) <= peak(2 * dynamics._CHUNK) + 64 * 1024
 
 
 def test_dynamics_draws_through_public_generators():
@@ -445,9 +516,10 @@ def _run_chunk_reference(spec, t0, x0, control, times, seed, start, count, recor
 
 
 def _assert_matches_reference(spec, t0, x0, control, dt, seed, n_paths, record, first=0):
-    """_simulate_batch equals the reference loop, run as one chunk, bit for bit."""
-    got = _simulate_batch(spec, t0, x0, control, dt, seed, n_paths, record=record,
-                          path_offset=first)
+    """The engine's chunks, joined, equal the reference loop, run as one
+    chunk, bit for bit."""
+    got = _whole_batch(spec, t0, x0, control, dt, seed, n_paths, record=record,
+                       path_offset=first)
     extra = control.times if isinstance(control, ImpulseSchedule) else ()
     times = dynamics._time_grid(t0, spec.T, dt, extra)
     ref = _run_chunk_reference(spec, t0, x0, control, times, seed, first, n_paths, record)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec,
                                   intervention_spec, suggested_grid,
@@ -267,6 +268,49 @@ def test_validate_probes_g1_knots_beyond_the_grid_nodes():
     assert e.worst_point == (0.9661,) and e.value < -2.0
     # a probe range below every knot probes no knot
     assert validate(spec, nodes[:1] * [1.0, 1.01]).entry("no_terminal_impulse").passed
+
+
+def test_validate_finds_a_terminal_impulse_between_k_samples():
+    # a 0.002-wide tent at 1.114: from x = 1, K = 0.114 lands on its top
+    # and gains 1 - 0.114 - 0.05 over g1(1) = -1.  A 33-point K sample of
+    # [0.1, 1] steps over it (margin +0.15); the exact sup does not
+    g1 = Curve.table([0, 0.999, 1, 1.001, 1.049, 1.05, 1.113, 1.114, 1.115, 10],
+                     [0, 0, -1, 0, 0, -1, -1, 0, -1, -1])
+    e = validate(make_spec(g1=g1), np.linspace(0.1, 4.0, 40)).entry("no_terminal_impulse")
+    assert not e.passed
+    assert e.value == pytest.approx(-0.836, abs=1e-12) and e.worst_point == (1.0,)
+
+
+_g1_curves = st.one_of(
+    st.builds(Curve.saturating, st.floats(-2.0, 2.0), st.floats(0.1, 5.0), st.floats(0.1, 2.0)),
+    st.integers(2, 6).flatmap(lambda n: st.builds(
+        lambda xs, ys: Curve.table(sorted(xs), ys),
+        st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n, unique=True),
+        st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g1=_g1_curves, kappa=st.floats(0.001, 0.5), k_min=st.floats(0.01, 1.0),
+       width=st.floats(0.01, 2.0), lo=st.floats(0.01, 1.0), span=st.floats(0.1, 4.0),
+       n=st.integers(2, 30))
+def test_no_terminal_impulse_margin_is_the_exact_sup(g1, kappa, k_min, width, lo, span, n):
+    # against a dense K scan at the same x: the exact sup is never below the
+    # scan's max, so the margin is never above the scan's beyond rounding,
+    # and never below it by more than the gain's slope times the spacing
+    k_max = k_min + width
+    spec = make_spec(g1=g1, kappa=kappa, k_min=k_min, k_max=k_max)
+    if g1.kind == "saturating":
+        tops, slope = np.array([math.log(g1.scale * g1.rate) / g1.rate]), g1.scale * g1.rate
+    else:
+        with np.errstate(over="ignore"):  # knots may lie closer than any slope's reach
+            tops, slope = g1.x, float(np.max(np.abs(np.diff(g1.y) / np.diff(g1.x))))
+    xs = np.concatenate([np.linspace(lo, lo + span, n), tops, tops - k_min, tops - k_max])
+    xs = _sorted_distinct(xs[(xs >= lo) & (xs <= lo + span)])
+    e = validate(spec, xs).entry("no_terminal_impulse")
+    ks = np.linspace(k_min, k_max, 4001)
+    scan = float(np.min(g1(xs) - np.max(g1(xs[:, None] + ks) - ks - kappa, axis=1)))
+    assert e.value <= scan + 1e-12 * (1.0 + slope)
+    assert e.value >= scan - (1.0 + slope) * (k_max - k_min) / 4000 - 1e-12
 
 
 def test_validate_negative_hazard_fails():
