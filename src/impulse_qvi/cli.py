@@ -224,16 +224,21 @@ def _write_report(cfg: RunConfig, chash: str, stem: str, payload: dict,
 
 
 def _load_solution(cfg: RunConfig) -> SolveResult:
-    """Read the --surface artifact, which must have been solved for --spec
-    and agree with each grid flag, --tol-inner and --eps-region given
-    explicitly."""
+    """Read the --surface artifact, which must have been solved for --spec,
+    with every action's xi0 in the spec's [k_min, k_max], and agree with
+    each grid flag, --tol-inner and --eps-region given explicitly."""
     try:
-        res = read_surface_csv(cfg.surface_path)
+        res = read_surface_csv(cfg.surface_path, cfg.spec)
     except ValueError as exc:
         raise UsageError(f"cannot load {cfg.surface_path}: {exc}") from None
     md = res.surface.metadata
-    if md["spec_sha256"] != cfg.spec.sha256():
-        raise UsageError(f"{cfg.surface_path} was solved for a different spec than {cfg.spec_source}")
+    c = cfg.spec.costs
+    outside = np.flatnonzero(res.labels & ~((res.xi0 >= c.k_min) & (res.xi0 <= c.k_max)))
+    if outside.size:
+        i = int(outside[0])
+        raise UsageError(f"cannot load {cfg.surface_path}: surface data row {i + 1} has xi0="
+                         f"{res.xi0.flat[i]!r} outside [k_min, k_max] = [{c.k_min!r}, "
+                         f"{c.k_max!r}] of {cfg.spec_source}")
     stored = {**res.surface.grid.to_dict(), "tol_inner": md["tol_inner"],
               "eps_region": md["eps_region"]}
     clashes = [f"{key}={value!r} given, {stored[key]!r} in the surface header"
@@ -384,9 +389,7 @@ def cmd_check(cfg: RunConfig, chash: str) -> int:
 
 
 def cmd_converge(cfg: RunConfig, chash: str) -> int:
-    grids = [Grid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_x, cfg.grid.n_t * 2**i)
-             for i in range(cfg.levels)]
-    study = convergence_study(cfg.spec, grids, reference=cfg.reference,
+    study = convergence_study(cfg.spec, cfg.grid, cfg.levels, reference=cfg.reference,
                               tol_inner=cfg.tol_inner)
     lines = ["n_t,dt,sup_diff_to_next,reference_error"]
     for i, row in enumerate(study.rows):

@@ -13,14 +13,14 @@ Carlo engine, so that the solver itself stays numerics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
 from .model import ModelSpec, survival
-from .solver import (Grid, SolveResult, ValueSurface, _blend, _labels, _source_extremes,
-                     _sweep, _time_cell, impulse_max, interp_extended, solve, upper_bound_c1)
+from .solver import (Grid, SolveResult, ValueSurface, _labels, _source_extremes, _sweep,
+                     impulse_max, interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -88,11 +88,14 @@ def lower_bound_c0(spec: ModelSpec, grid: Grid) -> float:
     return sink * spec.T + max(0.0, -float(np.min(spec.utilities.g1(grid.x_nodes()))))
 
 
-def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
-                 seed: int = 0) -> CheckReport:
+_BOUNDS_PATHS = 4000  # Monte Carlo paths per sampled point of check_bounds
+
+
+def check_bounds(surface: ValueSurface, spec: ModelSpec, seed: int = 0) -> CheckReport:
     """V <= C1 = T * sup(f - beta g2)^+ + (sup g1)^+ and V >= -C0 (see
     lower_bound_c0) over the surface, and V >= (no-control MC value) - 3 SE
-    - (dt + h) at 6 sampled points, with the surface's dt as the MC step.
+    - (dt + h) at 6 sampled points, each from _BOUNDS_PATHS paths with the
+    surface's dt as the MC step.
     measured and worst_location are those of the worst of the three."""
     grid = surface.grid
     tn = surface.t_nodes()
@@ -115,7 +118,7 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
     loc_lower = None
     for ts in t_samples:
         for xs in x_samples:
-            est = mc_cost_g(spec, float(ts), float(xs), None, dt, n_paths, seed)
+            est = mc_cost_g(spec, float(ts), float(xs), None, dt, _BOUNDS_PATHS, seed)
             margin = float(surface.evaluate(ts, xs)) - (est.estimate - 3.0 * est.std_error - budget)
             if margin < worst_lower:
                 worst_lower = margin
@@ -131,7 +134,8 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, n_paths: int = 4000,
         measured=float(measured),
         threshold=0.0,
         operation="-C0 <= V <= C1 and V >= no-control MC value - 3 SE - (dt + h)",
-        tolerance_note=f"C0={c0:.6g}, C1={c1:.6g}, MC n_paths={n_paths}, budget dt+h={budget:.3g}",
+        tolerance_note=f"C0={c0:.6g}, C1={c1:.6g}, MC n_paths={_BOUNDS_PATHS}, "
+                       f"budget dt+h={budget:.3g}",
         worst_location=loc,
         details={"c0": c0, "c1": c1, "upper_margin": upper_margin,
                  "worst_lower_margin": worst_lower, "lower_grid_margin": grid_margin},
@@ -362,54 +366,46 @@ def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
     return ValueSurface(grid, spec.T, V)
 
 
-def convergence_study(spec: ModelSpec, grids: list, reference=None,
+def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,
                       tol_inner: float = 1e-9) -> ConvergenceStudy:
-    """Solve on each grid of a refinement ladder (the value surfaces only).
+    """Solve the doubling ladder of `levels` grids, the x grid of `grid`
+    with n_t * 2**i time steps at level i (the value surfaces only).
 
-    Successive solutions are compared on the coarser grid's nodes
-    (sup difference, the finer level read by the bilinear rule of
-    ValueSurface.evaluate); when a reference callable (t, x_nodes) -> V is
-    given, each level also records its sup error against it, one call per
-    time node.
+    Successive solutions are compared on the coarser level's nodes: row r
+    of a level and row 2r of the next lie at the same t, since T/(2n) is
+    exactly half of T/n (sup difference).  When a reference callable
+    (t, x_nodes) -> V is given, each level also records its sup error
+    against it, one call per time node.
 
-    Every level is streamed slice by slice, in sweep order.  Its reference
-    error is taken row by row, and its difference to the coarser level
-    from a window of two finer rows, the cell of each coarser row, against
-    the stored coarser level.  A level is stored only while a finer level
-    still has to be compared with it: the ladder holds at most the
-    previous level and the one being swept, and the last level is never
-    stored.  Each reduction keeps one max per row, so a NaN anywhere still
-    gives NaN.
+    Every level is streamed slice by slice, in sweep order, and each
+    reduction is taken row by row as its row arrives.  A level is stored
+    only while the next level still has to be compared with it: the
+    ladder holds at most the previous level and the one being swept, and
+    the last level is never stored.  Each reduction keeps one max per row,
+    so a NaN anywhere still gives NaN.
     """
+    grids = [replace(grid, n_t=grid.n_t * 2**i) for i in range(levels)]
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
+    xn = grid.x_nodes()
     ref_errors, diffs = [], []
-    coarse = None  # (t nodes, x nodes, V) of the previous level
+    coarse = None  # V of the previous level
     for i, g in enumerate(grids):
-        tn, xn = g.t_nodes(spec.T), g.x_nodes()
-        if coarse is not None:  # rebinding cv first drops the level before it
-            ctn, cxn, cv = coarse
-            cell, weight = _time_cell(tn, ctn)
-            # cell ascends with the coarser rows: cell j holds rows starts[j]:starts[j + 1]
-            starts = np.searchsorted(cell, np.arange(g.n_t + 1)).tolist()
-            diff_rows = np.empty(ctn.size)
+        tn = g.t_nodes(spec.T)
         _, slices = _sweep(spec, g, tol_inner)
-        kept = np.empty((g.n_t + 1, g.n_x)) if i + 1 < len(grids) else None
-        ref_rows = np.empty(g.n_t + 1)
-        upper = None  # the finer slice j + 1
+        kept = np.empty((g.n_t + 1, g.n_x)) if i + 1 < levels else None
+        ref_rows, diff_rows = [], []
         for j, v, _, _ in slices:
             if kept is not None:
                 kept[j] = v
             if reference is not None:
-                ref_rows[j] = np.abs(v - reference(tn[j], xn)).max()
-            if coarse is not None and j < g.n_t:
-                for r in range(starts[j], starts[j + 1]):
-                    diff_rows[r] = np.abs(cv[r] - _blend(xn, v, upper, weight[r], cxn)).max()
-            upper = v
+                ref_rows.append(np.abs(v - reference(tn[j], xn)).max())
+            if coarse is not None and j % 2 == 0:
+                diff_rows.append(np.abs(coarse[j // 2] - v).max())
         if reference is not None:
-            ref_errors.append(float(ref_rows.max()))
+            ref_errors.append(float(np.max(ref_rows)))
         if coarse is not None:
-            diffs.append(float(diff_rows.max()))
-        coarse = None if kept is None else (tn, xn, kept)
+            diffs.append(float(np.max(diff_rows)))
+        coarse = kept  # drops the level before it
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
     ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf

@@ -533,25 +533,16 @@ class ValueSurface:
 
     def evaluate(self, t: float, x) -> np.ndarray:
         """Bilinear value lookup at one t: linear in t, extended-linear in
-        x (see _time_cell and _blend)."""
-        j, w = _time_cell(self.t_nodes(), t)
-        out = _blend(self.grid.x_nodes(), self.values[j], self.values[j + 1], w, x)
+        x (interp_extended).  t is clipped to [0, T] and lies in the cell
+        [t_j, t_{j+1}] at weight w = (t - t_j) / (t_{j+1} - t_j), the last
+        cell taking t = T."""
+        tn, xn = self.t_nodes(), self.grid.x_nodes()
+        t = min(max(float(t), 0.0), float(tn[-1]))
+        j = min(max(int(np.searchsorted(tn, t, side="right")) - 1, 0), tn.size - 2)
+        w = (t - tn[j]) / (tn[j + 1] - tn[j])
+        out = ((1.0 - w) * interp_extended(xn, self.values[j], x)
+               + w * interp_extended(xn, self.values[j + 1], x))
         return out if np.ndim(out) else float(out)
-
-
-def _time_cell(t_nodes: np.ndarray, t):
-    """The time cell (j, w) of the bilinear rule: t clipped to [0, T] lies
-    in [t_j, t_{j+1}] at weight w = (t - t_j) / (t_{j+1} - t_j), the last
-    cell taking t = T.  Elementwise over an array of t."""
-    ts = np.minimum(np.maximum(np.asarray(t, dtype=float), 0.0), t_nodes[-1])
-    j = np.clip(np.searchsorted(t_nodes, ts, side="right") - 1, 0, t_nodes.size - 2)
-    return j, (ts - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
-
-
-def _blend(x_nodes: np.ndarray, lower: np.ndarray, upper: np.ndarray, w, x) -> np.ndarray:
-    """The bilinear rule on one time cell: slices lower = V[j] and upper =
-    V[j + 1], each interpolated at x by interp_extended, mixed at weight w."""
-    return (1.0 - w) * interp_extended(x_nodes, lower, x) + w * interp_extended(x_nodes, upper, x)
 
 
 class SolveResult(NamedTuple):
@@ -790,17 +781,22 @@ def _parse_numbers(rows: list, first: int) -> np.ndarray:
         raise exc
 
 
-def read_surface_csv(path) -> SolveResult:
+def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
     """Rebuild the SolveResult written by write_surface_csv on the grid its
-    header records.
+    header records; spec, when given, is the spec it must have been solved
+    for.
 
     The rows are read in blocks of _READ_SLICES time slices, one
     np.loadtxt call each, so the file's lines are never held at once.
     Blank lines are skipped; data rows are numbered from 1 over the whole
     file.  Raises ValueError when a header field is missing (as in files
-    written before the header existed), when a value does not parse, when
-    the rows do not fill the header's grid, or when a row's label is
-    neither action nor continuation or a continuation row carries an xi0.
+    written before the header existed) or outside its domain (numbers
+    finite, tol_inner > 0, n_x and n_t integers), when the header's
+    spec_sha256 or T is not the spec's (before any row is read), when a
+    value does not parse, when a V, an IV or an action row's xi0 is not
+    finite, when the rows do not fill the header's grid, or when a row's
+    label is neither action nor continuation or a continuation row carries
+    an xi0.
     """
     header = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -813,7 +809,19 @@ def read_surface_csv(path) -> SolveResult:
         if missing:
             raise ValueError(f"surface header lacks {', '.join(missing)}; "
                              "re-run solve to write a complete surface")
-        h = {k: parse(header[k]) for k, parse in _SURFACE_HEADER.items()}
+        h = {}
+        for key, parse in _SURFACE_HEADER.items():
+            try:
+                h[key] = parse(header[key])
+            except ValueError:  # str never raises
+                h[key] = math.nan
+            if parse is not str and not (math.isfinite(h[key]) and (key != "tol_inner" or h[key] > 0)):
+                raise ValueError(f"surface header {key}={header[key]!r} is outside its domain: "
+                                 "every number finite, tol_inner > 0, n_x and n_t integers")
+        if spec is not None and h["spec_sha256"] != spec.sha256():
+            raise ValueError("it was solved for a different spec")
+        if spec is not None and h["T"] != spec.T:
+            raise ValueError(f"surface header T={h['T']!r} differs from the spec's T={spec.T!r}")
         grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"])
         shape = (grid.n_t + 1, grid.n_x)
         unfilled = ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
@@ -844,6 +852,12 @@ def read_surface_csv(path) -> SolveResult:
                     raise ValueError(f"surface data row {first + i + 1} is neither an action row "
                                      f"nor a continuation row with empty xi0: {rows[i].strip()!r}")
             xi0.reshape(-1)[first + at] = [float(xi) for _, xi in tails]
+            finite = np.isfinite(num[:, 2:4]).all(axis=1) & (
+                ~act | np.isfinite(xi0.reshape(-1)[first:first + len(rows)]))
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"surface data row {first + i + 1} has a V, IV or xi0 that is "
+                                 f"not finite: {rows[i].strip()!r}")
         if next(data, None) is not None:
             raise unfilled
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}

@@ -209,9 +209,8 @@ def test_criterion_08_cost_subadditivity():
 
 def test_criterion_09_time_convergence():
     ref = fixture_reference("closed-form")
-    study = convergence_study(get_fixture("closed-form"),
-                              [Grid(0.1, 2.1, 101, nt)
-                               for nt in (100, 200, 400)], reference=ref)
+    study = convergence_study(get_fixture("closed-form"), Grid(0.1, 2.1, 101, 100), 3,
+                              reference=ref)
     e = study.reference_errors
     ref_ratios = (e[0] / e[1], e[1] / e[2])
     ref_ok = all(1.6 <= r <= 2.4 for r in ref_ratios)
@@ -220,8 +219,7 @@ def test_criterion_09_time_convergence():
     for name in ("intervention", "geometric"):
         spec = get_fixture(name)
         g0 = suggested_grid(name)
-        st = convergence_study(spec, [Grid(g0.x_min, g0.x_max, 201, nt)
-                                      for nt in (50, 100, 200)])
+        st = convergence_study(spec, Grid(g0.x_min, g0.x_max, 201, 50), 3)
         cauchy[name] = st.ratios[0]
     cauchy_ok = all(r >= 1.8 for r in cauchy.values())
     ok = ref_ok and cauchy_ok

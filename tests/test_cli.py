@@ -1,16 +1,20 @@
 """Command-line front end: exit codes, artifact contents, reproducibility."""
 
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from impulse_qvi import cli
 from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
@@ -586,6 +590,109 @@ def test_unusable_surface_beyond_first_block_exits_2(tmp_path, capsys, small_sur
                    "--seed", "3", "--surface", str(sol)])
     assert rc == 2
     assert reason in capsys.readouterr().err
+
+
+def _main_stderr(argv):
+    """cli.main's exit code and stderr text; an exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+def _loads_surface(sol, out):
+    """Both subcommands that read sol/surface.csv, as (exit code, stderr)."""
+    common = ["--spec", "fixture:intervention", "--seed", "3", "--surface", sol]
+    return [_main_stderr(["check", "--out", os.path.join(out, "check")] + common),
+            _main_stderr(["simulate", "--out", os.path.join(out, "simulate"), "--policy",
+                          "feedback", "--paths", "64", "--x0", "0.15"] + common)]
+
+
+# values outside every domain of a surface number; each edit sets one
+# header key or one data cell of the small intervention surface (T = 2,
+# 41 x 81 nodes, k_min 0.1, k_max 1.5) to a value the reader must refuse
+_NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "abc", ""])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _count_other_than(value):
+    return st.one_of(st.sampled_from(["1.5", f"{value}.0"]),
+                     st.integers(-3, 200).filter(lambda v: v != value).map(str))
+
+
+_HEADER_EDITS = {
+    "T": st.one_of(_NOT_FINITE, _FINITE.filter(lambda v: v != 2.0).map(repr)),
+    "x_min": st.one_of(_NOT_FINITE, _FINITE.filter(lambda v: v != 0.1).map(repr)),
+    "x_max": st.one_of(_NOT_FINITE, _FINITE.filter(lambda v: v != 4.1).map(repr)),
+    "n_x": st.one_of(_NOT_FINITE, _count_other_than(81)),
+    "n_t": st.one_of(_NOT_FINITE, _count_other_than(40)),
+    "eps_region": _NOT_FINITE,
+    "tol_inner": st.one_of(_NOT_FINITE, st.floats(max_value=0.0, allow_nan=False).map(repr)),
+    "spec_sha256": st.text("0123456789abcdef", max_size=64),
+}
+_CELL_EDITS = {
+    "t": _FINITE, "x": _FINITE, "V": _NOT_FINITE, "IV": _NOT_FINITE,
+    "xi0": st.one_of(_NOT_FINITE,
+                     st.floats(max_value=0.1, exclude_max=True, allow_nan=False).map(repr),
+                     st.floats(min_value=1.5, exclude_min=True, allow_nan=False).map(repr)),
+}
+_COLUMNS = ("t", "x", "V", "IV", "label", "xi0")
+
+
+@st.composite
+def _surface_edits(draw):
+    """(header key, None, text) or (data row index, column, text): one edit.
+    A t or x cell takes a finite value other than its own, and an xi0 edit
+    goes to the action row at or after the drawn one (wrapping around)."""
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_HEADER_EDITS)))
+        return key, None, draw(_HEADER_EDITS[key])
+    column = draw(st.sampled_from(sorted(_CELL_EDITS)))
+    return draw(st.integers(0, 41 * 81 - 1)), column, draw(_CELL_EDITS[column])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edit=_surface_edits())
+def test_surface_out_of_domain_exits_2(small_surface, edit):
+    # one header key or data cell out of its domain: check and simulate
+    # both exit 2 and name the file, and no exception escapes main
+    where, column, value = edit
+    lines = (small_surface / "surface.csv").read_text().splitlines()
+    first = lines.index(",".join(_COLUMNS)) + 1
+    if column is None:
+        at = [ln.startswith(f"# {where}=") for ln in lines].index(True)
+        lines[at] = f"# {where}={value}"
+    else:
+        at = first + where
+        if column == "xi0":
+            actions = [i for i, ln in enumerate(lines) if ",action," in ln]
+            at = next((i for i in actions if i >= at), actions[0])
+        fields = lines[at].split(",")
+        if column in ("t", "x"):
+            assume(value != float(fields[_COLUMNS.index(column)]))
+            value = repr(value)
+        fields[_COLUMNS.index(column)] = value
+        lines[at] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        sol = os.path.join(tmp, "sol")
+        os.mkdir(sol)
+        with open(os.path.join(sol, "surface.csv"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for rc, err in _loads_surface(sol, tmp):
+            assert rc == 2 and sol in err, (edit, rc, err)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_solved_surface_loads_on_every_fixture(tmp_path, name):
+    # the round trip: no surface that solve writes is refused
+    sol = tmp_path / "sol"
+    assert cli.main(["solve", "--spec", f"fixture:{name}", "--out", str(sol), "--nt", "20"]) == 0
+    common = ["--spec", f"fixture:{name}", "--seed", "3", "--surface", str(sol)]
+    rc, err = _main_stderr(["check", "--out", str(tmp_path / "check")] + common)
+    assert rc in (0, 1) and not err, err
+    rc, err = _main_stderr(["simulate", "--out", str(tmp_path / "simulate"), "--policy",
+                            "feedback", "--paths", "64"] + common)
+    assert rc == 0 and not err, err
 
 
 # ---------------------------------------------------------------- simulate

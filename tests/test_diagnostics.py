@@ -2,12 +2,13 @@
 and the refinement study."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import impulse_qvi
 from impulse_qvi import diagnostics, dynamics, solver
@@ -24,6 +25,7 @@ from impulse_qvi.model import Curve
 from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, upper_bound_c1
 
 from test_model import make_spec
+from test_solver import _cost_cases
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +97,9 @@ def test_smooth_fit_vacuous_on_empty_region():
 def test_check_bounds_closed_form():
     spec = closed_form_spec()
     res = solve(spec, Grid(0.1, 2.1, 101, 100))
-    rep = check_bounds(res.surface, spec, n_paths=2000, seed=5)
+    rep = check_bounds(res.surface, spec, seed=5)
     assert rep.passed
+    assert "MC n_paths=4000," in rep.tolerance_note
     # C1 = T sup f + sup g1 = 1 here, and V peaks at 2(1 - e^{-1/2}) < 1
     assert rep.details["c1"] == pytest.approx(1.0)
     assert rep.details["upper_margin"] > 0.2
@@ -250,8 +253,7 @@ def test_check_report_shape():
 def test_convergence_study_closed_form():
     spec = closed_form_spec()
     ref = fixture_reference("closed-form")
-    grids = [Grid(0.1, 2.1, 51, nt) for nt in (50, 100, 200)]
-    study = convergence_study(spec, grids, reference=ref)
+    study = convergence_study(spec, Grid(0.1, 2.1, 51, 50), 3, reference=ref)
     assert len(study.rows) == 3
     assert len(study.ratios) == 1
     assert len(study.reference_errors) == 3
@@ -266,8 +268,7 @@ def test_convergence_study_closed_form():
 
 def test_convergence_study_zero_fixture_degenerate():
     spec = zero_spec()
-    grids = [Grid(0.1, 2.1, 31, nt) for nt in (10, 20, 40)]
-    study = convergence_study(spec, grids)
+    study = convergence_study(spec, Grid(0.1, 2.1, 31, 10), 3)
     assert all(d == 0.0 for d in
                (row["sup_diff_to_next"] for row in study.rows[:-1]))
     assert study.ratios[0] == np.inf  # 0/0 ladder reported as inf, not NaN
@@ -295,21 +296,36 @@ def _convergence_study_all_levels(spec, grids, reference=None, tol_inner=1e-9):
     return ConvergenceStudy(rows=rows, ratios=ratios, reference_errors=ref_errors)
 
 
-def _cli_ladder(name):
-    g = suggested_grid(name)
-    return [Grid(g.x_min, g.x_max, g.n_x, g.n_t * 2**i) for i in range(3)]
+def _ladder(grid, levels):
+    return [replace(grid, n_t=grid.n_t * 2**i) for i in range(levels)]
 
 
-@pytest.mark.parametrize("spec, grids, reference", [
-    (closed_form_spec(), _cli_ladder("closed-form"), fixture_reference("closed-form")),
-    (zero_spec(), [Grid(0.1, 2.1, 31, nt) for nt in (10, 20, 40)], None),
-    # unequal n_x, and row counts that are not multiples of the block
-    (intervention_spec(), [Grid(0.1, 4.1, 41, 70), Grid(0.1, 4.1, 61, 129),
-                           Grid(0.1, 4.1, 51, 300)], None),
-], ids=["closed-form-cli-ladder", "zero", "intervention-unequal-n_x"])
-def test_convergence_study_matches_all_levels_oracle(spec, grids, reference):
-    study = convergence_study(spec, grids, reference=reference)
-    oracle = _convergence_study_all_levels(spec, grids, reference=reference)
+@pytest.mark.parametrize("spec, grid, levels, reference", [
+    (closed_form_spec(), suggested_grid("closed-form"), 3, fixture_reference("closed-form")),
+    (zero_spec(), Grid(0.1, 2.1, 31, 10), 3, None),
+    # odd n_t, and row counts that are not multiples of the block
+    (intervention_spec(), Grid(0.1, 4.1, 41, 35), 4, None),
+], ids=["closed-form-cli-ladder", "zero", "intervention-odd-n_t"])
+def test_convergence_study_matches_all_levels_oracle(spec, grid, levels, reference):
+    study = convergence_study(spec, grid, levels, reference=reference)
+    oracle = _convergence_study_all_levels(spec, _ladder(grid, levels), reference=reference)
+    assert repr(study.to_dict()) == repr(oracle.to_dict())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cost_cases(), levels=st.integers(2, 3), half=st.integers(0, 5))
+def test_convergence_study_matches_oracle_on_random_specs(case, levels, half):
+    # a random admissible spec on a ladder from an odd n_t: the same table
+    # as the oracle, or the same error from both
+    spec, grid = case
+    grid = replace(grid, n_t=2 * half + 1)
+    try:
+        study = convergence_study(spec, grid, levels)
+    except (ValueError, solver.NumericalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _convergence_study_all_levels(spec, _ladder(grid, levels))
+        return
+    oracle = _convergence_study_all_levels(spec, _ladder(grid, levels))
     assert repr(study.to_dict()) == repr(oracle.to_dict())
 
 
@@ -319,11 +335,11 @@ def test_convergence_study_holds_two_levels():
     # the sweep's working rows; the finest level is never stored (the
     # all-levels form peaked at 18.3 MiB here, a ladder that stored every
     # level it swept, two at a time, at 7.77 MiB)
-    grids = [Grid(0.1, 2.1, 400, 400 * 2**i) for i in range(3)]
     bound = 8 * 400 * (801 + 401) + 2**20
     tracemalloc.start()
     try:
-        convergence_study(closed_form_spec(), grids, reference=fixture_reference("closed-form"))
+        convergence_study(closed_form_spec(), Grid(0.1, 2.1, 400, 400), 3,
+                          reference=fixture_reference("closed-form"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
