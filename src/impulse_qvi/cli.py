@@ -65,30 +65,18 @@ class RunConfig:
     eps_region: float | None
     t0: float
     x0: float
-    schedule_pairs: tuple | None
+    schedule: ImpulseSchedule | None
     policy: str
     surface_path: str | None
     record_paths: int
     levels: int
 
     def hash_payload(self) -> dict:
-        payload = {
-            "command": self.command,
-            "spec_source": self.spec_source,
-            "spec": self.spec.to_dict(),
-            "grid": self.grid.to_dict(),
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "seed": self.seed,
-            "tol_inner": self.tol_inner,
-            "eps_region": self.eps_region,
-            "t0": self.t0,
-            "x0": self.x0,
-            "schedule": None if self.schedule_pairs is None else list(self.schedule_pairs),
-            "policy": self.policy,
-            "record_paths": self.record_paths,
-            "levels": self.levels,
-        }
+        payload = {key: getattr(self, key) for key in (
+            "command", "spec_source", "n_paths", "dt", "seed", "tol_inner", "eps_region", "t0",
+            "x0", "policy", "record_paths", "levels")}
+        payload.update(spec=self.spec.to_dict(), grid=self.grid.to_dict(),
+                       schedule=None if self.schedule is None else _pairs(self.schedule))
         if self.surface_path is not None:
             digest = hashlib.sha256()
             with open(self.surface_path, "rb") as fh:
@@ -100,6 +88,11 @@ class RunConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.hash_payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _pairs(schedule: ImpulseSchedule) -> list:
+    """The schedule's [time, size] pairs, as its JSON file lists them."""
+    return list(zip(schedule.times.tolist(), schedule.sizes.tolist()))
 
 
 def _load_spec(source: str):
@@ -119,77 +112,59 @@ def _load_spec(source: str):
         raise UsageError(f"invalid spec {source}: {exc}") from None
 
 
-def _build_grid(args, base: Grid) -> Grid:
-    given = {"n_x": args.nx, "n_t": args.nt, "x_min": args.xmin, "x_max": args.xmax}
-    try:
-        return Grid(**{**base.to_dict(), **{k: v for k, v in given.items() if v is not None}})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+# the flags that set the solve, by the surface header key each one must
+# match under --surface; simulate reads them for --policy feedback alone
+_SOLVE_KEYS = {"nx": "n_x", "nt": "n_t", "xmin": "x_min", "xmax": "x_max",
+               "tol_inner": "tol_inner", "eps_region": "eps_region"}
 
 
 def _build_config(args) -> RunConfig:
     spec, base_grid, reference = _load_spec(args.spec)
-    grid = _build_grid(args, base_grid)
-    mc_command = args.command in ("simulate", "check")
-    if mc_command and args.seed is None:
+    given = {key: getattr(args, dest) for dest, key in _SOLVE_KEYS.items()
+             if getattr(args, dest) is not None}
+    base = base_grid.to_dict()
+    try:
+        grid = Grid(**{**base, **{key: v for key, v in given.items() if key in base}})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.command in ("simulate", "check") and args.seed is None:
         raise UsageError(f"--seed is required for the {args.command} subcommand")
-    seed = 0 if args.seed is None else args.seed
-    tol_inner = 1e-9 if args.tol_inner is None else args.tol_inner
     if not (0.0 <= args.t0 < spec.T):
         raise UsageError(f"--t0 must lie in [0, T) with T={spec.T}")
 
-    schedule_pairs = None
-    surface_path = None
+    schedule = None
     if args.command == "simulate":
         if args.policy == "schedule":
             if args.schedule is None:
                 raise UsageError("--policy schedule needs --schedule PATH")
             if not os.path.exists(args.schedule):
                 raise UsageError(f"schedule file not found: {args.schedule}")
-            sched = ImpulseSchedule.from_json(args.schedule)
+            schedule = ImpulseSchedule.from_json(args.schedule)
             try:
-                sched.validate(spec, t0=args.t0)
+                schedule.validate(spec, t0=args.t0)
             except ValueError as exc:
                 raise UsageError(f"inadmissible schedule {args.schedule}: {exc}") from None
-            schedule_pairs = tuple((float(t), float(s))
-                                   for t, s in zip(sched.times, sched.sizes))
         elif args.schedule is not None:
             raise UsageError("--schedule is only meaningful with --policy schedule")
         if args.policy != "feedback":
-            unread = [flag for flag, value in (
-                ("--surface", args.surface), ("--nx", args.nx), ("--nt", args.nt),
-                ("--xmin", args.xmin), ("--xmax", args.xmax), ("--tol-inner", args.tol_inner),
-                ("--eps-region", args.eps_region)) if value is not None]
+            unread = ["--" + dest.replace("_", "-") for dest in ("surface", *_SOLVE_KEYS)
+                      if getattr(args, dest) is not None]
             if unread:
                 raise UsageError(f"{', '.join(unread)}: read only with --policy feedback")
+    surface_path = None
     if args.surface is not None:
         surface_path = os.path.join(args.surface, "surface.csv")
         if not os.path.exists(surface_path):
             raise UsageError(f"surface file not found: {surface_path}")
 
     return RunConfig(
-        command=args.command,
-        spec_source=args.spec,
-        spec=spec,
-        out_dir=args.out,
-        grid=grid,
-        reference=reference,
-        explicit_flags=tuple((key, value) for key, value in (
-            ("n_x", args.nx), ("n_t", args.nt), ("x_min", args.xmin), ("x_max", args.xmax),
-            ("tol_inner", args.tol_inner), ("eps_region", args.eps_region)) if value is not None),
-        n_paths=args.paths,
-        dt=args.dt,
-        seed=seed,
-        tol_inner=tol_inner,
-        eps_region=args.eps_region,
-        t0=args.t0,
-        x0=args.x0,
-        schedule_pairs=schedule_pairs,
-        policy=args.policy,
-        surface_path=surface_path,
-        record_paths=args.record_paths,
-        levels=args.levels,
-    )
+        command=args.command, spec_source=args.spec, spec=spec, out_dir=args.out, grid=grid,
+        reference=reference, explicit_flags=tuple(given.items()), n_paths=args.paths,
+        dt=args.dt, seed=0 if args.seed is None else args.seed,
+        tol_inner=1e-9 if args.tol_inner is None else args.tol_inner,
+        eps_region=args.eps_region, t0=args.t0, x0=args.x0, schedule=schedule,
+        policy=args.policy, surface_path=surface_path, record_paths=args.record_paths,
+        levels=args.levels)
 
 
 # ---------------------------------------------------------------- artifacts
@@ -288,10 +263,7 @@ def _resolve_control(cfg: RunConfig):
     if cfg.policy == "none":
         return None, {"kind": "none"}
     if cfg.policy == "schedule":
-        pairs = list(cfg.schedule_pairs or ())
-        control = ImpulseSchedule(np.array([p[0] for p in pairs]),
-                                  np.array([p[1] for p in pairs]))
-        return control, {"kind": "schedule", "pairs": pairs}
+        return cfg.schedule, {"kind": "schedule", "pairs": _pairs(cfg.schedule)}
     if cfg.surface_path is not None:
         return FeedbackPolicy.from_solution(_load_solution(cfg)), {
             "kind": "feedback", "source": "loaded-surface"}
@@ -405,15 +377,6 @@ def cmd_converge(cfg: RunConfig, chash: str) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "solve": cmd_solve,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-    "check": cmd_check,
-    "converge": cmd_converge,
-}
-
-
 def _domain(what: str, convert, ok):
     """A flag's type=: its text converted, if the value passes ok."""
     def parse(text: str):
@@ -439,34 +402,49 @@ class _SubcommandParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# the flags shared by several subcommands, and which of them each subcommand
-# reads; a subcommand rejects the others (argparse exits 2) and keeps their
-# defaults in its RunConfig, so a config hash does not depend on this table
-_SHARED_FLAGS = {
-    "--nx": dict(type=_COUNT, default=None, help="space nodes"),
-    "--nt": dict(type=_COUNT, default=None, help="time steps"),
-    "--xmin": dict(type=_POSITIVE, default=None, help="left edge (> 0)"),
-    "--xmax": dict(type=_FINITE, default=None, help="right edge"),
-    "--paths": dict(type=_COUNT, default=10000, help="MC sample size"),
-    "--dt": dict(type=_POSITIVE, default=0.01, help="simulation step"),
-    "--seed": dict(type=_INDEX, default=None, help="RNG seed (required for simulate and check)"),
-    "--tol-inner": dict(type=_POSITIVE, default=None,
-                        help="impulse projection tolerance (default 1e-9)"),
-    "--eps-region": dict(type=_FINITE, default=None, help="action-label threshold on V - IV"),
-    "--t0": dict(type=_FINITE, default=0.0, help="simulation start time"),
-    "--x0": dict(type=_FINITE, default=1.0, help="simulation start state"),
+_COMMANDS = {  # name: (handler, help line)
+    "solve": (cmd_solve, "backward QVI sweep; writes surface/boundary/policy CSVs and a summary"),
+    "simulate": (cmd_simulate, "controlled SDE paths with default; writes MC report and path CSVs"),
+    "validate": (cmd_validate, "standing-hypothesis checks on the model spec"),
+    "check": (cmd_check, "solve then run all surface diagnostics; exit 1 on failure"),
+    "converge": (cmd_converge, "time-step refinement ladder with Cauchy ratios"),
 }
-_GRID = ("--nx", "--nt", "--xmin", "--xmax")
-_READS = {
-    "solve": _GRID + ("--seed", "--tol-inner", "--eps-region"),
-    # the standing hypotheses are checked on the x nodes only
-    "validate": ("--nx", "--xmin", "--xmax", "--seed"),
-    # --paths and --dt are fixed by check_bounds (4,000 paths, the surface's dt)
-    "check": _GRID + ("--seed", "--tol-inner", "--eps-region"),
-    "converge": _GRID + ("--seed", "--tol-inner"),
-    # the grid, --tol-inner and --eps-region serve --policy feedback alone;
-    # _build_config rejects them, and --surface, under the other policies
-    "simulate": tuple(_SHARED_FLAGS),
+_ALL = tuple(_COMMANDS)
+_SOLVING = ("solve", "simulate", "check", "converge")
+_SIMULATE = ("simulate",)
+
+# each flag after --spec and --out: (argparse keywords, the subcommands that
+# read it, its value where unread).  A subcommand rejects a flag it does not
+# read (argparse exits 2) and keeps that value, so a config hash does not
+# depend on which subcommand reads what; where read, the value is also the
+# flag's default unless the keywords give one.  validate reads no --nt (it
+# checks the x nodes only) and check no --paths or --dt (check_bounds fixes
+# them); simulate reads the solve flags and --surface for --policy feedback
+# alone (_build_config rejects them under the other policies).
+_FLAGS = {
+    "--nx": (dict(type=_COUNT, help="space nodes"), _ALL, None),
+    "--nt": (dict(type=_COUNT, help="time steps"), _SOLVING, None),
+    "--xmin": (dict(type=_POSITIVE, help="left edge (> 0)"), _ALL, None),
+    "--xmax": (dict(type=_FINITE, help="right edge"), _ALL, None),
+    "--paths": (dict(type=_COUNT, help="MC sample size"), _SIMULATE, 10000),
+    "--dt": (dict(type=_POSITIVE, help="simulation step"), _SIMULATE, 0.01),
+    "--seed": (dict(type=_INDEX, help="RNG seed (required for simulate and check)"), _ALL, None),
+    "--tol-inner": (dict(type=_POSITIVE, help="impulse projection tolerance (default 1e-9)"),
+                    _SOLVING, None),
+    "--eps-region": (dict(type=_FINITE, help="action-label threshold on V - IV"),
+                     ("solve", "simulate", "check"), None),
+    "--t0": (dict(type=_FINITE, help="simulation start time"), _SIMULATE, 0.0),
+    "--x0": (dict(type=_FINITE, help="simulation start state"), _SIMULATE, 1.0),
+    "--policy": (dict(choices=("none", "schedule", "feedback"), help="control to simulate"),
+                 _SIMULATE, "none"),
+    "--schedule": (dict(help="JSON [[time, size], ...] for --policy schedule"), _SIMULATE, None),
+    "--surface": (dict(help="solve output dir to reuse instead of re-solving: simulate's "
+                            "feedback policy, or check's surface-only checks"),
+                  ("simulate", "check"), None),
+    "--record-paths": (dict(type=_INDEX, default=3, help="number of individual path CSVs "
+                                                         "to write"), _SIMULATE, 0),
+    "--levels": (dict(type=_domain("integer >= 2", int, lambda v: v >= 2), default=3,
+                      help="refinement levels (n_t doubles each level)"), ("converge",), 2),
 }
 
 
@@ -477,46 +455,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "validate, check, converge.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, helptext in (
-        ("solve", "backward QVI sweep; writes surface/boundary/policy CSVs and a summary"),
-        ("simulate", "controlled SDE paths with default; writes MC report and path CSVs"),
-        ("validate", "standing-hypothesis checks on the model spec"),
-        ("check", "solve then run all surface diagnostics; exit 1 on failure"),
-        ("converge", "time-step refinement ladder with Cauchy ratios"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--spec", required=True,
                        help="spec JSON path, or fixture:NAME "
                             f"(known: {', '.join(sorted(FIXTURES))})")
         p.add_argument("--out", required=True, help="output directory")
-        for flag, kwargs in _SHARED_FLAGS.items():
-            if flag in _READS[name]:
-                p.add_argument(flag, **kwargs)
+        for flag, (kwargs, readers, unread) in _FLAGS.items():
+            if name in readers:
+                p.add_argument(flag, **{"default": unread, **kwargs})
             else:
-                p.set_defaults(**{flag[2:].replace("-", "_"): kwargs["default"]})
-        if name == "simulate":
-            p.add_argument("--policy", choices=("none", "schedule", "feedback"),
-                           default="none", help="control to simulate")
-            p.add_argument("--schedule", default=None,
-                           help="JSON [[time, size], ...] for --policy schedule")
-            p.add_argument("--surface", default=None,
-                           help="solve output dir to reuse for --policy feedback")
-            p.add_argument("--record-paths", type=_INDEX, default=3,
-                           help="number of individual path CSVs to write")
-        elif name == "check":
-            p.add_argument("--surface", default=None,
-                           help="solve output dir to diagnose instead of re-solving "
-                                "(surface-only checks)")
-            p.set_defaults(policy="none", schedule=None, record_paths=0)
-        else:
-            p.set_defaults(policy="none", schedule=None, surface=None,
-                           record_paths=0)
-        if name == "converge":
-            p.add_argument("--levels", default=3,
-                           type=_domain("integer >= 2", int, lambda v: v >= 2),
-                           help="refinement levels (n_t doubles each level)")
-        else:
-            p.set_defaults(levels=2)
+                p.set_defaults(**{flag[2:].replace("-", "_"): unread})
     return parser
 
 
@@ -524,7 +473,7 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(_build_parser().parse_args(argv))
         os.makedirs(cfg.out_dir, exist_ok=True)
-        return _DISPATCH[cfg.command](cfg, cfg.config_hash())
+        return _COMMANDS[cfg.command][0](cfg, cfg.config_hash())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

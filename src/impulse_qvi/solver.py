@@ -598,6 +598,18 @@ def _projection_certified(v_max: float, v_min: float, costs) -> bool:
     return v_max - v_min <= floor - 2.0**-47 * (max(abs(v_max), abs(v_min)) + floor)
 
 
+def _uncapped(c1_bound: float, v_max: float, v_min: float, t: float) -> str:
+    """Why the projection at t has no finite iteration cap: C1, or the cap
+    (M - min v) / kappa with M = max(C1, max v), overflows."""
+    if not math.isfinite(c1_bound):
+        what = f"the bound C1 = T * max(f - beta g2) + max(0, sup g1) is {c1_bound!r}"
+    else:
+        what = (f"the projection cap (M - min v) / kappa is not finite (M = "
+                f"{max(c1_bound, v_max)!r}, min v = {v_min!r})")
+    return (f"{what} at t={t:.6g}, so the impulse projection has no iteration cap; "
+            "the spec's numbers are too large for double precision")
+
+
 def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterator]:
     """The backward sweep alone: the bound C1 and a generator of the
     slices in sweep order, j = n_t down to 0.  Each slice is
@@ -609,8 +621,10 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
 
     Raises ValueError, at the call, when the spec fails hypothesis
     validation or the injection window fits inside one cell (h > k_min);
-    the generator raises NumericalError when a step's pivot falls below
-    c/2 or an inner projection exceeds its certified iteration cap.
+    the generator raises ValueError when a slice to project has no finite
+    iteration cap (C1 or the cap overflows), and NumericalError when a
+    step's pivot falls below c/2 or an inner projection exceeds its
+    certified iteration cap.
     """
     x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
@@ -642,7 +656,10 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
             v_max, v_min = float(v.max()), float(v.min())
             updates, last = 0, None
             if not _projection_certified(v_max, v_min, costs):
-                cap = math.ceil((max(c1_bound, v_max) - v_min) / costs.kappa) + 1
+                span = (max(c1_bound, v_max) - v_min) / costs.kappa
+                if not math.isfinite(span):
+                    raise ValueError(_uncapped(c1_bound, v_max, v_min, tn[j]))
+                cap = math.ceil(span) + 1
                 while True:
                     iv, ks = impulse_max(v, grid, costs)
                     residual = float(np.max(iv - v))
@@ -673,8 +690,9 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     away.  From them come the labels, the policy and the largest residual
     max(IV - V).
 
-    Raises ValueError when the spec fails hypothesis validation or h >
-    k_min, and NumericalError when a step's pivot falls below c/2, an
+    Raises ValueError when the spec fails hypothesis validation, h >
+    k_min, or a slice to project has no finite iteration cap, and
+    NumericalError when a step's pivot falls below c/2, an
     inner projection exceeds its certified iteration cap, or a slice whose
     projection was skipped has a residual above tol_inner.
     """
@@ -764,6 +782,7 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
 
 _CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
 _READ_SLICES = 16  # time slices per block of read_surface_csv
+_MIN_ROW_BYTES = len("0,0,0,0,action,0")  # the shortest data row a surface can hold
 
 
 def _parse_numbers(rows: list, first: int) -> np.ndarray:
@@ -794,7 +813,8 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
     finite, tol_inner > 0, n_x and n_t integers), when the header's
     spec_sha256 or T is not the spec's (before any row is read), when a
     value does not parse, when a V, an IV or an action row's xi0 is not
-    finite, when the rows do not fill the header's grid, or when a row's
+    finite, when the rows do not fill the header's grid (first bounded by
+    the file's size, before the grid is allocated), or when a row's
     label is neither action nor continuation or a continuation row carries
     an xi0.
     """
@@ -825,6 +845,8 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
         grid = Grid(h["x_min"], h["x_max"], h["n_x"], h["n_t"])
         shape = (grid.n_t + 1, grid.n_x)
         unfilled = ValueError(f"rows do not fill the {shape[0]}x{shape[1]} (t, x) grid of the header")
+        if shape[0] * shape[1] * _MIN_ROW_BYTES > pathlib.Path(path).stat().st_size:
+            raise unfilled  # before the grid is allocated
         tn, xn = grid.t_nodes(h["T"]), grid.x_nodes()
         V, IV, xi0 = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
         action = np.empty(shape, dtype=bool)
@@ -846,12 +868,18 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
                                dtype=bool, count=len(rows))
             action[j:j + m] = act.reshape(m, -1)
             at = np.flatnonzero(act)
-            tails = [rows[i].rsplit(",", 2)[1:] for i in at.tolist()]
-            for i, (label, _) in zip(at.tolist(), tails):
+            parsed = []
+            for i in at.tolist():
+                label, xi = rows[i].rsplit(",", 2)[1:]
                 if label != "action":
                     raise ValueError(f"surface data row {first + i + 1} is neither an action row "
                                      f"nor a continuation row with empty xi0: {rows[i].strip()!r}")
-            xi0.reshape(-1)[first + at] = [float(xi) for _, xi in tails]
+                try:
+                    parsed.append(float(xi))
+                except ValueError:
+                    raise ValueError(f"surface data row {first + i + 1} has an xi0 that does not "
+                                     f"parse: {rows[i].strip()!r}") from None
+            xi0.reshape(-1)[first + at] = parsed
             finite = np.isfinite(num[:, 2:4]).all(axis=1) & (
                 ~act | np.isfinite(xi0.reshape(-1)[first:first + len(rows)]))
             if not finite.all():

@@ -5,6 +5,7 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from impulse_qvi import cli
 from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
@@ -164,9 +165,10 @@ def test_feedback_flags_need_feedback_policy(tmp_path, capsys, policy, flag, val
     assert not out.exists()
 
 
-def _validate_edited_spec(tmp_path, key, value, command="validate"):
-    """Exit code of validate (or command) on intervention's spec with the
-    value at the dotted key path set to value ("" replaces the whole spec)."""
+def _validate_edited_spec(tmp_path, key, value, command="validate", flags=("--nx", "21")):
+    """Exit code of validate (or command, with flags) on intervention's spec
+    with the value at the dotted key path set to value ("" replaces the
+    whole spec)."""
     spec = intervention_spec().to_dict()
     if key:
         *parents, leaf = key.split(".")
@@ -178,7 +180,7 @@ def _validate_edited_spec(tmp_path, key, value, command="validate"):
         spec = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    return cli.main([command, "--spec", str(path), "--out", str(tmp_path / "o"), "--nx", "21"])
+    return cli.main([command, "--spec", str(path), "--out", str(tmp_path / "o"), *flags])
 
 
 # one per level; beta is a constant curve, which has no rate
@@ -212,6 +214,44 @@ def test_non_finite_spec_number_exits_2(tmp_path, capsys, key, value, command):
     assert f"spec key {key} must be finite, not " in capsys.readouterr().err
 
 
+_SMALL_SOLVE = ("--nx", "41", "--nt", "4")
+
+
+def test_overflowing_projection_cap_exits_2(tmp_path, capsys):
+    # T = 1e308 keeps C1 finite (9.96e307), but (C1 - min v) / kappa is
+    # inf; math.ceil of it was an OverflowError traceback (exit 1)
+    assert _validate_edited_spec(tmp_path, "T", 1e308, "solve", _SMALL_SOLVE) == 2
+    err = capsys.readouterr().err
+    assert "the projection cap (M - min v) / kappa is not finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, bound", [
+    ("utilities.f.level", 1e308, "the bound C1 = T * max(f - beta g2) + max(0, sup g1) is inf"),
+    ("utilities.g2.y", [0.9, 0.55, 0.3, 1e308, 0.01], "the projection cap (M - min v) / kappa"),
+    ("utilities.g2.y", [0.9, 0.55, 0.3, -1e308, 0.01], "the projection cap (M - min v) / kappa"),
+], ids=["f-level", "g2-entry-up", "g2-entry-down"])
+def test_nan_projection_cap_exits_2(tmp_path, capsys, key, value, bound):
+    # finite spec numbers whose sweep leaves C1 infinite or a slice NaN:
+    # the cap was math.ceil(nan), reported as "cannot convert float NaN to
+    # integer", which named no bound
+    assert _validate_edited_spec(tmp_path, key, value, "solve", _SMALL_SOLVE) == 2
+    err = capsys.readouterr().err
+    assert bound in err and "NaN to integer" not in err
+
+
+def test_infinite_c1_with_certified_projections_still_solves(tmp_path):
+    # C1 = 2 * 1e308 overflows, but V stays near f / beta and every slice's
+    # projection is certified away, so no cap is needed and the run solves
+    spec = replace(intervention_spec(), T=1e308, beta=Curve.constant(10.0),
+                   utilities=replace(intervention_spec().utilities, f=Curve.constant(2.0),
+                                     g1=Curve.constant(0.0), g2=Curve.constant(0.0)))
+    spec.to_json(tmp_path / "spec.json")
+    assert cli.main(["solve", "--spec", str(tmp_path / "spec.json"), "--out",
+                     str(tmp_path / "o"), *_SMALL_SOLVE]) == 0
+    assert read_json(tmp_path / "o" / "summary.json")["c1_bound"] == "inf"
+
+
 @pytest.mark.parametrize("key, value, reason", [
     ("beta", 0.35, "beta must be a JSON object, not float"),
     ("utilities.f", "flat", "utilities.f must be a JSON object, not str"),
@@ -222,6 +262,85 @@ def test_spec_level_that_is_not_an_object_exits_2(tmp_path, capsys, key, value, 
     # a curve given as a bare number ended in an AttributeError traceback
     assert _validate_edited_spec(tmp_path, key, value) == 2
     assert reason in capsys.readouterr().err
+
+
+# one leaf of a spec or schedule file set to a value no number may take
+# (exit 2, naming the file), or to a finite extreme, which may solve or
+# fail in any of the CLI's ways (exit 0 to 3), but never escape main
+_NOT_NUMBERS = (True, False, "0.5", None, math.nan, math.inf, -math.inf, [0.5], {"value": 0.5})
+_EXTREMES = (1e308, -1e308)
+_OPTIONAL = ("rate", "scale")  # a saturating curve's, 1.0 where absent
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if not isinstance(node, (dict, list)):
+        return [(path, node)]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutations(draw, doc):
+    """(edited copy of doc, whether it must exit 2, what was done): one leaf
+    set, or one key added to or dropped from the object or pair holding a
+    leaf."""
+    doc = json.loads(json.dumps(doc))
+    path, _ = draw(st.sampled_from(_leaves(doc)))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    how = draw(st.sampled_from(("set", "add", "drop")))
+    if how == "set":
+        value = draw(st.sampled_from(_NOT_NUMBERS + _EXTREMES))
+        parent[key] = value
+        return doc, value not in _EXTREMES, (path, value)
+    if how == "add":
+        if isinstance(parent, dict):
+            parent["extra"] = 1.0
+        else:
+            parent.append(1.0)
+        return doc, True, (path[:-1], "added")
+    del parent[key]
+    return doc, key not in _OPTIONAL, (path, "dropped")
+
+
+def _exits_as_it_must(path, mutation, argv):
+    doc, must_refuse, what = mutation
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    rc, err = _main_stderr(argv)
+    if must_refuse:
+        assert rc == 2 and str(path) in err, (what, rc, err)
+    else:
+        assert rc in (0, 1, 2, 3), (what, rc, err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at +-1e308
+@settings(max_examples=150, deadline=None)
+@given(mutation=_mutations(intervention_spec().to_dict()),
+       flags=st.sampled_from([("validate", "--nx", "21"), ("solve", *_SMALL_SOLVE)]))
+@example(mutation=({**intervention_spec().to_dict(), "T": 1e308}, False, (("T",), 1e308)),
+         flags=("solve", *_SMALL_SOLVE))
+def test_mutated_spec_exits_as_it_must(mutation, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        _exits_as_it_must(spec, mutation, [*flags, "--spec", spec, "--out", tmp + "/o"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=_mutations([[0.2, 0.3], [0.5, 0.4]]))
+def test_mutated_schedule_exits_as_it_must(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        sched = os.path.join(tmp, "sched.json")
+        _exits_as_it_must(sched, mutation, [
+            "simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "64",
+            "--record-paths", "0", "--policy", "schedule", "--schedule", sched,
+            "--out", tmp + "/o"])
 
 
 def test_t0_beyond_horizon_exits_2(tmp_path, capsys):
@@ -310,6 +429,16 @@ def test_surface_hash_read_in_blocks(tmp_path):
     assert cfg.hash_payload()["surface_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _cli_within_512_mb(argv):
+    """The CLI run in a child process under a 512 MB address-space limit."""
+    limit = 512 << 20
+    return subprocess.run(
+        [sys.executable, "-m", "impulse_qvi.cli"] + argv,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--spec", "fixture:intervention", "--nt", "1000000000"],
     ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--dt", "1e-8"],
@@ -317,12 +446,7 @@ def test_surface_hash_read_in_blocks(tmp_path):
 def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
     # under a 512 MB address-space limit each request fails its first large
     # allocation (7.45 GiB and 763 MiB), so the child never holds much
-    limit = 512 << 20
-    proc = subprocess.run(
-        [sys.executable, "-m", "impulse_qvi.cli"] + argv + ["--out", str(tmp_path)],
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        capture_output=True, text=True, timeout=120)
+    proc = _cli_within_512_mb(argv + ["--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory (Unable to allocate ")
     assert "--nt" in proc.stderr and "--dt" in proc.stderr
@@ -331,14 +455,9 @@ def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
 def test_ten_million_paths_fit_in_512_mb(tmp_path):
     # each chunk is reduced as it finishes, so the path count sets no array
     # length: under the same 512 MB limit, ten million paths run to the end
-    limit = 512 << 20
-    argv = ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "10000000",
-            "--dt", "1", "--record-paths", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "impulse_qvi.cli"] + argv + ["--out", str(tmp_path)],
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        capture_output=True, text=True, timeout=120)
+    proc = _cli_within_512_mb(["simulate", "--spec", "fixture:geometric", "--seed", "1",
+                               "--paths", "10000000", "--dt", "1", "--record-paths", "1",
+                               "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert read_json(tmp_path / "mc_report.json")["reduction"]["n_paths"] == 10_000_000
 
@@ -561,6 +680,21 @@ def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
     assert reason in capsys.readouterr().err
 
 
+def test_surface_header_grid_beyond_its_file_exits_2(tmp_path, small_surface):
+    # n_x = 1e12 asks for a 41 x 1e12 grid, 7.28 TiB per array, where the
+    # file holds 3,321 rows: the file's size refutes the header before any
+    # allocation, so the reason is the file's, not out of memory
+    sol = tmp_path / "sol"
+    sol.mkdir()
+    text = (small_surface / "surface.csv").read_text()
+    (sol / "surface.csv").write_text(text.replace("# n_x=81\n", "# n_x=1000000000000\n", 1))
+    proc = _cli_within_512_mb(["check", "--spec", "fixture:intervention", "--seed", "3",
+                               "--surface", str(sol), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot load {sol / 'surface.csv'}: rows do not fill "
+                                  "the 41x1000000000000 (t, x) grid of the header")
+
+
 def _edit_last_row(field, value):
     """Set one field of the surface's last data row, in its last slice."""
     def edit(text):
@@ -653,9 +787,11 @@ def _surface_edits(draw):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(edit=_surface_edits())
+@example(edit=(100, "xi0", "abc"))
 def test_surface_out_of_domain_exits_2(small_surface, edit):
     # one header key or data cell out of its domain: check and simulate
-    # both exit 2 and name the file, and no exception escapes main
+    # both exit 2 and name the file, and a V, IV or xi0 cell its data row;
+    # no exception escapes main
     where, column, value = edit
     lines = (small_surface / "surface.csv").read_text().splitlines()
     first = lines.index(",".join(_COLUMNS)) + 1
@@ -680,6 +816,8 @@ def test_surface_out_of_domain_exits_2(small_surface, edit):
             fh.write("\n".join(lines) + "\n")
         for rc, err in _loads_surface(sol, tmp):
             assert rc == 2 and sol in err, (edit, rc, err)
+            if column in ("V", "IV", "xi0"):
+                assert f"surface data row {at - first + 1} " in err, (edit, err)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
