@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class RunConfig:
         payload = {key: getattr(self, key) for key in (
             "command", "spec_source", "n_paths", "dt", "seed", "tol_inner", "eps_region", "t0",
             "x0", "policy", "record_paths", "levels")}
-        payload.update(spec=self.spec.to_dict(), grid=self.grid.to_dict(),
+        payload.update(spec=self.spec.to_dict(), grid=asdict(self.grid),
                        schedule=None if self.schedule is None else _pairs(self.schedule))
         if self.surface_path is not None:
             digest = hashlib.sha256()
@@ -122,9 +122,9 @@ def _build_config(args) -> RunConfig:
     spec, base_grid, reference = _load_spec(args.spec)
     given = {key: getattr(args, dest) for dest, key in _SOLVE_KEYS.items()
              if getattr(args, dest) is not None}
-    base = base_grid.to_dict()
     try:
-        grid = Grid(**{**base, **{key: v for key, v in given.items() if key in base}})
+        grid = replace(base_grid, **{f.name: given[f.name] for f in fields(Grid)
+                                     if f.name in given})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.command in ("simulate", "check") and args.seed is None:
@@ -171,7 +171,13 @@ def _build_config(args) -> RunConfig:
 
 
 def _sanitize(obj):
-    """Strict-JSON payloads: non-finite floats become their repr strings."""
+    """Strict JSON of a payload: a dataclass becomes the dict of its fields,
+    a NamedTuple that of its _asdict(), and a non-finite float its repr
+    string.  So a report's JSON keys are its field names."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    elif hasattr(obj, "_asdict"):  # a NamedTuple
+        obj = obj._asdict()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
@@ -214,7 +220,7 @@ def _load_solution(cfg: RunConfig) -> SolveResult:
         raise UsageError(f"cannot load {cfg.surface_path}: surface data row {i + 1} has xi0="
                          f"{res.xi0.flat[i]!r} outside [k_min, k_max] = [{c.k_min!r}, "
                          f"{c.k_max!r}] of {cfg.spec_source}")
-    stored = {**res.surface.grid.to_dict(), "tol_inner": md["tol_inner"],
+    stored = {**asdict(res.surface.grid), "tol_inner": md["tol_inner"],
               "eps_region": md["eps_region"]}
     clashes = [f"{key}={value!r} given, {stored[key]!r} in the surface header"
                for key, value in cfg.explicit_flags if value != stored[key]]
@@ -234,7 +240,7 @@ def cmd_solve(cfg: RunConfig, chash: str) -> int:
     write_policy_csv(os.path.join(cfg.out_dir, "policy.csv"), res, meta)
     md = res.surface.metadata
     summary = {
-        "grid": cfg.grid.to_dict(),
+        "grid": cfg.grid,
         "T": cfg.spec.T,
         "n_action_nodes": int(res.labels.sum()),
         "min_obstacle_gap": float(np.min(res.surface.values - res.surface.iv_values)),
@@ -289,7 +295,7 @@ def cmd_simulate(cfg: RunConfig, chash: str) -> int:
         "dt": cfg.dt,
         "n_paths": cfg.n_paths,
         "control": control_desc,
-        "reduction": report.to_dict(),
+        "reduction": report,
     })
     records = simulate_paths(cfg.spec, cfg.t0, cfg.x0, control, cfg.dt, cfg.seed,
                              cfg.record_paths) if cfg.record_paths else []
@@ -321,7 +327,8 @@ def cmd_validate(cfg: RunConfig, chash: str) -> int:
         lines.append(f"{e.name:24s} {status}  value={e.value!r}{thr}  {e.note}")
     lines += [f"warning: {w}" for w in report.warnings]
     lines.append("PASSED" if report.passed else "FAILED")
-    _write_report(cfg, chash, "validation", {"report": report.to_dict()}, lines)
+    _write_report(cfg, chash, "validation",
+                  {"report": {"passed": report.passed, **_sanitize(report)}}, lines)
     print(f"validate: {'PASSED' if report.passed else 'FAILED'} "
           f"({len(report.entries)} entries, {len(report.warnings)} warnings)")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -342,18 +349,13 @@ def cmd_check(cfg: RunConfig, chash: str) -> int:
     else:
         reports = standard_checks(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner,
                                   eps_region=cfg.eps_region, seed=cfg.seed)
-    entries = []
-    for rep in reports:
-        d = rep.to_dict()
-        d["domain_restriction"] = _DOMAIN_NOTE
-        entries.append(d)
     all_passed = all(r.passed for r in reports)
     lines = [rep.line() for rep in reports]
     _write_report(cfg, chash, "checks", {
-        "grid": grid.to_dict(),
+        "grid": grid,
         "domain_restriction": _DOMAIN_NOTE,
         "passed": all_passed,
-        "checks": entries,
+        "checks": [{**_sanitize(rep), "domain_restriction": _DOMAIN_NOTE} for rep in reports],
     }, lines + ["ALL CHECKS PASSED" if all_passed else "CHECK FAILURES"])
     for line in lines:
         print(line)
@@ -371,8 +373,7 @@ def cmd_converge(cfg: RunConfig, chash: str) -> int:
                      f"{'' if diff is None else repr(diff)},"
                      f"{'' if ref_err is None else repr(ref_err)}")
     lines.append(f"ratios={[round(r, 4) for r in study.ratios]!r}")
-    _write_report(cfg, chash, "convergence", {"levels": cfg.levels, "study": study.to_dict()},
-                  lines)
+    _write_report(cfg, chash, "convergence", {"levels": cfg.levels, "study": study}, lines)
     print(f"converge: ratios {study.ratios}")
     return EXIT_OK
 

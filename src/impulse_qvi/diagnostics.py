@@ -35,20 +35,6 @@ class CheckReport:
     vacuous: bool = False
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "vacuous": bool(self.vacuous),
-            "measured": float(self.measured),
-            "threshold": float(self.threshold),
-            "operation": self.operation,
-            "tolerance_note": self.tolerance_note,
-            "worst_location": None if self.worst_location is None
-            else [float(v) for v in self.worst_location],
-            "details": self.details,
-        }
-
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         if self.vacuous:
@@ -214,7 +200,7 @@ def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None
             threshold=tol,
             operation="central-difference V_x at action and landing nodes vs 1",
             tolerance_note="no interior action nodes; vacuous",
-                details={"n_nodes": 0, "excluded_boundary_nodes": excluded},
+            details={"n_nodes": 0, "excluded_boundary_nodes": excluded},
         )
     stride = max(1, len(nodes) // 200)
     sample = nodes[::stride]
@@ -280,7 +266,7 @@ def check_theta_structure(res: SolveResult, spec: ModelSpec) -> CheckReport:
             threshold=0.0,
             operation="maximizer exists, lands in continuation, operator chain inequality",
             tolerance_note="action region empty; vacuous",
-            )
+        )
     return CheckReport(
         name="theta_structure",
         passed=bool(landing_violations == 0 and worst_chain >= 0.0),
@@ -349,10 +335,6 @@ class ConvergenceStudy:
     rows: list
     ratios: list
     reference_errors: list
-
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "ratios": self.ratios,
-                "reference_errors": self.reference_errors}
 
 
 def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:

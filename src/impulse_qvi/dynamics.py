@@ -452,17 +452,6 @@ class ReductionReport:
     seed: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "cost_g": {"estimate": self.cost_g.estimate, "std_error": self.cost_g.std_error},
-            "cost_f": {"estimate": self.cost_f.estimate, "std_error": self.cost_f.std_error},
-            "difference": self.difference,
-            "combined_se": self.combined_se,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
-
 
 def filtration_reduction_check(spec: ModelSpec, t0: float, x0: float, control,
                                dt: float, n_paths: int, seed) -> ReductionReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,14 @@ def _spec_object(d, prefix: str) -> dict:
     return d
 
 
-def _reject_unread(d, keys, prefix: str = "") -> None:
-    """ValueError naming each key of d that is not in keys by its dotted
-    path (prefix + key): a misspelt key would otherwise be silently ignored."""
-    unread = sorted(set(_spec_object(d, prefix)) - set(keys))
+def _spec_keys(d, keys, prefix: str = "") -> None:
+    """ValueError unless d is a JSON object holding exactly keys, naming by
+    its dotted path (prefix + key) each key missing, else each key not in
+    keys: a misspelt key would otherwise be silently ignored."""
+    missing = [k for k in keys if k not in _spec_object(d, prefix)]
+    if missing:
+        raise ValueError(f"missing spec key {', '.join(prefix + k for k in missing)}")
+    unread = sorted(set(d) - set(keys))
     if unread:
         raise ValueError(f"unknown spec key {', '.join(prefix + k for k in unread)}")
 
@@ -57,6 +61,14 @@ def _number(value, path: str, what: str = "spec key") -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} {path} must be finite, not {value!r}")
     return float(value)
+
+
+def _numbers(value, path: str) -> list:
+    """value as a list of floats; ValueError naming path unless it is a JSON
+    list of finite numbers."""
+    if not isinstance(value, list):
+        raise ValueError(f"spec key {path} must be a list of numbers, not {type(value).__name__}")
+    return [_number(v, path) for v in value]
 
 
 @dataclass(frozen=True)
@@ -143,15 +155,16 @@ class Curve:
     @classmethod
     def from_dict(cls, d: dict, prefix: str = "") -> "Curve":
         kind = _spec_object(d, prefix).get("kind")
-        if kind not in _CURVE_KEYS:
-            raise ValueError(f"unknown curve kind {kind!r}")
-        _reject_unread(d, ("kind",) + _CURVE_KEYS[kind], prefix)
-        if kind == TABLE:
-            return cls.table(*([_number(v, prefix + k) for v in d[k]] for k in ("x", "y")))
-        if kind == SATURATING:
-            d = {"rate": 1.0, "scale": 1.0, **d}
-        args = [_number(d[k], prefix + k) for k in _CURVE_KEYS[kind]]
-        return cls.constant(*args) if kind == CONSTANT else cls.saturating(*args)
+        if "kind" in d and kind not in tuple(_CURVE_KEYS):  # a tuple: a list kind is unhashable
+            raise ValueError(f"spec key {prefix}kind must be one of {', '.join(_CURVE_KEYS)}, "
+                             f"not {kind!r}")
+        _spec_keys(d, ("kind", *_CURVE_KEYS.get(kind, ())), prefix)
+        read = _numbers if kind == TABLE else _number
+        values = {k: read(d[k], prefix + k) for k in _CURVE_KEYS[kind]}
+        try:
+            return cls(kind, **values)
+        except ValueError as exc:  # the kind's own conditions, such as increasing x
+            raise ValueError(f"spec curve {prefix[:-1]}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -168,12 +181,9 @@ class CostParams:
         if not (0 < self.k_min <= self.k_max):
             raise ValueError("need 0 < k_min <= k_max")
 
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "k_min": self.k_min, "k_max": self.k_max}
-
     @classmethod
     def from_dict(cls, d: dict, prefix: str = "") -> "CostParams":
-        _reject_unread(d, ("kappa", "k_min", "k_max"), prefix)
+        _spec_keys(d, ("kappa", "k_min", "k_max"), prefix)
         return cls(*(_number(d[k], prefix + k) for k in ("kappa", "k_min", "k_max")))
 
 
@@ -215,7 +225,7 @@ class UtilitySpec:
 
     @classmethod
     def from_dict(cls, d: dict, prefix: str = "") -> "UtilitySpec":
-        _reject_unread(d, ("f", "g1", "g2"), prefix)
+        _spec_keys(d, ("f", "g1", "g2"), prefix)
         return cls(*(Curve.from_dict(d[k], f"{prefix}{k}.") for k in ("f", "g1", "g2")))
 
 
@@ -237,9 +247,10 @@ class ModelSpec:
             raise ValueError("c1 must lie in [0, 1]")
         if not self.T > 0:
             raise ValueError("horizon T must be positive")
-        for name in ("mu_tilde", "sigma_tilde", "beta", "lam"):
-            if not getattr(self, name).is_piecewise_linear():
-                raise ValueError(f"{name} must be a constant or table curve")
+        for key, curve in (("mu_tilde", self.mu_tilde), ("sigma_tilde", self.sigma_tilde),
+                           ("beta", self.beta), ("lambda", self.lam)):
+            if not curve.is_piecewise_linear():
+                raise ValueError(f"{key} must be a constant or table curve")
 
     def to_dict(self) -> dict:
         return {
@@ -250,7 +261,7 @@ class ModelSpec:
             "sigma_tilde": self.sigma_tilde.to_dict(),
             "beta": self.beta.to_dict(),
             "utilities": self.utilities.to_dict(),
-            "costs": self.costs.to_dict(),
+            "costs": asdict(self.costs),
         }
 
     def sha256(self) -> str:
@@ -265,21 +276,18 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        _reject_unread(d, ("c1", "T", "lambda", "mu_tilde", "sigma_tilde", "beta",
-                           "utilities", "costs"))
-        try:
-            return cls(
-                c1=_number(d["c1"], "c1"),
-                T=_number(d["T"], "T"),
-                lam=Curve.from_dict(d["lambda"], "lambda."),
-                mu_tilde=Curve.from_dict(d["mu_tilde"], "mu_tilde."),
-                sigma_tilde=Curve.from_dict(d["sigma_tilde"], "sigma_tilde."),
-                beta=Curve.from_dict(d["beta"], "beta."),
-                utilities=UtilitySpec.from_dict(d["utilities"], "utilities."),
-                costs=CostParams.from_dict(d["costs"], "costs."),
-            )
-        except KeyError as exc:
-            raise ValueError(f"model spec is missing key {exc}") from exc
+        _spec_keys(d, ("c1", "T", "lambda", "mu_tilde", "sigma_tilde", "beta", "utilities",
+                       "costs"))
+        return cls(
+            c1=_number(d["c1"], "c1"),
+            T=_number(d["T"], "T"),
+            lam=Curve.from_dict(d["lambda"], "lambda."),
+            mu_tilde=Curve.from_dict(d["mu_tilde"], "mu_tilde."),
+            sigma_tilde=Curve.from_dict(d["sigma_tilde"], "sigma_tilde."),
+            beta=Curve.from_dict(d["beta"], "beta."),
+            utilities=UtilitySpec.from_dict(d["utilities"], "utilities."),
+            costs=CostParams.from_dict(d["costs"], "costs."),
+        )
 
     @classmethod
     def from_json(cls, path) -> "ModelSpec":
@@ -416,16 +424,6 @@ class CheckEntry:
     worst_point: tuple | None = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": float(self.value),
-            "threshold": None if self.threshold is None else float(self.threshold),
-            "worst_point": None if self.worst_point is None else [float(v) for v in self.worst_point],
-            "note": self.note,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -444,13 +442,6 @@ class ValidationReport:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "entries": [e.to_dict() for e in self.entries],
-            "warnings": list(self.warnings),
-        }
 
 
 def sampled_lipschitz(fn, points: np.ndarray):

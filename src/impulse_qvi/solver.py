@@ -95,7 +95,7 @@ import functools
 import itertools
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -133,10 +133,6 @@ class Grid:
         """Index of the node nearest to each y (halves to even), clipped to
         the grid: where an injection from x to y = x + xi0 lands."""
         return np.clip(np.rint((y - self.x_min) / self.h), 0, self.n_x - 1).astype(int)
-
-    def to_dict(self) -> dict:
-        return {"x_min": self.x_min, "x_max": self.x_max, "n_x": self.n_x,
-                "n_t": self.n_t}
 
 
 def interp_extended(x_nodes: np.ndarray, v: np.ndarray, xq) -> np.ndarray:
@@ -766,7 +762,7 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     after `# key=value` lines for `meta` and for T, the grid, eps_region,
     tol_inner and spec_sha256.  Rows are built one time slice at a time."""
     surface = res.surface
-    known = {**surface.metadata, **surface.grid.to_dict(), "T": surface.T}
+    known = {**surface.metadata, **asdict(surface.grid), "T": surface.T}
     x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
 
     def slices():

@@ -11,17 +11,19 @@ import resource
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from impulse_qvi import cli
-from impulse_qvi.dynamics import FeedbackPolicy, ImpulseSchedule, simulate
+from impulse_qvi.diagnostics import CheckReport, ConvergenceStudy
+from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, MCEstimate, ReductionReport,
+                                  simulate)
 from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
-from impulse_qvi.model import CostParams, Curve
-from impulse_qvi.solver import read_surface_csv, write_csv
+from impulse_qvi.model import CheckEntry, CostParams, Curve, ValidationReport
+from impulse_qvi.solver import Grid, read_surface_csv, write_csv
 
 from test_model import make_spec
 from test_solver import _found_sub_cell_spec
@@ -165,17 +167,23 @@ def test_feedback_flags_need_feedback_policy(tmp_path, capsys, policy, flag, val
     assert not out.exists()
 
 
+_DROP = object()  # the value that deletes a key
+
+
 def _validate_edited_spec(tmp_path, key, value, command="validate", flags=("--nx", "21")):
     """Exit code of validate (or command, with flags) on intervention's spec
-    with the value at the dotted key path set to value ("" replaces the
-    whole spec)."""
+    with the value at the dotted key path set to value, or the key deleted
+    for _DROP ("" replaces the whole spec)."""
     spec = intervention_spec().to_dict()
     if key:
         *parents, leaf = key.split(".")
         level = spec
         for name in parents:
             level = level[name]
-        level[leaf] = value
+        if value is _DROP:
+            del level[leaf]
+        else:
+            level[leaf] = value
     else:
         spec = value
     path = tmp_path / "spec.json"
@@ -191,6 +199,34 @@ def test_unread_spec_key_exits_2(tmp_path, capsys, key):
     # path instead of being silently ignored
     assert _validate_edited_spec(tmp_path, key, 1.0) == 2
     assert f"unknown spec key {key}" in capsys.readouterr().err
+
+
+_KINDS = "must be one of constant, table, saturating, not"
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("costs.kappa", _DROP, "missing spec key costs.kappa"),
+    ("utilities.g2.y", _DROP, "missing spec key utilities.g2.y"),
+    ("utilities.f.kind", _DROP, "missing spec key utilities.f.kind"),
+    # a saturating curve's rate and scale are read like any other key
+    ("utilities.f.rate", _DROP, "missing spec key utilities.f.rate"),
+    ("utilities.g1.scale", _DROP, "missing spec key utilities.g1.scale"),
+    ("utilities.g2.x", 5, "spec key utilities.g2.x must be a list of numbers, not int"),
+    ("utilities.g2.y", {"a": 1}, "spec key utilities.g2.y must be a list of numbers, not dict"),
+    ("utilities.g1.kind", ["table"], f"spec key utilities.g1.kind {_KINDS} ['table']"),
+    ("utilities.f.kind", 3, f"spec key utilities.f.kind {_KINDS} 3"),
+    ("lambda", {"kind": "saturating", "level": 1.0, "rate": 1.0, "scale": 1.0},
+     "lambda must be a constant or table curve"),
+    ("utilities.g2.x", [0.0, 1.0, 0.5, 2.0, 4.0],
+     "spec curve utilities.g2: table abscissae must be strictly increasing"),
+], ids=["costs-kappa", "table-y", "curve-kind", "saturating-rate", "saturating-scale",
+        "table-x-number", "table-y-object", "kind-list", "kind-number", "saturating-lambda",
+        "table-x-order"])
+def test_spec_refusal_names_its_key(tmp_path, capsys, key, value, reason):
+    # a refusal names the dotted key, which a bare key such as 'y' or a
+    # Python type error does not locate in a nested spec
+    assert _validate_edited_spec(tmp_path, key, value) == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("c1", True), ("beta.value", False),
@@ -269,7 +305,6 @@ def test_spec_level_that_is_not_an_object_exits_2(tmp_path, capsys, key, value, 
 # fail in any of the CLI's ways (exit 0 to 3), but never escape main
 _NOT_NUMBERS = (True, False, "0.5", None, math.nan, math.inf, -math.inf, [0.5], {"value": 0.5})
 _EXTREMES = (1e308, -1e308)
-_OPTIONAL = ("rate", "scale")  # a saturating curve's, 1.0 where absent
 
 
 def _leaves(node, path=()):
@@ -306,7 +341,7 @@ def _mutations(draw, doc):
             parent.append(1.0)
         return doc, True, (path[:-1], "added")
     del parent[key]
-    return doc, key not in _OPTIONAL, (path, "dropped")
+    return doc, True, (path, "dropped")
 
 
 def _exits_as_it_must(path, mutation, argv):
@@ -951,6 +986,46 @@ def test_converge_zero_fixture_inf_ratio_serializes(tmp_path):
     assert rc == 0
     study = read_json(out / "convergence.json")["study"]
     assert study["ratios"] == ["inf"]  # strict JSON: non-finite as repr text
+
+
+_ENTRY = CheckEntry("lipschitz_f", True, math.inf, worst_point=(0.5, 1.0))
+_ENTRY_JSON = {"name": "lipschitz_f", "passed": True, "value": "inf", "threshold": None,
+               "worst_point": [0.5, 1.0], "note": ""}
+# each record a report writes, with a non-finite float, and its encoding
+_RECORDS = {
+    "CheckEntry": (_ENTRY, _ENTRY_JSON),
+    "ValidationReport": (ValidationReport([_ENTRY], ["w"]),
+                         {"entries": [_ENTRY_JSON], "warnings": ["w"]}),
+    "ReductionReport": (
+        ReductionReport(MCEstimate(1.0, 0.1), MCEstimate(math.nan, 0.2), -math.inf, 0.3,
+                        100, 2, False),
+        {"cost_g": {"estimate": 1.0, "std_error": 0.1},
+         "cost_f": {"estimate": "nan", "std_error": 0.2}, "difference": "-inf",
+         "combined_se": 0.3, "n_paths": 100, "seed": 2, "passed": False}),
+    "CheckReport": (
+        CheckReport("bounds", False, -math.inf, 0.0, "op", "note", worst_location=(0.0, 1.5),
+                    details={"c1": math.inf}),
+        {"name": "bounds", "passed": False, "measured": "-inf", "threshold": 0.0,
+         "operation": "op", "tolerance_note": "note", "worst_location": [0.0, 1.5],
+         "vacuous": False, "details": {"c1": "inf"}}),
+    "ConvergenceStudy": (
+        ConvergenceStudy([{"n_t": 10, "sup_diff_to_next": 0.0}], [math.inf], [math.nan]),
+        {"rows": [{"n_t": 10, "sup_diff_to_next": 0.0}], "ratios": ["inf"],
+         "reference_errors": ["nan"]}),
+    "Grid": (Grid(0.1, math.inf, 21, 10), {"x_min": 0.1, "x_max": "inf", "n_x": 21, "n_t": 10}),
+    "CostParams": (CostParams(0.05, 0.1, math.inf), {"kappa": 0.05, "k_min": 0.1, "k_max": "inf"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_encoder_writes_a_record_as_its_fields(name):
+    # a record's JSON keys are its field names, an MCEstimate is a dict, a
+    # tuple a list, and a non-finite float its repr string
+    record, expected = _RECORDS[name]
+    encoded = cli._sanitize(record)
+    assert list(encoded) == [f.name for f in fields(record)]
+    assert encoded == expected
+    json.dumps(encoded, allow_nan=False)
 
 
 # (report stem, whether it has a .txt, seed, argv) per subcommand, on tiny grids

@@ -4,7 +4,7 @@ and the refinement study."""
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from impulse_qvi.diagnostics import (CheckReport, ConvergenceStudy,
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, intervention_spec,
                                   suggested_grid, zero_spec)
-from impulse_qvi.model import Curve
+from impulse_qvi.model import CostParams, Curve
 from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, upper_bound_c1
 
 from test_model import make_spec
@@ -241,7 +241,7 @@ def test_solver_is_numerics_only():
 def test_check_report_shape():
     rep = CheckReport(name="demo", passed=True, measured=0.5, threshold=1.0,
                       operation="op", tolerance_note="note", details={"k": 1})
-    d = rep.to_dict()
+    d = asdict(rep)
     assert "runtime" not in d  # wall clock never reaches artifacts
     assert d["details"] == {"k": 1}
     assert "demo" in rep.line() and "PASS" in rep.line()
@@ -262,7 +262,7 @@ def test_convergence_study_closed_form():
     r12 = study.reference_errors[1] / study.reference_errors[2]
     assert 1.6 <= r01 <= 2.4 and 1.6 <= r12 <= 2.4
     assert study.ratios[0] >= 1.8
-    d = study.to_dict()
+    d = asdict(study)
     assert d["rows"][0]["sup_diff_to_next"] > d["rows"][1]["sup_diff_to_next"]
 
 
@@ -309,7 +309,7 @@ def _ladder(grid, levels):
 def test_convergence_study_matches_all_levels_oracle(spec, grid, levels, reference):
     study = convergence_study(spec, grid, levels, reference=reference)
     oracle = _convergence_study_all_levels(spec, _ladder(grid, levels), reference=reference)
-    assert repr(study.to_dict()) == repr(oracle.to_dict())
+    assert repr(asdict(study)) == repr(asdict(oracle))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -326,7 +326,26 @@ def test_convergence_study_matches_oracle_on_random_specs(case, levels, half):
             _convergence_study_all_levels(spec, _ladder(grid, levels))
         return
     oracle = _convergence_study_all_levels(spec, _ladder(grid, levels))
-    assert repr(study.to_dict()) == repr(oracle.to_dict())
+    assert repr(asdict(study)) == repr(asdict(oracle))
+
+
+# Feynman-Kac cross-check: with kappa = 1e6 no injection pays, so V is the
+# no-control value that mc_cost_g estimates.  Fixed before any outcome was
+# seen: 16 derandomized cases, x0 = 1, the grid [0.05, 6] at 600 x 400,
+# 20,000 paths at the solve's dt, MC seed 7, and the budget 3 SE + dt + h
+# + 1e-8, check_bounds' MC budget taken two-sided
+@settings(max_examples=16, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cost_cases())
+def test_priced_out_value_matches_no_control_monte_carlo(case):
+    spec, _ = case
+    grid = Grid(0.05, 6.0, 600, 400)
+    c = spec.costs
+    spec = replace(spec, costs=CostParams(1e6, max(c.k_min, grid.h), max(c.k_max, grid.h)))
+    dt = spec.T / grid.n_t
+    v = float(solve(spec, grid).surface.evaluate(0.0, 1.0))
+    est = dynamics.mc_cost_g(spec, 0.0, 1.0, None, dt, 20000, 7)
+    assert abs(v - est.estimate) <= 3.0 * est.std_error + dt + grid.h + 1e-8, (spec, v, est)
 
 
 def test_convergence_study_holds_two_levels():

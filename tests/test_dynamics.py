@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from impulse_qvi import dynamics
+from impulse_qvi import cli, dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _Moments, _simulate_chunks,
                                   filtration_reduction_check, mc_cost_g, simulate,
                                   simulate_paths)
@@ -242,7 +242,7 @@ def test_reduction_report_dict_fields():
     spec = geometric_spec()
     rep = filtration_reduction_check(spec, 0.0, 1.0, None, dt=0.05,
                                      n_paths=300, seed=2)
-    d = rep.to_dict()
+    d = cli._sanitize(rep)
     assert set(d) == {"cost_g", "cost_f", "difference", "combined_se",
                       "n_paths", "seed", "passed"}
     assert d["n_paths"] == 300 and d["seed"] == 2

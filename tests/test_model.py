@@ -7,6 +7,7 @@ are tight.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -322,8 +323,8 @@ def test_validate_negative_hazard_fails():
 def test_validation_report_round_trip():
     spec = intervention_spec()
     rep = validate(spec, np.linspace(0.1, 4.0, 51))
-    d = rep.to_dict()
-    assert d["passed"] is True
+    d = asdict(rep)
+    assert rep.passed is True
     assert {e["name"] for e in d["entries"]} >= {
         "lipschitz_lambda", "lipschitz_f", "no_terminal_impulse",
         "hazard_nonnegative", "ellipticity_proxy"}
