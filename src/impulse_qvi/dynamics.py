@@ -56,6 +56,20 @@ is found once by searchsorted.  What grows with n_step is 80 bytes per
 step: the plan's nine float arrays and each chunk's int64 bounds of the
 paths defaulting at each step (a tracemalloc peak of about 88 bytes per
 step).
+
+A feedback policy is asked for the chunk's injections at a grid time only
+when FeedbackPolicy.may_act says that some path may act there: that the
+lowest state does not snap above the time row's highest acting node, nor
+the highest state below its lowest.  Snapping is nondecreasing in the
+state, so a step it skips would have injected nothing, and every number
+is the same as with a lookup at every step.  A batch that starts inside
+the action region leaves it within a few steps, and after that each step
+pays a row lookup and a reduction over the states (about 5-7 us at 4,096
+paths on a 2-vCPU Intel Xeon VM) instead of snapping every state (about
+45 us).  A state that is not
+finite never becomes finite again, so a chunk whose final states are not
+all finite has a diverged path and raises ValueError; may_act raises the
+same where it meets one first.
 """
 
 from __future__ import annotations
@@ -162,6 +176,14 @@ class FeedbackPolicy:
     the rule that lands an injection; action nodes return the recorded
     injection size, continuation nodes return 0.  A query is made at most
     once per grid time, so no two injections share an instant.
+
+    Each time row also keeps the span from its lowest to its highest node
+    with a positive size (a row with none never acts), and may_act(t, x)
+    is False when no state of x can snap into that span.  The skip is
+    exact: nearest_node is nondecreasing in y (subtract x_min, divide by
+    h > 0, round, clip), so if min(x) snaps above the span or max(x) below
+    it, every state does, and no entry of injections(t, x) is positive.
+    may_act costs a row lookup and at most two reductions over x.
     """
 
     def __init__(self, t_nodes, grid, action, xi0):
@@ -174,6 +196,10 @@ class FeedbackPolicy:
         if xi0.shape != action.shape:
             raise ValueError("xi0 shape must match the action mask")
         self.sizes = np.where(action, xi0, 0.0)  # the injection at each node
+        # per row, its lowest and highest acting node; (0, -1) if it has none
+        self._spans = [(int(i[0]), int(i[-1])) if i.size else (0, -1)
+                       for i in map(np.flatnonzero, self.sizes > 0)]
+        self._x_min, self._h, self._top = float(grid.x_min), float(grid.h), grid.n_x - 1
 
     @classmethod
     def from_solution(cls, res) -> "FeedbackPolicy":
@@ -184,6 +210,25 @@ class FeedbackPolicy:
         j = int(np.argmin(np.abs(self.t_nodes - t)))
         ix = self.grid.nearest_node(np.asarray(x))
         return self.sizes[j, ix]
+
+    def may_act(self, t: float, x: np.ndarray) -> bool:
+        """False only if no entry of injections(t, x) is positive;
+        ValueError if the lowest or highest state it reads is not finite."""
+        lo, hi = self._spans[int(np.abs(self.t_nodes - t).argmin())]  # injections' row
+        return lo <= hi and self._node(float(x.min()), t) <= hi \
+            and self._node(float(x.max()), t) >= lo
+
+    def _node(self, y: float, t: float) -> int:
+        """grid.nearest_node of one finite float, in Python arithmetic: the
+        same subtraction and division, round half to even, and clip."""
+        if not math.isfinite(y):
+            raise _diverged(y, t)
+        return min(max(round((y - self._x_min) / self._h), 0), self._top)
+
+
+def _diverged(state: float, t: float) -> ValueError:
+    return ValueError(f"an Euler path diverged: a state is {state!r} at t = {float(t)!r}; "
+                      "use a smaller --dt")
 
 
 def _time_grid(t0: float, t_end: float, dt: float, extra=()) -> np.ndarray:
@@ -227,7 +272,7 @@ def _plan(spec, t0, t_end, dt, control):
     if isinstance(control, ImpulseSchedule):
         control.validate(spec, t0)
         times = _time_grid(t0, t_end, dt, control.times)
-    elif control is None or hasattr(control, "injections"):
+    elif control is None or isinstance(control, FeedbackPolicy):
         times = _time_grid(t0, t_end, dt)
     else:
         raise ValueError("control must be None, an ImpulseSchedule, or a feedback policy")
@@ -294,7 +339,7 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
         xi = None
         if sched[k] > 0:
             xi = np.full(count, sched[k])
-        elif policy is not None and k < n_step:
+        elif policy is not None and k < n_step and policy.may_act(tk, x):
             xi = np.asarray(policy.injections(tk, x), dtype=float)
         if xi is not None and np.any(xi > 0):
             hit = xi > 0
@@ -338,6 +383,11 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
         x += a
         x += b
 
+    # a non-finite state stays so, so one check of the final states finds
+    # any path that diverged; costs are not checked, a curve may overflow
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise _diverged(float(x[~finite][0]), times[-1])
     survive = tau >= spec.T
     g1x = np.asarray(u.g1(x), dtype=float)
     run_g = np.where(kd < n_step, run_g_tau, run_g)

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -958,6 +959,68 @@ def test_simulate_feedback_surface_roundtrip(tmp_path):
     assert b["control"]["source"] == "loaded-surface"
     # repr round-trip through the CSV is exact, so the policies coincide
     assert a["reduction"] == b["reduction"]
+
+
+def test_feedback_lookup_skip_changes_no_artifact_byte(tmp_path, small_surface, monkeypatch):
+    # FeedbackPolicy.may_act lets the Euler loop skip the policy lookup on
+    # steps where no path can act; with it answering "may act" on every step
+    # instead, a three-chunk feedback simulate and a surface check write the
+    # same bytes
+    lookups = []
+    injections = FeedbackPolicy.injections
+    monkeypatch.setattr(FeedbackPolicy, "injections",
+                        lambda self, t, x: lookups.append(t) or injections(self, t, x))
+    argv = {"simulate": ["simulate", "--spec", "fixture:intervention", "--seed", "6",
+                         "--policy", "feedback", "--surface", str(small_surface), "--x0", "0.15",
+                         "--paths", "9000", "--dt", "0.02"],
+            "check": ["check", "--spec", "fixture:intervention", "--seed", "6",
+                      "--surface", str(small_surface)]}
+
+    def run(side):
+        del lookups[:]
+        hashes = {}
+        for command, args in argv.items():
+            out = tmp_path / side / command
+            assert cli.main(args + ["--out", str(out)]) == 0
+            hashes[command] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                               for p in sorted(out.iterdir())}
+        return hashes, len(lookups)
+
+    skipped, n_skipped = run("skip")
+    monkeypatch.setattr(FeedbackPolicy, "may_act", lambda self, t, x: True)
+    every, n_every = run("every")
+    assert set(skipped["simulate"]) >= {"mc_report.json", "path_000.csv"}
+    assert skipped == every
+    assert 0 < n_skipped < n_every / 10  # most steps skip the lookup
+
+
+@pytest.mark.parametrize("control", ["none", "schedule", "feedback"])
+def test_diverging_euler_path_exits_2(tmp_path, capsys, control):
+    # mu_tilde = 1e6 multiplies the ratio by 1e4 per step of 0.01, so every
+    # path overflows within the horizon; the engine refuses the run rather
+    # than write NaN estimates (or, with a policy, fail on a NaN's node)
+    spec = tmp_path / "diverge.json"
+    make_spec(c1=1.0, T=1.0, lam=0.3, mu=1e6, sigma=0.2, beta=0.3,
+              f=Curve.saturating(1.0, 5.0, 1.0), g1=Curve.saturating(0.5, 1.0, 0.5), g2=0.1,
+              kappa=0.04, k_min=0.1, k_max=1.5).to_json(spec)
+    flags = {"none": [], "schedule": ["--schedule", str(tmp_path / "sched.json")],
+             "feedback": ["--surface", str(tmp_path / "sol"), "--nx", "41", "--nt", "20"]}[control]
+    if control == "schedule":
+        (tmp_path / "sched.json").write_text("[[0.3, 0.5]]")
+    if control == "feedback":
+        assert cli.main(["solve", "--spec", str(spec), "--nx", "41", "--nt", "20",
+                         "--out", str(tmp_path / "sol")]) == 0
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        rc = cli.main(["simulate", "--spec", str(spec), "--seed", "1", "--paths", "100",
+                       "--dt", "0.01", "--x0", "0.15", "--policy", control, "--out", str(out)]
+                      + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an Euler path diverged: a state is ")
+    assert " at t = " in err and err.endswith("; use a smaller --dt\n")
+    assert not (out / "mc_report.json").exists()
 
 
 # ----------------------------------------------------------------- converge

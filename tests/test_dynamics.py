@@ -558,10 +558,59 @@ def test_kernel_matches_reference_loop_on_fixtures(name, policy, record, fixture
 
 
 @st.composite
+def _feedback_policies(draw, T=1.0):
+    """A random feedback rule on a grid from x_min in [0, 1]: each time row
+    has no action node, one, all, or a random set, and xi0 at an action
+    node is positive, zero, negative or NaN (only a positive size acts)."""
+    x_min = draw(st.floats(0.0, 1.0))
+    grid = Grid(x_min, x_min + draw(st.floats(0.5, 4.0)), draw(st.integers(3, 9)),
+                draw(st.integers(1, 6)))
+    n = grid.n_x
+    rows = {"none": st.just([False] * n), "all": st.just([True] * n),
+            "one": st.integers(0, n - 1).map(lambda i: [j == i for j in range(n)]),
+            "random": st.lists(st.booleans(), min_size=n, max_size=n)}
+    action = np.array([draw(st.one_of(*rows.values())) for _ in range(grid.n_t + 1)])
+    sizes = draw(st.lists(st.sampled_from([0.5, 0.5, 0.3, 0.0, -0.2, np.nan]),
+                          min_size=action.size, max_size=action.size))
+    xi0 = np.where(action, np.reshape(sizes, action.shape), np.nan)
+    return FeedbackPolicy(np.linspace(0.0, T, grid.n_t + 1), grid, action, xi0)
+
+
+def _half_node_ties(grid):
+    """States x_min + (i + 0.5) h, where nearest_node rounds half to even."""
+    return st.integers(-2, grid.n_x).map(lambda i: grid.x_min + (i + 0.5) * grid.h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_may_act_is_exact(data):
+    # may_act is False exactly when no state snaps into its row's span of
+    # acting nodes, and then no injection acts; states include half-node
+    # ties and states below x_min and above x_max, which clip to the ends
+    pol = data.draw(_feedback_policies())
+    grid = pol.grid
+    states = st.one_of(_half_node_ties(grid), st.floats(grid.x_min, grid.x_max),
+                       st.floats(grid.x_min - 3.0, grid.x_min), st.floats(grid.x_max, grid.x_max + 3.0))
+    x = np.array(data.draw(st.lists(states, min_size=1, max_size=12)))
+    t = data.draw(st.one_of(st.floats(-0.2, 1.2), st.sampled_from(list(pol.t_nodes))))
+    acting = np.flatnonzero(pol.sizes[np.argmin(np.abs(pol.t_nodes - t))] > 0)
+    nodes = grid.nearest_node(x)
+    may = pol.may_act(t, x)
+    assert may == bool(acting.size and nodes.min() <= acting[-1] and nodes.max() >= acting[0])
+    event(f"may act: {may}")
+    if not may:  # all zeros, but where xi0 <= 0 or NaN is recorded at an action node
+        assert not np.any(pol.injections(t, x) > 0)
+    if acting.size:  # a NaN state is refused, never snapped
+        with pytest.raises(ValueError, match=r"a state is nan at t = [-+.e\d]+; use a smaller --dt$"):
+            pol.may_act(t, np.append(x, np.nan))
+
+
+@st.composite
 def _kernel_cases(draw):
     """A spec with table-capable lam, mu_tilde, sigma_tilde and beta (beta up
     to 6, so that many defaults land inside steps), any state curves, a
-    start, a step, and no control, a schedule or a random feedback rule."""
+    start, a step, and no control, a schedule or a random feedback rule
+    (started on a half-node tie of its grid at times)."""
     spec = make_spec(c1=draw(st.floats(0.0, 1.0)), T=draw(st.floats(0.05, 3.0)),
                      lam=draw(_time_curve(0.0, 3.0)), mu=draw(_time_curve(-1.0, 1.0)),
                      sigma=draw(_time_curve(0.0, 1.0)), beta=draw(_time_curve(0.0, 6.0)),
@@ -569,6 +618,7 @@ def _kernel_cases(draw):
                      g2=draw(_state_curve(-2.0, 2.0)), k_min=0.1, k_max=1.0)
     t0 = draw(st.floats(0.0, 0.9)) * spec.T
     dt = draw(st.floats(0.01, 0.5)) * spec.T
+    x0 = draw(st.floats(0.01, 3.0))
     kind = draw(st.sampled_from(["none", "schedule", "feedback"]))
     control = None
     if kind == "schedule":
@@ -577,14 +627,9 @@ def _kernel_cases(draw):
         sizes = draw(st.lists(st.floats(0.1, 1.0), min_size=len(times), max_size=len(times)))
         control = ImpulseSchedule(np.array(sorted(times)), np.array(sizes))
     elif kind == "feedback":
-        grid = Grid(0.0, draw(st.floats(0.5, 4.0)), draw(st.integers(3, 9)), draw(st.integers(1, 6)))
-        shape = (grid.n_t + 1, grid.n_x)
-        action = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
-                               max_size=shape[0] * shape[1]))
-        action = np.array(action).reshape(shape)
-        control = FeedbackPolicy(np.linspace(0.0, spec.T, shape[0]), grid, action,
-                                 np.where(action, 0.5, np.nan))
-    return spec, t0, draw(st.floats(0.01, 3.0)), control, dt
+        control = draw(_feedback_policies(spec.T))
+        x0 = draw(st.one_of(st.just(x0), _half_node_ties(control.grid).filter(lambda y: y > 0)))
+    return spec, t0, x0, control, dt
 
 
 @settings(max_examples=150, deadline=None)

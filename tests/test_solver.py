@@ -709,6 +709,45 @@ def test_solve_closed_form_fixture():
     assert res.surface.metadata["landing_violations"] == 0
 
 
+def test_solve_matches_exact_value_where_impulses_act():
+    # sigma = mu = lam = 0 holds X between injections, and f = a min(x, X1)
+    # with beta = b: with a k_min > b (k_min + kappa) an injection's net
+    # value falls with its time, so the optimum injects at once, n times,
+    # Y_n = clip(X1 - x, n k_min, n k_max) in all, and
+    #   V(t, x) = max_n a min(x + Y_n, X1) D(t) - Y_n - n kappa,
+    # D(t) = (1 - exp(-b (T - t))) / b.  X1 and the multiples of k_max lie on
+    # nodes.  sigma = 0 breaks the ellipticity the CLI's check assumes, so
+    # this case is a test, not a fixture
+    a, x1, b, T, kappa, k_min, k_max = 1.5, 2.0, 0.5, 2.0, 0.05, 0.1, 0.5
+    assert a * k_min > b * (k_min + kappa)
+    spec = make_spec(lam=0.0, mu=0.0, sigma=0.0, beta=b, f=Curve.table([0.0, x1], [0.0, a * x1]),
+                     g1=0.0, g2=0.0, T=T, kappa=kappa, k_min=k_min, k_max=k_max)
+
+    def exact(t, x):
+        d = (1.0 - math.exp(-b * (T - t))) / b
+        best = a * np.minimum(x, x1) * d
+        for n in range(1, math.ceil(x1 / k_min) + 2):  # Y_n >= x1 - x from then on
+            y = np.clip(x1 - x, n * k_min, n * k_max)
+            best = np.maximum(best, a * np.minimum(x + y, x1) * d - y - n * kappa)
+        return best
+
+    errors = []
+    for n_t in (50, 100, 200, 400):
+        res = solve(spec, Grid(0.1, 4.1, 401, n_t))
+        xn = res.surface.grid.x_nodes()
+        err = regret = 0.0
+        for t, v, act, xi0 in zip(res.surface.t_nodes(), res.surface.values, res.labels, res.xi0):
+            err = max(err, float(np.max(np.abs(v - exact(t, xn)))))
+            # what the recorded injection gives up against the exact value
+            x, k = xn[act], xi0[act]
+            regret = max(regret, float(np.max(exact(t, x) - (exact(t, x + k) - k - kappa),
+                                              initial=0.0)))
+        assert res.labels.any() and regret <= err, (n_t, regret, err)
+        errors.append(err)
+    ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
+    assert all(1.6 <= r <= 2.4 for r in ratios), (errors, ratios)
+
+
 def _traced_peak(fn, *args):
     """fn(*args) and its peak of traced allocations, in bytes."""
     tracemalloc.start()
