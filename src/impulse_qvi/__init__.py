@@ -47,7 +47,6 @@ from .diagnostics import (
     check_theta_structure,
     convergence_study,
     dpp_residual,
-    extract_regions,
     standard_checks,
 )
 

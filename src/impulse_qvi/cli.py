@@ -43,7 +43,7 @@ _HASH_BLOCK = 1 << 20  # bytes per read while hashing --surface
 _PATH_COLUMNS = ("time", "state", "impulse_flag", "impulse_size")  # of each path_NNN.csv
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, missing files, or an inadmissible input: exit code 2."""
 
 
@@ -122,11 +122,7 @@ def _build_config(args) -> RunConfig:
     spec, base_grid, reference = _load_spec(args.spec)
     given = {key: getattr(args, dest) for dest, key in _SOLVE_KEYS.items()
              if getattr(args, dest) is not None}
-    try:
-        grid = replace(base_grid, **{f.name: given[f.name] for f in fields(Grid)
-                                     if f.name in given})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    grid = replace(base_grid, **{f.name: given[f.name] for f in fields(Grid) if f.name in given})
     if args.command in ("simulate", "check") and args.seed is None:
         raise UsageError(f"--seed is required for the {args.command} subcommand")
     if not (0.0 <= args.t0 < spec.T):
@@ -475,9 +471,6 @@ def main(argv=None) -> int:
         cfg = _build_config(_build_parser().parse_args(argv))
         os.makedirs(cfg.out_dir, exist_ok=True)
         return _COMMANDS[cfg.command][0](cfg, cfg.config_hash())
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

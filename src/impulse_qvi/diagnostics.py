@@ -5,9 +5,9 @@ applied, the measured quantity, and the worst location.  Checks never
 raise on a violation; they report it.  Reports carry no wall-clock
 time, so repeated runs stay byte-identical.
 
-The checks that need the model's paths live here too: extract_regions
-rebuilds a surface's policy, and dpp_residual runs it through the Monte
-Carlo engine, so that the solver itself stays numerics only.
+The check that needs the model's paths lives here too: dpp_residual
+runs a SolveResult's own policy through the Monte Carlo engine, so that
+the solver itself stays numerics only.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
 from .model import ModelSpec, survival
-from .solver import (Grid, SolveResult, ValueSurface, _labels, _source_extremes, _sweep,
-                     impulse_max, interp_extended, solve, upper_bound_c1)
+from .solver import (Grid, SolveResult, ValueSurface, _source_extremes, _sweep, impulse_max,
+                     interp_extended, solve, upper_bound_c1)
 
 
 @dataclass
@@ -191,17 +191,6 @@ def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None
         note = f"explicit tol {tol:.4g} with h={h:.4g}"
     nodes = _eligible_action_nodes(res)
     excluded = int(np.count_nonzero(res.labels)) - len(nodes)
-    if not nodes:
-        return CheckReport(
-            name="smooth_fit",
-            passed=True,
-            vacuous=True,
-            measured=0.0,
-            threshold=tol,
-            operation="central-difference V_x at action and landing nodes vs 1",
-            tolerance_note="no interior action nodes; vacuous",
-            details={"n_nodes": 0, "excluded_boundary_nodes": excluded},
-        )
     stride = max(1, len(nodes) // 200)
     sample = nodes[::stride]
     tn = surface.t_nodes()
@@ -218,12 +207,13 @@ def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None
                 loc = (float(tn[j]), float(xn[ii]))
     return CheckReport(
         name="smooth_fit",
-        passed=bool(worst <= tol),
+        passed=bool(not nodes or worst <= tol),
         measured=float(worst),
         threshold=float(tol),
         operation="central-difference V_x at action and landing nodes vs 1",
-        tolerance_note=note,
+        tolerance_note=note if nodes else "no interior action nodes; vacuous",
         worst_location=loc,
+        vacuous=not nodes,
         details={"n_nodes": len(sample), "excluded_boundary_nodes": excluded},
     )
 
@@ -257,50 +247,35 @@ def check_theta_structure(res: SolveResult, spec: ModelSpec) -> CheckReport:
         if chain[i_bad] < worst_chain:
             worst_chain = float(chain[i_bad])
             loc = (float(tn[j]), float(xn[idx[i_bad]]))
-    if n_action == 0:
-        return CheckReport(
-            name="theta_structure",
-            passed=True,
-            vacuous=True,
-            measured=0.0,
-            threshold=0.0,
-            operation="maximizer exists, lands in continuation, operator chain inequality",
-            tolerance_note="action region empty; vacuous",
-        )
+    vacuous = n_action == 0  # then landing_violations is 0 and worst_chain inf
     return CheckReport(
         name="theta_structure",
         passed=bool(landing_violations == 0 and worst_chain >= 0.0),
-        measured=float(worst_chain),
+        measured=0.0 if vacuous else float(worst_chain),
         threshold=0.0,
         operation="maximizer exists, lands in continuation, operator chain inequality",
-        tolerance_note="chain slack 2.0 x max|second difference|/8 per slice",
+        tolerance_note=("action region empty; vacuous" if vacuous
+                        else "chain slack 2.0 x max|second difference|/8 per slice"),
         worst_location=loc,
-        details={"n_action_nodes": n_action, "landing_violations": landing_violations},
+        vacuous=vacuous,
+        details={} if vacuous else {"n_action_nodes": n_action,
+                                    "landing_violations": landing_violations},
     )
 
 
-def extract_regions(surface: ValueSurface, spec: ModelSpec) -> SolveResult:
-    """Recompute labels and maximizers from a (possibly loaded) surface,
-    with the surface's own eps_region."""
-    iv, ks = impulse_max(surface.values, surface.grid, spec.costs)
-    return SolveResult(surface, *_labels(surface.values, iv, ks, surface.metadata["eps_region"]))
-
-
-def dpp_residual(spec: ModelSpec, surface: ValueSurface, t: float, x: float,
-                 theta: float, dt: float, n_paths: int, seed,
-                 policy: FeedbackPolicy | None = None) -> MCEstimate:
+def dpp_residual(spec: ModelSpec, res: SolveResult, t: float, x: float,
+                 theta: float, dt: float, n_paths: int, seed) -> MCEstimate:
     """Monte Carlo dynamic-programming residual at (t, x):
 
         E[ int_t^theta rho (f - beta g2) ds  -  sum rho(tau_n)(K_n + kappa)
            + rho(theta) V(theta, X(theta)) ]  -  V(t, x)
 
-    under the surface's own feedback policy.  Returns (residual, se);
-    theta == t gives exactly zero.
+    under res's own feedback policy.  Returns (residual, se); theta == t
+    gives exactly zero.
     """
     if not t <= theta <= spec.T:
         raise ValueError("need t <= theta <= T")
-    if policy is None:
-        policy = FeedbackPolicy.from_solution(extract_regions(surface, spec))
+    surface, policy = res.surface, FeedbackPolicy.from_solution(res)
     rho_end = survival(t, theta, spec)
     v_start = float(surface.evaluate(t, x))
     acc = _Moments()

@@ -146,11 +146,8 @@ class Curve:
         return self.kind in (CONSTANT, TABLE)
 
     def to_dict(self) -> dict:
-        if self.kind == CONSTANT:
-            return {"kind": CONSTANT, "value": self.value}
-        if self.kind == TABLE:
-            return {"kind": TABLE, "x": [float(v) for v in self.x], "y": [float(v) for v in self.y]}
-        return {"kind": SATURATING, "level": self.level, "rate": self.rate, "scale": self.scale}
+        return {"kind": self.kind,
+                **{k: np.asarray(getattr(self, k)).tolist() for k in _CURVE_KEYS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict, prefix: str = "") -> "Curve":

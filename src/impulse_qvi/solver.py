@@ -79,13 +79,14 @@ Without the library, its symbol or that agreement, the steps run the
 Python substitution, the reference; a nonzero INFO raises.
 
 A node is labeled "action" when V - IV <= eps_region; the maximizing
-injection xi0 there is the policy.  solve, read_surface_csv and
-diagnostics.extract_regions return the one SolveResult(surface, labels,
-xi0) that the CSV writers, the diagnostics and dynamics.FeedbackPolicy
-read.  Grid.nearest_node is the one snapping rule: an injection from x
-lands on the node nearest x + xi0, and the feedback policy snaps its
-queries the same way.  Connected action regions (4-neighbour, in the
-(t, x) grid) are labeled by a run-based two-pass scan.
+injection xi0 there is the policy.  solve and read_surface_csv return
+the one SolveResult(surface, labels, xi0) that the CSV writers, the
+diagnostics (dpp_residual(spec, res, ...) among them) and
+dynamics.FeedbackPolicy read.  Grid.nearest_node is the one snapping
+rule: an injection from x lands on the node nearest x + xi0, and the
+feedback policy snaps its queries the same way.  Connected action
+regions (4-neighbour, in the (t, x) grid) are labeled by a run-based
+two-pass scan.
 """
 
 from __future__ import annotations
@@ -550,14 +551,6 @@ class SolveResult(NamedTuple):
     xi0: np.ndarray
 
 
-def _labels(v, iv, ks, eps_region):
-    """Action labels V - IV <= eps_region, and ks, in place, turned into
-    the maximizer on them, NaN elsewhere."""
-    lab = (v - iv) <= eps_region
-    ks[~lab] = np.nan
-    return lab, ks
-
-
 def _source_extremes(spec: ModelSpec, grid: Grid) -> tuple:
     """(min, max) over the grid of the source level f - beta g2.
 
@@ -708,7 +701,8 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         else:
             IV[j], XI[j] = last
     IV[rest], XI[rest] = impulse_max(V[rest], grid, spec.costs)
-    LAB, XI = _labels(V, IV, XI, eps_region)
+    LAB = (V - IV) <= eps_region
+    XI[~LAB] = np.nan  # the policy: the maximizer on the action nodes only
     # the terminal slice is not projected; every other slice left the loop
     # with this residual or was certified below it
     residuals = np.max(IV[:-1] - V[:-1], axis=1)

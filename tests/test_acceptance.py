@@ -95,7 +95,6 @@ def test_criterion_03_obstacle_inequality():
 
 def test_criterion_04_dpp_residual():
     spec, res, _ = solved("intervention")
-    policy = FeedbackPolicy.from_solution(res)
     dt, n_paths, seed = 0.01, 20_000, 77
     budget_disc = spec.T / res.surface.grid.n_t + res.surface.grid.h
     worst_ratio = 0.0
@@ -103,8 +102,7 @@ def test_criterion_04_dpp_residual():
     for t in (0.2, 0.6, 1.0, 1.4):
         theta = t + 0.5 * (spec.T - t)
         for x in (0.3, 0.7, 1.1, 1.5, 1.9):
-            est = dpp_residual(spec, res.surface, t, x, theta, dt, n_paths,
-                               seed, policy=policy)
+            est = dpp_residual(spec, res, t, x, theta, dt, n_paths, seed)
             budget = 3.0 * est.std_error + budget_disc
             worst_ratio = max(worst_ratio, abs(est.estimate) / budget)
             ok = ok and abs(est.estimate) <= budget

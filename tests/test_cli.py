@@ -94,6 +94,18 @@ def test_flag_outside_its_domain_exits_2(tmp_path, capsys, argv, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--xmin", "5", "--xmax", "4"], "need x_min < x_max"),
+    (["--nx", "2"], "need n_x >= 3, n_t >= 1"),
+])
+def test_grid_refusal_exits_2(tmp_path, flags, message):
+    # each flag is in its domain, but the grid they make is not
+    out = tmp_path / "o"
+    assert _main_stderr(["solve", "--spec", "fixture:zero", "--out", str(out)] + flags) \
+        == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_inadmissible_schedule_exits_2(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text("[[0.2, 99.0]]")  # size far above k_max

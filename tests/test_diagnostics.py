@@ -226,14 +226,13 @@ def test_theta_structure_flags_landing_violation():
 
 
 def test_solver_is_numerics_only():
-    # the solver binds nothing of the path engine; the checks that run
-    # paths, and the policy they rebuild, are defined in diagnostics
+    # the solver binds nothing of the path engine; the check that runs
+    # paths is defined in diagnostics
     assert not any(v is dynamics or getattr(v, "__module__", None) == dynamics.__name__
                    for v in vars(solver).values())
-    for name in ("extract_regions", "dpp_residual"):
-        assert not hasattr(solver, name)
-        assert getattr(diagnostics, name).__module__ == diagnostics.__name__
-        assert name in impulse_qvi.__all__
+    assert not hasattr(solver, "dpp_residual")
+    assert diagnostics.dpp_residual.__module__ == diagnostics.__name__
+    assert "dpp_residual" in impulse_qvi.__all__
     for name in ("running_cost", "terminal_value", "sample_default", "mc_cost_f"):
         assert name not in impulse_qvi.__all__
 

@@ -67,13 +67,27 @@ def test_curve_constant():
     assert c.breakpoints().size == 0  # no kinks anywhere
 
 
+_CURVE_DICTS = {  # the to_dict of each curve below, by kind
+    "constant": {"kind": "constant", "value": 0.25},
+    "table": {"kind": "table", "x": [0.0, 0.5, 2.0], "y": [0.9, 0.55, 0.08]},
+    "saturating": {"kind": "saturating", "level": 0.5, "rate": 1.0, "scale": 0.5},
+}
+
+
 @pytest.mark.parametrize("curve", [
     Curve.constant(0.25),
     Curve.table([0.0, 0.5, 2.0], [0.9, 0.55, 0.08]),
     Curve.saturating(level=0.5, rate=1.0, scale=0.5),
 ])
 def test_curve_json_round_trip(curve):
-    back = Curve.from_dict(json.loads(json.dumps(curve.to_dict())))
+    # the dict is what the spec JSON and the config hash hold, every
+    # number a Python float
+    d = curve.to_dict()
+    assert d == _CURVE_DICTS[curve.kind]
+    numbers = [w for key, v in d.items() if key != "kind"
+               for w in (v if isinstance(v, list) else [v])]
+    assert all(type(w) is float for w in numbers)
+    back = Curve.from_dict(json.loads(json.dumps(d)))
     probe = np.linspace(-1.0, 3.0, 17)
     np.testing.assert_array_equal(back(probe), curve(probe))
 

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
-from impulse_qvi.diagnostics import (convergence_study, dpp_residual, extract_regions,
-                                     lower_bound_c0)
+from impulse_qvi.diagnostics import convergence_study, dpp_residual, lower_bound_c0
 from impulse_qvi.fixtures import (closed_form_spec, closed_form_value,
                                   fixture_reference, geometric_spec,
                                   get_fixture, intervention_spec,
@@ -930,13 +929,11 @@ def test_obstacle_inequality_on_solved_fixtures():
 def test_extract_regions_matches_solve():
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 201, 100))
-    back = extract_regions(res.surface, spec)
-    assert back.surface is res.surface
-    np.testing.assert_array_equal(back.labels, res.labels)
-    assert back.xi0.tobytes() == res.xi0.tobytes()
-    # the projected slices keep their loops' IV: that of one stacked call
-    iv, _ = impulse_max(res.surface.values, res.surface.grid, spec.costs)
+    # the projected slices keep their loops' IV and maximizers: those of
+    # one stacked call, and the policy is the maximizer on the action nodes
+    iv, ks = impulse_max(res.surface.values, res.surface.grid, spec.costs)
     assert iv.tobytes() == res.surface.iv_values.tobytes()
+    assert res.xi0.tobytes() == np.where(res.labels, ks, np.nan).tobytes()
     assert any(res.surface.metadata["inner_iterations"])  # some slice was projected
 
 
@@ -958,9 +955,9 @@ def test_solve_invariants_on_random_specs(case, zero):
     # on random admissible specs a solve raises an explicit error or keeps
     # the scheme's invariants: -C0 <= V <= C1 (every step is an M-matrix,
     # either drift sign at x_min), V >= IV - tol_inner off the terminal slice,
-    # labels and policy read off V - IV <= eps_region, the same labels and
-    # policy again from extract_regions, and V == 0 with no action node for
-    # zero utilities
+    # labels read off V - IV <= eps_region, the policy the maximizer of one
+    # stacked impulse_max on them, and V == 0 with no action node for zero
+    # utilities
     spec, grid = case
     if zero:
         spec = replace(spec, utilities=_ZERO_UTILITIES)
@@ -976,10 +973,9 @@ def test_solve_invariants_on_random_specs(case, zero):
     assert np.all(V[:-1] >= IV[:-1] - md["tol_inner"])
     np.testing.assert_array_equal(res.labels, V - IV <= md["eps_region"])
     np.testing.assert_array_equal(np.isfinite(res.xi0), res.labels)
-    back = extract_regions(res.surface, spec)
-    assert back.labels.tobytes() == res.labels.tobytes()
-    assert back.xi0.tobytes() == res.xi0.tobytes()
-    assert impulse_max(V, grid, spec.costs)[0].tobytes() == IV.tobytes()
+    iv, ks = impulse_max(V, grid, spec.costs)
+    assert iv.tobytes() == IV.tobytes()
+    assert res.xi0.tobytes() == np.where(res.labels, ks, np.nan).tobytes()
     if zero:
         assert np.all(V == 0.0) and not res.labels.any()
     event(f"zero utilities: {zero}, action nodes: {res.labels.any()}")
@@ -992,7 +988,7 @@ def test_dpp_residual_zero_at_theta_equals_t():
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 201, 100))
     for x in (0.15, 1.3):  # one action-side point, one continuation point
-        est = dpp_residual(spec, res.surface, 0.5, x, 0.5, dt=0.01,
+        est = dpp_residual(spec, res, 0.5, x, 0.5, dt=0.01,
                            n_paths=50, seed=1)
         assert est.estimate == 0.0
         assert est.std_error == 0.0
@@ -1005,7 +1001,7 @@ def test_dpp_residual_midpoint_within_budget():
     budget_fd = spec.T / grid.n_t + grid.h
     for (t, x) in [(0.5, 0.7), (1.0, 1.5)]:
         theta = t + 0.5 * (spec.T - t)
-        est = dpp_residual(spec, res.surface, t, x, theta, dt=0.02,
+        est = dpp_residual(spec, res, t, x, theta, dt=0.02,
                            n_paths=4000, seed=77)
         assert abs(est.estimate) <= 3.0 * est.std_error + budget_fd
 
