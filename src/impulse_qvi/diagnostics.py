@@ -3,7 +3,9 @@
 Each check returns a CheckReport naming the operation, the tolerance it
 applied, the measured quantity, and the worst location.  Checks never
 raise on a violation; they report it.  Reports carry no wall-clock
-time, so repeated runs stay byte-identical.
+time, so repeated runs stay byte-identical.  check_smooth_fit(res,
+tol=None) and check_theta_structure(res) read the action region from the
+SolveResult alone, through SolveResult.landings.
 
 The check that needs the model's paths lives here too: dpp_residual
 runs a SolveResult's own policy through the Monte Carlo engine, so that
@@ -161,25 +163,15 @@ def check_regularity(coarse: ValueSurface, fine: ValueSurface) -> CheckReport:
     )
 
 
-def _eligible_action_nodes(res: SolveResult):
-    """Action nodes where a central difference can see the contact set:
-    grid-interior, both x-neighbors also action (the region edge carries a
-    genuine one-sided kink when the minimum jump size is positive), and a
-    grid-interior landing node.  Returns (j, i, i_land) in row-major order."""
-    grid = res.surface.grid
-    lab = res.labels
-    inner = np.zeros_like(lab)
-    inner[:, 1:-1] = lab[:, :-2] & lab[:, 1:-1] & lab[:, 2:]
-    j, i = np.nonzero(inner)
-    i_land = grid.nearest_node(grid.x_nodes()[i] + res.xi0[j, i])
-    keep = (i_land >= 1) & (i_land <= grid.n_x - 2)
-    return list(zip(j[keep].tolist(), i[keep].tolist(), i_land[keep].tolist()))
-
-
-def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None) -> CheckReport:
+def check_smooth_fit(res: SolveResult, tol: float | None = None) -> CheckReport:
     """|V_x - 1| at up to about 200 sampled interior action nodes and at
     their landing nodes, central differences; default tolerance
-    5 h + 10 tol_inner / h."""
+    5 h + 10 tol_inner / h.
+
+    A node is sampled where a central difference can see the contact set:
+    grid-interior, both x-neighbors also action (the region edge carries a
+    genuine one-sided kink when the minimum jump size is positive), and a
+    grid-interior landing node (SolveResult.landings)."""
     surface = res.surface
     grid = surface.grid
     h = grid.h
@@ -189,76 +181,68 @@ def check_smooth_fit(res: SolveResult, spec: ModelSpec, tol: float | None = None
         note = f"tol = 5 h + 10 tol_inner / h with h={h:.4g}"
     else:
         note = f"explicit tol {tol:.4g} with h={h:.4g}"
-    nodes = _eligible_action_nodes(res)
-    excluded = int(np.count_nonzero(res.labels)) - len(nodes)
-    stride = max(1, len(nodes) // 200)
-    sample = nodes[::stride]
-    tn = surface.t_nodes()
-    xn = grid.x_nodes()
-    worst = 0.0
-    loc = None
-    for j, i, i_land in sample:
-        row = surface.values[j]
-        for ii in (i, i_land):
-            vx = (row[ii + 1] - row[ii - 1]) / (2.0 * h)
-            err = abs(vx - 1.0)
-            if err > worst:
-                worst = err
-                loc = (float(tn[j]), float(xn[ii]))
+    lab = res.labels
+    inner = np.zeros_like(lab)
+    inner[:, 1:-1] = lab[:, :-2] & lab[:, 1:-1] & lab[:, 2:]
+    j, i, i_land = res.landings(inner)
+    eligible = np.flatnonzero((i_land >= 1) & (i_land <= grid.n_x - 2))
+    sample = eligible[::max(1, eligible.size // 200)]
+    # each sampled node, then its landing node
+    jj = np.repeat(j[sample], 2)
+    ii = np.stack([i[sample], i_land[sample]], axis=1).ravel()
+    err = np.abs((surface.values[jj, ii + 1] - surface.values[jj, ii - 1]) / (2.0 * h) - 1.0)
+    worst, loc = 0.0, None
+    if err.size and err.max() > 0.0:
+        k = int(np.argmax(err))
+        worst, loc = float(err[k]), (float(surface.t_nodes()[jj[k]]), float(grid.x_nodes()[ii[k]]))
+    vacuous = eligible.size == 0
     return CheckReport(
         name="smooth_fit",
-        passed=bool(not nodes or worst <= tol),
-        measured=float(worst),
+        passed=bool(vacuous or worst <= tol),
+        measured=worst,
         threshold=float(tol),
         operation="central-difference V_x at action and landing nodes vs 1",
-        tolerance_note=note if nodes else "no interior action nodes; vacuous",
+        tolerance_note="no interior action nodes; vacuous" if vacuous else note,
         worst_location=loc,
-        vacuous=not nodes,
-        details={"n_nodes": len(sample), "excluded_boundary_nodes": excluded},
+        vacuous=vacuous,
+        details={"n_nodes": int(sample.size),
+                 "excluded_boundary_nodes": int(np.count_nonzero(lab)) - int(eligible.size)},
     )
 
 
-def check_theta_structure(res: SolveResult, spec: ModelSpec) -> CheckReport:
+def check_theta_structure(res: SolveResult) -> CheckReport:
     """At every action node: the maximizer exists, the post-injection point
     is continuation (within one grid cell), and the operator chain
     IV(x) >= IV(x + xi0) - xi0 holds within a slack of twice the slice's
     interpolation error bound, max|second difference|/8."""
     surface = res.surface
-    grid = surface.grid
-    tn = surface.t_nodes()
-    xn = grid.x_nodes()
-    landing_violations = 0
-    worst_chain = np.inf
-    loc = None
-    n_action = 0
-    for j in range(surface.values.shape[0]):
-        idx = np.nonzero(res.labels[j])[0]
-        if idx.size == 0:
-            continue
-        n_action += idx.size
-        iv_row = surface.iv_values[j]
-        second = np.abs(np.diff(surface.values[j], 2))
-        e_int = float(np.max(second)) / 8.0 if second.size else 0.0
-        slack = 2.0 * e_int + 1e-12
-        land = xn[idx] + res.xi0[j, idx]
-        landing_violations += int(np.count_nonzero(res.labels[j, grid.nearest_node(land)]))
-        chain = iv_row[idx] - (interp_extended(xn, iv_row, land) - res.xi0[j, idx]) + slack
-        i_bad = int(np.argmin(chain))
-        if chain[i_bad] < worst_chain:
-            worst_chain = float(chain[i_bad])
-            loc = (float(tn[j]), float(xn[idx[i_bad]]))
-    vacuous = n_action == 0  # then landing_violations is 0 and worst_chain inf
+    xn = surface.grid.x_nodes()
+    j, i, i_land = res.landings()
+    xi0 = res.xi0[j, i]
+    land = xn[i] + xi0
+    iv_land = np.empty_like(land)
+    rows, starts = np.unique(j, return_index=True)
+    for r, s, e in zip(rows.tolist(), starts.tolist(), [*starts[1:].tolist(), j.size]):
+        iv_land[s:e] = interp_extended(xn, surface.iv_values[r], land[s:e])
+    slack = 2.0 * (np.max(np.abs(np.diff(surface.values, 2, axis=1)), axis=1) / 8.0) + 1e-12
+    chain = surface.iv_values[j, i] - (iv_land - xi0) + slack[j]
+    landing_violations = int(np.count_nonzero(res.labels[j, i_land]))
+    vacuous = j.size == 0
+    worst, loc = 0.0, None
+    if not vacuous:
+        k = int(np.argmin(chain))
+        worst, loc = float(chain[k]), (float(surface.t_nodes()[j[k]]), float(xn[i[k]]))
     return CheckReport(
         name="theta_structure",
-        passed=bool(landing_violations == 0 and worst_chain >= 0.0),
-        measured=0.0 if vacuous else float(worst_chain),
+        passed=bool(landing_violations == 0 and worst >= 0.0),
+        measured=worst,
         threshold=0.0,
         operation="maximizer exists, lands in continuation, operator chain inequality",
         tolerance_note=("action region empty; vacuous" if vacuous
                         else "chain slack 2.0 x max|second difference|/8 per slice"),
         worst_location=loc,
         vacuous=vacuous,
-        details={} if vacuous else {"n_action_nodes": n_action,
+        details={} if vacuous else {"n_action_nodes": int(j.size),
                                     "landing_violations": landing_violations},
     )
 
@@ -298,8 +282,8 @@ def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         check_obstacle(res.surface, spec),
         check_bounds(res.surface, spec, seed=seed),
         check_regularity(res.surface, fine_surface),
-        check_smooth_fit(res, spec),
-        check_theta_structure(res, spec),
+        check_smooth_fit(res),
+        check_theta_structure(res),
     ]
 
 

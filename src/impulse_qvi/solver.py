@@ -83,8 +83,10 @@ injection xi0 there is the policy.  solve and read_surface_csv return
 the one SolveResult(surface, labels, xi0) that the CSV writers, the
 diagnostics (dpp_residual(spec, res, ...) among them) and
 dynamics.FeedbackPolicy read.  Grid.nearest_node is the one snapping
-rule: an injection from x lands on the node nearest x + xi0, and the
-feedback policy snaps its queries the same way.  Connected action
+rule: SolveResult.landings applies it to x + xi0 of the action nodes (the
+one statement of where an injection lands, which solve's
+landing_violations and the region checks read), and the feedback policy
+snaps its queries the same way.  Connected action
 regions (4-neighbour, in the (t, x) grid) are labeled by a run-based
 two-pass scan.
 """
@@ -550,6 +552,14 @@ class SolveResult(NamedTuple):
     labels: np.ndarray
     xi0: np.ndarray
 
+    def landings(self, nodes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(j, i, i_land) of the action nodes, or of the nodes of the mask
+        `nodes`, in row-major order: the injection xi0[j, i] from node
+        (j, i) lands on node i_land, the one nearest x_i + xi0[j, i]."""
+        grid = self.surface.grid
+        j, i = np.nonzero(self.labels if nodes is None else nodes)
+        return j, i, grid.nearest_node(grid.x_nodes()[i] + self.xi0[j, i])
+
 
 def _source_extremes(spec: ModelSpec, grid: Grid) -> tuple:
     """(min, max) over the grid of the source level f - beta g2.
@@ -688,7 +698,6 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
     if eps_region is None:
         eps_region = 10.0 * tol_inner
     c1_bound, slices = _sweep(spec, grid, tol_inner)
-    x = grid.x_nodes()
     tn = grid.t_nodes(spec.T)
 
     V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))
@@ -714,11 +723,6 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
             f"{residuals[j]:.3e} above tol_inner {tol_inner:.3e}"
         )
 
-    # landing nodes of the policy should be continuation (within one cell)
-    j_act, i_act = np.nonzero(LAB)
-    landing = grid.nearest_node(x[i_act] + XI[j_act, i_act])
-    land_violations = int(np.count_nonzero(LAB[j_act, landing]))
-
     metadata = {
         "tol_inner": tol_inner,
         "eps_region": eps_region,
@@ -726,9 +730,12 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
         "inner_iterations": inner_counts[:-1],
         "max_inner_residual": max(0.0, float(np.max(residuals))),
         "c1_bound": c1_bound,
-        "landing_violations": land_violations,
     }
-    return SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)
+    res = SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)
+    # landing nodes of the policy should be continuation (within one cell)
+    j, _, landing = res.landings()
+    metadata["landing_violations"] = int(np.count_nonzero(LAB[j, landing]))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +756,7 @@ def write_csv(path, meta: dict, columns, rows) -> None:
 # to rebuild the SolveResult, and the spec it was solved for
 _SURFACE_HEADER = {"T": float, "x_min": float, "x_max": float, "n_x": int, "n_t": int,
                    "eps_region": float, "tol_inner": float, "spec_sha256": str}
+_SURFACE_COLUMNS = ("t", "x", "V", "IV", "label", "xi0")  # the column line of surface.csv
 
 
 def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
@@ -767,7 +775,7 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)])
 
     write_csv(path, {**(meta or {}), **{k: known[k] for k in _SURFACE_HEADER}},
-              ("t", "x", "V", "IV", "label", "xi0"), slices())
+              _SURFACE_COLUMNS, slices())
 
 
 _CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
@@ -800,7 +808,8 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
     Blank lines are skipped; data rows are numbered from 1 over the whole
     file.  Raises ValueError when a header field is missing (as in files
     written before the header existed) or outside its domain (numbers
-    finite, tol_inner > 0, n_x and n_t integers), when the header's
+    finite, tol_inner > 0, n_x and n_t integers), when the line after the
+    header is not the column line t,x,V,IV,label,xi0, when the header's
     spec_sha256 or T is not the spec's (before any row is read), when a
     value does not parse, when a V, an IV or an action row's xi0 is not
     finite, when the rows do not fill the header's grid (first bounded by
@@ -819,6 +828,9 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
         if missing:
             raise ValueError(f"surface header lacks {', '.join(missing)}; "
                              "re-run solve to write a complete surface")
+        if line.rstrip("\n") != ",".join(_SURFACE_COLUMNS):
+            raise ValueError(f"surface column line is {line.strip()!r}, "
+                             f"not {','.join(_SURFACE_COLUMNS)!r}")
         h = {}
         for key, parse in _SURFACE_HEADER.items():
             try:

@@ -47,6 +47,11 @@ RUNS = (
      "check --spec fixture:intervention --seed 3 --surface {work}/solve-intervention"),
     ("check-geometric-surface",
      "check --spec fixture:geometric --seed 3 --surface {work}/solve-geometric"),
+    # a wide action label: smooth-fit and theta-structure both fail here
+    ("solve-intervention-wide",
+     f"solve --spec fixture:intervention {_GRID} --eps-region 0.05"),
+    ("check-intervention-wide-surface",
+     "check --spec fixture:intervention --seed 3 --surface {work}/solve-intervention-wide"),
     ("simulate-none", f"simulate --spec fixture:geometric {_MC}"),
     ("simulate-schedule", f"simulate --spec fixture:geometric {_MC} --policy schedule "
                           "--schedule {work}/schedule.json"),

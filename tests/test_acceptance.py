@@ -119,7 +119,7 @@ def test_criterion_05_smooth_fit():
     reps = []
     for res, h in ((res_c, 0.01), (res_f, 0.005)):
         tol = 5.0 * h + 1e-6 / h
-        reps.append(check_smooth_fit(res, spec, tol=tol))
+        reps.append(check_smooth_fit(res, tol=tol))
     rep_c, rep_f = reps
     ok = (rep_c.passed and rep_f.passed and not rep_c.vacuous
           and not rep_f.vacuous and rep_f.threshold < rep_c.threshold

@@ -418,11 +418,16 @@ def test_sub_cell_injection_window_exits_2(tmp_path, capsys):
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--out", str(out)])
-    assert exc.value.code == 2
+    assert cli.main(argv + ["--out", str(out)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["bogus"], []], ids=["unknown-subcommand", "no-subcommand"])
+def test_top_level_usage_error_returns_2(capsys, argv):
+    # main returns 2 for a bad command line; it does not raise SystemExit
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # the shared flags each subcommand does not read
@@ -436,12 +441,10 @@ _UNREAD = {
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _UNREAD.items() for f in flags])
-def test_each_unread_flag_is_rejected(capsys, command, flag):
-    with pytest.raises(SystemExit) as exc:
+def test_each_unread_flag_is_rejected(command, flag):
+    with pytest.raises(cli.UsageError, match=f"unrecognized arguments: {flag} 1$"):
         cli._build_parser().parse_args([command, "--spec", "fixture:zero", "--out", "o",
                                         "--seed", "1", flag, "1"])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -713,8 +716,12 @@ def _strip_surface_header(text):
      "is neither an action row nor a continuation row"),
     ("simulate", "fixture:intervention", ["--policy", "feedback"],
      _relabel_first_row("continuation", "0.5"), "is neither an action row nor a continuation row"),
+    # V and IV swapped in the column line: read by position, IV would pass for V
+    ("check", "fixture:intervention", [],
+     lambda text: text.replace("\nt,x,V,IV,label,xi0\n", "\nt,x,IV,V,label,xi0\n", 1),
+     "surface column line is 't,x,IV,V,label,xi0', not 't,x,V,IV,label,xi0'"),
 ], ids=["spec-mismatch", "conflicting-nx", "conflicting-tol-inner", "missing-row",
-        "no-header", "unknown-label", "xi0-on-continuation"])
+        "no-header", "unknown-label", "xi0-on-continuation", "swapped-columns"])
 def test_unusable_surface_exits_2(tmp_path, capsys, small_surface,
                                   command, spec, flags, edit, reason):
     sol = small_surface

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import impulse_qvi
 from impulse_qvi import diagnostics, dynamics, solver
@@ -78,8 +78,8 @@ def test_smooth_fit_tightens_under_refinement():
     spec = intervention_spec()
     coarse = solve(spec, Grid(0.1, 4.1, 201, 100))
     fine = solve(spec, Grid(0.1, 4.1, 401, 200))
-    rep_c = check_smooth_fit(coarse, spec)
-    rep_f = check_smooth_fit(fine, spec)
+    rep_c = check_smooth_fit(coarse)
+    rep_f = check_smooth_fit(fine)
     assert rep_c.passed and rep_f.passed
     assert not rep_c.vacuous and not rep_f.vacuous
     assert rep_f.threshold < rep_c.threshold  # 5h + 10 tol/h shrinks with h
@@ -90,7 +90,7 @@ def test_smooth_fit_vacuous_on_empty_region():
     spec = geometric_spec()
     res = solve(spec, Grid(0.1, 3.1, 101, 50))
     assert not res.labels.any()
-    rep = check_smooth_fit(res, spec)
+    rep = check_smooth_fit(res)
     assert rep.passed and rep.vacuous
 
 
@@ -220,9 +220,134 @@ def test_theta_structure_flags_landing_violation():
     labels = np.ones((2, 21), dtype=bool)
     xi0 = np.full((2, 21), costs.k_min)
     surface = ValueSurface(grid, 2.0, values, values.copy(), {})
-    rep = check_theta_structure(SolveResult(surface, labels, xi0), intervention_spec())
+    rep = check_theta_structure(SolveResult(surface, labels, xi0))
     assert not rep.passed
     assert rep.details["landing_violations"] > 0
+
+
+def _smooth_fit_loops(res, tol=None):
+    """check_smooth_fit as a loop over the sampled nodes, the eligible nodes
+    listed one by one: the reference of the array form."""
+    surface = res.surface
+    grid = surface.grid
+    h = grid.h
+    if tol is None:
+        tol_inner = float(surface.metadata["tol_inner"])
+        tol = 5.0 * h + 10.0 * tol_inner / h
+        note = f"tol = 5 h + 10 tol_inner / h with h={h:.4g}"
+    else:
+        note = f"explicit tol {tol:.4g} with h={h:.4g}"
+    lab = res.labels
+    inner = np.zeros_like(lab)
+    inner[:, 1:-1] = lab[:, :-2] & lab[:, 1:-1] & lab[:, 2:]
+    j, i = np.nonzero(inner)
+    i_land = grid.nearest_node(grid.x_nodes()[i] + res.xi0[j, i])
+    keep = (i_land >= 1) & (i_land <= grid.n_x - 2)
+    nodes = list(zip(j[keep].tolist(), i[keep].tolist(), i_land[keep].tolist()))
+    excluded = int(np.count_nonzero(res.labels)) - len(nodes)
+    sample = nodes[::max(1, len(nodes) // 200)]
+    tn = surface.t_nodes()
+    xn = grid.x_nodes()
+    worst = 0.0
+    loc = None
+    for j, i, i_land in sample:
+        row = surface.values[j]
+        for ii in (i, i_land):
+            err = abs((row[ii + 1] - row[ii - 1]) / (2.0 * h) - 1.0)
+            if err > worst:
+                worst = err
+                loc = (float(tn[j]), float(xn[ii]))
+    return CheckReport(
+        name="smooth_fit", passed=bool(not nodes or worst <= tol), measured=float(worst),
+        threshold=float(tol),
+        operation="central-difference V_x at action and landing nodes vs 1",
+        tolerance_note=note if nodes else "no interior action nodes; vacuous",
+        worst_location=loc, vacuous=not nodes,
+        details={"n_nodes": len(sample), "excluded_boundary_nodes": excluded})
+
+
+def _theta_structure_loops(res):
+    """check_theta_structure as a loop over the time rows: the reference of
+    the array form."""
+    surface = res.surface
+    grid = surface.grid
+    tn = surface.t_nodes()
+    xn = grid.x_nodes()
+    landing_violations = 0
+    worst_chain = np.inf
+    loc = None
+    n_action = 0
+    for j in range(surface.values.shape[0]):
+        idx = np.nonzero(res.labels[j])[0]
+        if idx.size == 0:
+            continue
+        n_action += idx.size
+        iv_row = surface.iv_values[j]
+        second = np.abs(np.diff(surface.values[j], 2))
+        e_int = float(np.max(second)) / 8.0 if second.size else 0.0
+        slack = 2.0 * e_int + 1e-12
+        land = xn[idx] + res.xi0[j, idx]
+        landing_violations += int(np.count_nonzero(res.labels[j, grid.nearest_node(land)]))
+        chain = iv_row[idx] - (solver.interp_extended(xn, iv_row, land) - res.xi0[j, idx]) + slack
+        i_bad = int(np.argmin(chain))
+        if chain[i_bad] < worst_chain:
+            worst_chain = float(chain[i_bad])
+            loc = (float(tn[j]), float(xn[idx[i_bad]]))
+    vacuous = n_action == 0
+    return CheckReport(
+        name="theta_structure", passed=bool(landing_violations == 0 and worst_chain >= 0.0),
+        measured=0.0 if vacuous else float(worst_chain), threshold=0.0,
+        operation="maximizer exists, lands in continuation, operator chain inequality",
+        tolerance_note=("action region empty; vacuous" if vacuous
+                        else "chain slack 2.0 x max|second difference|/8 per slice"),
+        worst_location=loc, vacuous=vacuous,
+        details={} if vacuous else {"n_action_nodes": n_action,
+                                    "landing_violations": landing_violations})
+
+
+@st.composite
+def _solve_results(draw):
+    """A SolveResult of 3-25 nodes and 1-12 steps: labels with empty rows
+    and edge nodes, xi0 landing between nodes and beyond x_max, and V and
+    IV on a coarse lattice, so that differences tie."""
+    n_x, n_t = draw(st.integers(3, 25)), draw(st.integers(1, 12))
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    grid = Grid(0.1, 0.1 + h * (n_x - 1), n_x, n_t)
+    shape = (n_t + 1, n_x)
+
+    def array(elements):
+        return np.array(draw(st.lists(elements, min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]))).reshape(shape)
+
+    rows = np.array(draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0])))
+    labels = array(st.booleans()) & rows[:, None]
+    # quarter cells put landings on nodes and halfway between them
+    xi0 = np.where(labels, array(st.integers(1, 4 * n_x + 8)) * (h / 4.0), np.nan)
+    values = array(st.integers(-8, 8)) / 4.0
+    iv = values - array(st.integers(0, 3)) / 4.0
+    tol_inner = draw(st.sampled_from([1e-9, 1e-4]))
+    return SolveResult(ValueSurface(grid, 1.0, values, iv, {"tol_inner": tol_inner}), labels, xi0)
+
+
+def _dense_result():
+    """Every node acting on a 60 x 13 grid: 689 eligible nodes, so the
+    smooth-fit sample takes every third."""
+    grid = Grid(0.1, 3.05, 60, 12)
+    xn = grid.x_nodes()
+    values = np.round(np.sin(3.0 * xn)[None, :] * np.linspace(1.0, 2.0, 13)[:, None], 2)
+    xi0 = np.broadcast_to(0.12 + 0.01 * np.arange(60.0) % 0.4, (13, 60)).copy()
+    surface = ValueSurface(grid, 1.0, values, values - 0.01, {"tol_inner": 1e-9})
+    return SolveResult(surface, np.ones((13, 60), dtype=bool), xi0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(res=_solve_results(), tol=st.sampled_from([None, 0.0, 0.5, 2.0]))
+@example(res=_dense_result(), tol=None)
+def test_region_checks_match_their_loop_references(res, tol):
+    # the array forms report what the loops reported, field for field,
+    # worst locations (the first extreme in row-major order) included
+    assert repr(asdict(check_smooth_fit(res, tol))) == repr(asdict(_smooth_fit_loops(res, tol)))
+    assert repr(asdict(check_theta_structure(res))) == repr(asdict(_theta_structure_loops(res)))
 
 
 def test_solver_is_numerics_only():

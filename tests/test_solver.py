@@ -708,16 +708,15 @@ def test_solve_closed_form_fixture():
     assert res.surface.metadata["landing_violations"] == 0
 
 
-def test_solve_matches_exact_value_where_impulses_act():
-    # sigma = mu = lam = 0 holds X between injections, and f = a min(x, X1)
-    # with beta = b: with a k_min > b (k_min + kappa) an injection's net
-    # value falls with its time, so the optimum injects at once, n times,
-    # Y_n = clip(X1 - x, n k_min, n k_max) in all, and
-    #   V(t, x) = max_n a min(x + Y_n, X1) D(t) - Y_n - n kappa,
-    # D(t) = (1 - exp(-b (T - t))) / b.  X1 and the multiples of k_max lie on
-    # nodes.  sigma = 0 breaks the ellipticity the CLI's check assumes, so
-    # this case is a test, not a fixture
-    a, x1, b, T, kappa, k_min, k_max = 1.5, 2.0, 0.5, 2.0, 0.05, 0.1, 0.5
+def _injection_case(a, x1, b, T, kappa, k_min, k_max):
+    """(spec, exact V(t, x)) of the case with an exact value where impulses
+    act.  sigma = mu = lam = 0 holds X between injections, and f = a min(x,
+    X1) with beta = b: with a k_min > b (k_min + kappa) an injection's net
+    value falls with its time, so the optimum injects at once, n times,
+    Y_n = clip(X1 - x, n k_min, n k_max) in all, and
+      V(t, x) = max_n a min(x + Y_n, X1) D(t) - Y_n - n kappa,
+    D(t) = (1 - exp(-b (T - t))) / b.  sigma = 0 breaks the ellipticity the
+    CLI's check assumes, so this case is a test, not a fixture."""
     assert a * k_min > b * (k_min + kappa)
     spec = make_spec(lam=0.0, mu=0.0, sigma=0.0, beta=b, f=Curve.table([0.0, x1], [0.0, a * x1]),
                      g1=0.0, g2=0.0, T=T, kappa=kappa, k_min=k_min, k_max=k_max)
@@ -729,7 +728,13 @@ def test_solve_matches_exact_value_where_impulses_act():
             y = np.clip(x1 - x, n * k_min, n * k_max)
             best = np.maximum(best, a * np.minimum(x + y, x1) * d - y - n * kappa)
         return best
+    return spec, exact
 
+
+def test_solve_matches_exact_value_where_impulses_act():
+    # X1 and the multiples of k_max lie on nodes
+    kappa = 0.05
+    spec, exact = _injection_case(a=1.5, x1=2.0, b=0.5, T=2.0, kappa=kappa, k_min=0.1, k_max=0.5)
     errors = []
     for n_t in (50, 100, 200, 400):
         res = solve(spec, Grid(0.1, 4.1, 401, n_t))
@@ -745,6 +750,84 @@ def test_solve_matches_exact_value_where_impulses_act():
         errors.append(err)
     ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
     assert all(1.6 <= r <= 2.4 for r in ratios), (errors, ratios)
+
+
+_INJECTION_GRID = Grid(0.1, 4.1, 201, 1)  # h = 0.02; n_t is drawn
+
+
+@st.composite
+def _injection_cases(draw):
+    """(a, X1, b, T, kappa, k_min, k_max) with a k_min > b (k_min + kappa),
+    X1 on a node of _INJECTION_GRID and k_min, k_max on multiples of its
+    h, so every landing the scheme can choose is a node; and n_t."""
+    h = _INJECTION_GRID.h
+    k_min = draw(st.integers(1, 15)) * h
+    k_max = draw(st.integers(max(5, round(k_min / h)), 50)) * h
+    x1 = float(_INJECTION_GRID.x_nodes()[draw(st.integers(10, 150))])
+    b = draw(st.floats(0.05, 1.5))
+    a = draw(st.floats(b + 0.1, 4.0))
+    # kappa < k_min (a - b) / b is the condition; a large kappa prices injections out
+    kappa = min(draw(st.floats(0.02, 0.98)) * k_min * (a - b) / b, 1.0)
+    return (a, x1, b, 2.0, kappa, k_min, k_max), draw(st.integers(10, 60))
+
+
+def _injection_budget(a, x1, b, T, kappa, k_min, k_max, dt, h, tol_inner=1e-9):
+    """The error budget of a solve of _injection_case, fixed before any
+    outcome was seen: sup |V - exact| <= a X1 dt / (2e) exp(b^2 T dt / 2)
+    + 0 h + (n + 1) tol_inner, n = ceil((X1 - x_min) / k_max) + 1.
+
+    Each node steps by v = r (v_next + f dt), r = 1 / (1 + b dt), so the
+    holding value is f(x) D_m with D_m = (1 - r^m) / b; and D(t) - D_m <=
+    b s e^{-bs} (dt / 2) exp(b^2 s dt / 2) <= dt / (2e) exp(b^2 T dt / 2)
+    at s = T - t, from ln(1 + u) >= u - u^2 / 2, times f <= a X1.  An
+    exact optimum's chain of injections lands on nodes when X1, k_min and
+    k_max do, and the window ends and inner nodes are the only candidates
+    of impulse_max, so no h term arises.  The projection stops at a
+    residual of tol_inner, which each of at most n links of a chain may
+    lose."""
+    n = math.ceil((x1 - _INJECTION_GRID.x_min) / k_max) + 1
+    time = a * x1 * dt / (2.0 * math.e) * math.exp(b * b * T * dt / 2.0)
+    return time + 0.0 * h + (n + 1) * tol_inner
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_injection_cases())
+def test_solve_matches_exact_value_on_random_injection_cases(case):
+    params, n_t = case
+    spec, exact = _injection_case(*params)
+    res = solve(spec, replace(_INJECTION_GRID, n_t=n_t))
+    xn = _INJECTION_GRID.x_nodes()
+    err = max(float(np.max(np.abs(v - exact(t, xn))))
+              for t, v in zip(res.surface.t_nodes(), res.surface.values))
+    event(f"action nodes: {'some' if res.labels.any() else 'none'}")
+    assert err <= _injection_budget(*params, spec.T / n_t, _INJECTION_GRID.h), (params, n_t, err)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_injection_cases())
+def test_policy_is_the_formulas_first_injection(case):
+    # at interior action nodes (both x-neighbours acting), xi0 is within h
+    # of a first injection of the formula: some K in [k_min, k_max] with
+    # |K - xi0| <= h whose exact gain V(x + K) - K - kappa is within twice
+    # the value budget of V(x), the error the solve may make on each side
+    # (a near-tie between chains of n and n + 1 injections falls within it)
+    params, n_t = case
+    spec, exact = _injection_case(*params)
+    kappa, k_min, k_max = params[4:]
+    grid = replace(_INJECTION_GRID, n_t=n_t)
+    h, xn = grid.h, grid.x_nodes()
+    slack = 2.0 * _injection_budget(*params, spec.T / n_t, h)
+    res = solve(spec, grid)
+    lab = res.labels
+    inner = np.zeros_like(lab)
+    inner[:, 1:-1] = lab[:, :-2] & lab[:, 1:-1] & lab[:, 2:]
+    shifts = np.linspace(-h, h, 41)
+    for t, row, xi0 in zip(res.surface.t_nodes(), inner, res.xi0):
+        x, k = xn[row], xi0[row]
+        ks = np.clip(k[:, None] + shifts, k_min, k_max)
+        gain = exact(t, x[:, None] + ks) - ks - kappa
+        assert np.all(gain.max(axis=1) >= exact(t, x) - slack), (params, n_t, t)
+    event(f"interior action nodes: {'some' if inner.any() else 'none'}")
 
 
 def _traced_peak(fn, *args):
