@@ -47,6 +47,8 @@ RUNS = (
      "check --spec fixture:intervention --seed 3 --surface {work}/solve-intervention"),
     ("check-geometric-surface",
      "check --spec fixture:geometric --seed 3 --surface {work}/solve-geometric"),
+    # a nonzero C0 in checks.json
+    ("check-geometric", f"check --spec fixture:geometric --seed 3 {_GRID}"),
     # a wide action label: smooth-fit and theta-structure both fail here
     ("solve-intervention-wide",
      f"solve --spec fixture:intervention {_GRID} --eps-region 0.05"),
@@ -57,6 +59,8 @@ RUNS = (
                           "--schedule {work}/schedule.json"),
     ("simulate-feedback", f"simulate --spec fixture:intervention {_MC} --x0 0.15 "
                           "--policy feedback --surface {work}/solve-intervention"),
+    ("simulate-feedback-solved", f"simulate --spec fixture:intervention {_MC} --x0 0.15 "
+                                 f"--policy feedback {_GRID}"),
     ("solve-refused", "solve --spec fixture:zero --xmin 5"),
 )
 
