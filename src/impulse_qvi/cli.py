@@ -27,7 +27,7 @@ from .dynamics import (FeedbackPolicy, ImpulseSchedule,
                        filtration_reduction_check, simulate_paths)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
-from .solver import (Grid, NumericalError, SolveResult, read_surface_csv,
+from .solver import (TOL_INNER, Grid, NumericalError, SolveResult, read_surface_csv,
                      solve, write_boundary_csv, write_csv, write_policy_csv,
                      write_surface_csv)
 
@@ -159,7 +159,7 @@ def _build_config(args) -> RunConfig:
         command=args.command, spec_source=args.spec, spec=spec, out_dir=args.out, grid=grid,
         reference=reference, explicit_flags=tuple(given.items()), n_paths=args.paths,
         dt=args.dt, seed=0 if args.seed is None else args.seed,
-        tol_inner=1e-9 if args.tol_inner is None else args.tol_inner,
+        tol_inner=TOL_INNER if args.tol_inner is None else args.tol_inner,
         eps_region=args.eps_region, t0=args.t0, x0=args.x0, schedule=schedule,
         policy=args.policy, surface_path=surface_path, record_paths=args.record_paths,
         levels=args.levels)
@@ -203,21 +203,15 @@ def _write_report(cfg: RunConfig, chash: str, stem: str, payload: dict,
 
 
 def _load_solution(cfg: RunConfig) -> SolveResult:
-    """Read the --surface artifact, which must have been solved for --spec,
-    with every action's xi0 in the spec's [k_min, k_max], and agree with
-    each grid flag, --tol-inner and --eps-region given explicitly."""
+    """Read the --surface artifact, which must have been solved for --spec
+    (read_surface_csv checks that, and each action's xi0 against the spec's
+    [k_min, k_max]), and agree with each grid flag, --tol-inner and
+    --eps-region given explicitly."""
     try:
         res = read_surface_csv(cfg.surface_path, cfg.spec)
     except ValueError as exc:
         raise UsageError(f"cannot load {cfg.surface_path}: {exc}") from None
     md = res.surface.metadata
-    c = cfg.spec.costs
-    outside = np.flatnonzero(res.labels & ~((res.xi0 >= c.k_min) & (res.xi0 <= c.k_max)))
-    if outside.size:
-        i = int(outside[0])
-        raise UsageError(f"cannot load {cfg.surface_path}: surface data row {i + 1} has xi0="
-                         f"{res.xi0.flat[i]!r} outside [k_min, k_max] = [{c.k_min!r}, "
-                         f"{c.k_max!r}] of {cfg.spec_source}")
     stored = {**asdict(res.surface.grid), "tol_inner": md["tol_inner"],
               "eps_region": md["eps_region"]}
     clashes = [f"{key}={value!r} given, {stored[key]!r} in the surface header"
@@ -269,10 +263,10 @@ def _resolve_control(cfg: RunConfig):
     if cfg.policy == "schedule":
         return cfg.schedule, {"kind": "schedule", "pairs": _pairs(cfg.schedule)}
     if cfg.surface_path is not None:
-        return FeedbackPolicy.from_solution(_load_solution(cfg)), {
+        return FeedbackPolicy(_load_solution(cfg)), {
             "kind": "feedback", "source": "loaded-surface"}
     res = solve(cfg.spec, cfg.grid, tol_inner=cfg.tol_inner, eps_region=cfg.eps_region)
-    return FeedbackPolicy.from_solution(res), {"kind": "feedback", "source": "solved"}
+    return FeedbackPolicy(res), {"kind": "feedback", "source": "solved"}
 
 
 def _path_rows(rec):
@@ -428,7 +422,8 @@ _FLAGS = {
     "--paths": (dict(type=_COUNT, help="MC sample size"), _SIMULATE, 10000),
     "--dt": (dict(type=_POSITIVE, help="simulation step"), _SIMULATE, 0.01),
     "--seed": (dict(type=_INDEX, help="RNG seed (required for simulate and check)"), _ALL, None),
-    "--tol-inner": (dict(type=_POSITIVE, help="impulse projection tolerance (default 1e-9)"),
+    "--tol-inner": (dict(type=_POSITIVE,
+                         help=f"impulse projection tolerance (default {TOL_INNER!r})"),
                     _SOLVING, None),
     "--eps-region": (dict(type=_FINITE, help="action-label threshold on V - IV"),
                      ("solve", "simulate", "check"), None),

@@ -5,7 +5,8 @@ applied, the measured quantity, and the worst location.  Checks never
 raise on a violation; they report it.  Reports carry no wall-clock
 time, so repeated runs stay byte-identical.  check_smooth_fit(res,
 tol=None) and check_theta_structure(res) read the action region from the
-SolveResult alone, through SolveResult.landings.
+SolveResult alone, through SolveResult.landings, and check_bounds reads
+C0 and C1 from solver.value_bounds, as the solver's sweep reads C1.
 
 The check that needs the model's paths lives here too: dpp_residual
 runs a SolveResult's own policy through the Monte Carlo engine, so that
@@ -21,8 +22,8 @@ import numpy as np
 
 from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
 from .model import ModelSpec, survival
-from .solver import (Grid, SolveResult, ValueSurface, _source_extremes, _sweep, impulse_max,
-                     interp_extended, solve, upper_bound_c1)
+from .solver import (TOL_INNER, Grid, SolveResult, ValueSurface, _sweep, impulse_max,
+                     interp_extended, solve, value_bounds)
 
 
 @dataclass
@@ -64,36 +65,22 @@ def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
     )
 
 
-def lower_bound_c0(spec: ModelSpec, grid: Grid) -> float:
-    """C0 = T * max(0, max over the grid of beta g2 - f) + max(0, -min over
-    the nodes of g1): the mirror of solver.upper_bound_c1.  The monotone
-    scheme keeps V >= -C0, since every step is an M-matrix whose rows sum to
-    1/dt + beta and projection only raises V.
-
-    The max of beta g2 - f is minus the min of f - beta g2 bit for bit,
-    since rounded subtraction is sign-symmetric."""
-    sink = max(0.0, -_source_extremes(spec, grid)[0])
-    return sink * spec.T + max(0.0, -float(np.min(spec.utilities.g1(grid.x_nodes()))))
-
-
 _BOUNDS_PATHS = 4000  # Monte Carlo paths per sampled point of check_bounds
 
 
 def check_bounds(surface: ValueSurface, spec: ModelSpec, seed: int = 0) -> CheckReport:
-    """V <= C1 = T * sup(f - beta g2)^+ + (sup g1)^+ and V >= -C0 (see
-    lower_bound_c0) over the surface, and V >= (no-control MC value) - 3 SE
-    - (dt + h) at 6 sampled points, each from _BOUNDS_PATHS paths with the
-    surface's dt as the MC step.
+    """-C0 <= V <= C1 (solver.value_bounds) over the surface, and V >=
+    (no-control MC value) - 3 SE - (dt + h) at 6 sampled points, each from
+    _BOUNDS_PATHS paths with the surface's dt as the MC step.
     measured and worst_location are those of the worst of the three."""
     grid = surface.grid
     tn = surface.t_nodes()
     xn = grid.x_nodes()
     dt = surface.T / grid.n_t
 
-    c1 = upper_bound_c1(spec, grid)
+    c0, c1 = value_bounds(spec, grid)
     upper_margin = c1 + 1e-9 - float(np.max(surface.values))
     iu, ju = np.unravel_index(int(np.argmax(surface.values)), surface.values.shape)
-    c0 = lower_bound_c0(spec, grid)
     grid_margin = float(np.min(surface.values)) + c0 + 1e-9
     il, jl = np.unravel_index(int(np.argmin(surface.values)), surface.values.shape)
 
@@ -259,7 +246,7 @@ def dpp_residual(spec: ModelSpec, res: SolveResult, t: float, x: float,
     """
     if not t <= theta <= spec.T:
         raise ValueError("need t <= theta <= T")
-    surface, policy = res.surface, FeedbackPolicy.from_solution(res)
+    surface, policy = res.surface, FeedbackPolicy(res)
     rho_end = survival(t, theta, spec)
     v_start = float(surface.evaluate(t, x))
     acc = _Moments()
@@ -271,7 +258,7 @@ def dpp_residual(spec: ModelSpec, res: SolveResult, t: float, x: float,
     return acc.estimate()
 
 
-def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
+def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
                     eps_region: float | None = None, seed: int = 0) -> list:
     """Solve once (plus a time-refined sweep, V only, for regularity) and
     run every surface diagnostic.  Returns the list of CheckReports."""
@@ -308,7 +295,7 @@ def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
 
 
 def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,
-                      tol_inner: float = 1e-9) -> ConvergenceStudy:
+                      tol_inner: float = TOL_INNER) -> ConvergenceStudy:
     """Solve the doubling ladder of `levels` grids, the x grid of `grid`
     with n_t * 2**i time steps at level i (the value surfaces only).
 

@@ -57,19 +57,21 @@ step: the plan's nine float arrays and each chunk's int64 bounds of the
 paths defaulting at each step (a tracemalloc peak of about 88 bytes per
 step).
 
-A feedback policy is asked for the chunk's injections at a grid time only
-when FeedbackPolicy.may_act says that some path may act there: that the
-lowest state does not snap above the time row's highest acting node, nor
-the highest state below its lowest.  Snapping is nondecreasing in the
-state, so a step it skips would have injected nothing, and every number
-is the same as with a lookup at every step.  A batch that starts inside
-the action region leaves it within a few steps, and after that each step
-pays a row lookup and a reduction over the states (about 5-7 us at 4,096
-paths on a 2-vCPU Intel Xeon VM) instead of snapping every state (about
-45 us).  A state that is not
-finite never becomes finite again, so a chunk whose final states are not
-all finite has a diverged path and raises ValueError; may_act raises the
-same where it meets one first.
+A feedback policy (FeedbackPolicy(res), the policy of a
+solver.SolveResult) is asked for the chunk's injections at a grid time
+only when FeedbackPolicy.may_act says that some path may act there: that
+the lowest state does not snap above the time row's highest acting node,
+nor the highest state below its lowest.  Both snap through
+Grid.nearest_node, the rule of every lookup, which is nondecreasing in
+the state, so a step it skips would have injected nothing, and every
+number is the same as with a lookup at every step.  A batch that starts
+inside the action region leaves it within a few steps, and after that
+each step pays a row lookup, two reductions over the states and one
+snap of two values (about 23 us at 4,096 paths on a 2-vCPU Intel Xeon
+VM) instead of snapping every state (about 35-45 us).  A state that is
+not finite never becomes finite again, so a chunk whose final states are
+not all finite has a diverged path and raises ValueError; may_act raises
+the same where it meets one first in a row that has an acting node.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ class PathRecord:
 
 
 class FeedbackPolicy:
-    """Markov injection rule read off a solved surface.
+    """Markov injection rule of a solver.SolveResult.
 
     Queries snap t to the nearest time node and x with grid.nearest_node,
     the rule that lands an injection; action nodes return the recorded
@@ -180,50 +182,39 @@ class FeedbackPolicy:
     Each time row also keeps the span from its lowest to its highest node
     with a positive size (a row with none never acts), and may_act(t, x)
     is False when no state of x can snap into that span.  The skip is
-    exact: nearest_node is nondecreasing in y (subtract x_min, divide by
-    h > 0, round, clip), so if min(x) snaps above the span or max(x) below
-    it, every state does, and no entry of injections(t, x) is positive.
-    may_act costs a row lookup and at most two reductions over x.
+    exact: nearest_node is nondecreasing in y, so if min(x) snaps above
+    the span or max(x) below it, every state does, and no entry of
+    injections(t, x) is positive.  may_act costs a row lookup, two
+    reductions over x and one nearest_node call on their two values.
     """
 
-    def __init__(self, t_nodes, grid, action, xi0):
-        self.t_nodes = np.asarray(t_nodes, dtype=float)
-        self.grid = grid
-        action = np.asarray(action, dtype=bool)
-        xi0 = np.asarray(xi0, dtype=float)
-        if action.shape != (self.t_nodes.size, grid.n_x):
-            raise ValueError("action mask shape must be (n_t_nodes, n_x)")
-        if xi0.shape != action.shape:
-            raise ValueError("xi0 shape must match the action mask")
-        self.sizes = np.where(action, xi0, 0.0)  # the injection at each node
+    def __init__(self, res):
+        self.t_nodes = res.surface.t_nodes()
+        self.grid = res.surface.grid
+        self.sizes = np.where(res.labels, res.xi0, 0.0)  # the injection at each node
         # per row, its lowest and highest acting node; (0, -1) if it has none
         self._spans = [(int(i[0]), int(i[-1])) if i.size else (0, -1)
                        for i in map(np.flatnonzero, self.sizes > 0)]
-        self._x_min, self._h, self._top = float(grid.x_min), float(grid.h), grid.n_x - 1
 
-    @classmethod
-    def from_solution(cls, res) -> "FeedbackPolicy":
-        """The policy of a solver.SolveResult."""
-        return cls(res.surface.t_nodes(), res.surface.grid, res.labels, res.xi0)
+    def _row(self, t: float) -> int:
+        return int(np.abs(self.t_nodes - t).argmin())
 
     def injections(self, t: float, x: np.ndarray) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.t_nodes - t)))
-        ix = self.grid.nearest_node(np.asarray(x))
-        return self.sizes[j, ix]
+        return self.sizes[self._row(t), self.grid.nearest_node(np.asarray(x))]
 
     def may_act(self, t: float, x: np.ndarray) -> bool:
         """False only if no entry of injections(t, x) is positive;
-        ValueError if the lowest or highest state it reads is not finite."""
-        lo, hi = self._spans[int(np.abs(self.t_nodes - t).argmin())]  # injections' row
-        return lo <= hi and self._node(float(x.min()), t) <= hi \
-            and self._node(float(x.max()), t) >= lo
-
-    def _node(self, y: float, t: float) -> int:
-        """grid.nearest_node of one finite float, in Python arithmetic: the
-        same subtraction and division, round half to even, and clip."""
-        if not math.isfinite(y):
-            raise _diverged(y, t)
-        return min(max(round((y - self._x_min) / self._h), 0), self._top)
+        ValueError if the lowest or highest state of x is not finite, where
+        the row has an acting node."""
+        lo, hi = self._spans[self._row(t)]
+        if lo > hi:
+            return False
+        ends = (float(x.min()), float(x.max()))
+        for y in ends:
+            if not math.isfinite(y):
+                raise _diverged(y, t)
+        first, last = self.grid.nearest_node(np.array(ends))
+        return bool(first <= hi and last >= lo)
 
 
 def _diverged(state: float, t: float) -> ValueError:

@@ -17,7 +17,8 @@ until the sup-norm update drops below the inner tolerance.  Each
 profitable injection costs at least kappa while values stay bounded, so
 the projection count is certified by ceil((M - min v) / kappa) + 1 with
 M = max(C1, max v).  Every step is an M-matrix, so the discrete maximum
-principle keeps V <= C1; projection never raises max v, since every gain
+principle keeps -C0 <= V <= C1 (value_bounds, the one statement of both
+bounds); projection never raises max v, since every gain
 is v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so M bounds the
 slice through its whole loop.  The count needs h <= k_min, so that each
 gain reads only nodes to its right; a window inside one cell is rejected.
@@ -82,11 +83,13 @@ A node is labeled "action" when V - IV <= eps_region; the maximizing
 injection xi0 there is the policy.  solve and read_surface_csv return
 the one SolveResult(surface, labels, xi0) that the CSV writers, the
 diagnostics (dpp_residual(spec, res, ...) among them) and
-dynamics.FeedbackPolicy read.  Grid.nearest_node is the one snapping
+dynamics.FeedbackPolicy(res) read.  Grid.nearest_node is the one snapping
 rule: SolveResult.landings applies it to x + xi0 of the action nodes (the
 one statement of where an injection lands, which solve's
 landing_violations and the region checks read), and the feedback policy
-snaps its queries the same way.  Connected action
+snaps its queries and may_act's extreme states through it.  Read for a
+spec, a surface's action xi0 must lie in the spec's [k_min, k_max], so
+its policy never injects outside them.  Connected action
 regions (4-neighbour, in the (t, x) grid) are labeled by a run-based
 two-pass scan.
 """
@@ -104,6 +107,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .model import ModelSpec, injection_cost, validate
+
+
+TOL_INNER = 1e-9  # the default inner tolerance of the impulse projection
 
 
 @dataclass(frozen=True)
@@ -134,8 +140,12 @@ class Grid:
 
     def nearest_node(self, y) -> np.ndarray:
         """Index of the node nearest to each y (halves to even), clipped to
-        the grid: where an injection from x to y = x + xi0 lands."""
-        return np.clip(np.rint((y - self.x_min) / self.h), 0, self.n_x - 1).astype(int)
+        the grid: where an injection from x to y = x + xi0 lands.  A finite
+        y far off the grid may overflow the quotient to +-inf, which clips
+        to an end node."""
+        with np.errstate(over="ignore"):
+            q = (y - self.x_min) / self.h
+        return np.clip(np.rint(q), 0, self.n_x - 1).astype(int)
 
 
 def interp_extended(x_nodes: np.ndarray, v: np.ndarray, xq) -> np.ndarray:
@@ -561,31 +571,29 @@ class SolveResult(NamedTuple):
         return j, i, grid.nearest_node(grid.x_nodes()[i] + self.xi0[j, i])
 
 
-def _source_extremes(spec: ModelSpec, grid: Grid) -> tuple:
-    """(min, max) over the grid of the source level f - beta g2.
+def value_bounds(spec: ModelSpec, grid: Grid) -> tuple[float, float]:
+    """(C0, C1) with -C0 <= V <= C1: C1 = T * max(0, max of f - beta g2) +
+    max(0, sup g1) and C0 = T * max(0, max of beta g2 - f) + max(0, -min of
+    g1 on the nodes), the maxima over the grid's (t, x) nodes.  Every step
+    is an M-matrix whose rows sum to 1/dt + beta (see pde_step), and
+    projection neither lowers V nor raises its max, so the scheme keeps
+    both.  A negative sup g1 is no upper bound: discounting lifts V above it.
 
-    At a fixed x, the rounded f - b g2 is monotone in b, since correctly
-    rounded multiplication and subtraction are monotone in each operand.
-    So both extremes over the time nodes are taken at the smallest or the
-    largest beta, and they are found in O(n_x), the same values bit for bit
-    as over the full (n_t + 1) x n_x grid."""
+    The rounded f - b g2 is monotone in b at each x (correct rounding is
+    monotone in each operand), so both extremes over the time nodes lie at
+    beta's smallest or largest value: O(n_x), and bit for bit the extremes
+    over the full grid.  max(beta g2 - f) is -min(f - beta g2) bit for bit,
+    since rounded subtraction is sign-symmetric."""
     u = spec.utilities
     x = grid.x_nodes()
     beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
     fx = np.asarray(u.f(x), dtype=float)
     g2x = np.asarray(u.g2(x), dtype=float)
     at_min, at_max = fx - beta.min() * g2x, fx - beta.max() * g2x
-    return (float(np.min(np.minimum(at_min, at_max))),
-            float(np.max(np.maximum(at_min, at_max))))
-
-
-def upper_bound_c1(spec: ModelSpec, grid: Grid) -> float:
-    """C1 = T * max(0, max over the grid of f - beta g2) + max(0, sup g1):
-    the horizon times the largest source level plus the terminal bound, an
-    upper bound on V that the scheme and the projection both respect, since
-    every step is an M-matrix (see pde_step).  A negative sup g1 is not a
-    bound: discounting lifts V above it."""
-    return max(0.0, _source_extremes(spec, grid)[1]) * spec.T + max(0.0, spec.utilities.c_g1)
+    sink = max(0.0, -float(np.min(np.minimum(at_min, at_max))))
+    source = max(0.0, float(np.max(np.maximum(at_min, at_max))))
+    return (sink * spec.T + max(0.0, -float(np.min(u.g1(x)))),
+            source * spec.T + max(0.0, u.c_g1))
 
 
 def _projection_certified(v_max: float, v_min: float, costs) -> bool:
@@ -645,7 +653,7 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
         raise ValueError(f"model spec fails validation: {names}")
 
     plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
-    c1_bound = upper_bound_c1(spec, grid)     # caps the projection count
+    c1_bound = value_bounds(spec, grid)[1]  # caps the projection count
 
     def slices():
         v = np.asarray(spec.utilities.g1(x), dtype=float)
@@ -677,7 +685,7 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
     return c1_bound, slices()
 
 
-def solve(spec: ModelSpec, grid: Grid, tol_inner: float = 1e-9,
+def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
           eps_region: float | None = None) -> SolveResult:
     """Backward QVI sweep; returns the value surface with its action
     labels and injection policy.
@@ -813,9 +821,9 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
     spec_sha256 or T is not the spec's (before any row is read), when a
     value does not parse, when a V, an IV or an action row's xi0 is not
     finite, when the rows do not fill the header's grid (first bounded by
-    the file's size, before the grid is allocated), or when a row's
-    label is neither action nor continuation or a continuation row carries
-    an xi0.
+    the file's size, before the grid is allocated), when a row's label is
+    neither action nor continuation or a continuation row carries an xi0,
+    or when an action row's xi0 lies outside the spec's [k_min, k_max].
     """
     header = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -890,6 +898,13 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
                                  f"not finite: {rows[i].strip()!r}")
         if next(data, None) is not None:
             raise unfilled
+    if spec is not None:
+        c = spec.costs
+        outside = np.flatnonzero(action & ~((xi0 >= c.k_min) & (xi0 <= c.k_max)))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"surface data row {i + 1} has xi0={xi0.flat[i]!r} outside "
+                             f"[k_min, k_max] = [{c.k_min!r}, {c.k_max!r}]")
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
     return SolveResult(ValueSurface(grid, h["T"], V, IV, metadata), action, xi0)
 

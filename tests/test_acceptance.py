@@ -59,7 +59,7 @@ def test_criterion_02_filtration_reduction():
     n_paths, dt, seed = 100_000, 0.005, 101
     geo = get_fixture("geometric")
     spec_i, res_i, _ = solved("intervention")
-    feedback = FeedbackPolicy.from_solution(res_i)
+    feedback = FeedbackPolicy(res_i)
     cases = [
         ("no impulses", geo, 1.0, None),
         ("2-impulse schedule", geo, 1.0,

@@ -930,7 +930,7 @@ def test_recorded_path_files_match_single_path_simulate(tmp_path, small_surface,
     else:
         name, spec, x0 = "intervention", intervention_spec(), 0.15
         flags = ["--surface", str(small_surface)]
-        control = FeedbackPolicy.from_solution(read_surface_csv(small_surface / "surface.csv"))
+        control = FeedbackPolicy(read_surface_csv(small_surface / "surface.csv"))
     out = tmp_path / "o"
     rc = cli.main(["simulate", "--spec", f"fixture:{name}", "--out", str(out), "--seed", "8",
                    "--paths", "50", "--dt", "0.02", "--x0", repr(x0), "--policy", policy, "--record-paths", "3"] + flags)
@@ -978,6 +978,25 @@ def test_simulate_feedback_surface_roundtrip(tmp_path):
     assert b["control"]["source"] == "loaded-surface"
     # repr round-trip through the CSV is exact, so the policies coincide
     assert a["reduction"] == b["reduction"]
+
+
+def test_feedback_from_a_state_far_above_the_grid_exits_0(tmp_path, small_surface):
+    # x0 = 1e308 snaps to the surface's top node, a continuation node, so
+    # nothing is injected; the snap neither overflows nor warns
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["simulate", "--spec", "fixture:intervention", "--seed", "1",
+                       "--policy", "feedback", "--surface", str(small_surface),
+                       "--x0", "1e308", "--paths", "10", "--out", str(out)])
+    assert rc == 0
+    assert read_json(out / "mc_report.json")["x0"] == 1e308
+    assert not [w for w in caught if w.filename.endswith(("solver.py", "dynamics.py"))]
+    paths = sorted(out.glob("path_*.csv"))
+    assert paths
+    for path in paths:  # every impulse_flag is 0
+        rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert rows and all(row.split(",")[2] == "0" for row in rows)
 
 
 def test_feedback_lookup_skip_changes_no_artifact_byte(tmp_path, small_surface, monkeypatch):

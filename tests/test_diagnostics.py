@@ -16,13 +16,13 @@ from impulse_qvi.diagnostics import (CheckReport, ConvergenceStudy,
                                      _values_only, check_bounds,
                                      check_obstacle, check_regularity,
                                      check_smooth_fit, check_theta_structure,
-                                     convergence_study, lower_bound_c0,
+                                     convergence_study,
                                      standard_checks)
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
                                   geometric_spec, intervention_spec,
                                   suggested_grid, zero_spec)
 from impulse_qvi.model import CostParams, Curve
-from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, upper_bound_c1
+from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, value_bounds
 
 from test_model import make_spec
 from test_solver import _cost_cases
@@ -118,7 +118,7 @@ def test_check_bounds_geometric_passes_below_zero(geometric_solution):
     rep = check_bounds(res.surface, spec, seed=0)
     assert rep.passed, rep.line()
     assert res.surface.values.min() < 0.0
-    assert rep.details["c0"] == lower_bound_c0(spec, res.surface.grid) > 0.0
+    assert rep.details["c0"] == value_bounds(spec, res.surface.grid)[0] > 0.0
     assert rep.details["lower_grid_margin"] > 0.0
 
 
@@ -127,7 +127,7 @@ def test_check_bounds_reports_a_node_below_minus_c0(geometric_solution):
     # come from it, not from an MC sample
     spec, res = geometric_solution
     surf = res.surface
-    c0 = lower_bound_c0(spec, surf.grid)
+    c0 = value_bounds(spec, surf.grid)[0]
     values = surf.values.copy()
     j, i = 7, 150  # no MC sample time row
     values[j, i] = -c0 - 1e-3
@@ -145,9 +145,9 @@ def test_lower_bound_c0_mirrors_c1():
     spec = make_spec(T=2.0, beta=Curve.table([0.0, 2.0], [1.0, 2.0]),
                      f=0.5, g2=Curve.table([0.0, 2.0], [0.75, 0.0]),
                      g1=Curve.table([0.0, 2.0], [-0.25, 1.0]))
-    assert lower_bound_c0(spec, grid) == 2.0 * 1.0 + 0.25
-    assert lower_bound_c0(replace(spec, utilities=replace(spec.utilities, f=Curve.constant(5.0),
-                                                          g1=Curve.constant(0.0))), grid) == 0.0
+    assert value_bounds(spec, grid)[0] == 2.0 * 1.0 + 0.25
+    assert value_bounds(replace(spec, utilities=replace(spec.utilities, f=Curve.constant(5.0),
+                                                        g1=Curve.constant(0.0))), grid)[0] == 0.0
 
 
 def _outer_bound_sources(spec, grid):
@@ -194,8 +194,9 @@ def test_bounds_from_beta_extremes_equal_the_outer_product(T, n_t, n_x, beta, f,
     # a non-monotone beta table puts both extremes at interior time nodes
     spec = make_spec(T=T, beta=beta, f=f, g2=g2, g1=g1)
     grid = Grid(0.1, 2.1, n_x, n_t)
-    assert upper_bound_c1(spec, grid).hex() == _c1_outer(spec, grid).hex()
-    assert lower_bound_c0(spec, grid).hex() == _c0_outer(spec, grid).hex()
+    c0, c1 = value_bounds(spec, grid)
+    assert c1.hex() == _c1_outer(spec, grid).hex()
+    assert c0.hex() == _c0_outer(spec, grid).hex()
 
 
 def test_check_regularity_one_sided():

@@ -36,7 +36,7 @@ from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec
                                   suggested_grid)
 from impulse_qvi.model import (Curve, cumulative_hazard, diffusion, drift, injection_cost,
                                invert_hazard, survival_grid)
-from impulse_qvi.solver import Grid, solve
+from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve
 
 from test_model import make_spec
 from test_solver import _state_curve, _time_curve
@@ -379,7 +379,7 @@ def test_simulate_paths_match_single_paths(policy):
         control = ImpulseSchedule(np.array([0.25, 0.7]), np.array([0.3, 0.5]))
     else:
         spec, x0 = intervention_spec(), 0.15
-        control = FeedbackPolicy.from_solution(solve(spec, Grid(0.1, 4.1, 81, 40)))
+        control = FeedbackPolicy(solve(spec, Grid(0.1, 4.1, 81, 40)))
     records = simulate_paths(spec, 0.1, x0, control, 0.02, 17, 4, first=2)
     assert len(records) == 4
     assert any(rec.impulses_applied for rec in records)
@@ -394,13 +394,17 @@ def test_simulate_paths_match_single_paths(policy):
 # ------------------------------------------------------ feedback rule
 
 
+def _solve_result(grid, T, action, xi0):
+    """A SolveResult on grid over [0, T] with these labels and xi0; V and IV
+    are zeros, which FeedbackPolicy does not read."""
+    zeros = np.zeros(action.shape)
+    return SolveResult(ValueSurface(grid, T, zeros, zeros), action, xi0)
+
+
 def test_feedback_policy_snapping():
-    pol = FeedbackPolicy(
-        t_nodes=[0.0, 1.0],
-        grid=Grid(0.0, 2.0, 3, 1),
-        action=np.array([[False, True, False], [False, False, False]]),
-        xi0=np.array([[0.0, 0.7, 0.0], [0.0, 0.0, 0.0]]),
-    )
+    pol = FeedbackPolicy(_solve_result(
+        Grid(0.0, 2.0, 3, 1), 1.0, np.array([[False, True, False], [False, False, False]]),
+        np.array([[0.0, 0.7, 0.0], [0.0, 0.0, 0.0]])))
     out = pol.injections(0.4, np.array([0.9, 1.6]))  # t snaps to row 0
     np.testing.assert_array_equal(out, [0.7, 0.0])
     out2 = pol.injections(0.6, np.array([0.9]))      # t snaps to row 1
@@ -414,7 +418,7 @@ def test_feedback_policy_snapping():
 def test_feedback_policy_triggers_injection():
     spec = intervention_spec()
     res = solve(spec, suggested_grid("intervention"))
-    pol = FeedbackPolicy.from_solution(res)
+    pol = FeedbackPolicy(res)
     rec = simulate(spec, 0.0, 0.15, pol, dt=0.01, seed=11)
     assert len(rec.impulses_applied) >= 1
     ev = rec.impulses_applied[0]
@@ -535,7 +539,7 @@ def _assert_matches_reference(spec, t0, x0, control, dt, seed, n_paths, record, 
 
 @pytest.fixture(scope="module")
 def fixture_policies():
-    return {name: FeedbackPolicy.from_solution(solve(FIXTURES[name](), suggested_grid(name)))
+    return {name: FeedbackPolicy(solve(FIXTURES[name](), suggested_grid(name)))
             for name in FIXTURES}
 
 
@@ -573,7 +577,7 @@ def _feedback_policies(draw, T=1.0):
     sizes = draw(st.lists(st.sampled_from([0.5, 0.5, 0.3, 0.0, -0.2, np.nan]),
                           min_size=action.size, max_size=action.size))
     xi0 = np.where(action, np.reshape(sizes, action.shape), np.nan)
-    return FeedbackPolicy(np.linspace(0.0, T, grid.n_t + 1), grid, action, xi0)
+    return FeedbackPolicy(_solve_result(grid, T, action, xi0))
 
 
 def _half_node_ties(grid):
@@ -586,11 +590,13 @@ def _half_node_ties(grid):
 def test_may_act_is_exact(data):
     # may_act is False exactly when no state snaps into its row's span of
     # acting nodes, and then no injection acts; states include half-node
-    # ties and states below x_min and above x_max, which clip to the ends
+    # ties and states below x_min and above x_max, which clip to the ends,
+    # finite states far off the grid among them
     pol = data.draw(_feedback_policies())
     grid = pol.grid
     states = st.one_of(_half_node_ties(grid), st.floats(grid.x_min, grid.x_max),
-                       st.floats(grid.x_min - 3.0, grid.x_min), st.floats(grid.x_max, grid.x_max + 3.0))
+                       st.floats(grid.x_min - 3.0, grid.x_min), st.floats(grid.x_max, grid.x_max + 3.0),
+                       st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]))
     x = np.array(data.draw(st.lists(states, min_size=1, max_size=12)))
     t = data.draw(st.one_of(st.floats(-0.2, 1.2), st.sampled_from(list(pol.t_nodes))))
     acting = np.flatnonzero(pol.sizes[np.argmin(np.abs(pol.t_nodes - t))] > 0)

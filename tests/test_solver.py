@@ -9,6 +9,7 @@ import math
 import pathlib
 import tempfile
 import tracemalloc
+import warnings
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
-from impulse_qvi.diagnostics import convergence_study, dpp_residual, lower_bound_c0
+from impulse_qvi.diagnostics import convergence_study, dpp_residual
 from impulse_qvi.fixtures import (closed_form_spec, closed_form_value,
                                   fixture_reference, geometric_spec,
                                   get_fixture, intervention_spec,
@@ -30,8 +31,8 @@ from impulse_qvi.solver import (Grid, NumericalError, ValueSurface, _StepPlan,
                                 _projection_certified, _sweep,
                                 _window_argmax, impulse_max,
                                 interp_extended, pde_step, read_surface_csv,
-                                solve, write_boundary_csv, write_policy_csv,
-                                write_surface_csv)
+                                solve, value_bounds, write_boundary_csv,
+                                write_policy_csv, write_surface_csv)
 
 from test_model import make_spec
 
@@ -382,6 +383,15 @@ def test_interp_extended():
     # flat above
     assert interp_extended(x, v, 9.0) == 10.0
     assert interp_extended(x, v, 2.5) == pytest.approx(6.5, abs=1e-14)
+
+
+def test_nearest_node_clips_finite_states_far_off_the_grid():
+    # the quotient (y - x_min) / h overflows to +-inf, silently, and clips
+    grid = Grid(0.1, 4.1, 81, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes = grid.nearest_node(np.array([1e308, -1e308, 1.7e308, -1.7e308]))
+    np.testing.assert_array_equal(nodes, [grid.n_x - 1, 0, grid.n_x - 1, 0])
 
 
 # ------------------------------------------------------ impulse operator
@@ -1052,7 +1062,7 @@ def test_solve_invariants_on_random_specs(case, zero):
     V, IV, md = res.surface.values, res.surface.iv_values, res.surface.metadata
     event(f"drift(0, x_min) < 0: {drift(0.0, grid.x_min, spec) < 0.0}")
     assert V.max() <= md["c1_bound"] + 1e-9
-    assert V.min() >= -lower_bound_c0(spec, grid) - 1e-9
+    assert V.min() >= -value_bounds(spec, grid)[0] - 1e-9
     assert np.all(V[:-1] >= IV[:-1] - md["tol_inner"])
     np.testing.assert_array_equal(res.labels, V - IV <= md["eps_region"])
     np.testing.assert_array_equal(np.isfinite(res.xi0), res.labels)
@@ -1140,6 +1150,27 @@ def test_surface_csv_round_trip_on_random_specs(case):
         _same_result(read_surface_csv(p, spec), res)
     xi0 = res.xi0[res.labels]
     assert np.all((xi0 >= spec.costs.k_min) & (xi0 <= spec.costs.k_max))
+
+
+@pytest.mark.parametrize("side", ["below k_min", "above k_max"])
+def test_surface_csv_read_for_a_spec_refuses_xi0_out_of_range(tmp_path, side):
+    # read for its spec, an action row whose xi0 lies one ulp outside
+    # [k_min, k_max] is refused, naming its data row; read without a spec,
+    # the file loads as written
+    spec = intervention_spec()
+    res = solve(spec, Grid(0.1, 4.1, 81, 40))
+    c = spec.costs
+    j, i = np.argwhere(res.labels)[-1].tolist()
+    xi0 = res.xi0.copy()
+    xi0[j, i] = (np.nextafter(c.k_min, -np.inf) if side == "below k_min"
+                 else np.nextafter(c.k_max, np.inf))
+    p = tmp_path / "surface.csv"
+    write_surface_csv(p, res._replace(xi0=xi0))
+    with pytest.raises(ValueError) as exc:
+        read_surface_csv(p, spec)
+    assert str(exc.value) == (f"surface data row {j * 81 + i + 1} has xi0={xi0[j, i]!r} outside "
+                              f"[k_min, k_max] = [{c.k_min!r}, {c.k_max!r}]")
+    np.testing.assert_array_equal(read_surface_csv(p).xi0, xi0)
 
 
 def test_surface_csv_blocks_round_trip(tmp_path):
