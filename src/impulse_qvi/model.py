@@ -124,8 +124,9 @@ class Curve:
             out = np.full(q.shape, self.value)
         elif self.kind == TABLE:
             out = np.interp(q, self.x, self.y)
-        else:
-            out = self.level - self.scale * np.exp(-self.rate * q)
+        else:  # a finite q far off the grid overflows rate * q; exp(-inf) = 0 is right
+            with np.errstate(over="ignore"):
+                out = self.level - self.scale * np.exp(-self.rate * q)
         return out if out.shape else float(out)
 
     def breakpoints(self) -> np.ndarray:

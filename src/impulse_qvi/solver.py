@@ -23,6 +23,16 @@ is v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so M bounds the
 slice through its whole loop.  The count needs h <= k_min, so that each
 gain reads only nodes to its right; a window inside one cell is rejected.
 
+After an update v' = max(v, IV) the loop calls impulse_max again only if
+the update changed the bits of a node that some gain reads.  Node i's
+gains read v at its window nodes lo..hi and at the interpolation brackets
+of x_i + K, all within lo - 2 .. hi + 2 (_impulse_plan's `read` is the
+union of these ranges).  impulse_max(v') is a function of v' on those
+nodes alone, so if none changed it is impulse_max(v) bit for bit: the
+loop keeps IV and the maximizers, and its next check reads
+max(IV - v') <= 0, since v' >= IV.  Raised nodes near x_min, below every
+window, thus cost no confirming call.
+
 A slice whose spread is small needs no projection: every gain is
 v~(x + K) - (K + kappa) <= max v - (k_min + kappa), so max v - min v <=
 k_min + kappa gives IV <= min v <= v, and the loop would stop at its first
@@ -145,7 +155,8 @@ class Grid:
         to an end node."""
         with np.errstate(over="ignore"):
             q = (y - self.x_min) / self.h
-        return np.clip(np.rint(q), 0, self.n_x - 1).astype(int)
+        # np.clip's ints, without its per-call overhead
+        return np.minimum(np.maximum(np.rint(q), 0), self.n_x - 1).astype(int)
 
 
 def interp_extended(x_nodes: np.ndarray, v: np.ndarray, xq) -> np.ndarray:
@@ -168,6 +179,7 @@ class _ImpulsePlan(NamedTuple):
     empty: np.ndarray    # no node strictly inside the window x + (k_min, k_max)
     idx: np.ndarray      # flat index of each entry, one block per row
     starts: np.ndarray   # first entry of each block-wide run covering a window
+    read: np.ndarray     # nodes that some node's gains may read
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,11 +188,21 @@ def _impulse_plan(grid: Grid, costs) -> _ImpulsePlan:
     node i when x_i + k_min < x_j < x_i + k_max.  The block width is the
     shortest window that ends before the last node; windows that end on it
     run on into the -inf padding, and longer windows are covered by a few
-    overlapping runs (one or two on a uniform grid)."""
+    overlapping runs (one or two on a uniform grid).
+
+    Node i's gains read v at its window nodes lo..hi and at the brackets
+    of x_i + K: lo - 1, lo for K = k_min, hi, hi + 1 for K = k_max, and
+    those of a node K, within one node of the node.  The read range
+    lo - 2 .. hi + 2 holds them all with a node to spare on each side;
+    `read` is the union of the read ranges."""
     x = grid.x_nodes()
     n = x.size
     lo = np.searchsorted(x, x + costs.k_min, side="right")
     hi = np.searchsorted(x, x + costs.k_max, side="left") - 1
+    cover = np.zeros(n + 1, dtype=int)  # +1 where a read range starts, -1 past its end
+    np.add.at(cover, np.maximum(lo - 2, 0), 1)
+    np.add.at(cover, np.minimum(hi + 3, n), -1)
+    read = np.cumsum(cover[:-1]) > 0
     empty = lo > hi
     lo[empty] = hi[empty] = n - 1  # a stand-in window; its node is never chosen
     tail = hi == n - 1
@@ -192,7 +214,7 @@ def _impulse_plan(grid: Grid, costs) -> _ImpulsePlan:
     idx = np.arange(-(-(int(hi.max()) + 1) // width) * width).reshape(-1, width)
     k_table = np.empty((3, n))
     k_table[0], k_table[2] = costs.k_min, costs.k_max
-    plan = _ImpulsePlan(x, k_table, empty, idx, starts)
+    plan = _ImpulsePlan(x, k_table, empty, idx, starts, read)
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -617,6 +639,13 @@ def _uncapped(c1_bound: float, v_max: float, v_min: float, t: float) -> str:
             "the spec's numbers are too large for double precision")
 
 
+def _reads_changed(read: np.ndarray, before: np.ndarray, after: np.ndarray) -> bool:
+    """Whether a node that some gain reads (the plan's `read`) changed its
+    bits from before to after; if none did, impulse_max(after) is
+    impulse_max(before) bit for bit."""
+    return bool(np.any(read & (before.view(np.uint64) != after.view(np.uint64))))
+
+
 def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterator]:
     """The backward sweep alone: the bound C1 and a generator of the
     slices in sweep order, j = n_t down to 0.  Each slice is
@@ -625,6 +654,12 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
     last impulse_max(v) pair (IV and the maximizers) where the projection
     loop ran, else None.  A slice's arrays are the caller's to keep; the
     sweep holds only the slice it steps from.
+
+    The loop calls impulse_max once on entry and again after an update
+    only where _reads_changed finds a read node whose bits the update
+    changed; otherwise the kept pair is bit for bit what the call would
+    return (see the module docstring), so every residual, count and
+    `last` is that of a loop that calls it after every update.
 
     Raises ValueError, at the call, when the spec fails hypothesis
     validation or the injection window fits inside one cell (h > k_min);
@@ -667,8 +702,9 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
                 if not math.isfinite(span):
                     raise ValueError(_uncapped(c1_bound, v_max, v_min, tn[j]))
                 cap = math.ceil(span) + 1
+                read = _impulse_plan(grid, costs).read
+                iv, ks = impulse_max(v, grid, costs)
                 while True:
-                    iv, ks = impulse_max(v, grid, costs)
                     residual = float(np.max(iv - v))
                     if residual <= tol_inner:
                         break
@@ -677,8 +713,10 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
                             f"impulse projection failed to settle at t={tn[j]:.6g}: "
                             f"residual {residual:.3e} after {updates} updates (cap {cap})"
                         )
-                    v = np.maximum(v, iv)
+                    v, before = np.maximum(v, iv), v
                     updates += 1
+                    if _reads_changed(read, before, v):
+                        iv, ks = impulse_max(v, grid, costs)
                 last = iv, ks
             yield j, v, updates, last
 
@@ -776,10 +814,10 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
 
     def slices():
-        for j, t in enumerate(surface.t_nodes().tolist()):
+        for j, t in enumerate(map(repr, surface.t_nodes().tolist())):
             tails = [f"action,{xi!r}\n" if act else "continuation,\n"
                      for act, xi in zip(res.labels[j].tolist(), res.xi0[j].tolist())]
-            yield "".join([f"{t!r},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
+            yield "".join([f"{t},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)])
 
     write_csv(path, {**(meta or {}), **{k: known[k] for k in _SURFACE_HEADER}},

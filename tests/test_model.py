@@ -7,6 +7,7 @@ are tight.
 
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -58,6 +59,17 @@ def test_curve_saturating_shape():
     assert not c.is_piecewise_linear()
     with pytest.raises(ValueError):
         Curve.saturating(level=1.0, rate=-2.0)
+
+
+def test_curve_saturating_far_off_the_grid_does_not_warn():
+    # rate * q overflows for a finite q of 1e308; exp(-inf) = 0 gives the
+    # level, and exp(+inf) gives -inf, with no RuntimeWarning
+    c = Curve.saturating(level=1.0, rate=5.0, scale=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = c(np.array([1e308, 1.7e308, -1e308]))
+        assert c(1e308) == 1.0
+    np.testing.assert_array_equal(out, [1.0, 1.0, -np.inf])
 
 
 def test_curve_constant():

@@ -394,6 +394,24 @@ def test_nearest_node_clips_finite_states_far_off_the_grid():
     np.testing.assert_array_equal(nodes, [grid.n_x - 1, 0, grid.n_x - 1, 0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(grid=_grids, data=st.data())
+def test_nearest_node_is_the_clipped_rounding(grid, data):
+    # the same ints as np.clip(np.rint(q), 0, n_x - 1), on states on and
+    # off the grid, half-node ties, +-inf, NaN and 1e308 among them
+    x = grid.x_nodes()
+    ties = (x[:-1] + 0.5 * grid.h).tolist()
+    y = np.array(data.draw(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(grid.x_min - 2.0 * grid.h, grid.x_max + 2.0 * grid.h),
+        st.sampled_from(ties + [1e308, -1e308, np.inf, -np.inf, np.nan])), min_size=1)))
+    with np.errstate(all="ignore"):
+        q = (y - grid.x_min) / grid.h
+        want = np.clip(np.rint(q), 0, grid.n_x - 1).astype(int)
+        got = grid.nearest_node(y)
+    np.testing.assert_array_equal(got, want)
+
+
 # ------------------------------------------------------ impulse operator
 
 
@@ -573,10 +591,12 @@ def _cost_cases(draw):
 
 
 def _sweep_or_error(spec, grid):
-    """The sweep's slices as (j, V[j] bytes, updates), or its error."""
+    """The sweep's slices as (j, V[j] bytes, updates, last), last the bytes
+    of the loop's final IV and maximizers (or None), or the sweep's error."""
     try:
         _, slices = _sweep(spec, grid, 1e-9)
-        return [(j, v.tobytes(), updates) for j, v, updates, _ in slices]
+        return [(j, v.tobytes(), updates, last and tuple(a.tobytes() for a in last))
+                for j, v, updates, last in slices]
     except (ValueError, NumericalError) as exc:
         return type(exc), str(exc)
 
@@ -838,6 +858,113 @@ def test_policy_is_the_formulas_first_injection(case):
         gain = exact(t, x[:, None] + ks) - ks - kappa
         assert np.all(gain.max(axis=1) >= exact(t, x) - slack), (params, n_t, t)
     event(f"interior action nodes: {'some' if inner.any() else 'none'}")
+
+
+# --------------------------------------------- kept impulse values
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cost_cases(), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_impulse_max_reads_only_the_plans_read_nodes(case, seed, ties):
+    # nodes outside the plan's `read` mask may take any value: impulse_max
+    # returns the same bits, which is what lets the projection loop keep IV
+    spec, grid = case
+    plan = _impulse_plan(grid, spec.costs)
+    rng = np.random.default_rng(seed)
+    x = grid.x_nodes()
+    v = x + rng.integers(0, 3, x.size) if ties else rng.normal(0.0, 2.0, x.size)
+    other = v.copy()
+    other[~plan.read] = rng.normal(0.0, 1e3, int(np.count_nonzero(~plan.read)))
+    event(f"unread nodes: {'some' if not plan.read.all() else 'none'}")
+    for a, b in zip(impulse_max(v, grid, spec.costs), impulse_max(other, grid, spec.costs)):
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _projecting_cases(draw):
+    """Specs whose slices project, so that the loop updates: the
+    intervention fixture with drawn costs on a drawn grid (it raises nodes
+    near x_min), or an exact injection case on a coarse time grid (chains
+    of injections at one instant)."""
+    if draw(st.booleans()):
+        grid = Grid(0.1, 4.1, draw(st.integers(41, 201)), draw(st.integers(2, 30)))
+        k_min = grid.h * draw(st.floats(1.0, 25.0))
+        costs = CostParams(draw(st.floats(0.005, 0.08)), k_min, k_min + draw(st.floats(0.0, 1.5)))
+        return replace(intervention_spec(), costs=costs), grid
+    params, n_t = draw(_injection_cases())
+    return _injection_case(*params)[0], replace(_INJECTION_GRID, n_t=min(n_t, 20))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(_cost_cases(), _projecting_cases()))
+def test_kept_impulse_values_change_nothing(case):
+    # a sweep that keeps IV where no read node was raised against one that
+    # recomputes it after every update: the same V, update counts and last
+    # (IV, maximizers) bit for bit, or the same error
+    spec, grid = case
+    kept, reads_changed = [], solver._reads_changed
+
+    def counting(read, before, after):
+        kept.append(not reads_changed(read, before, after))
+        return not kept[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_reads_changed", counting)
+        skipping = _sweep_or_error(spec, grid)
+        mp.setattr(solver, "_reads_changed", lambda *a: True)
+        full = _sweep_or_error(spec, grid)
+    if isinstance(skipping[0], type):
+        event(f"both raise {skipping[0].__name__}")
+    else:
+        share = 'no update' if not kept else 'all' if all(kept) else 'some' if any(kept) else 'none'
+        event(f"updates whose IV was kept: {share}")
+    assert skipping == full
+
+
+def _solve_counting(spec, grid, recompute=False):
+    """solve() and its impulse_max call count; with recompute=True, the
+    projection loop calls impulse_max after every update."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return impulse_max(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "impulse_max", counted)
+        if recompute:
+            mp.setattr(solver, "_reads_changed", lambda *a: True)
+        res = solve(spec, grid)
+    return res, len(calls)
+
+
+def _assert_same_result(a, b):
+    for x, y in ((a.surface.values, b.surface.values), (a.surface.iv_values, b.surface.iv_values),
+                 (a.labels, b.labels), (a.xi0, b.xi0)):
+        assert x.tobytes() == y.tobytes()
+    assert a.surface.metadata == b.surface.metadata
+
+
+def test_chained_injections_recompute_impulse_values():
+    # chains of injections at one instant: an update raises nodes that
+    # other windows read, so the loop must call impulse_max again
+    spec, _ = _injection_case(a=1.5, x1=2.0, b=0.5, T=2.0, kappa=0.05, k_min=0.1, k_max=0.5)
+    grid = Grid(0.1, 4.1, 401, 50)
+    res, calls = _solve_counting(spec, grid)
+    full, full_calls = _solve_counting(spec, grid, recompute=True)
+    assert grid.n_t + 1 < calls < full_calls
+    _assert_same_result(res, full)
+
+
+def test_intervention_keeps_every_confirming_impulse_value():
+    # the intervention fixture raises only nodes near x_min, which no window
+    # reads: one impulse_max per step, and one stacked call for the rest
+    spec, grid = intervention_spec(), suggested_grid("intervention")
+    res, calls = _solve_counting(spec, grid)
+    full, full_calls = _solve_counting(spec, grid, recompute=True)
+    assert calls == grid.n_t + 1 == 201
+    assert full_calls == calls + sum(res.surface.metadata["inner_iterations"])
+    _assert_same_result(res, full)
 
 
 def _traced_peak(fn, *args):
