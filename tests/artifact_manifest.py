@@ -33,6 +33,21 @@ _FIXTURES = ("closed-form", "intervention", "geometric", "zero")
 _GRID = "--nx 81 --nt 40"
 _MC = "--seed 5 --paths 5000"
 _SCHEDULE = "[[0.2, 0.3], [0.8, 0.5]]"  # written to {work}/schedule.json
+# written to {work}/spec.json and named by a path relative to {work}, the
+# working directory of every run, since the artifacts record --spec as
+# given: a spec file read through ModelSpec.from_json on the CLI's default
+# grid, whose beta table has 10 segments on [0, T]
+_SPEC = """{"c1": 0.8, "T": 1.0,
+ "lambda": {"kind": "constant", "value": 0.2},
+ "mu_tilde": {"kind": "table", "x": [0.0, 0.5, 1.0], "y": [0.08, 0.1, 0.06]},
+ "sigma_tilde": {"kind": "constant", "value": 0.25},
+ "beta": {"kind": "table", "x": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+          "y": [0.2, 0.35, 0.25, 0.4, 0.3, 0.45, 0.3, 0.5, 0.35, 0.3, 0.4]},
+ "utilities": {"f": {"kind": "saturating", "level": 1.0, "rate": 2.0, "scale": 1.0},
+               "g1": {"kind": "table", "x": [0.0, 1.0, 3.0], "y": [0.0, 0.4, 0.5]},
+               "g2": {"kind": "constant", "value": 0.3}},
+ "costs": {"kappa": 0.08, "k_min": 0.1, "k_max": 1.0}}
+"""
 
 # (name, command line without --out, which goes after the subcommand);
 # "{work}" is the directory that holds every run's output, so a later run
@@ -62,6 +77,8 @@ RUNS = (
     ("simulate-feedback-solved", f"simulate --spec fixture:intervention {_MC} --x0 0.15 "
                                  f"--policy feedback {_GRID}"),
     ("solve-refused", "solve --spec fixture:zero --xmin 5"),
+    ("validate-json", "validate --spec spec.json"),
+    ("simulate-json", f"simulate --spec spec.json {_MC}"),
 )
 
 
@@ -74,15 +91,17 @@ def environment() -> dict:
 
 
 def compute(work: str) -> dict:
-    """Run RUNS in order under work; {name: {command, exit, artifacts}}."""
+    """Run RUNS in order in work; {name: {command, exit, artifacts}}."""
     from impulse_qvi import cli
-    with open(os.path.join(work, "schedule.json"), "w", encoding="utf-8") as fh:
-        fh.write(_SCHEDULE)
+    for fname, text in (("schedule.json", _SCHEDULE), ("spec.json", _SPEC)):
+        with open(os.path.join(work, fname), "w", encoding="utf-8") as fh:
+            fh.write(text)
     runs = {}
     for name, command in RUNS:
         out = os.path.join(work, name)
         sub, *flags = command.split()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.chdir(work):
             rc = cli.main([sub, "--out", out] + [a.format(work=work) for a in flags])
         artifacts = {}
         for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
