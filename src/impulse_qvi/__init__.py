@@ -9,12 +9,12 @@ from .model import (
     ModelSpec,
     UtilitySpec,
     ValidationReport,
-    cumulative_hazard,
     diffusion,
     drift,
+    hazard_grid,
     injection_cost,
     invert_hazard,
-    survival,
+    survival_grid,
     validate,
 )
 from .dynamics import (

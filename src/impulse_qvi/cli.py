@@ -386,6 +386,7 @@ _FINITE = _domain("finite number", float, math.isfinite)
 _POSITIVE = _domain("finite number > 0", float, lambda v: 0 < v < math.inf)
 _COUNT = _domain("positive integer", int, lambda v: v > 0)
 _INDEX = _domain("non-negative integer", int, lambda v: v >= 0)
+_SEVERAL = _domain("integer >= 2", int, lambda v: v >= 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,7 +420,7 @@ _FLAGS = {
     "--nt": (dict(type=_COUNT, help="time steps"), _SOLVING, None),
     "--xmin": (dict(type=_POSITIVE, help="left edge (> 0)"), _ALL, None),
     "--xmax": (dict(type=_FINITE, help="right edge"), _ALL, None),
-    "--paths": (dict(type=_COUNT, help="MC sample size"), _SIMULATE, 10000),
+    "--paths": (dict(type=_SEVERAL, help="MC sample size (at least 2)"), _SIMULATE, 10000),
     "--dt": (dict(type=_POSITIVE, help="simulation step"), _SIMULATE, 0.01),
     "--seed": (dict(type=_INDEX, help="RNG seed (required for simulate and check)"), _ALL, None),
     "--tol-inner": (dict(type=_POSITIVE,
@@ -437,7 +438,7 @@ _FLAGS = {
                   ("simulate", "check"), None),
     "--record-paths": (dict(type=_INDEX, default=3, help="number of individual path CSVs "
                                                          "to write"), _SIMULATE, 0),
-    "--levels": (dict(type=_domain("integer >= 2", int, lambda v: v >= 2), default=3,
+    "--levels": (dict(type=_SEVERAL, default=3,
                       help="refinement levels (n_t doubles each level)"), ("converge",), 2),
 }
 

@@ -84,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (ModelSpec, _number, _sorted_distinct, injection_cost, invert_hazard,
-                    survival, survival_grid)
+                    survival_grid)
 
 _CHUNK = 4096
 _BLOCK = 1024  # paths per RNG stream
@@ -280,8 +280,7 @@ def _plan(spec, t0, t_end, dt, control):
     with np.errstate(divide="ignore", invalid="ignore"):
         d_hazard = np.log(rho[:-1]) - np.log(rho[1:])
         w_run = np.where(d_hazard > 0.0, p_def * dts / d_hazard, rho[:-1] * dts)
-    mu = np.asarray(spec.mu_tilde(times[:-1]), dtype=float)
-    sig = np.asarray(spec.sigma_tilde(times[:-1]), dtype=float)
+    mu, sig = spec.mu_tilde(times[:-1]), spec.sigma_tilde(times[:-1])
     return times, rho, sched, dts, np.sqrt(dts), mu, sig, w_run, p_def
 
 
@@ -331,7 +330,7 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
         if sched[k] > 0:
             xi = np.full(count, sched[k])
         elif policy is not None and k < n_step and policy.may_act(tk, x):
-            xi = np.asarray(policy.injections(tk, x), dtype=float)
+            xi = policy.injections(tk, x)
         if xi is not None and np.any(xi > 0):
             hit = xi > 0
             if record:
@@ -348,8 +347,8 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
         if k == n_step:
             break
         d, sqrt_d, mu_k, sig_k = dts[k], sqrt_dts[k], mu[k], sig[k]
-        fx = np.asarray(u.f(x), dtype=float)
-        g2x = np.asarray(u.g2(x), dtype=float)
+        fx = u.f(x)
+        g2x = u.g2(x)
         # the default-truncated running term clips the default step at tau
         lo, hi = ends[k], ends[k + 1]
         if lo < hi:
@@ -361,9 +360,8 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
         a -= np.multiply(g2x, p_def[k], out=b)
         run_f += a
         # x + ((c1 - x) lam(x) + mu x) d + ((sigma x) sqrt(d)) z, in that order
-        lam_x = np.asarray(spec.lam(x), dtype=float)
         np.subtract(spec.c1, x, out=a)
-        a *= lam_x
+        a *= spec.lam(x)
         a += np.multiply(x, mu_k, out=b)
         a *= d
         for g, row in zip(gens, draws):
@@ -380,7 +378,7 @@ def _run_chunk(spec, t0, x0, policy, plan, seed, start, out):
     if not finite.all():
         raise _diverged(float(x[~finite][0]), times[-1])
     survive = tau >= spec.T
-    g1x = np.asarray(u.g1(x), dtype=float)
+    g1x = u.g1(x)
     run_g = np.where(kd < n_step, run_g_tau, run_g)
     out.cost_g[:] = run_g + np.where(survive, g1x, 0.0) - np.where(survive, 0.0, g2_at_tau) - imp_g
 
@@ -447,7 +445,8 @@ class _Moments:
     computing the sample variance", Amer. Statist. 37, 1983): Q gains Q_c
     plus (m_c - m)^2 n n_c / (n + n_c), m and n being those of the chunks
     before.  One chunk gives np.mean and np.std(ddof=1) / sqrt(n) bit for
-    bit, since both reduce by add.reduce in the same order.
+    bit, since both reduce by add.reduce in the same order; so one sample
+    has no standard error, and gives NaN.
     """
 
     def __init__(self):
@@ -468,7 +467,7 @@ class _Moments:
 
     def estimate(self) -> MCEstimate:
         n = self.n
-        se = math.sqrt(self.ssd / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+        se = math.sqrt(self.ssd / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
         return MCEstimate(self.total / n, se)
 
 
@@ -501,12 +500,11 @@ def filtration_reduction_check(spec: ModelSpec, t0: float, x0: float, control,
     Passes when |difference| <= 3 * sqrt(se_g^2 + se_f^2).  With beta == 0
     the two representations agree path by path and the difference is 0.
     """
-    rho_T = survival(t0, spec.T, spec)
+    rho_T = survival_grid(spec, t0, [spec.T])[0]
     acc_g, acc_f = _Moments(), _Moments()
     for chunk in _simulate_chunks(spec, t0, x0, control, dt, seed, n_paths):
         acc_g.add(chunk.cost_g)
-        g1x = np.asarray(spec.utilities.g1(chunk.final_states), dtype=float)
-        acc_f.add(chunk.run_f + rho_T * g1x - chunk.imp_f)
+        acc_f.add(chunk.run_f + rho_T * spec.utilities.g1(chunk.final_states) - chunk.imp_f)
     est_g, est_f = acc_g.estimate(), acc_f.estimate()
     diff = est_g.estimate - est_f.estimate
     combined = math.sqrt(est_g.std_error**2 + est_f.std_error**2)

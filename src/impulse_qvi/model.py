@@ -79,6 +79,8 @@ class Curve:
     kind "table": linear interpolation through (x, y), flat beyond the ends.
     kind "saturating": q -> level - scale * exp(-rate * q), rate > 0, scale > 0,
     nondecreasing and bounded above by level.
+
+    The scalar fields are stored as floats, so every kind returns float64.
     """
 
     kind: str
@@ -92,6 +94,8 @@ class Curve:
     def __post_init__(self):
         if self.kind not in (CONSTANT, TABLE, SATURATING):
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        for k in ("value", "level", "rate", "scale"):
+            object.__setattr__(self, k, float(getattr(self, k)))
         if self.kind == TABLE:
             x = np.asarray(self.x, dtype=float)
             y = np.asarray(self.y, dtype=float)
@@ -108,15 +112,15 @@ class Curve:
 
     @classmethod
     def constant(cls, value: float) -> "Curve":
-        return cls(CONSTANT, value=float(value))
+        return cls(CONSTANT, value=value)
 
     @classmethod
     def table(cls, x, y) -> "Curve":
-        return cls(TABLE, x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
+        return cls(TABLE, x=x, y=y)
 
     @classmethod
     def saturating(cls, level: float, rate: float = 1.0, scale: float = 1.0) -> "Curve":
-        return cls(SATURATING, level=float(level), rate=float(rate), scale=float(scale))
+        return cls(SATURATING, level=level, rate=rate, scale=scale)
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
@@ -199,24 +203,11 @@ def injection_cost(k, costs: CostParams):
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Running, terminal, and default utilities with upper-bound constants,
-    each curve's supremum."""
+    """Running, terminal, and default utilities."""
 
     f: Curve
     g1: Curve
     g2: Curve
-
-    @property
-    def c_f(self) -> float:
-        return self.f.upper_bound()
-
-    @property
-    def c_g1(self) -> float:
-        return self.g1.upper_bound()
-
-    @property
-    def c_g2(self) -> float:
-        return self.g2.upper_bound()
 
     def to_dict(self) -> dict:
         return {"f": self.f.to_dict(), "g1": self.g1.to_dict(), "g2": self.g2.to_dict()}
@@ -333,24 +324,11 @@ def _refined_partition(curve: Curve, t: float, s: float, extra=None) -> np.ndarr
     return _sorted_distinct(np.concatenate(pts))
 
 
-def cumulative_hazard(curve: Curve, t: float, s: float) -> float:
-    """Integral of the curve over [t, s]; trapezoid on the breakpoint-refined
-    partition, exact for constant and table curves."""
-    if s < t:
-        raise ValueError("need s >= t")
-    if s == t:
-        return 0.0
-    p = _refined_partition(curve, t, s)
-    v = curve(p)
-    # np.sum, not _hazard_table's cumsum: numpy's pairwise sum differs from a
-    # running sum from 8 segments on, and survival's bits follow this sum
-    return float(np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(p)))
-
-
 def _hazard_table(curve: Curve, t: float, s: float, extra=None):
     """(knots, values, cumulative) on the refined partition of [t, s]: the
     curve at each knot and its trapezoid integral from t, exact for
-    constant and table curves."""
+    constant and table curves.  This running sum is the package's one
+    hazard integral: hazard_grid, survival_grid and invert_hazard read it."""
     knots = _refined_partition(curve, t, s, extra)
     v = curve(knots)
     return knots, v, np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(knots))])
@@ -370,13 +348,9 @@ def hazard_grid(curve: Curve, t0: float, s_values: np.ndarray) -> np.ndarray:
     return cum[np.searchsorted(p, s_values)]
 
 
-def survival(t: float, s: float, spec: ModelSpec) -> float:
-    """Survival probability exp(-int_t^s beta) of the default clock."""
-    return math.exp(-cumulative_hazard(spec.beta, t, s))
-
-
 def survival_grid(spec: ModelSpec, t0: float, s_values: np.ndarray) -> np.ndarray:
-    """Vectorized survival from t0 at each s value."""
+    """Survival probability exp(-int_t0^s beta) of the default clock at each
+    s value."""
     return np.exp(-hazard_grid(spec.beta, t0, s_values))
 
 
@@ -450,7 +424,7 @@ def sampled_lipschitz(fn, points: np.ndarray):
     and one O(n) pass finds it.
     """
     pts = np.sort(np.asarray(points, dtype=float))
-    vals = np.asarray(fn(pts), dtype=float)
+    vals = fn(pts)
     quo = np.abs(np.diff(vals)) / np.diff(pts)
     j = int(np.argmax(quo))
     return float(quo[j]), (float(pts[j]), float(pts[j + 1]))
@@ -459,14 +433,13 @@ def sampled_lipschitz(fn, points: np.ndarray):
 def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
     """Check the standing hypotheses on finite probe grids.
 
-    Reports sampled Lipschitz constants for lam, f, g1, g2; upper-bound
-    margins against c_f, c_g1, c_g2; the no-terminal-impulse inequality
-    g1(x) >= max_K g1(x+K) - K - kappa with the max over [k_min, k_max]
-    taken exactly, at the probes and at g1's knots (a saturating g1's top)
-    and those minus k_min and minus k_max inside the probe range, so that a
-    steep segment between two probes is not missed; hazard nonnegativity; and
-    the minimum |diffusion| over the probe domain as an ellipticity
-    proxy.  Never raises on a violation; the
+    Reports sampled Lipschitz constants for lam, f, g1, g2; the
+    no-terminal-impulse inequality g1(x) >= max_K g1(x+K) - K - kappa with
+    the max over [k_min, k_max] taken exactly, at the probes and at g1's
+    knots (a saturating g1's top) and those minus k_min and minus k_max
+    inside the probe range, so that a steep segment between two probes is
+    not missed; hazard nonnegativity; and the minimum |diffusion| over the
+    probe domain as an ellipticity proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
     """
     probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
@@ -489,20 +462,6 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
             )
         )
 
-    for name, fn, bound in (("f", u.f, u.c_f), ("g1", u.g1, u.c_g1), ("g2", u.g2, u.c_g2)):
-        vals = np.asarray(fn(probes), dtype=float)
-        i = int(np.argmax(vals))
-        rep.entries.append(
-            CheckEntry(
-                name=f"bound_{name}",
-                passed=bool(vals[i] <= bound + 1e-12),
-                value=float(vals[i]),
-                threshold=float(bound),
-                worst_point=(float(probes[i]),),
-                note="sampled max against configured upper bound",
-            )
-        )
-
     # no profitable terminal impulse: g1(x) >= sup_K g1(x+K) - K - kappa, the
     # sup taken exactly.  For a table g1 the gain is piecewise linear in K,
     # kinked where x + K is a knot; a saturating g1 is concave, with its top
@@ -519,7 +478,7 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
     k_sup = np.concatenate([np.broadcast_to([c.k_min, c.k_max], (x_ni.size, 2)),
                             np.clip(lands[None, :] - x_ni[:, None], c.k_min, c.k_max)], axis=1)
     shifted = u.g1(x_ni[:, None] + k_sup) - k_sup - c.kappa
-    margins = np.asarray(u.g1(x_ni), dtype=float) - np.max(shifted, axis=1)
+    margins = u.g1(x_ni) - np.max(shifted, axis=1)
     i = int(np.argmin(margins))
     rep.entries.append(
         CheckEntry(
@@ -546,7 +505,7 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
         )
     )
 
-    sig = np.abs(np.asarray(spec.sigma_tilde(t_sample), dtype=float)[:, None] * probes[None, :])
+    sig = np.abs(spec.sigma_tilde(t_sample)[:, None] * probes[None, :])
     it, ix = np.unravel_index(int(np.argmin(sig)), sig.shape)
     rep.entries.append(
         CheckEntry(

@@ -452,12 +452,11 @@ class _StepPlan:
         self.x = grid.x_nodes()
         self.h = grid.h
         self.dt = spec.T / grid.n_t
-        self.fx = np.asarray(u.f(self.x), dtype=float)
-        self.g2x = np.asarray(u.g2(self.x), dtype=float)
+        self.fx = u.f(self.x)
+        self.g2x = u.g2(self.x)
         self.mean_rev = (spec.c1 - self.x) * spec.lam(self.x)
         times = np.asarray(times, dtype=float)
-        coef = np.stack([np.asarray(c(times), dtype=float)
-                         for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)], axis=1)
+        coef = np.stack([c(times) for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)], axis=1)
         bits = coef.view(np.uint64)
         new_run = np.ones(times.size, dtype=bool)
         new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
@@ -608,14 +607,14 @@ def value_bounds(spec: ModelSpec, grid: Grid) -> tuple[float, float]:
     since rounded subtraction is sign-symmetric."""
     u = spec.utilities
     x = grid.x_nodes()
-    beta = np.asarray(spec.beta(grid.t_nodes(spec.T)), dtype=float)
-    fx = np.asarray(u.f(x), dtype=float)
-    g2x = np.asarray(u.g2(x), dtype=float)
+    beta = spec.beta(grid.t_nodes(spec.T))
+    fx = u.f(x)
+    g2x = u.g2(x)
     at_min, at_max = fx - beta.min() * g2x, fx - beta.max() * g2x
     sink = max(0.0, -float(np.min(np.minimum(at_min, at_max))))
     source = max(0.0, float(np.max(np.maximum(at_min, at_max))))
     return (sink * spec.T + max(0.0, -float(np.min(u.g1(x)))),
-            source * spec.T + max(0.0, u.c_g1))
+            source * spec.T + max(0.0, u.g1.upper_bound()))
 
 
 def _projection_certified(v_max: float, v_min: float, costs) -> bool:
@@ -691,7 +690,7 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
     c1_bound = value_bounds(spec, grid)[1]  # caps the projection count
 
     def slices():
-        v = np.asarray(spec.utilities.g1(x), dtype=float)
+        v = spec.utilities.g1(x)
         yield grid.n_t, v, 0, None
         for j in range(grid.n_t - 1, -1, -1):
             v = pde_step(v, tn[j], grid, spec, plan)

@@ -73,6 +73,16 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
 
 
+def test_two_paths_give_a_standard_error(tmp_path):
+    # --paths 1 exits 2 (test_flag_outside_its_domain_exits_2); two paths
+    # are the smallest sample, and give finite standard errors
+    rc = cli.main(["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "2",
+                   "--dt", "0.1", "--out", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "mc_report.json").read_text())["reduction"]
+    assert all(math.isfinite(rep[k]["std_error"]) for k in ("cost_g", "cost_f"))
+
+
 _SOLVE = ["solve", "--spec", "fixture:zero", "--nx", "21", "--nt", "10"]
 _SIMULATE = ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths", "50"]
 
@@ -85,6 +95,7 @@ _SIMULATE = ["simulate", "--spec", "fixture:geometric", "--seed", "1", "--paths"
     (_SIMULATE, "--paths", "0"), (_SIMULATE, "--dt", "0"), (_SOLVE, "--tol-inner", "0"),
     (_SIMULATE, "--record-paths", "-1"), (_SOLVE, "--nx", "0"), (_SOLVE, "--xmin", "0"),
     (["converge", "--spec", "fixture:closed-form", "--nx", "21", "--nt", "10"], "--levels", "1"),
+    (_SIMULATE, "--paths", "1"),  # one path has no standard error
 ])
 def test_flag_outside_its_domain_exits_2(tmp_path, capsys, argv, flag, value):
     # a non-finite or out-of-range flag is named, before any work is done

@@ -162,7 +162,8 @@ def _outer_bound_sources(spec, grid):
 
 
 def _c1_outer(spec, grid):
-    return max(0.0, _outer_bound_sources(spec, grid)[0]) * spec.T + max(0.0, spec.utilities.c_g1)
+    return (max(0.0, _outer_bound_sources(spec, grid)[0]) * spec.T
+            + max(0.0, spec.utilities.g1.upper_bound()))
 
 
 def _c0_outer(spec, grid):

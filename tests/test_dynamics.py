@@ -34,8 +34,8 @@ from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _Moments, _si
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
                                   suggested_grid)
-from impulse_qvi.model import (Curve, cumulative_hazard, diffusion, drift, injection_cost,
-                               invert_hazard, survival_grid)
+from impulse_qvi.model import (Curve, diffusion, drift, injection_cost, invert_hazard,
+                               survival_grid)
 from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve
 
 from test_model import make_spec
@@ -229,13 +229,22 @@ def test_merged_moments_match_numpy(n, seed, loc, scale, spikes):
         acc.add(v[s:s + _C])
     est, se = acc.estimate()
     mean = float(np.mean(v))
-    sd = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    sd = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     if n <= _C:
         assert repr((est, se)) == repr((mean, sd))
     else:
         floor = 2.0**-46 * float(np.max(np.abs(v)))
         assert abs(est - mean) <= 1e-12 * abs(mean) + floor
         assert abs(se - sd) <= 1e-12 * sd + floor
+
+
+def test_one_path_has_no_standard_error():
+    # as np.std(ddof=1) of one sample, the standard error of one path is NaN,
+    # not 0; test_merged_moments_match_numpy checks _Moments at n = 1
+    spec = geometric_spec()
+    one = mc_cost_g(spec, 0.0, 1.0, None, 0.1, 1, 3)
+    assert one.estimate == simulate_paths(spec, 0.0, 1.0, None, 0.1, 3, 1)[0].realized_cost
+    assert math.isnan(one.std_error)
 
 
 def test_reduction_report_dict_fields():

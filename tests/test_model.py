@@ -18,8 +18,8 @@ from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec,
                                   intervention_spec, suggested_grid,
                                   zero_spec)
 from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
-                               _sorted_distinct, cumulative_hazard, diffusion, drift,
-                               injection_cost, invert_hazard, sampled_lipschitz, survival,
+                               _sorted_distinct, diffusion, drift, hazard_grid,
+                               injection_cost, invert_hazard, sampled_lipschitz, survival_grid,
                                validate)
 from impulse_qvi.solver import Grid
 
@@ -79,6 +79,16 @@ def test_curve_constant():
     assert c.breakpoints().size == 0  # no kinks anywhere
 
 
+def test_curve_values_are_float64_for_every_kind():
+    # integer fields are stored as floats, so no caller converts a curve's
+    # values: a constant of 1 gives 1.0, not the integer 1
+    for c in (Curve("constant", value=1), Curve("saturating", level=1, rate=2, scale=1),
+              Curve("table", x=[0, 1], y=[0, 2])):
+        assert c(np.arange(3.0)).dtype == np.float64
+        assert type(c(0.5)) is float
+    assert Curve("constant", value=1).to_dict() == {"kind": "constant", "value": 1.0}
+
+
 _CURVE_DICTS = {  # the to_dict of each curve below, by kind
     "constant": {"kind": "constant", "value": 0.25},
     "table": {"kind": "table", "x": [0.0, 0.5, 2.0], "y": [0.9, 0.55, 0.08]},
@@ -130,31 +140,33 @@ def test_drift_vectorized():
 
 
 def test_cumulative_hazard_constant():
-    # integral of 0.1 over a length-2 window = 0.2
+    # integral of 0.1 over windows of length 0, 1 and 2 from t0 = 1
     beta = Curve.constant(0.1)
-    assert cumulative_hazard(beta, 1.0, 3.0) == 0.2
-    assert survival(1.0, 3.0, make_spec(beta=0.1)) == math.exp(-0.2)
+    assert hazard_grid(beta, 1.0, [1.0, 2.0, 3.0]).tolist() == [0.0, 0.1, 0.2]
+    assert survival_grid(make_spec(beta=0.1), 1.0, [3.0])[0] == math.exp(-0.2)
 
 
 def test_cumulative_hazard_linear_exact():
     # beta(s) = s: integral over [0,1] = 1/2, over [0.25, 0.75] = 1/4;
     # trapezoid on the breakpoint-refined partition is exact for PL data
     beta = Curve.table([0.0, 1.0], [0.0, 1.0])
-    assert cumulative_hazard(beta, 0.0, 1.0) == 0.5
-    assert cumulative_hazard(beta, 0.25, 0.75) == 0.25
+    assert hazard_grid(beta, 0.0, [1.0])[0] == 0.5
+    assert hazard_grid(beta, 0.25, [0.75])[0] == 0.25
 
 
 def test_cumulative_hazard_kinked():
-    # table (0,0.2) (1,0.4) (2,0.3): trapezoids 0.3 + 0.35 = 0.65
+    # table (0,0.2) (1,0.4) (2,0.3): trapezoids 0.3 + 0.35 = 0.65, and the
+    # first 0.3 at the kink
     beta = Curve.table([0.0, 1.0, 2.0], [0.2, 0.4, 0.3])
-    assert cumulative_hazard(beta, 0.0, 2.0) == pytest.approx(0.65, abs=1e-15)
+    np.testing.assert_allclose(hazard_grid(beta, 0.0, [1.0, 2.0]), [0.3, 0.65], rtol=0,
+                               atol=1e-15)
 
 
 def test_survival_multiplicative():
     spec = geometric_spec()
     for (t, s, u) in [(0.0, 0.35, 1.0), (0.1, 0.6, 0.9), (0.0, 0.5, 0.5)]:
-        lhs = survival(t, s, spec) * survival(s, u, spec)
-        assert lhs == pytest.approx(survival(t, u, spec), abs=1e-12)
+        lhs = survival_grid(spec, t, [s])[0] * survival_grid(spec, s, [u])[0]
+        assert lhs == pytest.approx(survival_grid(spec, t, [u])[0], abs=1e-12)
 
 
 def test_invert_hazard_constant():
@@ -179,10 +191,10 @@ def test_invert_hazard_round_trip_random():
     knots = np.sort(rng.uniform(0.0, 2.0, 5))
     knots[0] = 0.0
     beta = Curve.table(knots, rng.uniform(0.05, 1.0, 5))
-    total = cumulative_hazard(beta, 0.0, 2.0)
+    total = hazard_grid(beta, 0.0, [2.0])[0]
     targets = rng.uniform(0.0, total * 0.999, 50)
     times = invert_hazard(beta, 0.0, targets, 2.0)
-    back = np.array([cumulative_hazard(beta, 0.0, s) for s in times])
+    back = hazard_grid(beta, 0.0, times)
     np.testing.assert_allclose(back, targets, atol=1e-10)
 
 
