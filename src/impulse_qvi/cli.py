@@ -39,7 +39,11 @@ EXIT_NUMERICAL = 3
 # the smooth-fit hypothesis needs uniform ellipticity, which the state
 # multiplying the volatility destroys at x=0; every report carries this
 _DOMAIN_NOTE = "diagnostics restricted to x_min > 0 (ellipticity proxy sigma_tilde*x_min)"
-_HASH_BLOCK = 1 << 20  # bytes per read while hashing --surface
+# bytes per read while hashing --surface, below glibc's initial 128 KiB mmap
+# threshold: freeing a larger block raises the threshold to its size, and
+# the arrays below that size allocated later come from the heap and stay
+# resident once freed
+_HASH_BLOCK = 1 << 16
 _PATH_COLUMNS = ("time", "state", "impulse_flag", "impulse_size")  # of each path_NNN.csv
 
 

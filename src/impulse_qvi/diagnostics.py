@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
 from .model import ModelSpec, survival_grid
-from .solver import (TOL_INNER, Grid, SolveResult, ValueSurface, _sweep, impulse_max,
+from .solver import (_ROWS, TOL_INNER, Grid, SolveResult, ValueSurface, _sweep, impulse_max,
                      interp_extended, solve, value_bounds)
 
 
@@ -48,11 +48,23 @@ class CheckReport:
 
 def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
     """V >= IV everywhere within a slack of 1e-8, IV recomputed fresh from
-    the stored values."""
-    iv, _ = impulse_max(surface.values, surface.grid, spec.costs)
-    gap = surface.values - iv
-    j, i = np.unravel_index(int(np.argmin(gap)), gap.shape)  # the first worst node, row-major
-    worst = float(gap[j, i])
+    the stored values.
+
+    V - IV is reduced by row blocks, one impulse_max call of _ROWS rows
+    each, so no IV, maximizer or gap array as large as V is built.  The
+    worst node is the first row-major minimum, a NaN taken as the
+    minimum, as np.argmin over the whole gap would give."""
+    values = surface.values
+    worst, at = math.inf, 0  # the worst gap so far and its flat index
+    for r in range(0, values.shape[0], _ROWS):
+        block = values[r:r + _ROWS]
+        gap = block - impulse_max(block, surface.grid, spec.costs)[0]
+        k = int(np.argmin(gap))
+        g = float(gap.flat[k])
+        # strict: an earlier block keeps a tie, and the first NaN stays the minimum
+        if g < worst or (math.isnan(g) and not math.isnan(worst)):
+            worst, at = g, r * values.shape[1] + k
+    j, i = np.unravel_index(at, values.shape)
     loc = (float(surface.t_nodes()[j]), float(surface.grid.x_nodes()[i]))
     return CheckReport(
         name="obstacle",

@@ -110,8 +110,8 @@ class ImpulseSchedule:
     sizes: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.sizes, dtype=float)
+        t = np.array(self.times, dtype=float)  # a copy: freezing it leaves the caller's array alone
+        s = np.array(self.sizes, dtype=float)
         if t.ndim != 1 or t.shape != s.shape:
             raise ValueError("times and sizes must be matching 1-d arrays")
         t.flags.writeable = False

@@ -97,8 +97,8 @@ class Curve:
         for k in ("value", "level", "rate", "scale"):
             object.__setattr__(self, k, float(getattr(self, k)))
         if self.kind == TABLE:
-            x = np.asarray(self.x, dtype=float)
-            y = np.asarray(self.y, dtype=float)
+            x = np.array(self.x, dtype=float)  # a copy: freezing it leaves the caller's array alone
+            y = np.array(self.y, dtype=float)
             if x.ndim != 1 or x.shape != y.shape or x.size < 2:
                 raise ValueError("table curve needs matching 1-d x and y with at least 2 points")
             if not np.all(np.diff(x) > 0):

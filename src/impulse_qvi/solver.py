@@ -824,7 +824,10 @@ def write_surface_csv(path, res: SolveResult, meta: dict | None = None) -> None:
 
 
 _CONTINUATION = (",continuation,\n", ",continuation,")  # row ends; the last may lack a newline
-_READ_SLICES = 16  # time slices per block of read_surface_csv
+# time slices per block of read_surface_csv: 2 slices of a 401-node grid are
+# 802 rows, about 100 KB of text, so a block's parse stays below glibc's
+# initial 128 KiB mmap threshold and never raises it (see cli._HASH_BLOCK)
+_READ_SLICES = 2
 _MIN_ROW_BYTES = len("0,0,0,0,action,0")  # the shortest data row a surface can hold
 
 
@@ -849,9 +852,11 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
     for.
 
     The rows are read in blocks of _READ_SLICES time slices, one
-    np.loadtxt call each, so the file's lines are never held at once.
-    Blank lines are skipped; data rows are numbered from 1 over the whole
-    file.  Raises ValueError when a header field is missing (as in files
+    np.loadtxt call each, so the file's lines are never held at once, and
+    a block of a 401-node grid stays below glibc's initial 128 KiB mmap
+    threshold: only the four result arrays set the peak.  Blank lines
+    are skipped; data rows are numbered from 1 over the whole file.
+    Raises ValueError when a header field is missing (as in files
     written before the header existed) or outside its domain (numbers
     finite, tol_inner > 0, n_x and n_t integers), when the line after the
     header is not the column line t,x,V,IV,label,xi0, when the header's

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -489,6 +490,77 @@ def test_surface_hash_read_in_blocks(tmp_path):
         ["check", "--spec", "fixture:intervention", "--seed", "3", "--surface", str(tmp_path),
          "--out", "o"]))
     assert cfg.hash_payload()["surface_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def intervention_surface(tmp_path_factory):
+    """A solve output on the intervention fixture's own 401 x 201 grid."""
+    sol = tmp_path_factory.mktemp("intervention")
+    assert cli.main(["solve", "--spec", "fixture:intervention", "--out", str(sol)]) == 0
+    return sol
+
+
+def test_surface_hash_memory(intervention_surface):
+    # traced peak of hashing the intervention fixture's surface (5.9 MB):
+    # a few blocks, never the file, and each block below glibc's initial
+    # 128 KiB mmap threshold (1 MiB blocks peaked at 2.01 MiB here)
+    cfg = cli._build_config(cli._build_parser().parse_args(
+        ["check", "--spec", "fixture:intervention", "--seed", "3",
+         "--surface", str(intervention_surface), "--out", "o"]))
+    tracemalloc.start()
+    try:
+        digest = cfg.hash_payload()["surface_sha256"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = (intervention_surface / "surface.csv").read_bytes()
+    assert digest == hashlib.sha256(whole).hexdigest()
+    assert cli._HASH_BLOCK < 2**17 and peak < 4 * cli._HASH_BLOCK, peak / 2**20
+
+
+# A child's ru_maxrss counts the pages it shares with its parent until it
+# execs, so each child is started by a small launcher process, not by pytest.
+_LAUNCH = ("import os, subprocess, sys; "
+           "proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, "
+           "stdout=subprocess.DEVNULL); "
+           "_, status, usage = os.wait4(proc.pid, 0); "
+           "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _peak_rss_mb(args):
+    """Least peak RSS (ru_maxrss / 1024) of two child runs of python3 ARGS.
+    The children write and read byte code, as installed packages do:
+    compiling the package from source moves a peak by 1-2 MB."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    peaks = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        rc, kib = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        peaks.append(int(kib) / 1024.0)
+    return min(peaks)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is counted in KiB on Linux only")
+def test_surface_reuse_peak_rss(tmp_path, intervention_surface):
+    # the reuse job's two steps on the intervention fixture's surface, each
+    # in a fresh child, peak at most 6.5 MB above a child that only imports
+    # the CLI: the surface's hash and read blocks stay below glibc's 128 KiB
+    # mmap threshold, and the obstacle check builds no array as large as V
+    # (1 MiB hash blocks, 16-slice read blocks and a stacked check read +8.2
+    # and +7.6 MB)
+    base = _peak_rss_mb(["-c", "import impulse_qvi.cli"])
+    common = ["--spec", "fixture:intervention", "--seed", "5", "--surface",
+              str(intervention_surface)]
+    simulate = _peak_rss_mb(["-m", "impulse_qvi.cli", "simulate", *common, "--policy", "feedback",
+                             "--x0", "0.15", "--paths", "20000", "--dt", "0.01",
+                             "--out", str(tmp_path / "m")])
+    check = _peak_rss_mb(["-m", "impulse_qvi.cli", "check", *common,
+                          "--out", str(tmp_path / "c")])
+    assert simulate - base <= 6.5 and check - base <= 6.5, (base, simulate, check)
 
 
 def _cli_within_512_mb(argv):

@@ -74,6 +74,68 @@ def test_check_obstacle_detects_corruption(intervention_solution):
     assert bad.worst_location is not None
 
 
+def _stacked_obstacle(surface, spec):
+    """measured and worst_location from one stacked impulse_max call over
+    the whole surface, the first row-major np.argmin of V - IV."""
+    iv, _ = solver.impulse_max(surface.values, surface.grid, spec.costs)
+    gap = surface.values - iv
+    j, i = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    return float(gap[j, i]), (float(surface.t_nodes()[j]), float(surface.grid.x_nodes()[i]))
+
+
+def _with_values(res, values):
+    s = res.surface
+    return ValueSurface(s.grid, s.T, values, s.iv_values, dict(s.metadata))
+
+
+@pytest.mark.parametrize("case", ["solved", "nan", "equal rows", "equal rows past block 0"])
+def test_check_obstacle_matches_one_stacked_reduction(intervention_solution, case):
+    # the row-block reduction reports bit for bit what one stacked
+    # impulse_max call and np.argmin give: a NaN is the minimum (its first
+    # row-major node, though a violation comes earlier), and equal minima
+    # in several row blocks go to the first
+    spec, grid, res = intervention_solution
+    blk = solver._ROWS
+    values = res.surface.values.copy()
+    assert values.shape[0] > 4 * blk
+    if case == "nan":
+        values[5, 40] = res.surface.iv_values[5, 40] - 1e-3
+        values[3 * blk + 2, 7] = values[2 * blk + 1, 90] = np.nan
+    elif case != "solved":  # every row the same solved row, from row blk + 3 on with a violation
+        row = values[blk // 2].copy()
+        values[:] = row
+        row[40] = res.surface.iv_values[blk // 2, 40] - 1e-3
+        values[0 if case == "equal rows" else blk + 3:] = row
+    surface = _with_values(res, values)
+    measured, loc = _stacked_obstacle(surface, spec)
+    report = check_obstacle(surface, spec)
+    assert np.array([report.measured]).tobytes() == np.array([measured]).tobytes()
+    assert report.worst_location == loc
+    if case == "nan":
+        assert math.isnan(measured) and loc[0] == surface.t_nodes()[2 * blk + 1]
+    elif case != "solved":
+        first = 0 if case == "equal rows" else blk + 3
+        assert loc == (surface.t_nodes()[first], grid.x_nodes()[40]) and measured < -1e-4
+
+
+def test_check_obstacle_memory():
+    # traced peak of the obstacle check on the intervention fixture's
+    # surface: V's size and 1 MiB for one row block's impulse operator (the
+    # stacked IV, maximizer and gap arrays peaked at 2.41 MiB here)
+    spec = intervention_spec()
+    surface = solve(spec, suggested_grid("intervention")).surface
+    solver._impulse_plan(surface.grid, spec.costs)  # the cached plan is not the check's
+    tracemalloc.start()
+    try:
+        report = check_obstacle(surface, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    bound = surface.values.nbytes + 2**20
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def test_smooth_fit_tightens_under_refinement():
     spec = intervention_spec()
     coarse = solve(spec, Grid(0.1, 4.1, 201, 100))

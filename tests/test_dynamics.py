@@ -95,6 +95,21 @@ def test_schedule_json_round_trip(tmp_path):
     np.testing.assert_array_equal(back.sizes, s.sizes)
 
 
+def test_curve_and_schedule_leave_the_caller_arrays_alone():
+    # both freeze a copy: the caller may still write its own arrays, and
+    # neither object sees the write
+    x, y = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    times, sizes = np.array([0.25, 0.75]), np.array([0.4, 0.1])
+    curve, sched = Curve.table(x, y), ImpulseSchedule(times, sizes)
+    for a in (x, y, times, sizes):
+        a[0] = 0.5
+    np.testing.assert_array_equal(curve.x, [0.0, 1.0])
+    np.testing.assert_array_equal(curve.y, [2.0, 3.0])
+    np.testing.assert_array_equal(sched.times, [0.25, 0.75])
+    np.testing.assert_array_equal(sched.sizes, [0.4, 0.1])
+    assert not any(a.flags.writeable for a in (curve.x, curve.y, sched.times, sched.sizes))
+
+
 def test_jump_identity_exact():
     spec = geometric_spec()
     sched = ImpulseSchedule(np.array([0.25]), np.array([0.4]))
