@@ -9,15 +9,14 @@ Exit codes: 0 success, 1 check failure, 2 usage, spec or out-of-memory
 error, 3 numerical failure (the scheme cannot proceed on the grid).
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class UsageError(ValueError):
     """Bad flags, missing files, or an inadmissible input: exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved CLI invocation (flags + loaded spec + derived grid)."""
 
     command: str
@@ -79,8 +77,7 @@ class RunConfig:
     _UNHASHED = ("out_dir", "reference", "explicit_flags", "surface_path")
 
     def hash_payload(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in self._UNHASHED}
+        payload = {k: v for k, v in self._asdict().items() if k not in self._UNHASHED}
         payload.update(spec=self.spec.to_dict(), grid=asdict(self.grid),
                        schedule=None if self.schedule is None else _pairs(self.schedule))
         if self.surface_path is not None:
@@ -173,9 +170,10 @@ def _build_config(args) -> RunConfig:
 
 
 def _sanitize(obj):
-    """Strict JSON of a payload: a dataclass becomes the dict of its fields,
-    a NamedTuple that of its _asdict(), and a non-finite float its repr
-    string.  So a report's JSON keys are its field names."""
+    """Strict JSON of a payload: a record (a NamedTuple) becomes the dict of
+    its _asdict(), a dataclass (Grid, CostParams) the dict of its fields,
+    and a non-finite float its repr string.  So a report's JSON keys are
+    its _fields, in order."""
     if is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     elif hasattr(obj, "_asdict"):  # a NamedTuple

@@ -13,10 +13,9 @@ runs a SolveResult's own policy through the Monte Carlo engine, so that
 the solver itself stays numerics only.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +25,16 @@ from .solver import (_ROWS, TOL_INNER, Grid, SolveResult, ValueSurface, _sweep, 
                      interp_extended, solve, value_bounds)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     passed: bool
     measured: float
     threshold: float
     operation: str
     tolerance_note: str
+    details: dict
     worst_location: tuple | None = None
     vacuous: bool = False
-    details: dict = field(default_factory=dict)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -74,6 +72,7 @@ def check_obstacle(surface: ValueSurface, spec: ModelSpec) -> CheckReport:
         operation="min over the grid of V - IV (IV recomputed)",
         tolerance_note="obstacle slack 1e-08",
         worst_location=loc,
+        details={},
     )
 
 
@@ -287,8 +286,7 @@ def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     ]
 
 
-@dataclass
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     """Successive-refinement table with sup differences and ratios."""
 
     rows: list
@@ -304,7 +302,7 @@ def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
     V = np.empty((grid.n_t + 1, grid.n_x))
     for j, v, _, _ in slices:
         V[j] = v
-    return ValueSurface(grid, spec.T, V)
+    return ValueSurface(grid, spec.T, V, None, {})
 
 
 def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,

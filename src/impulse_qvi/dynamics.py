@@ -74,8 +74,6 @@ not all finite has a diverged path and raises ValueError; may_act raises
 the same where it meets one first in a row that has an acting node.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from dataclasses import dataclass
@@ -102,9 +100,10 @@ class MCEstimate(NamedTuple):
     std_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpulseSchedule:
-    """Deterministic injection times and sizes, one injection per time."""
+    """Deterministic injection times and sizes, one injection per time.
+    == is identity and a schedule hashes by id, since it holds arrays."""
 
     times: np.ndarray
     sizes: np.ndarray
@@ -158,8 +157,7 @@ class ImpulseSchedule:
         return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
-@dataclass
-class PathRecord:
+class PathRecord(NamedTuple):
     """One simulated path: grid times, post-impulse states, applied impulses,
     the sampled default time (inf if beyond the horizon), and the realized
     cost in the default-truncated representation."""
@@ -241,8 +239,7 @@ def _time_grid(t0: float, t_end: float, dt: float, extra=()) -> np.ndarray:
     return _sorted_distinct(np.concatenate(pts))
 
 
-@dataclass
-class PathBatch:
+class PathBatch(NamedTuple):
     """Raw output of the batch engine for one chunk of contiguous paths."""
 
     times: np.ndarray
@@ -480,8 +477,7 @@ def mc_cost_g(spec: ModelSpec, t0: float, x0: float, control, dt: float,
     return acc.estimate()
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Agreement of the two cost representations at common Brownian numbers."""
 
     cost_g: MCEstimate

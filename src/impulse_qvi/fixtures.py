@@ -14,8 +14,6 @@ diffusion ratio with no deposit response, for Monte Carlo comparisons.
 is empty.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

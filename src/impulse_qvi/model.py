@@ -16,12 +16,11 @@ beta) and the state curve lam are restricted to the first two kinds so
 that hazard integrals and their inversion are exact.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +70,7 @@ def _numbers(value, path: str) -> list:
     return [_number(v, path) for v in value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """Scalar function of one real variable.
 
@@ -81,6 +80,9 @@ class Curve:
     nondecreasing and bounded above by level.
 
     The scalar fields are stored as floats, so every kind returns float64.
+    == is identity and a curve hashes by id (a field-wise == would compare
+    a table's arrays, which has no truth value); compare two curves by
+    their to_dict().
     """
 
     kind: str
@@ -201,8 +203,7 @@ def injection_cost(k, costs: CostParams):
     return k + costs.kappa
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(NamedTuple):
     """Running, terminal, and default utilities."""
 
     f: Curve
@@ -218,9 +219,13 @@ class UtilitySpec:
         return cls(*(Curve.from_dict(d[k], f"{prefix}{k}.") for k in ("f", "g1", "g2")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Full problem data: dynamics coefficients, hazard, utilities, costs."""
+    """Full problem data: dynamics coefficients, hazard, utilities, costs.
+
+    == is identity and a spec hashes by id, since its curves may hold
+    arrays; two specs are the same problem when their sha256() agree, the
+    comparison read_surface_csv makes."""
 
     c1: float
     T: float
@@ -387,8 +392,7 @@ def invert_hazard(curve: Curve, t0: float, targets, t_max: float):
 # hypothesis validation
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     passed: bool
     value: float
@@ -397,10 +401,9 @@ class CheckEntry:
     note: str = ""
 
 
-@dataclass
-class ValidationReport:
-    entries: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    entries: list
+    warnings: list
 
     @property
     def passed(self) -> bool:
@@ -441,13 +444,19 @@ def validate(spec: ModelSpec, probe_grid) -> ValidationReport:
     not missed; hazard nonnegativity; and the minimum |diffusion| over the
     probe domain as an ellipticity proxy.  Never raises on a violation; the
     report carries a structured failure list instead.
+
+    The ellipticity proxy passes on every spec, by design: the scheme
+    (drift upwinded) also solves specs whose diffusion vanishes, such as
+    sigma_tilde = 0, and the sweep refuses any spec with a failing entry.
+    A zero minimum adds a warning that smooth-fit diagnostics are
+    unreliable instead.
     """
     probes = _sorted_distinct(np.asarray(probe_grid, dtype=float))
     if probes.size < 2:
         raise ValueError("need at least two probe points")
     t_sample = _refined_partition(spec.sigma_tilde, 0.0, spec.T, extra=np.linspace(0.0, spec.T, 33))
 
-    rep = ValidationReport()
+    rep = ValidationReport([], [])
     u = spec.utilities
 
     for name, fn in (("lambda", spec.lam), ("f", u.f), ("g1", u.g1), ("g2", u.g2)):

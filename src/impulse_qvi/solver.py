@@ -104,14 +104,12 @@ regions (4-neighbour, in the (t, x) grid) are labeled by a run-based
 two-pass scan.
 """
 
-from __future__ import annotations
-
 import ctypes
 import functools
 import itertools
 import math
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -546,8 +544,7 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
     return plan.step(v_next, t)
 
 
-@dataclass
-class ValueSurface:
+class ValueSurface(NamedTuple):
     """Solved value function on the grid, with the impulse-operator values
     of every slice (None on a surface that only a sweep made) and solver
     metadata."""
@@ -555,8 +552,8 @@ class ValueSurface:
     grid: Grid
     T: float
     values: np.ndarray
-    iv_values: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
+    iv_values: np.ndarray | None
+    metadata: dict
 
     def t_nodes(self) -> np.ndarray:
         return self.grid.t_nodes(self.T)

@@ -13,7 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,11 +21,11 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from impulse_qvi import cli
 from impulse_qvi.diagnostics import CheckReport, ConvergenceStudy
-from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, MCEstimate, ReductionReport,
-                                  simulate)
+from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseEvent, ImpulseSchedule, MCEstimate,
+                                  PathBatch, PathRecord, ReductionReport, simulate)
 from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
-from impulse_qvi.model import CheckEntry, CostParams, Curve, ValidationReport
-from impulse_qvi.solver import Grid, read_surface_csv, write_csv
+from impulse_qvi.model import CheckEntry, CostParams, Curve, UtilitySpec, ValidationReport
+from impulse_qvi.solver import Grid, ValueSurface, read_surface_csv, write_csv
 
 from test_model import make_spec
 from test_solver import _found_sub_cell_spec
@@ -305,8 +305,8 @@ def test_infinite_c1_with_certified_projections_still_solves(tmp_path):
     # C1 = 2 * 1e308 overflows, but V stays near f / beta and every slice's
     # projection is certified away, so no cap is needed and the run solves
     spec = replace(intervention_spec(), T=1e308, beta=Curve.constant(10.0),
-                   utilities=replace(intervention_spec().utilities, f=Curve.constant(2.0),
-                                     g1=Curve.constant(0.0), g2=Curve.constant(0.0)))
+                   utilities=intervention_spec().utilities._replace(
+                       f=Curve.constant(2.0), g1=Curve.constant(0.0), g2=Curve.constant(0.0)))
     spec.to_json(tmp_path / "spec.json")
     assert cli.main(["solve", "--spec", str(tmp_path / "spec.json"), "--out",
                      str(tmp_path / "o"), *_SMALL_SOLVE]) == 0
@@ -683,7 +683,7 @@ def test_terminal_impulse_between_k_samples_is_refused(tmp_path):
     spec = replace(closed_form_spec(), costs=CostParams(kappa=0.05, k_min=0.1, k_max=1.0))
     g1 = Curve.table([0, 0.999, 1, 1.001, 1.049, 1.05, 1.113, 1.114, 1.115, 10],
                      [0, 0, -1, 0, 0, -1, -1, 0, -1, -1])
-    spec = replace(spec, utilities=replace(spec.utilities, g1=g1))
+    spec = replace(spec, utilities=spec.utilities._replace(g1=g1))
     spec.to_json(tmp_path / "tent.json")
     argv = ["--spec", str(tmp_path / "tent.json"), "--out", str(tmp_path / "o")]
     assert cli.main(["validate"] + argv) == 1
@@ -1175,7 +1175,17 @@ def test_converge_zero_fixture_inf_ratio_serializes(tmp_path):
 _ENTRY = CheckEntry("lipschitz_f", True, math.inf, worst_point=(0.5, 1.0))
 _ENTRY_JSON = {"name": "lipschitz_f", "passed": True, "value": "inf", "threshold": None,
                "worst_point": [0.5, 1.0], "note": ""}
-# each record a report writes, with a non-finite float, and its encoding
+_GRID_JSON = {"x_min": 0.1, "x_max": "inf", "n_x": 21, "n_t": 10}
+
+
+def _constant_json(value):
+    """The encoding of Curve.constant(value), a dataclass: all its fields."""
+    return {"kind": "constant", "value": value, "x": None, "y": None, "level": 0.0, "rate": 1.0,
+            "scale": 1.0}
+
+
+# each record (NamedTuple) and each dataclass that a report or the config
+# hash writes, with a non-finite float, and its encoding
 _RECORDS = {
     "CheckEntry": (_ENTRY, _ENTRY_JSON),
     "ValidationReport": (ValidationReport([_ENTRY], ["w"]),
@@ -1190,24 +1200,51 @@ _RECORDS = {
         CheckReport("bounds", False, -math.inf, 0.0, "op", "note", worst_location=(0.0, 1.5),
                     details={"c1": math.inf}),
         {"name": "bounds", "passed": False, "measured": "-inf", "threshold": 0.0,
-         "operation": "op", "tolerance_note": "note", "worst_location": [0.0, 1.5],
-         "vacuous": False, "details": {"c1": "inf"}}),
+         "operation": "op", "tolerance_note": "note", "details": {"c1": "inf"},
+         "worst_location": [0.0, 1.5], "vacuous": False}),
     "ConvergenceStudy": (
         ConvergenceStudy([{"n_t": 10, "sup_diff_to_next": 0.0}], [math.inf], [math.nan]),
         {"rows": [{"n_t": 10, "sup_diff_to_next": 0.0}], "ratios": ["inf"],
          "reference_errors": ["nan"]}),
-    "Grid": (Grid(0.1, math.inf, 21, 10), {"x_min": 0.1, "x_max": "inf", "n_x": 21, "n_t": 10}),
+    "UtilitySpec": (
+        UtilitySpec(Curve.constant(1.0), Curve.constant(0.0), Curve.constant(-math.inf)),
+        {"f": _constant_json(1.0), "g1": _constant_json(0.0), "g2": _constant_json("-inf")}),
+    "ValueSurface": (
+        ValueSurface(Grid(0.1, math.inf, 21, 10), 1.0, [[0.0, math.nan]], None, {"tol_inner": 0.1}),
+        {"grid": _GRID_JSON, "T": 1.0, "values": [[0.0, "nan"]], "iv_values": None,
+         "metadata": {"tol_inner": 0.1}}),
+    "PathRecord": (
+        PathRecord([0.0, 1.0], [1.0, 1.2], [ImpulseEvent(0.0, 0.2, 1.0, 1.2)], math.inf, -0.5),
+        {"times": [0.0, 1.0], "states": [1.0, 1.2], "default_time": "inf", "realized_cost": -0.5,
+         "impulses_applied": [{"time": 0.0, "size": 0.2, "state_before": 1.0,
+                               "state_after": 1.2}]}),
+    "PathBatch": (
+        PathBatch([0.0, 1.0], [1.1], [math.inf], [0.3], [0.4], [0.1]),
+        {"times": [0.0, 1.0], "final_states": [1.1], "default_times": ["inf"], "cost_g": [0.3],
+         "run_f": [0.4], "imp_f": [0.1], "histories": None, "events": None}),
+    "RunConfig": (
+        cli.RunConfig("solve", "fixture:zero", None, "o", Grid(0.1, math.inf, 21, 10), None,
+                      (("n_x", 21),), 2, 0.01, 5, 1e-9, None, 0.0, 1.0, None, "none", None, 0,
+                      2),
+        {"command": "solve", "spec_source": "fixture:zero", "spec": None, "out_dir": "o",
+         "grid": _GRID_JSON, "reference": None, "explicit_flags": [["n_x", 21]], "n_paths": 2,
+         "dt": 0.01, "seed": 5, "tol_inner": 1e-9, "eps_region": None, "t0": 0.0, "x0": 1.0,
+         "schedule": None, "policy": "none", "surface_path": None, "record_paths": 0,
+         "levels": 2}),
+    "Grid": (Grid(0.1, math.inf, 21, 10), _GRID_JSON),
     "CostParams": (CostParams(0.05, 0.1, math.inf), {"kappa": 0.05, "k_min": 0.1, "k_max": "inf"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_RECORDS))
 def test_encoder_writes_a_record_as_its_fields(name):
-    # a record's JSON keys are its field names, an MCEstimate is a dict, a
-    # tuple a list, and a non-finite float its repr string
+    # a record's JSON keys are its _fields, a dataclass's its field names, an
+    # MCEstimate is a dict, a tuple a list, and a non-finite float its repr
+    # string
     record, expected = _RECORDS[name]
     encoded = cli._sanitize(record)
-    assert list(encoded) == [f.name for f in fields(record)]
+    names = [f.name for f in fields(record)] if is_dataclass(record) else record._fields
+    assert list(encoded) == list(names)
     assert encoded == expected
     json.dumps(encoded, allow_nan=False)
 

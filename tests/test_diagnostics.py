@@ -4,7 +4,7 @@ and the refinement study."""
 import math
 import re
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,8 +208,9 @@ def test_lower_bound_c0_mirrors_c1():
                      f=0.5, g2=Curve.table([0.0, 2.0], [0.75, 0.0]),
                      g1=Curve.table([0.0, 2.0], [-0.25, 1.0]))
     assert value_bounds(spec, grid)[0] == 2.0 * 1.0 + 0.25
-    assert value_bounds(replace(spec, utilities=replace(spec.utilities, f=Curve.constant(5.0),
-                                                        g1=Curve.constant(0.0))), grid)[0] == 0.0
+    assert value_bounds(replace(spec, utilities=spec.utilities._replace(f=Curve.constant(5.0),
+                                                                        g1=Curve.constant(0.0))),
+                        grid)[0] == 0.0
 
 
 def _outer_bound_sources(spec, grid):
@@ -410,8 +411,9 @@ def _dense_result():
 def test_region_checks_match_their_loop_references(res, tol):
     # the array forms report what the loops reported, field for field,
     # worst locations (the first extreme in row-major order) included
-    assert repr(asdict(check_smooth_fit(res, tol))) == repr(asdict(_smooth_fit_loops(res, tol)))
-    assert repr(asdict(check_theta_structure(res))) == repr(asdict(_theta_structure_loops(res)))
+    assert repr(check_smooth_fit(res, tol)._asdict()) == repr(_smooth_fit_loops(res, tol)._asdict())
+    assert (repr(check_theta_structure(res)._asdict())
+            == repr(_theta_structure_loops(res)._asdict()))
 
 
 def test_solver_is_numerics_only():
@@ -429,12 +431,12 @@ def test_solver_is_numerics_only():
 def test_check_report_shape():
     rep = CheckReport(name="demo", passed=True, measured=0.5, threshold=1.0,
                       operation="op", tolerance_note="note", details={"k": 1})
-    d = asdict(rep)
+    d = rep._asdict()
     assert "runtime" not in d  # wall clock never reaches artifacts
     assert d["details"] == {"k": 1}
     assert "demo" in rep.line() and "PASS" in rep.line()
     vac = CheckReport(name="v", passed=True, measured=0.0, threshold=0.0,
-                      operation="op", tolerance_note="n", vacuous=True)
+                      operation="op", tolerance_note="n", details={}, vacuous=True)
     assert "vacuous" in vac.line()
 
 
@@ -450,7 +452,7 @@ def test_convergence_study_closed_form():
     r12 = study.reference_errors[1] / study.reference_errors[2]
     assert 1.6 <= r01 <= 2.4 and 1.6 <= r12 <= 2.4
     assert study.ratios[0] >= 1.8
-    d = asdict(study)
+    d = study._asdict()
     assert d["rows"][0]["sup_diff_to_next"] > d["rows"][1]["sup_diff_to_next"]
 
 
@@ -497,7 +499,7 @@ def _ladder(grid, levels):
 def test_convergence_study_matches_all_levels_oracle(spec, grid, levels, reference):
     study = convergence_study(spec, grid, levels, reference=reference)
     oracle = _convergence_study_all_levels(spec, _ladder(grid, levels), reference=reference)
-    assert repr(asdict(study)) == repr(asdict(oracle))
+    assert repr(study._asdict()) == repr(oracle._asdict())
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -514,7 +516,7 @@ def test_convergence_study_matches_oracle_on_random_specs(case, levels, half):
             _convergence_study_all_levels(spec, _ladder(grid, levels))
         return
     oracle = _convergence_study_all_levels(spec, _ladder(grid, levels))
-    assert repr(asdict(study)) == repr(asdict(oracle))
+    assert repr(study._asdict()) == repr(oracle._asdict())
 
 
 # Feynman-Kac cross-check: with kappa = 1e6 no injection pays, so V is the

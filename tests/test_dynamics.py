@@ -422,7 +422,7 @@ def _solve_result(grid, T, action, xi0):
     """A SolveResult on grid over [0, T] with these labels and xi0; V and IV
     are zeros, which FeedbackPolicy does not read."""
     zeros = np.zeros(action.shape)
-    return SolveResult(ValueSurface(grid, T, zeros, zeros), action, xi0)
+    return SolveResult(ValueSurface(grid, T, zeros, zeros, {}), action, xi0)
 
 
 def test_feedback_policy_snapping():

@@ -5,15 +5,19 @@ inversion on piecewise-linear intensities are exact, so those assertions
 are tight.
 """
 
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import impulse_qvi
+from impulse_qvi.dynamics import ImpulseSchedule
 from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec,
                                   intervention_spec, suggested_grid,
                                   zero_spec)
@@ -361,9 +365,9 @@ def test_validate_negative_hazard_fails():
 def test_validation_report_round_trip():
     spec = intervention_spec()
     rep = validate(spec, np.linspace(0.1, 4.0, 51))
-    d = asdict(rep)
+    d = rep._asdict()
     assert rep.passed is True
-    assert {e["name"] for e in d["entries"]} >= {
+    assert {e._asdict()["name"] for e in d["entries"]} >= {
         "lipschitz_lambda", "lipschitz_f", "no_terminal_impulse",
         "hazard_nonnegative", "ellipticity_proxy"}
 
@@ -409,3 +413,36 @@ def test_model_spec_invariants():
     with pytest.raises(ValueError):
         # time curves must be piecewise linear for exact quadrature
         make_spec(beta=Curve.saturating(level=0.5, rate=1.0, scale=0.5))
+
+
+# ---------------------------------------------------------- record types
+
+
+def test_array_holding_specs_compare_by_identity_and_hash():
+    # two builds of a table curve, of a fixture spec or of a schedule are
+    # distinct objects: == is identity, not a field-wise comparison of
+    # arrays that has no truth value, and each hashes into a set; the
+    # value comparison of two specs is their sha256()
+    for build in (lambda: Curve.table([0, 1], [0, 1]), geometric_spec,
+                  lambda: ImpulseSchedule([0.5], [0.2])):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+    assert geometric_spec().sha256() == geometric_spec().sha256()
+    # Grid and CostParams keep value equality: together they key a cache
+    assert Grid(0.1, 2.1, 21, 10) == Grid(0.1, 2.1, 21, 10)
+    assert hash(CostParams(0.05, 0.1, 1.0)) == hash(CostParams(0.05, 0.1, 1.0))
+
+
+def test_only_validating_types_are_dataclasses():
+    # a dataclass compiles its generated methods at every import, so a
+    # record that only carries values is a NamedTuple, and a dataclass is
+    # kept only where its __post_init__ validates
+    modules = [importlib.import_module(f"impulse_qvi.{m.name}")
+               for m in pkgutil.iter_modules(impulse_qvi.__path__)]
+    classes = [v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__ == m.__name__]
+    kept = [c for c in classes if dataclasses.is_dataclass(c)]
+    assert all("__post_init__" in vars(c) for c in kept)
+    assert {c.__name__ for c in kept} == {"Grid", "CostParams", "Curve", "ModelSpec",
+                                         "ImpulseSchedule"}

@@ -545,7 +545,8 @@ def test_evaluate_matches_bilinear_formula_at_each_t():
     # last one reaches below x_min, where the lowest-cell line applies),
     # with t clipped to [0, T]
     rng = np.random.default_rng(5)
-    fine = ValueSurface(Grid(0.1, 2.1, 41, 16), 1.5, np.cumsum(rng.normal(size=(17, 41)), axis=1))
+    fine = ValueSurface(Grid(0.1, 2.1, 41, 16), 1.5, np.cumsum(rng.normal(size=(17, 41)), axis=1),
+                        None, {})
     tn, xn = fine.t_nodes(), fine.grid.x_nodes()
     for coarse in (Grid(0.1, 2.1, 41, 8), Grid(0.3, 1.7, 7, 3), Grid(0.0, 2.5, 23, 5)):
         ts = np.concatenate((coarse.t_nodes(1.5), [-0.1, 0.7, 1.6]))
@@ -1118,7 +1119,7 @@ def test_solve_is_monotone_in_the_data(case, datum, delta):
     spec, grid = case
     u, c = spec.utilities, spec.costs
     if datum in ("f", "g1", "g2"):
-        raised = replace(spec, utilities=replace(u, **{datum: _raised(getattr(u, datum), delta)}))
+        raised = replace(spec, utilities=u._replace(**{datum: _raised(getattr(u, datum), delta)}))
     else:
         raised = replace(spec, costs=replace(c, **{datum: getattr(c, datum) + delta}))
     try:
