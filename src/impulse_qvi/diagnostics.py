@@ -13,6 +13,7 @@ runs a SolveResult's own policy through the Monte Carlo engine, so that
 the solver itself stays numerics only.
 """
 
+import collections
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -316,37 +317,49 @@ def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,
     (t, x_nodes) -> V is given, each level also records its sup error
     against it, one call per time node.
 
-    Every level is streamed slice by slice, in sweep order, and each
-    reduction is taken row by row as its row arrives.  A level is stored
-    only while the next level still has to be compared with it: the
-    ladder holds at most the previous level and the one being swept, and
-    the last level is never stored.  Each reduction keeps one max per row,
-    so a NaN anywhere still gives NaN.
+    The levels are swept in lockstep, driven by the finest: when level i
+    yields row 2r, level i - 1 is advanced to row r and the two rows are
+    compared.  So every level holds only its current row, and no level is
+    stored.  Each reduction is a running np.maximum of the row maxima, so a
+    NaN anywhere still gives NaN.  Errors are those of sweeping the levels
+    one after another: when a level fails, the coarser levels are run to
+    the end, and the first error of the lowest failing level is raised.
     """
     grids = [replace(grid, n_t=grid.n_t * 2**i) for i in range(levels)]
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
     xn = grid.x_nodes()
-    ref_errors, diffs = [], []
-    coarse = None  # V of the previous level
-    for i, g in enumerate(grids):
-        tn = g.t_nodes(spec.T)
-        _, slices = _sweep(spec, g, tol_inner)
-        kept = np.empty((g.n_t + 1, g.n_x)) if i + 1 < levels else None
-        ref_rows, diff_rows = [], []
-        for j, v, _, _ in slices:
-            if kept is not None:
-                kept[j] = v
-            if reference is not None:
-                ref_rows.append(np.abs(v - reference(tn[j], xn)).max())
-            if coarse is not None and j % 2 == 0:
-                diff_rows.append(np.abs(coarse[j // 2] - v).max())
+    sweeps = [_sweep(spec, g, tol_inner)[1] for g in grids]
+    tns = [g.t_nodes(spec.T) for g in grids]
+    ref_errors = [-math.inf] * levels if reference is not None else []
+    diffs = [-math.inf] * (levels - 1)
+
+    def take(i):
+        """The next slice (j, v) of level i, its reference error taken."""
+        j, v, _, _ = next(sweeps[i])
         if reference is not None:
-            ref_errors.append(float(np.max(ref_rows)))
-        if coarse is not None:
-            diffs.append(float(np.max(diff_rows)))
-        coarse = kept  # drops the level before it
+            ref_errors[i] = np.maximum(ref_errors[i], np.abs(v - reference(tns[i][j], xn)).max())
+        return j, v
+
+    try:
+        for _ in range(grids[-1].n_t + 1):
+            i = levels - 1
+            j, v = take(i)
+            while i and j % 2 == 0:  # row j of level i and row j/2 of level i - 1 share t
+                i -= 1
+                j, coarse = take(i)
+                diffs[i] = np.maximum(diffs[i], np.abs(coarse - v).max())
+                v = coarse
+    except Exception:  # level i failed; a coarser level's failure comes first
+        for sweep in sweeps[:i]:  # lowest first, each run to its end
+            try:
+                collections.deque(sweep, maxlen=0)
+            except Exception as coarser:
+                raise coarser from None
+        raise
+    diffs = [float(d) for d in diffs]
     for i, d in enumerate(diffs):
         rows[i]["sup_diff_to_next"] = d
     ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf
               for i in range(len(diffs) - 1)]
-    return ConvergenceStudy(rows=rows, ratios=ratios, reference_errors=ref_errors)
+    return ConvergenceStudy(rows=rows, ratios=ratios,
+                            reference_errors=[float(e) for e in ref_errors])

@@ -175,7 +175,9 @@ class FeedbackPolicy:
     Queries snap t to the nearest time node and x with grid.nearest_node,
     the rule that lands an injection; action nodes return the recorded
     injection size, continuation nodes return 0.  A query is made at most
-    once per grid time, so no two injections share an instant.
+    once per grid time, so no two injections share an instant.  The rule
+    keeps each time row's action nodes and their sizes, not the
+    SolveResult, and a query fills one row of sizes.
 
     Each time row also keeps the span from its lowest to its highest node
     with a positive size (a row with none never acts), and may_act(t, x)
@@ -189,16 +191,22 @@ class FeedbackPolicy:
     def __init__(self, res):
         self.t_nodes = res.surface.t_nodes()
         self.grid = res.surface.grid
-        self.sizes = np.where(res.labels, res.xi0, 0.0)  # the injection at each node
+        # per row, its action nodes and the injection at each
+        self._actions = [(i, xi[i]) for i, xi in zip(map(np.flatnonzero, res.labels), res.xi0)]
         # per row, its lowest and highest acting node; (0, -1) if it has none
         self._spans = [(int(i[0]), int(i[-1])) if i.size else (0, -1)
-                       for i in map(np.flatnonzero, self.sizes > 0)]
+                       for i in (i[xi > 0] for i, xi in self._actions)]
 
     def _row(self, t: float) -> int:
         return int(np.abs(self.t_nodes - t).argmin())
 
     def injections(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.sizes[self._row(t), self.grid.nearest_node(np.asarray(x))]
+        """The injection at the node of each state: xi0 at an action node,
+        0 at a continuation node."""
+        nodes, sizes = self._actions[self._row(t)]
+        row = np.zeros(self.grid.n_x)
+        row[nodes] = sizes
+        return row[self.grid.nearest_node(np.asarray(x))]
 
     def may_act(self, t: float, x: np.ndarray) -> bool:
         """False only if no entry of injections(t, x) is positive;

@@ -58,8 +58,7 @@ the proof alone.
 The sweep hands out its slices one at a time, in sweep order, and each
 caller keeps only what it needs: solve writes V, IV and the maximizers
 straight into its stacked arrays, a values-only sweep keeps V, and the
-convergence ladder keeps a level only while a finer level still has to be
-compared with it.
+convergence ladder sweeps its levels in lockstep and keeps no level.
 
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
@@ -726,10 +725,11 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
 
     Each slice of the sweep goes straight into the stacked V, IV and
     maximizer arrays.  IV and the maximizers of a projected slice come
-    from its loop's last impulse_max call; one stacked call gives those of
-    the terminal slice and of the slices whose projection was certified
-    away.  From them come the labels, the policy and the largest residual
-    max(IV - V).
+    from its loop's last impulse_max call; stacked calls of up to _ROWS
+    rows give those of the terminal slice and of the slices whose
+    projection was certified away.  From them come the labels, the policy
+    and the largest residual max(IV - V), taken over blocks of _ROWS rows,
+    so that no temporary as large as V is built.
 
     Raises ValueError when the spec fails hypothesis validation, h >
     k_min, or a slice to project has no finite iteration cap, and
@@ -751,12 +751,20 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
             rest.append(j)
         else:
             IV[j], XI[j] = last
-    IV[rest], XI[rest] = impulse_max(V[rest], grid, spec.costs)
-    LAB = (V - IV) <= eps_region
-    XI[~LAB] = np.nan  # the policy: the maximizer on the action nodes only
+    for r in range(0, len(rest), _ROWS):
+        b = rest[r:r + _ROWS]
+        IV[b], XI[b] = impulse_max(V[b], grid, spec.costs)
+    LAB = np.empty(V.shape, dtype=bool)
+    residuals = np.empty(grid.n_t + 1)
+    for r in range(0, grid.n_t + 1, _ROWS):
+        gap = IV[r:r + _ROWS] - V[r:r + _ROWS]
+        # V - IV <= eps_region, exactly: rounded subtraction is sign-symmetric
+        lab = np.greater_equal(gap, -eps_region, out=LAB[r:r + _ROWS])
+        XI[r:r + _ROWS][~lab] = np.nan  # the policy: the maximizer on the action nodes only
+        np.max(gap, axis=1, out=residuals[r:r + _ROWS])
     # the terminal slice is not projected; every other slice left the loop
     # with this residual or was certified below it
-    residuals = np.max(IV[:-1] - V[:-1], axis=1)
+    residuals = residuals[:-1]
     bad = np.flatnonzero(residuals > tol_inner)
     if bad.size:
         j = int(bad[0])
@@ -899,7 +907,7 @@ def read_surface_csv(path, spec: ModelSpec | None = None) -> SolveResult:
         tn, xn = grid.t_nodes(h["T"]), grid.x_nodes()
         V, IV, xi0 = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
         action = np.empty(shape, dtype=bool)
-        data = (r for r in fh if not r.isspace())
+        data = itertools.filterfalse(str.isspace, fh)
         for j in range(0, shape[0], _READ_SLICES):
             m = min(_READ_SLICES, shape[0] - j)
             rows = list(itertools.islice(data, m * grid.n_x))
@@ -956,21 +964,24 @@ def write_policy_csv(path, res: SolveResult, meta: dict | None = None) -> None:
     write_csv(path, meta or {}, ("t", "x", "xi0"), (f"{t!r},{x!r},{xi!r}\n" for t, x, xi in rows))
 
 
-def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected components of a 2-d boolean mask, numbered from 1 in
-    raster order of their first node; 0 marks background.
+def _label_components(mask: np.ndarray) -> tuple[list, list, list, list]:
+    """4-connected components of a 2-d boolean mask, as its runs of True:
+    (row, start, end, label) lists, one entry per run in raster order, end
+    one past the run's last column.  Components are numbered from 1 in
+    raster order of their first node, so the largest label is their count.
 
-    Two passes over the runs of True in each row (He, Chao & Suzuki, IEEE
-    TIP 2008): a run joins every run of the row above whose columns it
+    Two passes over the runs of each row (He, Chao & Suzuki, IEEE TIP
+    2008): a run joins every run of the row above whose columns it
     overlaps, under union-find; then the runs, in raster order, number
-    each component as its first run is met.
+    each component as its first run is met.  The runs come from the
+    boolean row changes of the mask padded with False, so no array wider
+    than one byte per node is built.
     """
     mask = np.asarray(mask, dtype=bool)
-    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
-    row, start = np.nonzero(edges == 1)   # runs in raster order
-    end = np.nonzero(edges == -1)[1]      # one past each run's last column
-    starts, ends = start.tolist(), end.tolist()
-    parent = list(range(row.size))
+    row, col = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    # each row's changes alternate: a run's first column, then one past its last
+    rows, starts, ends = row[::2].tolist(), col[::2].tolist(), col[1::2].tolist()
+    parent = list(range(len(rows)))
 
     def root(r):
         while parent[r] != r:
@@ -978,7 +989,7 @@ def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
         return r
 
     above, here, cur = [], [], -1         # runs of the row above and of row cur
-    for r, (j, s, e) in enumerate(zip(row.tolist(), starts, ends)):
+    for r, (j, s, e) in enumerate(zip(rows, starts, ends)):
         if j != cur:
             above, here, cur, p = (here if j == cur + 1 else []), [], j, 0
         here.append(r)
@@ -989,10 +1000,8 @@ def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
                 break
             parent[root(r)] = root(q)
     number = {}
-    run_label = [number.setdefault(root(r), len(number) + 1) for r in range(row.size)]
-    labels = np.zeros(mask.shape, dtype=np.intp)
-    labels[mask] = np.repeat(np.asarray(run_label, dtype=np.intp), end - start)
-    return labels, len(number)
+    labels = [number.setdefault(root(r), len(number) + 1) for r in range(len(rows))]
+    return rows, starts, ends, labels
 
 
 def write_boundary_csv(path, res: SolveResult, meta: dict | None = None) -> None:
@@ -1000,8 +1009,8 @@ def write_boundary_csv(path, res: SolveResult, meta: dict | None = None) -> None
     by component, then time."""
     tn = res.surface.t_nodes().tolist()
     xn = res.surface.grid.x_nodes().tolist()
-    comp, _ = _label_components(res.labels)
-    j, i = np.nonzero(comp)  # row-major, so the last i of a (component, row) is its largest
-    top = dict(zip(zip(comp[j, i].tolist(), j.tolist()), i.tolist()))
+    rows, _, ends, labels = _label_components(res.labels)
+    # runs ascend within a row, so the last run of a (component, row) ends at its top
+    top = dict(zip(zip(labels, rows), (e - 1 for e in ends)))
     write_csv(path, meta or {}, ("component", "t", "boundary_x"),
               (f"{c},{tn[j]!r},{xn[i]!r}\n" for (c, j), i in sorted(top.items())))

@@ -538,18 +538,53 @@ def test_priced_out_value_matches_no_control_monte_carlo(case):
     assert abs(v - est.estimate) <= 3.0 * est.std_error + dt + grid.h + 1e-8, (spec, v, est)
 
 
-def test_convergence_study_holds_two_levels():
-    # traced peak of the closed-form ladder: the middle level while it is
-    # swept and kept, the coarsest one it is compared with, and 1 MiB for
-    # the sweep's working rows; the finest level is never stored (the
-    # all-levels form peaked at 18.3 MiB here, a ladder that stored every
-    # level it swept, two at a time, at 7.77 MiB)
-    bound = 8 * 400 * (801 + 401) + 2**20
+def test_convergence_study_holds_no_level():
+    # traced peak of a 5-level closed-form ladder on the CLI's 400 x 400
+    # grid: below one stored surface of its third level (n_t = 1600), since
+    # each level holds only its current row and the plans' step tables
+    # (the ladder that stored a level while it swept the next peaked at
+    # 15.1 MiB here)
+    bound = 8 * 400 * (4 * 400 + 1)
     tracemalloc.start()
     try:
-        convergence_study(closed_form_spec(), Grid(0.1, 2.1, 400, 400), 3,
+        convergence_study(closed_form_spec(), Grid(0.1, 2.1, 400, 400), 5,
                           reference=fixture_reference("closed-form"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound, (peak / 2**20, bound / 2**20)
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+@pytest.mark.parametrize("fails, expected", [
+    ({2: 0, 1: 5}, 1),         # the finest fails first; level 1 fails later on
+    ({1: 0, 0: 10}, 0),        # the middle fails first; level 0 fails at its end
+    ({2: 0, 1: 3, 0: 10}, 0),
+    ({2: 4}, 2),               # only the finest fails
+    ({1: 7}, 1),
+])
+def test_convergence_study_raises_the_lowest_failing_level(monkeypatch, fails, expected):
+    # the lockstep ladder meets a finer level's failure first, yet raises
+    # the error that sweeping the levels one after another would: the
+    # first error of the lowest level that fails.  Level i's sweep raises
+    # before its slice fails[i], a ValueError on even levels and a
+    # NumericalError on odd ones
+    grid = Grid(0.1, 2.1, 31, 10)
+    sweep = diagnostics._sweep
+
+    def failing(spec, g, tol_inner):
+        level = (g.n_t // grid.n_t).bit_length() - 1
+        error = (ValueError, solver.NumericalError)[level % 2]
+        c1, slices = sweep(spec, g, tol_inner)
+
+        def gen():
+            for k, s in enumerate(slices):
+                if fails.get(level) == k:
+                    raise error(f"level {level} fails at slice {k}")
+                yield s
+        return c1, gen()
+
+    monkeypatch.setattr(diagnostics, "_sweep", failing)
+    with pytest.raises((ValueError, solver.NumericalError)) as caught:
+        convergence_study(zero_spec(), grid, 3)
+    assert caught.type is (ValueError, solver.NumericalError)[expected % 2]
+    assert str(caught.value) == f"level {expected} fails at slice {fails[expected]}"

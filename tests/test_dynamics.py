@@ -439,6 +439,27 @@ def test_feedback_policy_snapping():
     np.testing.assert_array_equal(out3, [0.0, 0.0, 0.7, 0.0, 0.0])
 
 
+def test_feedback_policy_holds_no_dense_copy():
+    # traced peak of building the intervention fixture's policy, which
+    # keeps only the action nodes and their injections, row by row: below
+    # a quarter of one dense float array over the grid
+    res = solve(intervention_spec(), suggested_grid("intervention"))
+    tracemalloc.start()
+    try:
+        pol = FeedbackPolicy(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < res.xi0.nbytes / 4, peak / 2**20
+    # lookups give the bits of the dense table, on and off the nodes and
+    # off the grid
+    grid, tn = res.surface.grid, res.surface.t_nodes()
+    x = np.linspace(grid.x_min - 0.3, grid.x_max + 0.3, 997)
+    dense = np.where(res.labels, res.xi0, 0.0)
+    for j in range(0, tn.size, 25):
+        assert pol.injections(tn[j], x).tobytes() == dense[j, grid.nearest_node(x)].tobytes()
+
+
 def test_feedback_policy_triggers_injection():
     spec = intervention_spec()
     res = solve(spec, suggested_grid("intervention"))
@@ -623,7 +644,7 @@ def test_may_act_is_exact(data):
                        st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]))
     x = np.array(data.draw(st.lists(states, min_size=1, max_size=12)))
     t = data.draw(st.one_of(st.floats(-0.2, 1.2), st.sampled_from(list(pol.t_nodes))))
-    acting = np.flatnonzero(pol.sizes[np.argmin(np.abs(pol.t_nodes - t))] > 0)
+    acting = np.flatnonzero(pol.injections(t, grid.x_nodes()) > 0)  # each node snaps to itself
     nodes = grid.nearest_node(x)
     may = pol.may_act(t, x)
     assert may == bool(acting.size and nodes.min() <= acting[-1] and nodes.max() >= acting[0])

@@ -989,6 +989,48 @@ def test_solve_streams_the_sweep_into_its_arrays():
     assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
+@pytest.mark.parametrize("name", ["intervention", "closed-form"])
+def test_solve_finish_builds_no_full_size_temporary(monkeypatch, name):
+    # after the sweep's last slice, solve holds V, IV and the maximizers;
+    # its finish (IV of the slices without a projection loop, the labels,
+    # the policy and the residuals) may add the labels, the traced peak of
+    # one impulse_max call on as many of those slices as a block holds,
+    # and 256 KiB.  On closed-form every slice has no loop, on intervention
+    # only the terminal one
+    spec, grid = get_fixture(name), suggested_grid(name)
+    sweep = solver._sweep
+    at_end, unlooped = [], []
+
+    def traced(*args):
+        c1, slices = sweep(*args)
+
+        def gen():
+            for s in slices:
+                unlooped.append(s[3] is None)
+                yield s
+            at_end.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()  # what follows is solve's finish
+        return c1, gen()
+
+    _impulse_plan(grid, spec.costs)  # built outside both traces
+    monkeypatch.setattr(solver, "_sweep", traced)
+    res, peak = _traced_peak(solve, spec, grid)
+    rows = min(solver._ROWS, sum(unlooped))
+    _, block = _traced_peak(impulse_max, np.zeros((rows, grid.n_x)), grid, spec.costs)
+    bound = at_end[0] + res.labels.nbytes + block + 2**18
+    assert peak <= bound, ((peak - at_end[0]) / 2**20, (bound - at_end[0]) / 2**20)
+
+
+def test_boundary_csv_memory(tmp_path):
+    # traced peak of writing the intervention fixture's boundary: at most
+    # three label-mask sizes (the padded mask and its row changes take one
+    # byte per node each) and 128 KiB for the runs and the rows
+    res = solve(intervention_spec(), suggested_grid("intervention"))
+    _, peak = _traced_peak(write_boundary_csv, tmp_path / "boundary.csv", res)
+    bound = 3 * res.labels.nbytes + 2**17
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
 @settings(max_examples=30, deadline=None)
 @given(f0=st.floats(-2.0, 2.0), g10=st.floats(-2.0, 2.0), g20=st.floats(-2.0, 2.0),
        beta0=st.floats(0.1, 2.0))
@@ -1390,9 +1432,21 @@ def _label_masks():
     return masks
 
 
+def _label_map(mask):
+    """_label_components' runs expanded to a dense label map, 0 on the
+    background, with the component count; the runs must cover the mask's
+    nodes once each."""
+    labels = np.zeros(mask.shape, dtype=int)
+    rows, starts, ends, run_labels = _label_components(mask)
+    for j, s, e, c in zip(rows, starts, ends, run_labels):
+        labels[j, s:e] = c
+    assert sum(ends) - sum(starts) == np.count_nonzero(mask)
+    return labels, max(run_labels, default=0)
+
+
 def test_label_components_matches_bfs():
     for mask in _label_masks():
-        labels, n = _label_components(mask)
+        labels, n = _label_map(mask)
         expected, n_expected = _label_bfs(mask)
         assert n == n_expected
         np.testing.assert_array_equal(labels, expected)
@@ -1406,7 +1460,7 @@ def test_label_components_matches_ndimage():
         spec, grid = get_fixture(name), suggested_grid(name)
         masks.append(solve(spec, grid).labels)
     for mask in masks:
-        labels, n = _label_components(mask)
+        labels, n = _label_map(mask)
         expected, n_expected = ndimage.label(mask, structure=cross)
         assert n == n_expected
         np.testing.assert_array_equal(labels, expected)
