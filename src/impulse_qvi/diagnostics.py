@@ -129,23 +129,26 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, seed: int = 0) -> Check
     )
 
 
-def _lipschitz_proxy(surface: ValueSurface) -> float:
-    return float(np.max(np.abs(np.diff(surface.values, axis=1)))) / surface.grid.h
+def _quotients(rows, grid: Grid, T: float) -> tuple[float, float]:
+    """max |V[j, i+1] - V[j, i]| / h and max |V[j+1, i] - V[j, i]| / ((1 + |x_i|) sqrt(dt))
+    over a surface's rows in time order, either way, as running np.maximum scalars."""
+    scale = (1.0 + np.abs(grid.x_nodes())) * math.sqrt(T / grid.n_t)
+    rows = iter(rows)
+    prev = next(rows)
+    lip, hol = np.abs(np.diff(prev)).max(), -math.inf
+    for v in rows:
+        lip = np.maximum(lip, np.abs(np.diff(v)).max())
+        hol = np.maximum(hol, (np.abs(v - prev) / scale).max())
+        prev = v
+    return float(lip) / grid.h, float(hol)
 
 
-def _holder_proxy(surface: ValueSurface) -> float:
-    dt = surface.T / surface.grid.n_t
-    xn = surface.grid.x_nodes()
-    dv = np.abs(np.diff(surface.values, axis=0))
-    return float(np.max(dv / ((1.0 + np.abs(xn))[None, :] * math.sqrt(dt))))
-
-
-def check_regularity(coarse: ValueSurface, fine: ValueSurface) -> CheckReport:
-    """Space-Lipschitz and time-Holder difference quotients must not grow
-    by more than 10% under refinement (they may shrink; smooth data sends
-    the Holder quotient to zero like sqrt(dt))."""
-    lip_c, lip_f = _lipschitz_proxy(coarse), _lipschitz_proxy(fine)
-    hol_c, hol_f = _holder_proxy(coarse), _holder_proxy(fine)
+def check_regularity(coarse: ValueSurface, fine_grid: Grid, fine_rows) -> CheckReport:
+    """Space-Lipschitz and time-Holder difference quotients must not grow by
+    more than 10% under refinement (they may shrink; smooth data sends the Holder
+    quotient to zero like sqrt(dt)).  fine_rows may come straight from a sweep."""
+    lip_c, hol_c = _quotients(coarse.values, coarse.grid, coarse.T)
+    lip_f, hol_f = _quotients(fine_rows, fine_grid, coarse.T)
     finite = all(np.isfinite(v) for v in (lip_c, lip_f, hol_c, hol_f))
     lip_ok = lip_f <= lip_c * 1.1 + 1e-9
     hol_ok = hol_f <= hol_c * 1.1 + 1e-9
@@ -220,12 +223,12 @@ def check_theta_structure(res: SolveResult) -> CheckReport:
     j, i, i_land = res.landings()
     xi0 = res.xi0[j, i]
     land = xn[i] + xi0
-    iv_land = np.empty_like(land)
+    iv_land, slack = np.empty_like(land), np.empty_like(land)
     rows, starts = np.unique(j, return_index=True)
     for r, s, e in zip(rows.tolist(), starts.tolist(), [*starts[1:].tolist(), j.size]):
         iv_land[s:e] = interp_extended(xn, surface.iv_values[r], land[s:e])
-    slack = 2.0 * (np.max(np.abs(np.diff(surface.values, 2, axis=1)), axis=1) / 8.0) + 1e-12
-    chain = surface.iv_values[j, i] - (iv_land - xi0) + slack[j]
+        slack[s:e] = 2.0 * (np.max(np.abs(np.diff(surface.values[r], 2))) / 8.0) + 1e-12
+    chain = surface.iv_values[j, i] - (iv_land - xi0) + slack
     landing_violations = int(np.count_nonzero(res.labels[j, i_land]))
     vacuous = j.size == 0
     worst, loc = 0.0, None
@@ -273,15 +276,14 @@ def dpp_residual(spec: ModelSpec, res: SolveResult, t: float, x: float,
 
 def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
                     eps_region: float | None = None, seed: int = 0) -> list:
-    """Solve once (plus a time-refined sweep, V only, for regularity) and
-    run every surface diagnostic.  Returns the list of CheckReports."""
+    """Solve once and run every surface diagnostic, a list of CheckReports;
+    the regularity check reduces a time-refined sweep of V row by row."""
     res = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
-    fine_surface = _values_only(spec, Grid(grid.x_min, grid.x_max, grid.n_x, 2 * grid.n_t),
-                                tol_inner)
+    fine = replace(grid, n_t=2 * grid.n_t)
     return [
         check_obstacle(res.surface, spec),
         check_bounds(res.surface, spec, seed=seed),
-        check_regularity(res.surface, fine_surface),
+        check_regularity(res.surface, fine, (v for _, _, v, _, _ in _sweep(spec, fine, tol_inner)[1])),
         check_smooth_fit(res),
         check_theta_structure(res),
     ]
@@ -293,17 +295,6 @@ class ConvergenceStudy(NamedTuple):
     rows: list
     ratios: list
     reference_errors: list
-
-
-def _values_only(spec: ModelSpec, grid: Grid, tol_inner: float) -> ValueSurface:
-    """The value surface of a solve without IV, labels or policy, for
-    checks that read V alone.  No residual is recomputed, so a slice whose
-    projection the sweep skipped rests on the certificate's proof alone."""
-    _, slices = _sweep(spec, grid, tol_inner)
-    V = np.empty((grid.n_t + 1, grid.n_x))
-    for j, v, _, _ in slices:
-        V[j] = v
-    return ValueSurface(grid, spec.T, V, None, {})
 
 
 def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,
@@ -329,15 +320,14 @@ def convergence_study(spec: ModelSpec, grid: Grid, levels: int, reference=None,
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
     xn = grid.x_nodes()
     sweeps = [_sweep(spec, g, tol_inner)[1] for g in grids]
-    tns = [g.t_nodes(spec.T) for g in grids]
     ref_errors = [-math.inf] * levels if reference is not None else []
     diffs = [-math.inf] * (levels - 1)
 
     def take(i):
         """The next slice (j, v) of level i, its reference error taken."""
-        j, v, _, _ = next(sweeps[i])
+        j, t, v, _, _ = next(sweeps[i])
         if reference is not None:
-            ref_errors[i] = np.maximum(ref_errors[i], np.abs(v - reference(tns[i][j], xn)).max())
+            ref_errors[i] = np.maximum(ref_errors[i], np.abs(v - reference(t, xn)).max())
         return j, v
 
     try:

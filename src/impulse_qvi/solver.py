@@ -50,15 +50,13 @@ than 9 u A + 6 u F, so every computed gain is at most min v and the first
 residual max(IV - v) is at most 0 <= tol_inner.  The proof assumes
 injection_cost(K) >= K + kappa.  solve() computes IV for every skipped
 slice after the sweep and raises NumericalError if its residual exceeds
-tol_inner; a projected slice keeps the IV of its loop's last check.  The
-sweeps that read V alone (the convergence ladder and the time-refined
-sweep of diagnostics.standard_checks) recompute no residual and rely on
-the proof alone.
+tol_inner; a projected slice keeps the IV of its loop's last check.
 
 The sweep hands out its slices one at a time, in sweep order, and each
-caller keeps only what it needs: solve writes V, IV and the maximizers
-straight into its stacked arrays, a values-only sweep keeps V, and the
-convergence ladder sweeps its levels in lockstep and keeps no level.
+caller keeps only what it needs: solve stacks V, IV and the maximizers,
+while the convergence ladder and the regularity check of
+diagnostics.standard_checks reduce V row by row in O(n_x) memory, with no
+residual recomputed: their skipped slices rest on the proof alone.
 
 The tridiagonal system of a step is solved by Gaussian elimination
 without pivoting, in the operation order of LAPACK dgtsv's
@@ -144,6 +142,11 @@ class Grid:
 
     def t_nodes(self, T: float) -> np.ndarray:
         return np.linspace(0.0, T, self.n_t + 1)
+
+    def t_node(self, j, T: float):
+        """The time of node j, an int or an int array, bit for bit
+        t_nodes(T)[j]: np.linspace takes j * (T / n_t) and puts node n_t at T."""
+        return np.where(j == self.n_t, T, j * (T / self.n_t))
 
     def nearest_node(self, y) -> np.ndarray:
         """Index of the node nearest to each y (halves to even), clipped to
@@ -435,11 +438,14 @@ class _StepPlan:
 
     The step matrix depends on t only through the triple (mu_tilde(t),
     sigma_tilde(t), beta(t)); x, f(x), g2(x) and (c1 - x) lam(x) are held
-    once.  The step times, in sweep order, split into runs of consecutive
-    steps whose triple keeps its bits.  The runs are factored in order, in
-    blocks of up to _BLOCK runs.  The plan holds one substitution
-    (_Dgttrs where _dgttrs() binds, else _PythonSubstitution), and each run
-    loads its factors into it once.
+    once.  `times` gives the step times in sweep order, in arrays of at most
+    _BLOCK.  An array splits into runs of consecutive steps whose triple
+    keeps its bits; its new runs are factored together, and a run that goes
+    on from the array before keeps its factors, so the plan holds one block
+    and no table of every step.  plan.times gives the step times one by
+    one, each with its run's factors loaded into the substitution (_Dgttrs
+    where _dgttrs() binds, else _PythonSubstitution); step(v, t) then steps
+    at the time it gave last.
     """
 
     _BLOCK = 64
@@ -452,23 +458,35 @@ class _StepPlan:
         self.fx = u.f(self.x)
         self.g2x = u.g2(self.x)
         self.mean_rev = (spec.c1 - self.x) * spec.lam(self.x)
-        times = np.asarray(times, dtype=float)
-        coef = np.stack([c(times) for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)], axis=1)
-        bits = coef.view(np.uint64)
-        new_run = np.ones(times.size, dtype=bool)
-        new_run[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        self._coef = coef[new_run]
-        self._run_at = dict(zip(times.tolist(), (np.cumsum(new_run) - 1).tolist()))
-        self._block = (-1, None)
-        self._run = (-1,)
+        self.t = None  # the step time that self.times gave last
+        self.times = self._runs(times, (spec.mu_tilde, spec.sigma_tilde, spec.beta))
         fn = _dgttrs()
         n = self.x.size
         self._sub = _Dgttrs(fn, n) if fn is not None else _PythonSubstitution(n)
 
-    def _factor_block(self, b: int):
-        """Assemble and eliminate the triples of runs b*_BLOCK ..: a loop
-        over x, each operation a vector over the block's runs (columns)."""
-        m, s, beta = self._coef[b * self._BLOCK:(b + 1) * self._BLOCK].T
+    def _runs(self, blocks, curves):
+        """Each step's time, in order; at a run's first step its factors go into
+        the substitution and its (beta g2, finite, floored) into _run."""
+        last = None  # the bits of the block before's last triple (a column)
+        for block in blocks:
+            coef = np.array([c(block) for c in curves])
+            bits = coef.view(np.uint64)
+            # every bit of ~bits differs, so the first step starts a run
+            edge = np.concatenate((~bits[:, :1] if last is None else last, bits), axis=1)
+            new_run = (edge[:, 1:] != edge[:, :-1]).any(axis=0)
+            last = bits[:, -1:]
+            factors = self._factor(coef[:, new_run]) if new_run.any() else None
+            for t, new in zip(block.tolist(), new_run.tolist()):
+                if new:
+                    fact, du, piv, *self._run = next(factors)
+                    self._sub.load(fact, du, piv)
+                self.t = t
+                yield t
+
+    def _factor(self, coef: np.ndarray) -> Iterator:
+        """Each run's (fact, du, pivots, beta g2, finite, floored) for the
+        triples (columns): a loop over x, each operation a vector over runs."""
+        m, s, beta = coef
         x, h, c = self.x[:, None], self.h, 1.0 / self.dt + beta
         mu = self.mean_rev[:, None] + m * x
         dcoef = 0.5 * (s * x)**2 / h**2
@@ -490,23 +508,13 @@ class _StepPlan:
 
         with np.errstate(all="ignore"):  # a rejected triple may overflow or divide by 0
             fact = _eliminate(lower, diag, upper)
-        self._block = (b, (fact.T, upper.T, diag.T, beta.tolist(),
-                           np.isfinite(diag).all(axis=0).tolist(),
-                           (diag >= 0.5 * c).all(axis=0).tolist()))
-
-    def _start_run(self, k: int):
-        b, i = divmod(k, self._BLOCK)
-        if self._block[0] != b:
-            self._factor_block(b)
-        fact, du, piv, beta, finite, floored = self._block[1]
-        self._sub.load(fact[i], du[i], piv[i])
-        self._run = (k, beta[i] * self.g2x, finite[i], floored[i])
+        return zip(fact.T, upper.T, diag.T, (b * self.g2x for b in beta.tolist()),
+                   np.isfinite(diag).all(axis=0).tolist(), (diag >= 0.5 * c).all(axis=0).tolist())
 
     def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
-        k = self._run_at[t]
-        if self._run[0] != k:
-            self._start_run(k)
-        _, beta_g2x, finite, floored = self._run
+        if t != self.t:
+            raise ValueError(f"t={t!r} is not the step time that the plan gave last")
+        beta_g2x, finite, floored = self._run
         rhs = self._sub.b  # v_next / dt + f - beta g2, solved in place
         np.divide(v_next, self.dt, out=rhs)
         np.add(rhs, self.fx, out=rhs)
@@ -527,31 +535,29 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
 
     Every row of the assembled tridiagonal system sums to 1/dt + beta with
     nonpositive off-diagonals, so it is a strictly dominant M-matrix.  The
-    elimination has no pivoting (see the module docstring); wherever
-    dgtsv would not interchange rows its results are dgtsv's bit for bit.
-    The substitution runs in LAPACK dgttrs with IPIV = 1..n and DU2 = 0,
-    which does the same operations in the same order, or, where numpy's
-    LAPACK is absent or fails its bitwise self-check, in Python.
+    elimination has no pivoting, and the substitution runs in LAPACK dgttrs
+    or, where it does not bind, in Python (see the module docstring);
+    wherever dgtsv would not interchange rows, the step is dgtsv's bit for bit.
     Non-finite input raises ValueError, a pivot below half of 1/dt + beta
     NumericalError, a nonzero INFO from dgttrs RuntimeError.
 
-    `plan` is the sweep's shared _StepPlan, built by solve() for its step
-    times; without one the step builds its own.
+    `plan` is the sweep's _StepPlan, and t the step time that plan.times
+    gave last; without one the step builds its own, for t alone.
     """
     if plan is None:
-        plan = _StepPlan(grid, spec, [t])
+        plan = _StepPlan(grid, spec, [np.array([t], dtype=float)])
+        next(plan.times)
     return plan.step(v_next, t)
 
 
 class ValueSurface(NamedTuple):
     """Solved value function on the grid, with the impulse-operator values
-    of every slice (None on a surface that only a sweep made) and solver
-    metadata."""
+    of every slice and solver metadata."""
 
     grid: Grid
     T: float
     values: np.ndarray
-    iv_values: np.ndarray | None
+    iv_values: np.ndarray
     metadata: dict
 
     def t_nodes(self) -> np.ndarray:
@@ -598,15 +604,19 @@ def value_bounds(spec: ModelSpec, grid: Grid) -> tuple[float, float]:
 
     The rounded f - b g2 is monotone in b at each x (correct rounding is
     monotone in each operand), so both extremes over the time nodes lie at
-    beta's smallest or largest value: O(n_x), and bit for bit the extremes
-    over the full grid.  max(beta g2 - f) is -min(f - beta g2) bit for bit,
-    since rounded subtraction is sign-symmetric."""
+    beta's smallest or largest value, read n_x time nodes at a time:
+    O(n_x), and bit for bit the extremes over the full grid.  max(beta g2 -
+    f) is -min(f - beta g2) bit for bit, since rounded subtraction is
+    sign-symmetric."""
     u = spec.utilities
     x = grid.x_nodes()
-    beta = spec.beta(grid.t_nodes(spec.T))
+    b_min, b_max = math.inf, -math.inf
+    for lo in range(0, grid.n_t + 1, grid.n_x):
+        beta = spec.beta(grid.t_node(np.arange(lo, min(lo + grid.n_x, grid.n_t + 1)), spec.T))
+        b_min, b_max = np.minimum(b_min, beta.min()), np.maximum(b_max, beta.max())
     fx = u.f(x)
     g2x = u.g2(x)
-    at_min, at_max = fx - beta.min() * g2x, fx - beta.max() * g2x
+    at_min, at_max = fx - b_min * g2x, fx - b_max * g2x
     sink = max(0.0, -float(np.min(np.minimum(at_min, at_max))))
     source = max(0.0, float(np.max(np.maximum(at_min, at_max))))
     return (sink * spec.T + max(0.0, -float(np.min(u.g1(x)))),
@@ -644,11 +654,11 @@ def _reads_changed(read: np.ndarray, before: np.ndarray, after: np.ndarray) -> b
 def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterator]:
     """The backward sweep alone: the bound C1 and a generator of the
     slices in sweep order, j = n_t down to 0.  Each slice is
-    (j, v, updates, last): the time index, the final values V[j], the
-    projection updates of its step (0 for the terminal slice), and the
-    last impulse_max(v) pair (IV and the maximizers) where the projection
-    loop ran, else None.  A slice's arrays are the caller's to keep; the
-    sweep holds only the slice it steps from.
+    (j, t, v, updates, last): the time index and its time, the final
+    values V[j], the projection updates of its step (0 for the terminal
+    slice), and the last impulse_max(v) pair (IV and the maximizers)
+    where the projection loop ran, else None.  A slice's arrays are the
+    caller's to keep; the sweep holds only the slice it steps from.
 
     The loop calls impulse_max once on entry and again after an update
     only where _reads_changed finds a read node whose bits the update
@@ -664,7 +674,6 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
     certified iteration cap.
     """
     x = grid.x_nodes()
-    tn = grid.t_nodes(spec.T)
     costs = spec.costs
 
     if grid.h > costs.k_min:  # the smallest n_x with h <= k_min, after rounding
@@ -682,20 +691,22 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
         names = ", ".join(e.name for e in rep.failures())
         raise ValueError(f"model spec fails validation: {names}")
 
-    plan = _StepPlan(grid, spec, tn[-2::-1])  # the step times, in sweep order
+    steps = range(grid.n_t - 1, -1, -1)
+    plan = _StepPlan(grid, spec, (grid.t_node(np.arange(j, max(j - _StepPlan._BLOCK, -1), -1), spec.T)
+                                  for j in steps[::_StepPlan._BLOCK]))
     c1_bound = value_bounds(spec, grid)[1]  # caps the projection count
 
     def slices():
         v = spec.utilities.g1(x)
-        yield grid.n_t, v, 0, None
-        for j in range(grid.n_t - 1, -1, -1):
-            v = pde_step(v, tn[j], grid, spec, plan)
+        yield grid.n_t, spec.T, v, 0, None
+        for j, t in zip(steps, plan.times):
+            v = pde_step(v, t, grid, spec, plan)
             v_max, v_min = float(v.max()), float(v.min())
             updates, last = 0, None
             if not _projection_certified(v_max, v_min, costs):
                 span = (max(c1_bound, v_max) - v_min) / costs.kappa
                 if not math.isfinite(span):
-                    raise ValueError(_uncapped(c1_bound, v_max, v_min, tn[j]))
+                    raise ValueError(_uncapped(c1_bound, v_max, v_min, t))
                 cap = math.ceil(span) + 1
                 read = _impulse_plan(grid, costs).read
                 iv, ks = impulse_max(v, grid, costs)
@@ -705,7 +716,7 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
                         break
                     if updates >= cap:
                         raise NumericalError(
-                            f"impulse projection failed to settle at t={tn[j]:.6g}: "
+                            f"impulse projection failed to settle at t={t:.6g}: "
                             f"residual {residual:.3e} after {updates} updates (cap {cap})"
                         )
                     v, before = np.maximum(v, iv), v
@@ -713,7 +724,7 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
                     if _reads_changed(read, before, v):
                         iv, ks = impulse_max(v, grid, costs)
                 last = iv, ks
-            yield j, v, updates, last
+            yield j, t, v, updates, last
 
     return c1_bound, slices()
 
@@ -739,13 +750,11 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
+    V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))  # a grid too large fails first
     c1_bound, slices = _sweep(spec, grid, tol_inner)
-    tn = grid.t_nodes(spec.T)
-
-    V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))
     inner_counts = [0] * (grid.n_t + 1)
     rest = []  # the slices without a projection loop
-    for j, v, updates, last in slices:
+    for j, _, v, updates, last in slices:
         V[j], inner_counts[j] = v, updates
         if last is None:
             rest.append(j)
@@ -769,7 +778,7 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     if bad.size:
         j = int(bad[0])
         raise NumericalError(
-            f"impulse projection skipped at t={tn[j]:.6g} with residual "
+            f"impulse projection skipped at t={grid.t_node(j, spec.T):.6g} with residual "
             f"{residuals[j]:.3e} above tol_inner {tol_inner:.3e}"
         )
 

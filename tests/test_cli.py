@@ -579,7 +579,8 @@ def _cli_within_512_mb(argv):
 ], ids=["solve-nt", "simulate-dt"])
 def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
     # under a 512 MB address-space limit each request fails its first large
-    # allocation (7.45 GiB and 763 MiB), so the child never holds much
+    # allocation (solve's V, 2.92 TiB, and 763 MiB), so the child never
+    # holds much
     proc = _cli_within_512_mb(argv + ["--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory (Unable to allocate ")

@@ -13,13 +13,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import impulse_qvi
 from impulse_qvi import diagnostics, dynamics, solver
 from impulse_qvi.diagnostics import (CheckReport, ConvergenceStudy,
-                                     _values_only, check_bounds,
+                                     check_bounds,
                                      check_obstacle, check_regularity,
                                      check_smooth_fit, check_theta_structure,
                                      convergence_study,
                                      standard_checks)
 from impulse_qvi.fixtures import (closed_form_spec, fixture_reference,
-                                  geometric_spec, intervention_spec,
+                                  geometric_spec, get_fixture, intervention_spec,
                                   suggested_grid, zero_spec)
 from impulse_qvi.model import CostParams, Curve
 from impulse_qvi.solver import Grid, SolveResult, ValueSurface, solve, value_bounds
@@ -267,13 +267,59 @@ def test_check_regularity_one_sided():
     spec = closed_form_spec()
     coarse = solve(spec, Grid(0.1, 2.1, 101, 50)).surface
     fine = solve(spec, Grid(0.1, 2.1, 101, 100)).surface
-    ok = check_regularity(coarse, fine)
+    ok = check_regularity(coarse, fine.grid, fine.values)
     assert ok.passed  # smooth data: proxies shrink under refinement
     # inflate the fine surface to force >10% proxy growth
-    blown = ValueSurface(fine.grid, fine.T, fine.values * 3.0,
-                         fine.iv_values, dict(fine.metadata))
-    bad = check_regularity(coarse, blown)
+    bad = check_regularity(coarse, fine.grid, fine.values * 3.0)
     assert not bad.passed
+
+
+def _swept_surface(spec, grid, tol_inner=1e-9):
+    """V of the backward sweep on grid, every row stacked: the surface that
+    a V-only sweep reduces row by row.  It has no IV; the oracles that
+    read it read V alone."""
+    _, slices = solver._sweep(spec, grid, tol_inner)
+    V = np.empty((grid.n_t + 1, grid.n_x))
+    for j, _, v, _, _ in slices:
+        V[j] = v
+    return ValueSurface(grid, spec.T, V, None, {})
+
+
+def _lipschitz_whole(surface):
+    """The space-Lipschitz quotient over the whole surface at once."""
+    return float(np.max(np.abs(np.diff(surface.values, axis=1)))) / surface.grid.h
+
+
+def _holder_whole(surface):
+    """The time-Holder quotient over the whole surface at once."""
+    dt = surface.T / surface.grid.n_t
+    xn = surface.grid.x_nodes()
+    dv = np.abs(np.diff(surface.values, axis=0))
+    return float(np.max(dv / ((1.0 + np.abs(xn))[None, :] * math.sqrt(dt))))
+
+
+@pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero"])
+def test_regularity_rows_match_whole_surface_oracle(name):
+    # check_regularity reduces the solved surface in stored order and the
+    # time-refined sweep in sweep order, row by row: bit for bit the
+    # quotients over each whole surface, and a NaN anywhere gives NaN
+    spec, grid = get_fixture(name), suggested_grid(name)
+    coarse = solve(spec, grid).surface
+    fine_grid = replace(grid, n_t=2 * grid.n_t)
+    fine = _swept_surface(spec, fine_grid)
+    rep = check_regularity(coarse, fine_grid,
+                           (v for _, _, v, _, _ in solver._sweep(spec, fine_grid, 1e-9)[1]))
+    got = [rep.details[k] for k in ("lipschitz_coarse", "lipschitz_fine",
+                                    "holder_coarse", "holder_fine")]
+    expected = [_lipschitz_whole(coarse), _lipschitz_whole(fine),
+                _holder_whole(coarse), _holder_whole(fine)]
+    assert [q.hex() for q in got] == [q.hex() for q in expected]
+    values = coarse.values.copy()
+    values[grid.n_t // 2, grid.n_x // 2] = np.nan
+    holed = coarse._replace(values=values)
+    lip, hol = diagnostics._quotients(values[::-1], grid, spec.T)
+    assert math.isnan(lip) and math.isnan(hol)
+    assert math.isnan(_lipschitz_whole(holed)) and math.isnan(_holder_whole(holed))
 
 
 def test_theta_structure_flags_landing_violation():
@@ -466,8 +512,8 @@ def test_convergence_study_zero_fixture_degenerate():
 
 def _convergence_study_all_levels(spec, grids, reference=None, tol_inner=1e-9):
     """The former convergence_study, every level held at once and each
-    reduction over full-size arrays: the oracle of the two-level ladder."""
-    surfaces = [_values_only(spec, g, tol_inner) for g in grids]
+    reduction over full-size arrays: the oracle of the lockstep ladder."""
+    surfaces = [_swept_surface(spec, g, tol_inner) for g in grids]
     rows = [{"n_x": g.n_x, "n_t": g.n_t, "h": g.h, "dt": spec.T / g.n_t} for g in grids]
 
     def exact(s):
@@ -538,21 +584,56 @@ def test_priced_out_value_matches_no_control_monte_carlo(case):
     assert abs(v - est.estimate) <= 3.0 * est.std_error + dt + grid.h + 1e-8, (spec, v, est)
 
 
-def test_convergence_study_holds_no_level():
-    # traced peak of a 5-level closed-form ladder on the CLI's 400 x 400
-    # grid: below one stored surface of its third level (n_t = 1600), since
-    # each level holds only its current row and the plans' step tables
-    # (the ladder that stored a level while it swept the next peaked at
-    # 15.1 MiB here)
-    bound = 8 * 400 * (4 * 400 + 1)
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of run()."""
     tracemalloc.start()
     try:
-        convergence_study(closed_form_spec(), Grid(0.1, 2.1, 400, 400), 5,
-                          reference=fixture_reference("closed-form"))
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_convergence_study_holds_no_level():
+    # traced peak of a 5-level closed-form ladder on the CLI's 400 x 400
+    # grid: below 32 rows of n_x doubles per level, 0.49 MiB, since each
+    # level holds its current row and one block of its step plan, whatever
+    # its n_t.  (The ladder that stored a level while it swept the next
+    # peaked at 15.1 MiB here, and the one whose plans held a table of
+    # every step at 1.49 MiB.)  That includes validate's transient at the
+    # start of each sweep, about 80 rows
+    levels, n_x = 5, 400
+    bound = levels * 32 * 8 * n_x
+    peak = _traced_peak(lambda: convergence_study(
+        closed_form_spec(), Grid(0.1, 2.1, n_x, 400), levels,
+        reference=fixture_reference("closed-form")))
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def test_convergence_study_peak_grows_by_rows_not_steps():
+    # on a narrow grid the rows are small, so a table that grows with the
+    # steps would show: levels 3 to 7 add 48,000 steps, so 8 B per step
+    # would add 375 KiB, and the plans that tabled every step grew by
+    # 5.2 MiB here.  Each added level may add 128 rows of n_x doubles
+    # (164 KiB for all four): its current row, one block of its step plan
+    # and its generators, whatever its n_t
+    grid = Grid(0.1, 2.1, 41, 400)
+    spec, ref = closed_form_spec(), fixture_reference("closed-form")
+    peaks = [_traced_peak(lambda: convergence_study(spec, grid, levels, reference=ref))
+             for levels in (3, 7)]
+    assert peaks[1] - peaks[0] < 4 * 128 * 8 * grid.n_x, [p / 2**10 for p in peaks]
+
+
+def test_standard_checks_holds_no_fine_surface():
+    # the regularity check reduces the time-refined sweep row by row, so
+    # on intervention's suggested grid the traced peak stays at 3.5 MiB,
+    # the solve's three stacked arrays (1.85 MiB) and blocked temporaries
+    # (with the fine surface stored it was 5.67 MiB here).  A first run
+    # imports numpy.random lazily, which is not the checks' own memory
+    spec, grid = intervention_spec(), suggested_grid("intervention")
+    standard_checks(spec, Grid(grid.x_min, grid.x_max, 81, 10))
+    peak = _traced_peak(lambda: standard_checks(spec, grid))
+    assert peak <= 3.5 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("fails, expected", [

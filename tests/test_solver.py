@@ -118,14 +118,21 @@ def _recurring_beta_case():
     return spec, Grid(0.1, 2.1, 41, 200)
 
 
-def _both_substitutions(grid, spec, times):
-    """Two plans for the same step times: one that solves with dgttrs
+def _step_blocks(grid, spec):
+    """A sweep's step times, t_nodes[n_t - 1] down to t_nodes[0], in the
+    arrays of at most _StepPlan._BLOCK that a plan takes."""
+    times = grid.t_nodes(spec.T)[-2::-1]
+    return [times[k:k + _StepPlan._BLOCK] for k in range(0, times.size, _StepPlan._BLOCK)]
+
+
+def _both_substitutions(grid, spec):
+    """Two plans for a sweep's step times: one that solves with dgttrs
     wherever numpy's LAPACK binds, and one built while the binding reads
     as absent, so it keeps the Python substitution."""
-    plan = _StepPlan(grid, spec, times)
+    plan = _StepPlan(grid, spec, _step_blocks(grid, spec))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_dgttrs", lambda: None)
-        fallback = _StepPlan(grid, spec, times)
+        fallback = _StepPlan(grid, spec, _step_blocks(grid, spec))
     assert type(fallback._sub) is solver._PythonSubstitution
     expected = solver._PythonSubstitution if solver._dgttrs() is None else solver._Dgttrs
     assert type(plan._sub) is expected
@@ -178,12 +185,22 @@ def test_dgttrs_nonzero_info_raises():
     if solver._dgttrs() is None:
         pytest.skip("numpy's LAPACK does not bind here")
     spec, grid = intervention_spec(), suggested_grid("intervention")
-    plan = _StepPlan(grid, spec, [0.5])
+    plan = _StepPlan(grid, spec, [np.array([0.5])])
     v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
+    next(plan.times)
     plan.step(v, 0.5)
     plan._sub._n.value = -1  # N < 0
     with pytest.raises(RuntimeError, match="dgttrs rejected argument 2"):
         plan.step(v, 0.5)
+
+
+def _run_lengths(spec, times):
+    """Lengths of the runs of consecutive step times whose triple
+    (mu_tilde, sigma_tilde, beta) keeps its bits, in sweep order."""
+    bits = np.stack([c(times) for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)],
+                    axis=1).view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    return np.diff(np.r_[starts, len(times)]).tolist()
 
 
 @pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero",
@@ -192,26 +209,92 @@ def test_pde_step_matches_banded_reference(name):
     # every step of the grid, chained down from the terminal slice through
     # one sweep's plan (as solve runs them): bit for bit the step a fresh
     # plan takes and the step of the Python substitution, then bit for bit
-    # the banded reference
+    # the banded reference.  The plan factors each run once, one that
+    # spans blocks included: closed-form is one run longer than a block,
+    # geometric a run per step, and recurring-beta's first run of 80 steps
+    # goes on into the second block
     if name == "recurring-beta":
         spec, grid = _recurring_beta_case()
     else:
         spec, grid = get_fixture(name), suggested_grid(name)
     tn = grid.t_nodes(spec.T)
-    plan, fallback = _both_substitutions(grid, spec, tn[-2::-1])
-    if name == "recurring-beta":
-        runs = plan._coef
-        assert runs.shape[0] > _StepPlan._BLOCK and runs[0].tobytes() == runs[-1].tobytes()
+    plan, fallback = _both_substitutions(grid, spec)
+    runs = _run_lengths(spec, tn[-2::-1])
+    assert {"closed-form": runs == [grid.n_t] and grid.n_t > _StepPlan._BLOCK,
+            "geometric": runs == [1] * grid.n_t,
+            "recurring-beta": runs[0] > _StepPlan._BLOCK}.get(name, True), runs
+    factored = []
+    factor = plan._factor
+    plan._factor = lambda coef: factored.append(coef.shape[1]) or factor(coef)
     v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
     steps = []
-    for j in range(grid.n_t - 1, -1, -1):
-        got = pde_step(v, tn[j], grid, spec, plan)
-        assert got.tobytes() == pde_step(v, tn[j], grid, spec).tobytes(), (name, j)
-        assert got.tobytes() == fallback.step(v, tn[j]).tobytes(), (name, j)
+    for j, t, t_fallback in zip(range(grid.n_t - 1, -1, -1), plan.times, fallback.times):
+        assert t == t_fallback == tn[j]
+        got = pde_step(v, t, grid, spec, plan)
+        assert got.tobytes() == pde_step(v, t, grid, spec).tobytes(), (name, j)
+        assert got.tobytes() == fallback.step(v, t).tobytes(), (name, j)
         steps.append((j, v, got))
         v = got
+    assert sum(factored) == len(runs) and max(factored) <= _StepPlan._BLOCK, factored
     for j, v_next, got in steps:
         assert got.tobytes() == _pde_step_reference(v_next, tn[j], grid, spec).tobytes(), (name, j)
+
+
+@pytest.mark.parametrize("name", ["closed-form", "intervention", "geometric", "zero"])
+def test_standalone_pde_step_off_node_matches_banded_reference(name):
+    # a step with no plan, at a time between two nodes, builds its own
+    # plan for that time alone: bit for bit the banded reference
+    spec, grid = get_fixture(name), suggested_grid(name)
+    t = 0.3141 * spec.T
+    assert t not in grid.t_nodes(spec.T)
+    v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
+    assert pde_step(v, t, grid, spec).tobytes() == _pde_step_reference(v, t, grid, spec).tobytes()
+
+
+def test_step_plan_steps_at_the_time_it_gave_last():
+    # plan.times gives the step times in the order given; a step at any
+    # other time than the one it gave last, or before it gave one, raises
+    spec, grid = geometric_spec(), Grid(0.1, 2.1, 21, 4)
+    v = np.asarray(spec.utilities.g1(grid.x_nodes()), dtype=float)
+    plan = _StepPlan(grid, spec, [np.array([0.75, 0.5])])
+    with pytest.raises(ValueError, match="not the step time that the plan gave last"):
+        plan.step(v, 0.75)
+    assert next(plan.times) == 0.75
+    plan.step(v, 0.75)
+    with pytest.raises(ValueError, match="not the step time that the plan gave last"):
+        plan.step(v, 0.5)
+    assert next(plan.times) == 0.5
+    plan.step(v, 0.5)
+    assert next(plan.times, None) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_t=st.integers(1, 5000), T=st.floats(1e-3, 1e3))
+@example(n_t=25_600, T=1.0)           # the finest level of a 7-level ladder from 400
+@example(n_t=102_401, T=math.pi)      # large and odd, with a non-dyadic horizon
+@example(n_t=35, T=0.7)
+@example(n_t=3, T=1.0 / 3.0)
+@example(n_t=49, T=1.0)               # 49 * (1 / 49) is not 1
+def test_t_node_is_t_nodes_bit_for_bit(n_t, T):
+    # the one statement of node j's time is np.linspace's node j, for every
+    # node at once and for a node alone
+    grid = Grid(0.1, 2.1, 5, n_t)
+    tn = grid.t_nodes(T)
+    assert grid.t_node(np.arange(n_t + 1), T).tobytes() == tn.tobytes()
+    ends = [0, n_t // 2, n_t - 1, n_t]
+    assert np.array([grid.t_node(j, T) for j in ends]).tobytes() == tn[ends].tobytes()
+
+
+@pytest.mark.parametrize("n_t, T", [(1, 1.0), (63, 0.7), (64, 1.0), (65, math.pi),
+                                    (129, 1.0 / 3.0), (1001, 2.0)])
+def test_sweep_slices_carry_t_nodes(n_t, T):
+    # the sweep takes its step times a block at a time: each slice carries
+    # its node's time, bit for bit t_nodes(T)[j], across the block edges
+    spec, grid = replace(closed_form_spec(), T=T), Grid(0.1, 2.1, 5, n_t)
+    _, slices = _sweep(spec, grid, 1e-9)
+    js, ts = zip(*((j, t) for j, t, _, _, _ in slices))
+    assert js == tuple(range(n_t, -1, -1))
+    assert np.array(ts).tobytes() == grid.t_nodes(T)[::-1].tobytes()
 
 
 def test_pde_step_signed_zeros_match_banded_reference():
@@ -262,21 +345,24 @@ _tiny_grids = st.builds(lambda lo, width, n_x: Grid(lo, lo + width, n_x, 1),
 
 
 def _assembled_rows(spec, grid):
-    """The step rows of a sweep's first block of runs as _StepPlan
-    assembles them, before elimination, with the pivots elimination gives
-    them and c = 1/dt + beta per run (columns)."""
+    """The step rows of the runs that start in a sweep's first block of
+    steps, as _StepPlan assembles them, before elimination, with the
+    pivots elimination gives them and c = 1/dt + beta per run (columns)."""
     rows = []
 
     def capture(lower, diag, upper):
         rows.extend((lower.copy(), diag.copy(), upper.copy()))
-        return _eliminate(lower, diag, upper)
+        fact = _eliminate(lower, diag, upper)
+        rows.append(diag.copy())
+        return fact
 
-    plan = _StepPlan(grid, spec, grid.t_nodes(spec.T)[-2::-1])
+    times = grid.t_nodes(spec.T)[-2::-1]
+    plan = _StepPlan(grid, spec, _step_blocks(grid, spec))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_eliminate", capture)
-        plan._factor_block(0)
-    c = 1.0 / plan.dt + plan._coef[:_StepPlan._BLOCK, 2]
-    return (*rows, plan._block[1][2].T, c)
+        next(plan.times)
+    starts = np.cumsum([0] + _run_lengths(spec, times[:_StepPlan._BLOCK])[:-1])
+    return (*rows, 1.0 / plan.dt + spec.beta(times[starts]))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -348,15 +434,15 @@ def test_pde_step_random_specs_match_banded_reference(spec, grid, seed):
     # substitution's step, bitwise the reference where dgtsv would not
     # interchange rows and within 1e-12 relative where it would; a step
     # never raises
-    tn = grid.t_nodes(spec.T)
-    plan, fallback = _both_substitutions(grid, spec, tn[-2::-1])
+    plan, fallback = _both_substitutions(grid, spec)
     v = np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n_x)
     event(f"drift(0, x_min) < 0: {drift(0.0, grid.x_min, spec) < 0.0}")
-    for j in range(grid.n_t - 1, -1, -1):
-        dl, d, du, _ = _assemble_reference(v, tn[j], grid, spec)
-        expected = _pde_step_reference(v, tn[j], grid, spec)
-        got = pde_step(v, tn[j], grid, spec, plan)
-        assert got.tobytes() == fallback.step(v, tn[j]).tobytes()
+    for t, t_fallback in zip(plan.times, fallback.times):
+        assert t == t_fallback
+        dl, d, du, _ = _assemble_reference(v, t, grid, spec)
+        expected = _pde_step_reference(v, t, grid, spec)
+        got = pde_step(v, t, grid, spec, plan)
+        assert got.tobytes() == fallback.step(v, t).tobytes()
         interchange = _would_interchange(dl, d, du)
         event(f"dgtsv would interchange rows: {interchange}")
         if interchange:
@@ -597,7 +683,7 @@ def _sweep_or_error(spec, grid):
     try:
         _, slices = _sweep(spec, grid, 1e-9)
         return [(j, v.tobytes(), updates, last and tuple(a.tobytes() for a in last))
-                for j, v, updates, last in slices]
+                for j, _, v, updates, last in slices]
     except (ValueError, NumericalError) as exc:
         return type(exc), str(exc)
 
@@ -1006,7 +1092,7 @@ def test_solve_finish_builds_no_full_size_temporary(monkeypatch, name):
 
         def gen():
             for s in slices:
-                unlooped.append(s[3] is None)
+                unlooped.append(s[4] is None)
                 yield s
             at_end.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()  # what follows is solve's finish
