@@ -135,7 +135,8 @@ def _quotients(rows, grid: Grid, T: float) -> tuple[float, float]:
     scale = (1.0 + np.abs(grid.x_nodes())) * math.sqrt(T / grid.n_t)
     rows = iter(rows)
     prev = next(rows)
-    lip, hol = np.abs(np.diff(prev)).max(), -math.inf
+    lip = np.abs(np.diff(prev)).max()
+    hol = -math.inf
     for v in rows:
         lip = np.maximum(lip, np.abs(np.diff(v)).max())
         hol = np.maximum(hol, (np.abs(v - prev) / scale).max())
@@ -223,7 +224,8 @@ def check_theta_structure(res: SolveResult) -> CheckReport:
     j, i, i_land = res.landings()
     xi0 = res.xi0[j, i]
     land = xn[i] + xi0
-    iv_land, slack = np.empty_like(land), np.empty_like(land)
+    iv_land = np.empty_like(land)
+    slack = np.empty_like(land)
     rows, starts = np.unique(j, return_index=True)
     for r, s, e in zip(rows.tolist(), starts.tolist(), [*starts[1:].tolist(), j.size]):
         iv_land[s:e] = interp_extended(xn, surface.iv_values[r], land[s:e])
@@ -280,10 +282,12 @@ def standard_checks(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     the regularity check reduces a time-refined sweep of V row by row."""
     res = solve(spec, grid, tol_inner=tol_inner, eps_region=eps_region)
     fine = replace(grid, n_t=2 * grid.n_t)
+    _, fine_slices = _sweep(spec, fine, tol_inner)
+    fine_rows = (v for _, _, v, _, _ in fine_slices)
     return [
         check_obstacle(res.surface, spec),
         check_bounds(res.surface, spec, seed=seed),
-        check_regularity(res.surface, fine, (v for _, _, v, _, _ in _sweep(spec, fine, tol_inner)[1])),
+        check_regularity(res.surface, fine, fine_rows),
         check_smooth_fit(res),
         check_theta_structure(res),
     ]

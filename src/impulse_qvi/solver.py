@@ -141,11 +141,11 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
     def t_nodes(self, T: float) -> np.ndarray:
-        return np.linspace(0.0, T, self.n_t + 1)
+        return self.t_node(np.arange(self.n_t + 1), T)
 
     def t_node(self, j, T: float):
-        """The time of node j, an int or an int array, bit for bit
-        t_nodes(T)[j]: np.linspace takes j * (T / n_t) and puts node n_t at T."""
+        """The time of node j, an int or an int array: j * (T / n_t), and T
+        at node n_t, bit for bit np.linspace(0, T, n_t + 1)[j]."""
         return np.where(j == self.n_t, T, j * (T / self.n_t))
 
     def nearest_node(self, y) -> np.ndarray:
@@ -508,8 +508,10 @@ class _StepPlan:
 
         with np.errstate(all="ignore"):  # a rejected triple may overflow or divide by 0
             fact = _eliminate(lower, diag, upper)
-        return zip(fact.T, upper.T, diag.T, (b * self.g2x for b in beta.tolist()),
-                   np.isfinite(diag).all(axis=0).tolist(), (diag >= 0.5 * c).all(axis=0).tolist())
+        beta_g2x = (b * self.g2x for b in beta.tolist())
+        finite = np.isfinite(diag).all(axis=0).tolist()
+        floored = (diag >= 0.5 * c).all(axis=0).tolist()
+        return zip(fact.T, upper.T, diag.T, beta_g2x, finite, floored)
 
     def step(self, v_next: np.ndarray, t: float) -> np.ndarray:
         if t != self.t:
@@ -535,9 +537,11 @@ def pde_step(v_next: np.ndarray, t: float, grid: Grid, spec: ModelSpec,
 
     Every row of the assembled tridiagonal system sums to 1/dt + beta with
     nonpositive off-diagonals, so it is a strictly dominant M-matrix.  The
-    elimination has no pivoting, and the substitution runs in LAPACK dgttrs
-    or, where it does not bind, in Python (see the module docstring);
-    wherever dgtsv would not interchange rows, the step is dgtsv's bit for bit.
+    elimination has no pivoting (see the module docstring); wherever
+    dgtsv would not interchange rows its results are dgtsv's bit for bit.
+    The substitution runs in LAPACK dgttrs with IPIV = 1..n and DU2 = 0,
+    which does the same operations in the same order, or, where numpy's
+    LAPACK is absent or fails its bitwise self-check, in Python.
     Non-finite input raises ValueError, a pivot below half of 1/dt + beta
     NumericalError, a nonzero INFO from dgttrs RuntimeError.
 
@@ -612,8 +616,10 @@ def value_bounds(spec: ModelSpec, grid: Grid) -> tuple[float, float]:
     x = grid.x_nodes()
     b_min, b_max = math.inf, -math.inf
     for lo in range(0, grid.n_t + 1, grid.n_x):
-        beta = spec.beta(grid.t_node(np.arange(lo, min(lo + grid.n_x, grid.n_t + 1)), spec.T))
-        b_min, b_max = np.minimum(b_min, beta.min()), np.maximum(b_max, beta.max())
+        nodes = np.arange(lo, min(lo + grid.n_x, grid.n_t + 1))
+        beta = spec.beta(grid.t_node(nodes, spec.T))
+        b_min = np.minimum(b_min, beta.min())
+        b_max = np.maximum(b_max, beta.max())
     fx = u.f(x)
     g2x = u.g2(x)
     at_min, at_max = fx - b_min * g2x, fx - b_max * g2x
@@ -692,8 +698,10 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
         raise ValueError(f"model spec fails validation: {names}")
 
     steps = range(grid.n_t - 1, -1, -1)
-    plan = _StepPlan(grid, spec, (grid.t_node(np.arange(j, max(j - _StepPlan._BLOCK, -1), -1), spec.T)
-                                  for j in steps[::_StepPlan._BLOCK]))
+    # the step times, in sweep order, in arrays of _StepPlan._BLOCK
+    blocks = (grid.t_node(np.arange(j, max(j - _StepPlan._BLOCK, -1), -1), spec.T)
+              for j in steps[::_StepPlan._BLOCK])
+    plan = _StepPlan(grid, spec, blocks)
     c1_bound = value_bounds(spec, grid)[1]  # caps the projection count
 
     def slices():
@@ -750,7 +758,8 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     """
     if eps_region is None:
         eps_region = 10.0 * tol_inner
-    V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))  # a grid too large fails first
+    # before the sweep's checks: a grid too large for memory fails at once
+    V, IV, XI = (np.empty((grid.n_t + 1, grid.n_x)) for _ in range(3))
     c1_bound, slices = _sweep(spec, grid, tol_inner)
     inner_counts = [0] * (grid.n_t + 1)
     rest = []  # the slices without a projection loop

@@ -563,14 +563,14 @@ def test_surface_reuse_peak_rss(tmp_path, intervention_surface):
     assert simulate - base <= 6.5 and check - base <= 6.5, (base, simulate, check)
 
 
-def _cli_within_512_mb(argv):
+def _cli_within_512_mb(argv, timeout=120):
     """The CLI run in a child process under a 512 MB address-space limit."""
     limit = 512 << 20
     return subprocess.run(
         [sys.executable, "-m", "impulse_qvi.cli"] + argv,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -585,6 +585,18 @@ def test_request_beyond_the_memory_limit_exits_2(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory (Unable to allocate ")
     assert "--nt" in proc.stderr and "--dt" in proc.stderr
+
+
+def test_deep_ladder_is_not_refused_for_memory(tmp_path):
+    # a ladder holds a few rows of n_x per level whatever its n_t, so a
+    # request far too deep to finish (1e11 steps) fits under the 512 MB
+    # limit and runs until the timeout stops it; a t-node array per level
+    # failed it at once, on 745 GiB.  Refusing it up front needs a time
+    # budget, not a memory one (ROADMAP E), and would exit 2 here
+    with pytest.raises(subprocess.TimeoutExpired):
+        _cli_within_512_mb(["converge", "--spec", "fixture:closed-form", "--nx", "41",
+                            "--nt", "100000000000", "--levels", "2", "--out", str(tmp_path)],
+                           timeout=3)
 
 
 def test_ten_million_paths_fit_in_512_mb(tmp_path):

@@ -223,6 +223,11 @@ def test_pde_step_matches_banded_reference(name):
     assert {"closed-form": runs == [grid.n_t] and grid.n_t > _StepPlan._BLOCK,
             "geometric": runs == [1] * grid.n_t,
             "recurring-beta": runs[0] > _StepPlan._BLOCK}.get(name, True), runs
+    if name == "recurring-beta":
+        # more runs than one block, and the first step's triple recurs at the last
+        ends = tn[[-2, 0]]
+        triples = np.array([c(ends) for c in (spec.mu_tilde, spec.sigma_tilde, spec.beta)])
+        assert len(runs) > _StepPlan._BLOCK and triples[:, 0].tobytes() == triples[:, 1].tobytes()
     factored = []
     factor = plan._factor
     plan._factor = lambda coef: factored.append(coef.shape[1]) or factor(coef)
@@ -275,12 +280,12 @@ def test_step_plan_steps_at_the_time_it_gave_last():
 @example(n_t=35, T=0.7)
 @example(n_t=3, T=1.0 / 3.0)
 @example(n_t=49, T=1.0)               # 49 * (1 / 49) is not 1
-def test_t_node_is_t_nodes_bit_for_bit(n_t, T):
+def test_t_node_is_linspace_bit_for_bit(n_t, T):
     # the one statement of node j's time is np.linspace's node j, for every
-    # node at once and for a node alone
+    # node at once (t_nodes) and for a node alone
     grid = Grid(0.1, 2.1, 5, n_t)
-    tn = grid.t_nodes(T)
-    assert grid.t_node(np.arange(n_t + 1), T).tobytes() == tn.tobytes()
+    tn = np.linspace(0.0, T, n_t + 1)
+    assert grid.t_nodes(T).tobytes() == tn.tobytes()
     ends = [0, n_t // 2, n_t - 1, n_t]
     assert np.array([grid.t_node(j, T) for j in ends]).tobytes() == tn[ends].tobytes()
 
