@@ -24,7 +24,6 @@ from .dynamics import (
     PathRecord,
     ReductionReport,
     filtration_reduction_check,
-    mc_cost_g,
     simulate,
     simulate_paths,
 )

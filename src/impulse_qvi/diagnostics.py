@@ -8,9 +8,11 @@ tol=None) and check_theta_structure(res) read the action region from the
 SolveResult alone, through SolveResult.landings, and check_bounds reads
 C0 and C1 from solver.value_bounds, as the solver's sweep reads C1.
 
-The check that needs the model's paths lives here too: dpp_residual
-runs a SolveResult's own policy through the Monte Carlo engine, so that
-the solver itself stays numerics only.
+The checks that need the model's paths live here too: check_bounds
+takes its no-control MC value, the default-truncated cost_g, from
+dynamics.filtration_reduction_check, and dpp_residual runs a
+SolveResult's own policy through the Monte Carlo engine, so that the
+solver itself stays numerics only.
 """
 
 import collections
@@ -20,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks, mc_cost_g
+from .dynamics import (FeedbackPolicy, MCEstimate, _Moments, _simulate_chunks,
+                       filtration_reduction_check)
 from .model import ModelSpec, survival_grid
 from .solver import (_ROWS, TOL_INNER, Grid, SolveResult, ValueSurface, _sweep, impulse_max,
                      interp_extended, solve, value_bounds)
@@ -82,8 +85,9 @@ _BOUNDS_PATHS = 4000  # Monte Carlo paths per sampled point of check_bounds
 
 def check_bounds(surface: ValueSurface, spec: ModelSpec, seed: int = 0) -> CheckReport:
     """-C0 <= V <= C1 (solver.value_bounds) over the surface, and V >=
-    (no-control MC value) - 3 SE - (dt + h) at 6 sampled points, each from
-    _BOUNDS_PATHS paths with the surface's dt as the MC step.
+    (no-control MC value) - 3 SE - (dt + h) at 6 sampled points, each the
+    cost_g of filtration_reduction_check over _BOUNDS_PATHS paths with the
+    surface's dt as the MC step.
     measured and worst_location are those of the worst of the three."""
     grid = surface.grid
     tn = surface.t_nodes()
@@ -105,7 +109,8 @@ def check_bounds(surface: ValueSurface, spec: ModelSpec, seed: int = 0) -> Check
     loc_lower = None
     for ts in t_samples:
         for xs in x_samples:
-            est = mc_cost_g(spec, float(ts), float(xs), None, dt, _BOUNDS_PATHS, seed)
+            est = filtration_reduction_check(spec, float(ts), float(xs), None, dt,
+                                             _BOUNDS_PATHS, seed).cost_g
             margin = float(surface.evaluate(ts, xs)) - (est.estimate - 3.0 * est.std_error - budget)
             if margin < worst_lower:
                 worst_lower = margin

@@ -476,15 +476,6 @@ class _Moments:
         return MCEstimate(self.total / n, se)
 
 
-def mc_cost_g(spec: ModelSpec, t0: float, x0: float, control, dt: float,
-              n_paths: int, seed) -> MCEstimate:
-    """MC estimate of the default-truncated cost representation."""
-    acc = _Moments()
-    for chunk in _simulate_chunks(spec, t0, x0, control, dt, seed, n_paths):
-        acc.add(chunk.cost_g)
-    return acc.estimate()
-
-
 class ReductionReport(NamedTuple):
     """Agreement of the two cost representations at common Brownian numbers."""
 

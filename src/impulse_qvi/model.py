@@ -359,21 +359,18 @@ def survival_grid(spec: ModelSpec, t0: float, s_values: np.ndarray) -> np.ndarra
     return np.exp(-hazard_grid(spec.beta, t0, s_values))
 
 
-def invert_hazard(curve: Curve, t0: float, targets, t_max: float):
+def invert_hazard(curve: Curve, t0: float, targets: np.ndarray, t_max: float) -> np.ndarray:
     """First time s in [t0, t_max] with int_{t0}^s curve >= target.
 
     Exact on the piecewise-linear class (piecewise-quadratic cumulative,
     stable quadratic-branch inversion).  Entries whose target exceeds the
     total hazard on [t0, t_max] come back as +inf.
     """
-    targets = np.asarray(targets, dtype=float)
-    scalar = targets.ndim == 0
-    tg = np.atleast_1d(targets)
     knots, v, cum = _hazard_table(curve, t0, t_max)
-    out = np.full(tg.shape, np.inf)
-    ok = tg <= cum[-1]
+    out = np.full(targets.shape, np.inf)
+    ok = targets <= cum[-1]
     if np.any(ok):
-        e = tg[ok]
+        e = targets[ok]
         idx = np.searchsorted(cum, e, side="left")
         idx = np.clip(idx, 1, len(cum) - 1)
         lo = idx - 1
@@ -385,7 +382,7 @@ def invert_hazard(curve: Curve, t0: float, targets, t_max: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = np.where(rem > 0, 2.0 * rem / denom, 0.0)
         out[ok] = knots[lo] + delta
-    return float(out[0]) if scalar else out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -634,7 +634,7 @@ def test_outgoing_drift_at_x_min_solves_below_c1(tmp_path):
     rc = cli.main(["solve", "--spec", str(path), "--out", str(out),
                    "--xmin", "0.1", "--xmax", "1.1", "--nx", "11", "--nt", "1"])
     assert rc == 0
-    v = read_surface_csv(out / "surface.csv").surface.values
+    v = read_surface_csv(out / "surface.csv", spec).surface.values
     assert v.max() <= read_json(out / "summary.json")["c1_bound"]
 
 
@@ -1026,7 +1026,7 @@ def test_recorded_path_files_match_single_path_simulate(tmp_path, small_surface,
     else:
         name, spec, x0 = "intervention", intervention_spec(), 0.15
         flags = ["--surface", str(small_surface)]
-        control = FeedbackPolicy(read_surface_csv(small_surface / "surface.csv"))
+        control = FeedbackPolicy(read_surface_csv(small_surface / "surface.csv", spec))
     out = tmp_path / "o"
     rc = cli.main(["simulate", "--spec", f"fixture:{name}", "--out", str(out), "--seed", "8",
                    "--paths", "50", "--dt", "0.02", "--x0", repr(x0), "--policy", policy, "--record-paths", "3"] + flags)

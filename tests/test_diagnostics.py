@@ -470,7 +470,7 @@ def test_solver_is_numerics_only():
     assert not hasattr(solver, "dpp_residual")
     assert diagnostics.dpp_residual.__module__ == diagnostics.__name__
     assert "dpp_residual" in impulse_qvi.__all__
-    for name in ("running_cost", "terminal_value", "sample_default", "mc_cost_f"):
+    for name in ("running_cost", "terminal_value", "sample_default", "mc_cost_f", "mc_cost_g"):
         assert name not in impulse_qvi.__all__
 
 
@@ -566,10 +566,11 @@ def test_convergence_study_matches_oracle_on_random_specs(case, levels, half):
 
 
 # Feynman-Kac cross-check: with kappa = 1e6 no injection pays, so V is the
-# no-control value that mc_cost_g estimates.  Fixed before any outcome was
-# seen: 16 derandomized cases, x0 = 1, the grid [0.05, 6] at 600 x 400,
-# 20,000 paths at the solve's dt, MC seed 7, and the budget 3 SE + dt + h
-# + 1e-8, check_bounds' MC budget taken two-sided
+# no-control value that filtration_reduction_check's cost_g estimates.
+# Fixed before any outcome was seen: 16 derandomized cases, x0 = 1, the
+# grid [0.05, 6] at 600 x 400, 20,000 paths at the solve's dt, MC seed 7,
+# and the budget 3 SE + dt + h + 1e-8, check_bounds' MC budget taken
+# two-sided
 @settings(max_examples=16, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cost_cases())
@@ -580,7 +581,7 @@ def test_priced_out_value_matches_no_control_monte_carlo(case):
     spec = replace(spec, costs=CostParams(1e6, max(c.k_min, grid.h), max(c.k_max, grid.h)))
     dt = spec.T / grid.n_t
     v = float(solve(spec, grid).surface.evaluate(0.0, 1.0))
-    est = dynamics.mc_cost_g(spec, 0.0, 1.0, None, dt, 20000, 7)
+    est = dynamics.filtration_reduction_check(spec, 0.0, 1.0, None, dt, 20000, 7).cost_g
     assert abs(v - est.estimate) <= 3.0 * est.std_error + dt + grid.h + 1e-8, (spec, v, est)
 
 

@@ -29,7 +29,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from impulse_qvi import cli, dynamics
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _Moments, _simulate_chunks,
-                                  filtration_reduction_check, mc_cost_g, simulate,
+                                  filtration_reduction_check, simulate,
                                   simulate_paths)
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
                                   geometric_spec, intervention_spec,
@@ -206,7 +206,7 @@ def test_constant_hazard_closed_form_mean():
     spec = closed_form_spec()
     p = closed_form_params()
     exact = (1.0 - math.exp(-p["beta0"] * p["T"])) / p["beta0"]
-    est = mc_cost_g(spec, 0.0, 1.0, None, dt=0.05, n_paths=4000, seed=17)
+    est = filtration_reduction_check(spec, 0.0, 1.0, None, dt=0.05, n_paths=4000, seed=17).cost_g
     assert est.std_error > 0.0
     assert abs(est.estimate - exact) <= 3.0 * est.std_error
 
@@ -257,7 +257,7 @@ def test_one_path_has_no_standard_error():
     # as np.std(ddof=1) of one sample, the standard error of one path is NaN,
     # not 0; test_merged_moments_match_numpy checks _Moments at n = 1
     spec = geometric_spec()
-    one = mc_cost_g(spec, 0.0, 1.0, None, 0.1, 1, 3)
+    one = filtration_reduction_check(spec, 0.0, 1.0, None, 0.1, 1, 3).cost_g
     assert one.estimate == simulate_paths(spec, 0.0, 1.0, None, 0.1, 3, 1)[0].realized_cost
     assert math.isnan(one.std_error)
 

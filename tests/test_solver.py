@@ -1117,7 +1117,7 @@ def test_boundary_csv_memory(tmp_path):
     # three label-mask sizes (the padded mask and its row changes take one
     # byte per node each) and 128 KiB for the runs and the rows
     res = solve(intervention_spec(), suggested_grid("intervention"))
-    _, peak = _traced_peak(write_boundary_csv, tmp_path / "boundary.csv", res)
+    _, peak = _traced_peak(write_boundary_csv, tmp_path / "boundary.csv", res, {})
     bound = 3 * res.labels.nbytes + 2**17
     assert peak <= bound, (peak / 2**20, bound / 2**20)
 
@@ -1370,7 +1370,7 @@ def test_surface_csv_round_trip(tmp_path):
         res = solve(spec, grid)
         p = tmp_path / "surface.csv"
         write_surface_csv(p, res, meta={"config_hash": "abc", "seed": 0})
-        back = read_surface_csv(p)
+        back = read_surface_csv(p, spec)
         assert back.surface.grid == grid
         assert back.surface.T == spec.T
         for key in ("eps_region", "tol_inner", "spec_sha256"):
@@ -1382,7 +1382,7 @@ def test_surface_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.xi0, res.xi0)
         with open(p, "a", encoding="utf-8") as fh:
             fh.write("\n")  # a trailing blank line is tolerated
-        np.testing.assert_array_equal(read_surface_csv(p).xi0, res.xi0)
+        np.testing.assert_array_equal(read_surface_csv(p, spec).xi0, res.xi0)
     assert res.labels.any()
 
 
@@ -1416,8 +1416,7 @@ def test_surface_csv_round_trip_on_random_specs(case):
 @pytest.mark.parametrize("side", ["below k_min", "above k_max"])
 def test_surface_csv_read_for_a_spec_refuses_xi0_out_of_range(tmp_path, side):
     # read for its spec, an action row whose xi0 lies one ulp outside
-    # [k_min, k_max] is refused, naming its data row; read without a spec,
-    # the file loads as written
+    # [k_min, k_max] is refused, naming its data row
     spec = intervention_spec()
     res = solve(spec, Grid(0.1, 4.1, 81, 40))
     c = spec.costs
@@ -1426,12 +1425,27 @@ def test_surface_csv_read_for_a_spec_refuses_xi0_out_of_range(tmp_path, side):
     xi0[j, i] = (np.nextafter(c.k_min, -np.inf) if side == "below k_min"
                  else np.nextafter(c.k_max, np.inf))
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res._replace(xi0=xi0))
+    write_surface_csv(p, res._replace(xi0=xi0), {})
     with pytest.raises(ValueError) as exc:
         read_surface_csv(p, spec)
     assert str(exc.value) == (f"surface data row {j * 81 + i + 1} has xi0={xi0[j, i]!r} outside "
                               f"[k_min, k_max] = [{c.k_min!r}, {c.k_max!r}]")
-    np.testing.assert_array_equal(read_surface_csv(p).xi0, xi0)
+
+
+def test_surface_csv_reader_and_writers_take_spec_and_meta(tmp_path):
+    # one call form each: a surface is read only under its spec's checks,
+    # and no artifact is written without the meta of its header
+    spec = intervention_spec()
+    res = solve(spec, Grid(0.1, 4.1, 41, 10))
+    p = tmp_path / "surface.csv"
+    write_surface_csv(p, res, {})
+    with pytest.raises(TypeError):
+        read_surface_csv(p)
+    out = tmp_path / "out.csv"
+    for write in (write_surface_csv, write_policy_csv, write_boundary_csv):
+        with pytest.raises(TypeError):
+            write(out, res)
+        assert not out.exists()
 
 
 def test_surface_csv_blocks_round_trip(tmp_path):
@@ -1442,17 +1456,18 @@ def test_surface_csv_blocks_round_trip(tmp_path):
     blk = solver._READ_SLICES
     grid = Grid(0.1, 4.1, 41, 4 * blk + 2)
     assert (grid.n_t + 1) % blk and (blk + 3) % blk  # slice blk + 3 is inside a block
-    res = solve(intervention_spec(), grid)
+    spec = intervention_spec()
+    res = solve(spec, grid)
     assert res.labels[2 * blk:].any() and not res.labels.all()
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res)
-    _same_result(read_surface_csv(p), res)
+    write_surface_csv(p, res, {})
+    _same_result(read_surface_csv(p, spec), res)
     lines = p.read_text().splitlines(keepends=True)
     first = len(lines) - (grid.n_t + 1) * grid.n_x  # the first data line
     for j in (blk + 3, blk):  # slices j - 1 and j, back to front
         lines.insert(first + j * grid.n_x, "\n")
     p.write_text("".join(lines))
-    _same_result(read_surface_csv(p), res)
+    _same_result(read_surface_csv(p, spec), res)
 
 
 def test_surface_csv_read_memory(tmp_path):
@@ -1460,10 +1475,11 @@ def test_surface_csv_read_memory(tmp_path):
     # result arrays and 0.5 MiB for one block of rows, never the file's
     # lines (all 80,601 rows held as strings peaked at 13.45 MiB here,
     # blocks of 16 slices at 3.79 MiB against 1.92 MiB of arrays)
-    res = solve(intervention_spec(), suggested_grid("intervention"))
+    spec = intervention_spec()
+    res = solve(spec, suggested_grid("intervention"))
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res)
-    back, peak = _traced_peak(read_surface_csv, p)
+    write_surface_csv(p, res, {})
+    back, peak = _traced_peak(read_surface_csv, p, spec)
     _same_result(back, res)
     arrays = 3 * res.surface.values.nbytes + res.labels.nbytes  # V, IV, xi0, labels
     assert peak <= arrays + 2**19, (peak / 2**20, arrays / 2**20)
@@ -1474,7 +1490,7 @@ def test_surface_csv_row_bytes(tmp_path):
     res = solve(spec, Grid(0.1, 4.1, 41, 10))
     assert res.labels.any()
     p = tmp_path / "surface.csv"
-    write_surface_csv(p, res)
+    write_surface_csv(p, res, {})
     s = res.surface
     expected = ["t,x,V,IV,label,xi0"]
     for j, t in enumerate(s.t_nodes()):
@@ -1564,8 +1580,8 @@ def test_policy_and_boundary_csv(tmp_path):
     assert n_action > 0
     pp = tmp_path / "policy.csv"
     bp = tmp_path / "boundary.csv"
-    write_policy_csv(pp, res)
-    write_boundary_csv(bp, res)
+    write_policy_csv(pp, res, {})
+    write_boundary_csv(bp, res, {})
     plines = pp.read_text().splitlines()
     assert plines[0] == "t,x,xi0"
     assert len(plines) - 1 == n_action
