@@ -14,18 +14,18 @@ spec = intervention_spec()
 grid = Grid(0.1, 4.1, 201, 100)
 res = solve(spec, grid)
 
-surface = res.surface
+surface, labels = res.surface, res.labels
 print(f"grid: {grid.n_x} x-nodes, {grid.n_t} time steps, h={grid.h:.3f}")
 print(f"inner projection: worst residual {surface.metadata['max_inner_residual']:.2e}")
-print(f"action nodes: {int(res.labels.sum())} of {res.labels.size}")
-print(f"obstacle gap: min(V - IV) = {np.min(surface.values - surface.iv_values):.2e}")
+print(f"action nodes: {int(labels.sum())} of {labels.size}")
+print(f"obstacle gap: min(V - IV) = {surface.metadata['min_obstacle_gap']:.2e}")
 
 # upper edge of the action region per time slice -- the free boundary
 xn = grid.x_nodes()
 tn = surface.t_nodes()
 print("\n  t      region           xi0 at x_min")
 for j in range(0, grid.n_t + 1, grid.n_t // 10):
-    idx = np.nonzero(res.labels[j])[0]
+    idx = np.nonzero(labels[j])[0]
     if idx.size == 0:
         print(f"  {tn[j]:.2f}   (empty)")
         continue
@@ -35,7 +35,7 @@ for j in range(0, grid.n_t + 1, grid.n_t // 10):
 # a coarse picture: one character per 4 nodes, | marks action
 print("\nregion map (t down, x right; '#' = action):")
 for j in range(0, grid.n_t + 1, grid.n_t // 8):
-    row = "".join("#" if res.labels[j, i] else "." for i in range(0, grid.n_x, 4))
+    row = "".join("#" if labels[j, i] else "." for i in range(0, grid.n_x, 4))
     print(f"  t={tn[j]:.2f} {row}")
 
 print("\nvalue at selected points:")

@@ -26,9 +26,8 @@ from .dynamics import (FeedbackPolicy, ImpulseSchedule,
                        filtration_reduction_check, simulate_paths)
 from .fixtures import FIXTURES, fixture_reference, get_fixture, suggested_grid
 from .model import ModelSpec, validate
-from .solver import (_ROWS, TOL_INNER, Grid, NumericalError, SolveResult, read_surface_csv,
-                     solve, write_boundary_csv, write_csv, write_policy_csv,
-                     write_surface_csv)
+from .solver import (TOL_INNER, Grid, NumericalError, SolveResult, read_surface_csv, solve,
+                     write_boundary_csv, write_csv, write_policy_csv, write_surface_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -100,7 +99,7 @@ def _pairs(schedule: ImpulseSchedule) -> list:
 
 def _load_spec(source: str):
     """(spec, default grid, exact reference or None) for --spec: a fixture
-    brings its suggested grid and, for closed-form, its exact value."""
+    brings its suggested grid and its exact value, where it has one."""
     if source.startswith("fixture:"):
         name = source[len("fixture:"):]
         try:
@@ -233,15 +232,11 @@ def cmd_solve(cfg: RunConfig, chash: str) -> int:
     write_boundary_csv(os.path.join(cfg.out_dir, "boundary.csv"), res, meta)
     write_policy_csv(os.path.join(cfg.out_dir, "policy.csv"), res, meta)
     md = res.surface.metadata
-    values, iv = res.surface.values, res.surface.iv_values
-    gap = math.inf  # min over the grid of V - IV, one block of _ROWS rows at a time
-    for r in range(0, values.shape[0], _ROWS):
-        gap = np.minimum(gap, np.min(values[r:r + _ROWS] - iv[r:r + _ROWS]))
     summary = {
         "grid": cfg.grid,
         "T": cfg.spec.T,
         "n_action_nodes": int(res.labels.sum()),
-        "min_obstacle_gap": float(gap),
+        "min_obstacle_gap": float(md["min_obstacle_gap"]),
         "landing_violations": int(md["landing_violations"]),
         "max_inner_iterations": int(max(md["inner_iterations"], default=0)),
         "max_inner_residual": float(md["max_inner_residual"]),

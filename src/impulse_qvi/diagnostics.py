@@ -226,7 +226,8 @@ def check_theta_structure(res: SolveResult) -> CheckReport:
     interpolation error bound, max|second difference|/8."""
     surface = res.surface
     xn = surface.grid.x_nodes()
-    j, i, i_land = res.landings()
+    labels = res.labels
+    j, i, i_land = res.landings(labels)
     xi0 = res.xi0[j, i]
     land = xn[i] + xi0
     iv_land = np.empty_like(land)
@@ -236,7 +237,7 @@ def check_theta_structure(res: SolveResult) -> CheckReport:
         iv_land[s:e] = interp_extended(xn, surface.iv_values[r], land[s:e])
         slack[s:e] = 2.0 * (np.max(np.abs(np.diff(surface.values[r], 2))) / 8.0) + 1e-12
     chain = surface.iv_values[j, i] - (iv_land - xi0) + slack
-    landing_violations = int(np.count_nonzero(res.labels[j, i_land]))
+    landing_violations = int(np.count_nonzero(labels[j, i_land]))
     vacuous = j.size == 0
     worst, loc = 0.0, None
     if not vacuous:

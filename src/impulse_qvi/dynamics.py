@@ -191,8 +191,9 @@ class FeedbackPolicy:
     def __init__(self, res):
         self.t_nodes = res.surface.t_nodes()
         self.grid = res.surface.grid
-        # per row, its action nodes and the injection at each
-        self._actions = [(i, xi[i]) for i, xi in zip(map(np.flatnonzero, res.labels), res.xi0)]
+        # per row, its action nodes (SolveResult.labels row by row) and the injection at each
+        nodes = (np.flatnonzero(~np.isnan(xi)) for xi in res.xi0)
+        self._actions = [(i, xi[i]) for i, xi in zip(nodes, res.xi0)]
         # per row, its lowest and highest acting node; (0, -1) if it has none
         self._spans = [(int(i[0]), int(i[-1])) if i.size else (0, -1)
                        for i in (i[xi > 0] for i, xi in self._actions)]

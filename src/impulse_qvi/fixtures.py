@@ -1,22 +1,11 @@
-"""Named model fixtures used by tests, demos, and the CLI.
-
-"closed-form" has state-independent data, so the value function solves a
-scalar ODE with the exact solution
-
-    V(t) = (f0 - beta0 g20) / beta0 * (1 - exp(-beta0 (T - t)))
-           + exp(-beta0 (T - t)) * g10,
-
-and interventions are never profitable (kappa is large).  "intervention"
-has a steep running utility at low ratios and cheap injections, giving a
-nonempty action region with monotone data.  "geometric" is a drift-
-diffusion ratio with no deposit response, for Monte Carlo comparisons.
-"zero" has identically zero utilities, so V == 0 and the action region
-is empty.
-"""
+"""Named model fixtures used by tests, demos, and the CLI.  FIXTURES holds
+each name's spec builder, suggested grid and exact value V(t, x) (or None);
+get_fixture, suggested_grid and fixture_reference read that table alone,
+and each raises the same KeyError, naming the known fixtures, for an
+unknown name."""
 
 import math
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .model import CostParams, Curve, ModelSpec, UtilitySpec
 from .solver import Grid
@@ -27,7 +16,8 @@ def closed_form_params() -> dict:
 
 
 def closed_form_value(f0: float, g10: float, g20: float, beta0: float, T: float):
-    """Exact no-intervention value for constant data; returns V(t, x), constant in x."""
+    """Exact no-intervention value for constant data; returns V(t, x), constant in x:
+    V(t) = (f0 - beta0 g20) / beta0 (1 - exp(-beta0 (T - t))) + exp(-beta0 (T - t)) g10."""
 
     def value(t: float, x: float = 0.0) -> float:
         s = T - t
@@ -40,6 +30,8 @@ def closed_form_value(f0: float, g10: float, g20: float, beta0: float, T: float)
 
 
 def closed_form_spec() -> ModelSpec:
+    """State-independent data, so V solves a scalar ODE (closed_form_value),
+    and interventions are never profitable (kappa is large)."""
     p = closed_form_params()
     return ModelSpec(
         c1=1.0,
@@ -95,6 +87,7 @@ def geometric_spec() -> ModelSpec:
 
 
 def zero_spec() -> ModelSpec:
+    """Identically zero utilities, so V == 0 and the action region is empty."""
     return ModelSpec(
         c1=1.0,
         T=1.0,
@@ -111,36 +104,38 @@ def zero_spec() -> ModelSpec:
     )
 
 
-def suggested_grid(name: str) -> Grid:
-    if name == "closed-form":
-        return Grid(0.1, 2.1, 400, 400)
-    if name == "intervention":
-        return Grid(0.1, 4.1, 401, 200)
-    if name == "geometric":
-        return Grid(0.1, 3.1, 201, 200)
-    if name == "zero":
-        return Grid(0.1, 2.1, 101, 100)
-    raise KeyError(name)
+class Fixture(NamedTuple):
+    """A name's spec builder, suggested grid and exact V(t, x_nodes) or None."""
+
+    spec: Callable[[], ModelSpec]
+    grid: Grid
+    reference: Callable | None
 
 
 FIXTURES = {
-    "closed-form": closed_form_spec,
-    "intervention": intervention_spec,
-    "geometric": geometric_spec,
-    "zero": zero_spec,
+    "closed-form": Fixture(closed_form_spec, Grid(0.1, 2.1, 400, 400),
+                           closed_form_value(**closed_form_params())),
+    "intervention": Fixture(intervention_spec, Grid(0.1, 4.1, 401, 200), None),
+    "geometric": Fixture(geometric_spec, Grid(0.1, 3.1, 201, 200), None),
+    "zero": Fixture(zero_spec, Grid(0.1, 2.1, 101, 100), None),
 }
 
 
-def get_fixture(name: str) -> ModelSpec:
+def _row(name: str) -> Fixture:
     try:
-        return FIXTURES[name]()
+        return FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
 
 
+def get_fixture(name: str) -> ModelSpec:
+    return _row(name).spec()
+
+
+def suggested_grid(name: str) -> Grid:
+    return _row(name).grid
+
+
 def fixture_reference(name: str):
     """Exact value callable (t, x_nodes) -> V for fixtures that have one, else None."""
-    if name == "closed-form":
-        p = closed_form_params()
-        return closed_form_value(p["f0"], p["g10"], p["g20"], p["beta0"], p["T"])
-    return None
+    return _row(name).reference

@@ -86,10 +86,11 @@ which a build that fuses multiply-adds or drops the zero term fails.
 Without the library, its symbol or that agreement, the steps run the
 Python substitution, the reference; a nonzero INFO raises.
 
-A node is labeled "action" when V - IV <= eps_region; the maximizing
-injection xi0 there is the policy.  solve and read_surface_csv return
-the one SolveResult(surface, labels, xi0) that the CSV writers, the
-diagnostics (dpp_residual(spec, res, ...) among them) and
+A node is an action node when V - IV <= eps_region; the maximizing
+injection xi0 there is the policy, and xi0 is NaN on every other node, so
+the action set is where xi0 is a number (SolveResult.labels).  solve and
+read_surface_csv return the one SolveResult(surface, xi0) that the CSV
+writers, the diagnostics (dpp_residual(spec, res, ...) among them) and
 dynamics.FeedbackPolicy(res) read.  Grid.nearest_node is the one snapping
 rule: SolveResult.landings applies it to x + xi0 of the action nodes (the
 one statement of where an injection lands, which solve's
@@ -582,12 +583,17 @@ class ValueSurface(NamedTuple):
 
 
 class SolveResult(NamedTuple):
-    """A solved surface with its action labels (True where V - IV <=
-    eps_region) and the maximizing injection xi0 there, NaN elsewhere."""
+    """A solved surface with the maximizing injection xi0 on its action
+    nodes (where V - IV <= eps_region) and NaN on the others."""
 
     surface: ValueSurface
-    labels: np.ndarray
     xi0: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The action nodes: True where xi0 is a number."""
+        nan = np.isnan(self.xi0)
+        return np.logical_not(nan, out=nan)
 
     def landings(self, nodes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, i, i_land) of the action nodes, or of the nodes of the mask
@@ -739,16 +745,17 @@ def _sweep(spec: ModelSpec, grid: Grid, tol_inner: float) -> tuple[float, Iterat
 
 def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
           eps_region: float | None = None) -> SolveResult:
-    """Backward QVI sweep; returns the value surface with its action
-    labels and injection policy.
+    """Backward QVI sweep; returns the value surface with its policy.
 
     Each slice of the sweep goes straight into the stacked V, IV and
     maximizer arrays.  IV and the maximizers of a projected slice come
     from its loop's last impulse_max call; stacked calls of up to _ROWS
     rows give those of the terminal slice and of the slices whose
-    projection was certified away.  From them come the labels, the policy
-    and the largest residual max(IV - V), taken over blocks of _ROWS rows,
-    so that no temporary as large as V is built.
+    projection was certified away.  One pass over blocks of _ROWS rows
+    takes V - IV, with no temporary as large as V: the policy keeps the
+    maximizer where V - IV <= eps_region, and each slice's min of V - IV
+    gives its residual max(IV - V) (rounded subtraction is sign-symmetric)
+    and metadata["min_obstacle_gap"].
 
     Raises ValueError when the spec fails hypothesis validation, h >
     k_min, or a slice to project has no finite iteration cap, and
@@ -774,17 +781,14 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
     for r in range(0, len(rest), _ROWS):
         b = rest[r:r + _ROWS]
         IV[b], XI[b] = impulse_max(V[b], grid, spec.costs)
-    LAB = np.empty(V.shape, dtype=bool)
-    residuals = np.empty(grid.n_t + 1)
+    gaps = np.empty(grid.n_t + 1)  # per slice, the min over x of V - IV
     for r in range(0, grid.n_t + 1, _ROWS):
-        gap = IV[r:r + _ROWS] - V[r:r + _ROWS]
-        # V - IV <= eps_region, exactly: rounded subtraction is sign-symmetric
-        lab = np.greater_equal(gap, -eps_region, out=LAB[r:r + _ROWS])
-        XI[r:r + _ROWS][~lab] = np.nan  # the policy: the maximizer on the action nodes only
-        np.max(gap, axis=1, out=residuals[r:r + _ROWS])
+        gap = V[r:r + _ROWS] - IV[r:r + _ROWS]
+        XI[r:r + _ROWS][~(gap <= eps_region)] = np.nan  # the policy: NaN off the action nodes
+        np.min(gap, axis=1, out=gaps[r:r + _ROWS])
     # the terminal slice is not projected; every other slice left the loop
     # with this residual or was certified below it
-    residuals = residuals[:-1]
+    residuals = -gaps[:-1]
     bad = np.flatnonzero(residuals > tol_inner)
     if bad.size:
         j = int(bad[0])
@@ -800,11 +804,13 @@ def solve(spec: ModelSpec, grid: Grid, tol_inner: float = TOL_INNER,
         "inner_iterations": inner_counts[:-1],
         "max_inner_residual": max(0.0, float(np.max(residuals))),
         "c1_bound": c1_bound,
+        "min_obstacle_gap": float(np.min(gaps)),
     }
-    res = SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), LAB, XI)
+    res = SolveResult(ValueSurface(grid, spec.T, V, IV, metadata), XI)
     # landing nodes of the policy should be continuation (within one cell)
-    j, _, landing = res.landings()
-    metadata["landing_violations"] = int(np.count_nonzero(LAB[j, landing]))
+    labels = res.labels
+    j, _, landing = res.landings(labels)
+    metadata["landing_violations"] = int(np.count_nonzero(labels[j, landing]))
     return res
 
 
@@ -836,11 +842,12 @@ def write_surface_csv(path, res: SolveResult, meta: dict) -> None:
     surface = res.surface
     known = {**surface.metadata, **asdict(surface.grid), "T": surface.T}
     x_txt = [repr(x) for x in surface.grid.x_nodes().tolist()]
+    labels = res.labels
 
     def slices():
         for j, t in enumerate(map(repr, surface.t_nodes().tolist())):
             tails = [f"action,{xi!r}\n" if act else "continuation,\n"
-                     for act, xi in zip(res.labels[j].tolist(), res.xi0[j].tolist())]
+                     for act, xi in zip(labels[j].tolist(), res.xi0[j].tolist())]
             yield "".join([f"{t},{x},{v!r},{iv!r},{tail}" for x, v, iv, tail in zip(
                 x_txt, surface.values[j].tolist(), surface.iv_values[j].tolist(), tails)])
 
@@ -925,7 +932,6 @@ def read_surface_csv(path, spec: ModelSpec) -> SolveResult:
             raise unfilled  # before the grid is allocated
         tn, xn = grid.t_nodes(h["T"]), grid.x_nodes()
         V, IV, xi0 = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
-        action = np.empty(shape, dtype=bool)
         data = itertools.filterfalse(str.isspace, fh)
         for j in range(0, shape[0], _READ_SLICES):
             m = min(_READ_SLICES, shape[0] - j)
@@ -942,7 +948,6 @@ def read_surface_csv(path, spec: ModelSpec) -> SolveResult:
             # empty, or "action," with xi0 parsed; any other label is an error
             act = ~np.fromiter(map(str.endswith, rows, itertools.repeat(_CONTINUATION)),
                                dtype=bool, count=len(rows))
-            action[j:j + m] = act.reshape(m, -1)
             at = np.flatnonzero(act)
             parsed = []
             for i in at.tolist():
@@ -965,13 +970,13 @@ def read_surface_csv(path, spec: ModelSpec) -> SolveResult:
         if next(data, None) is not None:
             raise unfilled
     c = spec.costs
-    outside = np.flatnonzero(action & ~((xi0 >= c.k_min) & (xi0 <= c.k_max)))
+    outside = np.flatnonzero((xi0 < c.k_min) | (xi0 > c.k_max))  # NaN compares false
     if outside.size:
         i = int(outside[0])
         raise ValueError(f"surface data row {i + 1} has xi0={xi0.flat[i]!r} outside "
                          f"[k_min, k_max] = [{c.k_min!r}, {c.k_max!r}]")
     metadata = {k: h[k] for k in ("eps_region", "tol_inner", "spec_sha256")}
-    return SolveResult(ValueSurface(grid, h["T"], V, IV, metadata), action, xi0)
+    return SolveResult(ValueSurface(grid, h["T"], V, IV, metadata), xi0)
 
 
 def write_policy_csv(path, res: SolveResult, meta: dict) -> None:

@@ -23,9 +23,10 @@ from impulse_qvi import cli
 from impulse_qvi.diagnostics import CheckReport, ConvergenceStudy
 from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseEvent, ImpulseSchedule, MCEstimate,
                                   PathBatch, PathRecord, ReductionReport, simulate)
-from impulse_qvi.fixtures import FIXTURES, closed_form_spec, geometric_spec, intervention_spec
+from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec, get_fixture,
+                                  intervention_spec, suggested_grid)
 from impulse_qvi.model import CheckEntry, CostParams, Curve, UtilitySpec, ValidationReport
-from impulse_qvi.solver import Grid, ValueSurface, read_surface_csv, write_csv
+from impulse_qvi.solver import Grid, ValueSurface, read_surface_csv, solve, write_csv
 
 from test_model import make_spec
 from test_solver import _found_sub_cell_spec
@@ -666,6 +667,24 @@ def test_solve_closed_form_matches_formula(tmp_path):
     assert summary["min_obstacle_gap"] >= -1e-8
     assert summary["landing_violations"] == 0
     assert len(summary["config_hash"]) == 64
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_min_obstacle_gap_comes_from_solve(tmp_path, name):
+    # solve's finishing pass records the min over the grid of V - IV: the
+    # running minimum over blocks of 16 rows, repr for repr (a zero gap
+    # stays 0.0, as on intervention), and summary.json carries it
+    res = solve(get_fixture(name), replace(suggested_grid(name), n_x=81, n_t=40))
+    values, iv = res.surface.values, res.surface.iv_values
+    gap = math.inf
+    for r in range(0, values.shape[0], 16):
+        gap = np.minimum(gap, np.min(values[r:r + 16] - iv[r:r + 16]))
+    assert repr(res.surface.metadata["min_obstacle_gap"]) == repr(float(gap))
+    assert name != "intervention" or repr(float(gap)) == "0.0"
+    rc = cli.main(["solve", "--spec", f"fixture:{name}", "--nx", "81", "--nt", "40",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert repr(read_json(tmp_path / "summary.json")["min_obstacle_gap"]) == repr(float(gap))
 
 
 # ---------------------------------------------------------------- validate

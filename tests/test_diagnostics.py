@@ -328,10 +328,9 @@ def test_theta_structure_flags_landing_violation():
     grid = Grid(0.1, 2.1, 21, 1)
     costs = intervention_spec().costs
     values = np.zeros((2, 21))
-    labels = np.ones((2, 21), dtype=bool)
     xi0 = np.full((2, 21), costs.k_min)
     surface = ValueSurface(grid, 2.0, values, values.copy(), {})
-    rep = check_theta_structure(SolveResult(surface, labels, xi0))
+    rep = check_theta_structure(SolveResult(surface, xi0))
     assert not rep.passed
     assert rep.details["landing_violations"] > 0
 
@@ -437,7 +436,7 @@ def _solve_results(draw):
     values = array(st.integers(-8, 8)) / 4.0
     iv = values - array(st.integers(0, 3)) / 4.0
     tol_inner = draw(st.sampled_from([1e-9, 1e-4]))
-    return SolveResult(ValueSurface(grid, 1.0, values, iv, {"tol_inner": tol_inner}), labels, xi0)
+    return SolveResult(ValueSurface(grid, 1.0, values, iv, {"tol_inner": tol_inner}), xi0)
 
 
 def _dense_result():
@@ -448,7 +447,7 @@ def _dense_result():
     values = np.round(np.sin(3.0 * xn)[None, :] * np.linspace(1.0, 2.0, 13)[:, None], 2)
     xi0 = np.broadcast_to(0.12 + 0.01 * np.arange(60.0) % 0.4, (13, 60)).copy()
     surface = ValueSurface(grid, 1.0, values, values - 0.01, {"tol_inner": 1e-9})
-    return SolveResult(surface, np.ones((13, 60), dtype=bool), xi0)
+    return SolveResult(surface, xi0)
 
 
 @settings(max_examples=300, deadline=None)

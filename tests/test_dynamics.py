@@ -32,7 +32,7 @@ from impulse_qvi.dynamics import (FeedbackPolicy, ImpulseSchedule, _Moments, _si
                                   filtration_reduction_check, simulate,
                                   simulate_paths)
 from impulse_qvi.fixtures import (FIXTURES, closed_form_params, closed_form_spec,
-                                  geometric_spec, intervention_spec,
+                                  geometric_spec, get_fixture, intervention_spec,
                                   suggested_grid)
 from impulse_qvi.model import (Curve, diffusion, drift, injection_cost, invert_hazard,
                                survival_grid)
@@ -419,10 +419,11 @@ def test_simulate_paths_match_single_paths(policy):
 
 
 def _solve_result(grid, T, action, xi0):
-    """A SolveResult on grid over [0, T] with these labels and xi0; V and IV
-    are zeros, which FeedbackPolicy does not read."""
+    """A SolveResult on grid over [0, T] whose action nodes are `action`,
+    with xi0 there and NaN elsewhere; V and IV are zeros, which
+    FeedbackPolicy does not read."""
     zeros = np.zeros(action.shape)
-    return SolveResult(ValueSurface(grid, T, zeros, zeros, {}), action, xi0)
+    return SolveResult(ValueSurface(grid, T, zeros, zeros, {}), np.where(action, xi0, np.nan))
 
 
 def test_feedback_policy_snapping():
@@ -584,7 +585,7 @@ def _assert_matches_reference(spec, t0, x0, control, dt, seed, n_paths, record, 
 
 @pytest.fixture(scope="module")
 def fixture_policies():
-    return {name: FeedbackPolicy(solve(FIXTURES[name](), suggested_grid(name)))
+    return {name: FeedbackPolicy(solve(get_fixture(name), suggested_grid(name)))
             for name in FIXTURES}
 
 
@@ -594,7 +595,7 @@ def fixture_policies():
 def test_kernel_matches_reference_loop_on_fixtures(name, policy, record, fixture_policies):
     # more paths than one chunk, from t0 > 0, starting inside the action
     # region of the intervention fixture
-    spec = FIXTURES[name]()
+    spec = get_fixture(name)
     c = spec.costs
     control = {"none": None,
                "schedule": ImpulseSchedule(np.array([0.0, 0.25 * spec.T, 0.7 * spec.T]),
@@ -610,7 +611,8 @@ def test_kernel_matches_reference_loop_on_fixtures(name, policy, record, fixture
 def _feedback_policies(draw, T=1.0):
     """A random feedback rule on a grid from x_min in [0, 1]: each time row
     has no action node, one, all, or a random set, and xi0 at an action
-    node is positive, zero, negative or NaN (only a positive size acts)."""
+    node is positive, zero or negative (only a positive size acts); a NaN
+    drawn there makes the node continuation, as a NaN xi0 does anywhere."""
     x_min = draw(st.floats(0.0, 1.0))
     grid = Grid(x_min, x_min + draw(st.floats(0.5, 4.0)), draw(st.integers(3, 9)),
                 draw(st.integers(1, 6)))

@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import impulse_qvi
 from impulse_qvi.dynamics import ImpulseSchedule
-from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, geometric_spec,
-                                  intervention_spec, suggested_grid,
-                                  zero_spec)
+from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, fixture_reference, geometric_spec,
+                                  get_fixture, intervention_spec, suggested_grid, zero_spec)
 from impulse_qvi.model import (CostParams, Curve, ModelSpec, UtilitySpec,
                                _sorted_distinct, diffusion, drift, hazard_grid,
                                injection_cost, invert_hazard, sampled_lipschitz, survival_grid,
@@ -378,9 +377,25 @@ def test_validation_report_round_trip():
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_specs_load_from_their_dicts(name):
     # every key a fixture writes is one that from_dict reads
-    spec = FIXTURES[name]()
+    spec = get_fixture(name)
     back = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert back.sha256() == spec.sha256()
+
+
+def test_fixture_lookups_agree_on_the_names():
+    # the three lookups read one table: each known name has a spec, a grid
+    # and a reference entry (closed-form alone has an exact value), and an
+    # unknown name raises the same KeyError, naming the known ones, from each
+    for name in FIXTURES:
+        assert isinstance(get_fixture(name), ModelSpec)
+        assert isinstance(suggested_grid(name), Grid)
+    assert [name for name in FIXTURES if fixture_reference(name) is not None] == ["closed-form"]
+    errors = []
+    for lookup in (get_fixture, suggested_grid, fixture_reference):
+        with pytest.raises(KeyError) as exc:
+            lookup("bogus")
+        errors.append(exc.value.args)
+    assert errors == [(f"unknown fixture 'bogus'; known: {sorted(FIXTURES)}",)] * 3
 
 
 def test_model_spec_json_round_trip(tmp_path):

@@ -19,14 +19,14 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
 from impulse_qvi.diagnostics import convergence_study, dpp_residual
-from impulse_qvi.fixtures import (closed_form_spec, closed_form_value,
+from impulse_qvi.fixtures import (FIXTURES, closed_form_spec, closed_form_value,
                                   fixture_reference, geometric_spec,
                                   get_fixture, intervention_spec,
                                   suggested_grid, zero_spec)
 from impulse_qvi.model import (CostParams, Curve, UtilitySpec, diffusion, drift,
                                injection_cost)
 from impulse_qvi import solver
-from impulse_qvi.solver import (Grid, NumericalError, ValueSurface, _StepPlan,
+from impulse_qvi.solver import (Grid, NumericalError, SolveResult, ValueSurface, _StepPlan,
                                 _eliminate, _impulse_plan, _label_components,
                                 _projection_certified, _sweep,
                                 _window_argmax, impulse_max,
@@ -1392,6 +1392,24 @@ def _same_result(a, b):
     for x, y in ((a.surface.values, b.surface.values), (a.surface.iv_values, b.surface.iv_values),
                  (a.labels, b.labels), (a.xi0, b.xi0)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_solve_result_keeps_xi0_alone(tmp_path, name):
+    # the action set is stated once, as the nodes where xi0 is a number;
+    # the labels read off it are V - IV <= eps_region bit for bit, from
+    # solve and after a surface.csv round trip
+    assert SolveResult._fields == ("surface", "xi0")
+    spec = get_fixture(name)
+    res = solve(spec, replace(suggested_grid(name), n_x=81, n_t=40))
+    surface = res.surface
+    stored = surface.values - surface.iv_values <= surface.metadata["eps_region"]
+    assert res.labels.tobytes() == (~np.isnan(res.xi0)).tobytes() == stored.tobytes()
+    p = tmp_path / "surface.csv"
+    write_surface_csv(p, res, {})
+    back = read_surface_csv(p, spec)
+    _same_result(back, res)
+    assert back.labels.tobytes() == (~np.isnan(back.xi0)).tobytes() == stored.tobytes()
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -40,3 +40,6 @@ def test_traced_job_runs(tmp_path):
                   "diagnostics.convergence_study"):
         assert result["calls"].get(layer, 0) >= 1, layer
     assert result["counts"]["solver.write_surface.bytes"] > 0
+    # the converge step's exact reference is counted through the name that
+    # cli._load_spec calls, fixtures.fixture_reference
+    assert result["counts"]["fixtures.reference.calls"] > 0
